@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable
+from typing import Iterable, Iterator
 
 MAX_ATOMS = 5
 
@@ -90,6 +90,14 @@ def downset(elements: Iterable[Element]) -> frozenset[Element]:
         for m in range(1 << width)
         if any(e.mask & m == m for e in elems)
     )
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Carrier:

@@ -1,17 +1,27 @@
 """Convergence structures on a finite Boolean algebra.
 
-A convergence is represented extensionally as a total map from
-infinite-occurrence classes to sets of candidate limits.  Internally both are
-bit-masks over the carrier enumeration, so the exhaustive sweeps over all
-2^(2^n) - 1 classes reduce to integer transforms.
+A convergence maps infinite-occurrence classes to sets of candidate limits;
+both are bit-masks over the carrier enumeration.  It comes in three forms:
+
+- principal: only the singleton column ``lim1[s]`` = lam({s}) is stored and
+  lam(S) is the intersection of ``lim1[s]`` over s in S.  The built-in laws,
+  their star-closures and every topological limit operator have this form,
+  so their operations cost O(2^n) instead of O(2^(2^n)).
+- extensional: a full table indexed by class mask, for inputs that need not
+  be principal (random or hand-made convergences, test oracles).
+- rule: a callable evaluated and memoised class by class.
+
+Every form answers point queries at any size.  The full table (``.table``)
+and other sweeps over all classes exist only up to 4 atoms and raise
+``SweepCapacityError`` above that.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from .algebra import Carrier, CarrierMismatchError, Element
+from .algebra import Carrier, CarrierMismatchError, Element, iter_bits
 from .seqclass import InfClass, class_from_mask, class_mask
 
 
@@ -56,7 +66,12 @@ def sos_intersection_nonempty(table: list[int], m: int) -> list[int]:
 
 
 class Convergence:
-    """A total map from infinite-occurrence classes to sets of limits."""
+    """A total map from infinite-occurrence classes to sets of limits.
+
+    Give exactly the representation you have: ``lim1`` (singleton limits of
+    a principal convergence), ``table`` (limit mask per class mask, entry 0
+    unused) or ``rule`` (class to element set).
+    """
 
     def __init__(
         self,
@@ -64,30 +79,61 @@ class Convergence:
         rule: Optional[Callable[[InfClass], frozenset[Element]]] = None,
         table: Optional[list[int]] = None,
         name: str = "",
+        lim1: Optional[Sequence[int]] = None,
     ):
-        if rule is None and table is None:
-            raise ValueError("either a rule or a table is required")
+        if rule is None and table is None and lim1 is None:
+            raise ValueError("a rule, a table or singleton limits are required")
+        if lim1 is not None and len(lim1) != carrier.size:
+            raise ValueError(f"expected {carrier.size} singleton limits, got {len(lim1)}")
         self.carrier = carrier
         self.name = name
         self._rule = rule
         self._table = table
+        self._lim1 = tuple(lim1) if lim1 is not None else None
         self._memo: dict[int, int] = {}
+
+    @property
+    def is_principal(self) -> bool:
+        """Stored as singleton limits, so lam(S) is the meet of lam({s}), s in S."""
+        return self._lim1 is not None
+
+    @property
+    def lim1(self) -> tuple[int, ...]:
+        """The singleton column: lim1[s] is the limit mask of the class {s}."""
+        if self._lim1 is not None:
+            return self._lim1
+        return tuple(self.limit_mask(1 << s) for s in range(self.carrier.size))
 
     @property
     def table(self) -> list[int]:
         """Full limit-set table indexed by class mask (entry 0 unused)."""
         if self._table is None:
             _require_table_capacity(self.carrier)
-            assert self._rule is not None
-            built = [0] * (1 << self.carrier.size)
-            for mask in range(1, 1 << self.carrier.size):
-                built[mask] = self.limit_mask(mask)
+            classes = 1 << self.carrier.size
+            built = [0] * classes
+            if self._lim1 is not None:
+                lim1 = self._lim1
+                built[0] = (1 << self.carrier.size) - 1
+                for mask in range(1, classes):
+                    low = mask & -mask
+                    built[mask] = built[mask ^ low] & lim1[low.bit_length() - 1]
+                built[0] = 0
+            else:
+                for mask in range(1, classes):
+                    built[mask] = self.limit_mask(mask)
             self._table = built
         return self._table
 
     def limit_mask(self, mask: int) -> int:
         if self._table is not None:
             return self._table[mask]
+        if self._lim1 is not None:
+            if not mask:
+                return 0
+            out = (1 << self.carrier.size) - 1
+            for s in iter_bits(mask):
+                out &= self._lim1[s]
+            return out
         if mask in self._memo:
             return self._memo[mask]
         assert self._rule is not None
@@ -95,6 +141,19 @@ class Convergence:
         value = self.carrier.subset_mask(self._rule(s))
         self._memo[mask] = value
         return value
+
+    def limit_count(self) -> int:
+        """Number of (nonempty class, limit) pairs: the popcount sum of the table.
+
+        For a principal convergence, a is a limit of S exactly when S is inside
+        P_a = {s : a in lim1[s]}, which gives 2^|P_a| - 1 classes per point.
+        """
+        if self._lim1 is None:
+            return sum(v.bit_count() for v in self.table)
+        m = self.carrier.size
+        return sum(
+            (1 << sum(col >> a & 1 for col in self._lim1)) - 1 for a in range(m)
+        )
 
     def __call__(self, s: InfClass) -> frozenset[Element]:
         if s.width != self.carrier.n:
@@ -106,10 +165,14 @@ class Convergence:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Convergence):
             return NotImplemented
-        return self.carrier == other.carrier and self.table == other.table
+        if self.carrier != other.carrier or self.lim1 != other.lim1:
+            return False
+        if self.is_principal and other.is_principal:
+            return True
+        return self.table == other.table
 
     def __hash__(self) -> int:
-        return hash((self.carrier, tuple(self.table)))
+        return hash((self.carrier, self.lim1))
 
     def __repr__(self) -> str:
         return f"Convergence({self.name or 'anonymous'}, P({self.carrier.n}))"
@@ -125,69 +188,23 @@ def _sup_table(carrier: Carrier) -> list[int]:
     return sup
 
 
-def _inf_table(carrier: Carrier) -> list[int]:
-    m = carrier.size
-    inf = [m - 1] * (1 << m)
-    for s in range(1, 1 << m):
-        low = s & -s
-        prev = inf[s ^ low] if s ^ low else m - 1
-        inf[s] = prev & (low.bit_length() - 1)
-    return inf
-
-
 def lambda_ls(carrier: Carrier) -> Convergence:
-    """Limits are everything above the limsup: upset of the join of the class."""
-    from .algebra import join as el_join, upset
-
-    def rule(s: InfClass) -> frozenset[Element]:
-        top = carrier.bottom
-        for v in s.values:
-            top = el_join(top, v)
-        return upset([top])
-
-    if carrier.size <= 16:
-        sup = _sup_table(carrier)
-        table = [0] * (1 << carrier.size)
-        for s in range(1, 1 << carrier.size):
-            table[s] = carrier.up_masks[sup[s]]
-        return Convergence(carrier, rule=rule, table=table, name="lambda_ls")
-    return Convergence(carrier, rule=rule, name="lambda_ls")
+    """Limits are everything above the limsup: upset of the join of the class,
+    that is, the intersection of the upsets of its members."""
+    return Convergence(carrier, lim1=carrier.up_masks, name="lambda_ls")
 
 
 def lambda_li(carrier: Carrier) -> Convergence:
-    """Limits are everything below the liminf: downset of the meet of the class."""
-    from .algebra import downset, meet as el_meet
-
-    def rule(s: InfClass) -> frozenset[Element]:
-        bot = carrier.top
-        for v in s.values:
-            bot = el_meet(bot, v)
-        return downset([bot])
-
-    if carrier.size <= 16:
-        inf = _inf_table(carrier)
-        table = [0] * (1 << carrier.size)
-        for s in range(1, 1 << carrier.size):
-            table[s] = carrier.down_masks[inf[s]]
-        return Convergence(carrier, rule=rule, table=table, name="lambda_li")
-    return Convergence(carrier, rule=rule, name="lambda_li")
+    """Limits are everything below the liminf: downset of the meet of the
+    class, that is, the intersection of the downsets of its members."""
+    return Convergence(carrier, lim1=carrier.down_masks, name="lambda_li")
 
 
 def lambda_s(carrier: Carrier) -> Convergence:
     """The unique limit when liminf and limsup coincide, no limit otherwise."""
-
-    def rule(s: InfClass) -> frozenset[Element]:
-        if len(s.values) == 1:
-            return frozenset(s.values)
-        return frozenset()
-
-    if carrier.size <= 16:
-        table = [0] * (1 << carrier.size)
-        for s in range(1, 1 << carrier.size):
-            if s & (s - 1) == 0:
-                table[s] = 1 << (s.bit_length() - 1)
-        return Convergence(carrier, rule=rule, table=table, name="lambda_s")
-    return Convergence(carrier, rule=rule, name="lambda_s")
+    return Convergence(
+        carrier, lim1=[1 << s for s in range(carrier.size)], name="lambda_s"
+    )
 
 
 def _check_same_carrier(a: Convergence, b: Convergence) -> None:
@@ -198,29 +215,53 @@ def _check_same_carrier(a: Convergence, b: Convergence) -> None:
 def meet_conv(a: Convergence, b: Convergence) -> Convergence:
     """Pointwise intersection of limit sets."""
     _check_same_carrier(a, b)
-    table = [x & y for x, y in zip(a.table, b.table)]
     name = f"({a.name} & {b.name})" if a.name and b.name else ""
+    if a.is_principal and b.is_principal:
+        lim1 = [x & y for x, y in zip(a.lim1, b.lim1)]
+        return Convergence(a.carrier, lim1=lim1, name=name)
+    table = [x & y for x, y in zip(a.table, b.table)]
     return Convergence(a.carrier, table=table, name=name)
+
+
+def first_escape(a: Convergence, b: Convergence) -> Optional[int]:
+    """Mask of the first class, in ascending mask order, on which a's limit
+    set is not contained in b's; None when a <= b.
+
+    For principal operands this is the first singleton {s} with
+    lim1_a[s] not inside lim1_b[s]: every class below it in mask order holds
+    only points where the columns are contained.
+    """
+    _check_same_carrier(a, b)
+    if a.is_principal and b.is_principal:
+        for s, (x, y) in enumerate(zip(a.lim1, b.lim1)):
+            if x & ~y:
+                return 1 << s
+        return None
+    ta, tb = a.table, b.table
+    for mask in range(1, len(ta)):
+        if ta[mask] & ~tb[mask]:
+            return mask
+    return None
 
 
 def leq_conv(a: Convergence, b: Convergence) -> bool:
     """a <= b iff a's limit set is contained in b's on every class."""
-    _check_same_carrier(a, b)
-    return all(x & ~y == 0 for x, y in zip(a.table, b.table))
+    return first_escape(a, b) is None
 
 
 def check_L1(lam: Convergence) -> bool:
     """Constant sequences converge to their value."""
-    return all(
-        lam.limit_mask(1 << a) >> a & 1 for a in range(lam.carrier.size)
-    )
+    return all(col >> a & 1 for a, col in enumerate(lam.lim1))
 
 
 def check_L2(lam: Convergence) -> bool:
     """Subsequences inherit limits: lam(S) contained in lam(S') for S' subset of S.
 
-    Single-element removals suffice; chains of removals reach every subset.
+    A principal convergence satisfies it by construction.  Otherwise
+    single-element removals suffice; chains of removals reach every subset.
     """
+    if lam.is_principal:
+        return True
     t = lam.table
     m = lam.carrier.size
     for s in range(1, 1 << m):
@@ -239,33 +280,37 @@ def star(lam: Convergence, warn: bool = True) -> Convergence:
     """Least extension closed under (L1)-(L3).
 
     On classes the double subsequence quantifier becomes: intersect over
-    nonempty S' of S, the union over nonempty S'' of S' of lam(S'').
+    nonempty S' of S, the union over nonempty S'' of S' of lam(S'').  Under
+    (L2) the inner union is the union of lam({s}) over s in S', so the result
+    is the principal convergence on lam's singleton column.
     """
-    if warn and not (check_L1(lam) and check_L2(lam)):
+    l2 = check_L2(lam)
+    if warn and not (l2 and check_L1(lam)):
         warnings.warn(
             "star-closure applied to a convergence violating (L1)/(L2)",
             stacklevel=2,
         )
+    name = f"star({lam.name})"
+    if l2:
+        return Convergence(lam.carrier, lim1=lam.lim1, name=name)
     m = lam.carrier.size
     inner = sos_union(lam.table, m)
     outer = sos_intersection_nonempty(inner, m)
     outer[0] = 0
-    return Convergence(lam.carrier, table=outer, name=f"star({lam.name})")
+    return Convergence(lam.carrier, table=outer, name=name)
 
 
 def check_L3(lam: Convergence) -> bool:
     """The Urysohn condition: if every subsequence has a further subsequence
     converging to a, then a is already a limit of the original sequence."""
-    m = lam.carrier.size
-    inner = sos_union(lam.table, m)
-    outer = sos_intersection_nonempty(inner, m)
-    t = lam.table
-    return all(outer[s] & ~t[s] == 0 for s in range(1, 1 << m))
+    return leq_conv(star(lam, warn=False), lam)
 
 
 def is_hausdorff(lam: Convergence) -> bool:
-    """At most one limit per class."""
-    return all(v & (v - 1) == 0 for v in lam.table)
+    """At most one limit per class; singleton classes have the largest sets
+    in a principal convergence."""
+    values = lam.lim1 if lam.is_principal else lam.table
+    return all(v & (v - 1) == 0 for v in values)
 
 
 def hbar_witness(s: InfClass) -> InfClass:

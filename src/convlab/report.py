@@ -14,10 +14,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .algebra import Carrier
-from .convergence import Convergence, lambda_li, lambda_ls, lambda_s, leq_conv, meet_conv, star
+from .convergence import (
+    Convergence, first_escape, lambda_li, lambda_ls, lambda_s, leq_conv, meet_conv, star,
+)
 from .seqclass import class_from_mask
 from .topology import (
     Topology,
+    first_open_not_in,
     is_sequential,
     join_topologies,
     lim_of_topology_as_convergence,
@@ -58,8 +61,8 @@ class DiagramNode:
     @property
     def size(self) -> int:
         if self.kind == "topology":
-            return len(self.payload.opens)
-        return sum(v.bit_count() for v in self.payload.table)
+            return len(self.payload)
+        return self.payload.limit_count()
 
 
 @dataclass(frozen=True)
@@ -83,18 +86,17 @@ class DiagramReport:
 
 def _conv_leq_witness(a: Convergence, b: Convergence) -> Optional[str]:
     """First class (in mask order) where a's limit set escapes b's."""
-    for mask in range(1, 1 << a.carrier.size):
-        if a.table[mask] & ~b.table[mask]:
-            return f"class {class_from_mask(a.carrier, mask)!r}"
-    return None
+    mask = first_escape(a, b)
+    return None if mask is None else f"class {class_from_mask(a.carrier, mask)!r}"
 
 
 def _topo_subset_witness(a: Topology, b: Topology) -> Optional[str]:
-    for o in sorted(a.opens):
-        if o not in b.opens:
-            elems = sorted(a.carrier.subset_from_mask(o), key=lambda e: e.mask)
-            return "open {" + ",".join(repr(e) for e in elems) + "}"
-    return None
+    """First open (in mask order) of a that is not open in b."""
+    o = first_open_not_in(a, b)
+    if o is None:
+        return None
+    elems = sorted(a.carrier.subset_from_mask(o), key=lambda e: e.mask)
+    return "open {" + ",".join(repr(e) for e in elems) + "}"
 
 
 def build_figure1(carrier: Carrier) -> DiagramReport:
@@ -148,8 +150,8 @@ def build_figure1(carrier: Carrier) -> DiagramReport:
         for b in TOPOLOGY_NODES:
             if a == b:
                 continue
-            if topos[a].opens <= topos[b].opens:
-                strict = topos[a].opens != topos[b].opens
+            if topos[a] <= topos[b]:
+                strict = topos[a] != topos[b]
                 witness = _topo_subset_witness(topos[b], topos[a]) if strict else None
                 report.relations.append(Relation(a, b, "subset", strict, witness))
 
@@ -226,10 +228,10 @@ def _verify_required(carrier, convs, topos) -> None:
 
     # topology inclusions
     for small, big in (("O_ls", "O_s"), ("O_li", "O_s"), ("O_lsi", "O_s"), ("O_ls", "O_lsi"), ("O_li", "O_lsi")):
-        if not topos[small].opens <= topos[big].opens:
+        if not topos[small] <= topos[big]:
             raise RelationViolation(f"{small} subset {big} fails", _topo_subset_witness(topos[small], topos[big]))
     for small, big in (("O_ls", "O_lsi"), ("O_li", "O_lsi")):
-        if topos[small].opens == topos[big].opens:
+        if topos[small] == topos[big]:
             raise RelationViolation(f"{small} strictly below {big} fails")
 
     # the finite-scale collapse and its round trip
@@ -347,7 +349,7 @@ def _emit_dot(report: DiagramReport) -> str:
         return leq_conv(payloads[a], payloads[b])
 
     def topo_leq(a, b):
-        return payloads[a].opens <= payloads[b].opens
+        return payloads[a] <= payloads[b]
 
     lines = ["digraph diagram {", "  rankdir=BT;"]
     for kind, order in (("convergence", conv_leq), ("topology", topo_leq)):

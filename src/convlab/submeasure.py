@@ -132,24 +132,6 @@ def validate_submeasure(mu: Submeasure) -> ValidationReport:
     )
 
 
-def _radii(mu: Submeasure) -> list[Fraction]:
-    """Attained positive distances plus midpoints between consecutive values.
-
-    The distance value set is finite, so this captures every distinct ball.
-    """
-    attained = sorted(set(mu.values))
-    radii: list[Fraction] = []
-    positives = [d for d in attained if d > 0]
-    if positives:
-        radii.append(positives[0] / 2)
-    for lo, hi in zip(attained, attained[1:]):
-        radii.append((lo + hi) / 2)
-    radii.extend(positives)
-    if attained:
-        radii.append(attained[-1] + 1)
-    return sorted(set(r for r in radii if r > 0))
-
-
 def ball(mu: Submeasure, a: Element, r: Fraction) -> frozenset[Element]:
     return frozenset(
         x for x in mu.carrier.elements if mu.distance(x, a) < r
@@ -157,8 +139,14 @@ def ball(mu: Submeasure, a: Element, r: Fraction) -> frozenset[Element]:
 
 
 def metric_topology(mu: Submeasure) -> Topology:
-    """Topology generated by all distinct balls of the symmetric-difference
-    pseudo-metric; discrete whenever mu is strictly positive."""
+    """Topology generated by all balls of the symmetric-difference
+    pseudo-metric; discrete whenever mu is strictly positive.
+
+    By the triangle inequality a ball holding a holds every point at distance
+    0 from a, and a ball around a narrower than the least positive distance
+    holds nothing else, so the balls generate the partition of the carrier
+    into zero-distance classes.
+    """
     report = validate_submeasure(mu)
     if not report.is_submeasure():
         raise SubmeasureTableError("value table violates the submeasure axioms")
@@ -169,12 +157,10 @@ def metric_topology(mu: Submeasure) -> Topology:
             stacklevel=2,
         )
     car = mu.carrier
-    subbase = [
-        car.subset_mask(ball(mu, a, r))
-        for a in car.elements
-        for r in _radii(mu)
-    ] or [(1 << car.size) - 1]
-    return generate(car, subbase)
+    m = car.size
+    return generate(
+        car, [sum(1 << x for x in range(m) if mu.values[a ^ x] == 0) for a in range(m)]
+    )
 
 
 @dataclass(frozen=True)

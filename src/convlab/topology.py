@@ -1,16 +1,20 @@
-"""Explicit finite topologies and the convergence/topology adjunction.
+"""Finite topologies and the convergence/topology adjunction.
 
-Open sets are carrier-subset bit-masks.  Synthesis of the sequential topology
-of a convergence, topological limits, joins, and the space properties needed
-for the diagram reports all live here.
+Every finite topology is the Alexandrov topology of its specialization
+preorder, so it is stored as the minimal open neighbourhood N(p) of each
+point p, as carrier-subset bit-masks.  The opens are exactly the unions of
+minimal neighbourhoods; they are derived on demand up to 4 atoms, and
+counted without being listed.  Synthesis of the sequential topology of a
+convergence, topological limits, joins, and the space properties needed for
+the diagram reports all work on the neighbourhood array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .algebra import Carrier, CarrierMismatchError, Element, EPSeq
+from .algebra import Carrier, CarrierMismatchError, Element, EPSeq, iter_bits
 from .convergence import (
     ClosureAxiomError,
     Convergence,
@@ -22,32 +26,84 @@ from .convergence import (
 from .seqclass import InfClass, inf_class
 
 
+def _transpose(rows: Iterable[int], m: int) -> list[int]:
+    """out[q] = {p : q in rows[p]}: the same relation read from the other side."""
+    out = [0] * m
+    for p, row in enumerate(rows):
+        for q in iter_bits(row):
+            out[q] |= 1 << p
+    return out
+
+
 class Topology:
-    """A family of open carrier-subsets, closed under union and intersection."""
+    """A finite topology, held as the minimal neighbourhood of every point.
+
+    ``Topology(carrier, opens)`` builds one from a family of open masks and
+    raises ``ValueError`` unless the family contains the empty set and the
+    carrier and is closed under union and intersection.
+    """
 
     def __init__(self, carrier: Carrier, opens: Iterable[int]):
+        full = (1 << carrier.size) - 1
+        family = frozenset(opens)
+        if 0 not in family or full not in family:
+            raise ValueError("a topology must contain the empty set and the carrier")
+        if any(not 0 <= o <= full for o in family):
+            raise ValueError(f"open masks must lie in 0..{full}")
+        mins = [full] * carrier.size
+        for o in family:
+            for p in iter_bits(o):
+                mins[p] &= o
+        self._set(carrier, mins)
+        # Every member is the union of the minimal neighbourhoods of its
+        # points, so the family lies inside the topology the neighbourhoods
+        # generate, and equals it exactly when the sizes agree.
+        if len(family) != len(self):
+            raise ValueError("open family is not closed under union and intersection")
+
+    @classmethod
+    def from_min_neighborhoods(cls, carrier: Carrier, mins: Iterable[int]) -> "Topology":
+        """The topology whose minimal neighbourhood of point p is mins[p]."""
+        topo = cls.__new__(cls)
+        topo._set(carrier, mins)
+        if not topo.validate():
+            raise ValueError("minimal neighbourhoods must be reflexive and transitive")
+        return topo
+
+    def _set(self, carrier: Carrier, mins: Iterable[int]) -> None:
         self.carrier = carrier
         self.full = (1 << carrier.size) - 1
-        self.opens = frozenset(opens)
-        if 0 not in self.opens or self.full not in self.opens:
-            raise ValueError("a topology must contain the empty set and the carrier")
-        self._min_nbhd: tuple[int, ...] | None = None
+        self._mins = tuple(mins)
+        # the closure of point p is {q : p in N(q)}
+        self.point_closures = tuple(_transpose(self._mins, carrier.size))
+        self._count: Optional[int] = None
+        self._opens: Optional[frozenset[int]] = None
 
     @property
     def min_neighborhoods(self) -> tuple[int, ...]:
         """Smallest open set around each point (finite spaces always have one)."""
-        if self._min_nbhd is None:
-            m = self.carrier.size
-            mins = [self.full] * m
-            for o in self.opens:
-                for p in range(m):
-                    if o >> p & 1:
-                        mins[p] &= o
-            self._min_nbhd = tuple(mins)
-        return self._min_nbhd
+        return self._mins
+
+    @property
+    def opens(self) -> frozenset[int]:
+        """All open masks: every union of minimal neighbourhoods."""
+        if self._opens is None:
+            if self.carrier.size > 16:
+                raise SweepCapacityError(
+                    f"topologies on P({self.carrier.n}) are not listed open by open; "
+                    "open sets are only materialized for up to 4 atoms"
+                )
+            opens = {0}
+            for b in set(self._mins):
+                opens |= {o | b for o in opens}
+            self._opens = frozenset(opens)
+        return self._opens
+
+    def is_open_mask(self, mask: int) -> bool:
+        return all(self._mins[p] & ~mask == 0 for p in iter_bits(mask))
 
     def is_open(self, subset: Iterable[Element]) -> bool:
-        return self.carrier.subset_mask(subset) in self.opens
+        return self.is_open_mask(self.carrier.subset_mask(subset))
 
     def closed_masks(self) -> frozenset[int]:
         return frozenset(self.full ^ o for o in self.opens)
@@ -57,26 +113,75 @@ class Topology:
         return [self.carrier.subset_from_mask(o) for o in sorted(self.opens)]
 
     def validate(self) -> bool:
-        """Check closure under pairwise union and intersection (small families)."""
-        for a in self.opens:
-            for b in self.opens:
-                if (a | b) not in self.opens or (a & b) not in self.opens:
-                    return False
-        return True
+        """Check that the neighbourhoods form a preorder: every point lies in
+        its own, and q in N(p) implies N(q) inside N(p)."""
+        mins = self._mins
+        if len(mins) != self.carrier.size:
+            return False
+        return all(
+            nb >> p & 1
+            and nb & ~self.full == 0
+            and all(mins[q] & ~nb == 0 for q in iter_bits(nb))
+            for p, nb in enumerate(mins)
+        )
+
+    def __le__(self, other: "Topology") -> bool:
+        """Every open of self is open in other: N_other(p) inside N_self(p)."""
+        if not isinstance(other, Topology):
+            return NotImplemented
+        _check_same_carrier(self, other)
+        return all(b & ~a == 0 for a, b in zip(self._mins, other._mins))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Topology):
             return NotImplemented
-        return self.carrier == other.carrier and self.opens == other.opens
+        return self.carrier == other.carrier and self._mins == other._mins
 
     def __hash__(self) -> int:
-        return hash((self.carrier, self.opens))
+        return hash((self.carrier, self._mins))
 
     def __len__(self) -> int:
-        return len(self.opens)
+        """Number of open sets, counted as down-sets of the preorder
+        q <= p iff q in N(p): those avoiding a point p avoid its closure,
+        those containing p contain N(p)."""
+        if self._count is None:
+            mins, closures = self._mins, self.point_closures
+            memo = {0: 1}
+
+            def count(rest: int) -> int:
+                if rest not in memo:
+                    p = (rest & -rest).bit_length() - 1
+                    memo[rest] = count(rest & ~closures[p]) + count(rest & ~mins[p])
+                return memo[rest]
+
+            self._count = count(self.full)
+        return self._count
 
     def __repr__(self) -> str:
-        return f"Topology(P({self.carrier.n}), {len(self.opens)} opens)"
+        return f"Topology(P({self.carrier.n}), {len(self)} opens)"
+
+
+def first_open_not_in(a: Topology, b: Topology) -> Optional[int]:
+    """Smallest mask that is open in a and not in b; None when a <= b.
+
+    Walks a's opens in ascending mask order, deciding bits from the top:
+    leaving p out forces its closure out, taking p in forces N(p) in, and
+    neither choice can contradict an earlier one.
+    """
+    _check_same_carrier(a, b)
+    mins, closures = a.min_neighborhoods, a.point_closures
+    stack = [(a.carrier.size - 1, 0, 0)]
+    while stack:
+        p, ones, zeros = stack.pop()
+        if p < 0:
+            if not b.is_open_mask(ones):
+                return ones
+        elif (ones | zeros) >> p & 1:
+            stack.append((p - 1, ones, zeros))
+        else:
+            stack.append((p - 1, ones | mins[p], zeros))
+            stack.append((p - 1, ones, zeros | closures[p]))
+    return None
 
 
 def _check_same_carrier(a, b) -> None:
@@ -85,13 +190,12 @@ def _check_same_carrier(a, b) -> None:
 
 
 def discrete(carrier: Carrier) -> Topology:
-    if carrier.size > 16:
-        raise SweepCapacityError("discrete topology too large to materialize")
-    return Topology(carrier, range(1 << carrier.size))
+    return Topology.from_min_neighborhoods(carrier, [1 << p for p in range(carrier.size)])
 
 
 def antidiscrete(carrier: Carrier) -> Topology:
-    return Topology(carrier, (0, (1 << carrier.size) - 1))
+    full = (1 << carrier.size) - 1
+    return Topology.from_min_neighborhoods(carrier, [full] * carrier.size)
 
 
 def generate(carrier: Carrier, subbase: Iterable[int]) -> Topology:
@@ -100,21 +204,13 @@ def generate(carrier: Carrier, subbase: Iterable[int]) -> Topology:
     Each point's minimal neighborhood is the intersection of the subbase sets
     containing it; the opens are exactly the unions of minimal neighborhoods.
     """
-    if carrier.size > 16:
-        raise SweepCapacityError("topology generation beyond 4 atoms is unsupported")
     m = carrier.size
-    full = (1 << m) - 1
-    subbase = list(subbase)
-    mins = [full] * m
+    mins = [(1 << m) - 1] * m
     for s in subbase:
         for p in range(m):
             if s >> p & 1:
                 mins[p] &= s
-    opens = {0}
-    for b in sorted(set(mins)):
-        opens |= {o | b for o in opens}
-    opens.add(full)
-    return Topology(carrier, opens)
+    return Topology.from_min_neighborhoods(carrier, mins)
 
 
 def generate_from_elements(
@@ -130,17 +226,16 @@ def sequential_closure(lam: Convergence, subset_mask: int) -> int:
     return u[subset_mask]
 
 
-def _closure_table(lam: Convergence) -> list[int]:
-    return sos_union(lam.table, lam.carrier.size)
-
-
 def synthesize_O_lambda(lam: Convergence, strategy: str = "auto") -> Topology:
     """The sequential topology of lam: opens are complements of the subsets
     fixed by the sequential-closure operator.
 
-    strategy "brute" tests every carrier subset for fixedness; "closure"
-    iterates point closures to fixed points and closes under union.  Both
-    agree wherever both run (cross-validated in the test suite).
+    Under (L2) the closure of A is the union of lam({a}) over a in A, so the
+    closed sets are those closed under the transitive closure of the
+    singleton relation a -> lam({a}), and N(q) is the set of points whose
+    transitive closure reaches q ("auto").  The table-based strategies are
+    kept as oracles: "brute" tests every carrier subset for fixedness;
+    "closure" iterates point closures to fixed points and closes under union.
     """
     if not (check_L1(lam) and check_L2(lam)):
         raise ClosureAxiomError(
@@ -148,9 +243,15 @@ def synthesize_O_lambda(lam: Convergence, strategy: str = "auto") -> Topology:
         )
     m = lam.carrier.size
     full = (1 << m) - 1
-    u = _closure_table(lam)
     if strategy == "auto":
-        strategy = "brute"
+        reach = list(lam.lim1)
+        for k in range(m):
+            bit, row = 1 << k, reach[k]
+            for i in range(m):
+                if reach[i] & bit:
+                    reach[i] |= row
+        return Topology.from_min_neighborhoods(lam.carrier, _transpose(reach, m))
+    u = sos_union(lam.table, m)
     if strategy == "brute":
         opens = [full ^ a for a in range(1 << m) if u[a] & ~a == 0]
         return Topology(lam.carrier, opens)
@@ -190,25 +291,20 @@ def lim_topo_class(o: Topology, s: InfClass) -> frozenset[Element]:
 
 
 def join_topologies(o1: Topology, o2: Topology) -> Topology:
-    """Minimal topology containing both; generated by pairwise intersections."""
+    """Minimal topology containing both: N(p) = N1(p) & N2(p)."""
     _check_same_carrier(o1, o2)
-    return generate(o1.carrier, list(o1.opens) + list(o2.opens))
+    return Topology.from_min_neighborhoods(
+        o1.carrier, [a & b for a, b in zip(o1.min_neighborhoods, o2.min_neighborhoods)]
+    )
 
 
 def lim_of_topology_as_convergence(o: Topology) -> Convergence:
-    """The adjoint direction: classes to their sets of topological limits."""
-    m = o.carrier.size
-    mins = o.min_neighborhoods
-    table = [0] * (1 << m)
-    for a in range(m):
-        sub = mins[a]
-        while True:
-            table[sub] |= 1 << a
-            if sub == 0:
-                break
-            sub = (sub - 1) & mins[a]
-    table[0] = 0
-    return Convergence(o.carrier, table=table, name="lim_O")
+    """The adjoint direction: classes to their sets of topological limits.
+
+    a is a limit of S exactly when S lies inside N(a), so the result is
+    principal with lim1[s] = {a : s in N(a)}.
+    """
+    return Convergence(o.carrier, lim1=o.point_closures, name="lim_O")
 
 
 def is_sequential(o: Topology) -> bool:
@@ -216,50 +312,23 @@ def is_sequential(o: Topology) -> bool:
     return synthesize_O_lambda(lim_of_topology_as_convergence(o)) == o
 
 
-def _up_closed_masks(carrier: Carrier) -> frozenset[int]:
-    m = carrier.size
-    result = []
-    for a in range(1 << m):
-        ok = True
-        for p in range(m):
-            if a >> p & 1 and carrier.up_masks[p] & ~a:
-                ok = False
-                break
-        if ok:
-            result.append(a)
-    return frozenset(result)
-
-
-def _down_closed_masks(carrier: Carrier) -> frozenset[int]:
-    m = carrier.size
-    result = []
-    for a in range(1 << m):
-        ok = True
-        for p in range(m):
-            if a >> p & 1 and carrier.down_masks[p] & ~a:
-                ok = False
-                break
-        if ok:
-            result.append(a)
-    return frozenset(result)
-
-
 def check_closed_char(o: Topology, direction: str = "up") -> bool:
     """Closed sets are exactly the upward-closed (resp. downward-closed) sets
     that also contain meets of decreasing chains drawn from them.
 
-    On a finite carrier decreasing chains stabilize, so the chain clause is
-    automatic; both the family equality and the chain clause are exercised.
+    The closed sets are the up-sets exactly when the opens are the down-sets,
+    that is, when N(p) is the downset of p (dually for "down").  On a finite
+    carrier decreasing chains stabilize, so the chain clause is automatic;
+    both the family equality and the chain clause are exercised.
     """
     from .algebra import meet as el_meet
 
     carrier = o.carrier
-    closed = o.closed_masks()
-    expected = _up_closed_masks(carrier) if direction == "up" else _down_closed_masks(carrier)
-    if closed != expected:
+    expected = carrier.down_masks if direction == "up" else carrier.up_masks
+    if o.min_neighborhoods != expected:
         return False
     # chain clause: the meet of every 2-step decreasing chain stays inside
-    for f in closed:
+    for f in o.closed_masks():
         members = [carrier.elements[p] for p in range(carrier.size) if f >> p & 1]
         for a in members:
             for b in members:
@@ -270,7 +339,8 @@ def check_closed_char(o: Topology, direction: str = "up") -> bool:
 
 
 def complement_homeomorphism_check(o_ls: Topology, o_li: Topology) -> bool:
-    """b -> b' maps the left topology's opens bijectively onto the right's."""
+    """b -> b' maps the left topology's opens bijectively onto the right's:
+    it carries each minimal neighbourhood N_ls(p) onto N_li(p')."""
     _check_same_carrier(o_ls, o_li)
     m = o_ls.carrier.size
     top = m - 1
@@ -282,7 +352,10 @@ def complement_homeomorphism_check(o_ls: Topology, o_li: Topology) -> bool:
                 out |= 1 << (top ^ p)
         return out
 
-    return frozenset(map_open(u) for u in o_ls.opens) == o_li.opens
+    return all(
+        map_open(o_ls.min_neighborhoods[p]) == o_li.min_neighborhoods[top ^ p]
+        for p in range(m)
+    )
 
 
 @dataclass(frozen=True)
@@ -294,11 +367,16 @@ class SpaceProperties:
 
 
 def space_properties(o: Topology) -> SpaceProperties:
+    """T0: the N(p) are pairwise distinct.  Connected: the graph joining p
+    to every point of N(p) is connected."""
     m = o.carrier.size
     mins = o.min_neighborhoods
     t0 = len(set(mins)) == m
-    full = o.full
-    connected = not any(
-        u != 0 and u != full and (full ^ u) in o.opens for u in o.opens
-    )
-    return SpaceProperties(t0=t0, connected=connected, compact=True)
+    component, grown = 1, True
+    while grown:
+        grown = False
+        for nb in mins:
+            if nb & component and nb | component != component:
+                component |= nb
+                grown = True
+    return SpaceProperties(t0=t0, connected=component == o.full, compact=True)

@@ -150,11 +150,11 @@ def _crit_star_fixed(ctx: VerifyContext):
 def _crit_open_counts(ctx: VerifyContext):
     expected = {1: 3, 2: 6, 3: 20, 4: 168}
     for n in ctx.scales():
-        got = len(ctx.topo("ls", n).opens)
+        got = len(ctx.topo("ls", n))
         independent = brute_downsets(n)
         if got != expected[n] or independent != expected[n]:
             return False, f"n={n}: opens={got}, brute={independent}, expected={expected[n]}"
-        if len(ctx.topo("s", n).opens) != 1 << (1 << n):
+        if len(ctx.topo("s", n)) != 1 << (1 << n):
             return False, f"n={n}: O_s is not discrete"
     return True, "down-set counts and discreteness match"
 
@@ -200,8 +200,7 @@ def _crit_strictness(ctx: VerifyContext):
         if car.top in ctx.conv("s", n)(zero_class):
             return False, f"top wrongly a two-sided limit at n={n}"
         for name in ("ls", "li"):
-            extra = sorted(ctx.topo("lsi", n).opens - ctx.topo(name, n).opens)
-            if not extra:
+            if ctx.topo("lsi", n) <= ctx.topo(name, n):
                 return False, f"O_{name} not strictly below the join at n={n}"
     return True, "witness classes and witness opens found"
 
@@ -256,7 +255,7 @@ def _crit_galois(ctx: VerifyContext):
         for lam in convs:
             f_lam = synthesize_O_lambda(lam)
             for o in topos:
-                left = o.opens <= f_lam.opens
+                left = o <= f_lam
                 right = leq_conv(lam, lim_of_topology_as_convergence(o))
                 if left != right:
                     return False, f"adjunction fails at n={n}"

@@ -173,3 +173,25 @@ class TestAtomCapEnv:
         monkeypatch.setenv("CONVLAB_MAX_ATOMS", "lots")
         result = runner.invoke(main, ["diagram", "--atoms", "2"])
         assert result.exit_code == 2
+
+
+# Dedekind number M(5) (OEIS A000372): the down-sets of P(5), which are the
+# opens of each one-sided sequential topology.
+DEDEKIND_M5 = 7581
+
+
+class TestDiagramAtFiveAtoms:
+    @pytest.mark.parametrize("fmt", ["table", "json", "dot"])
+    def test_exits_zero(self, runner, fmt):
+        result = runner.invoke(main, ["diagram", "--atoms", "5", "--format", fmt])
+        assert result.exit_code == 0, result.output
+
+    def test_topology_sizes(self, runner):
+        result = runner.invoke(main, ["diagram", "--atoms", "5", "--format", "json"])
+        sizes = {n["name"]: n["size"] for n in json.loads(result.output)["nodes"]}
+        assert sizes["O_ls"] == sizes["O_li"] == DEDEKIND_M5
+        assert sizes["O_s"] == sizes["O_lsi"] == 2**32
+
+    def test_collapse(self, runner):
+        result = runner.invoke(main, ["diagram", "--atoms", "5"])
+        assert "collapse: convergences=3 topologies=3" in result.output

@@ -225,3 +225,19 @@ class TestLazyRule:
         assert big.top in lam(inf_class(x))
         with pytest.raises(SweepCapacityError):
             _ = lam.table
+
+
+class TestEqualityAcrossForms:
+    def test_large_carrier_star_fixes_ls(self):
+        big = Carrier(5)
+        lam = lambda_ls(big)
+        starred = star(lam)
+        assert lam == starred
+        assert hash(lam) == hash(starred)
+
+    def test_extensional_copy_equals_principal(self, p3):
+        lam = lambda_li(p3)
+        copy = Convergence(p3, table=list(lam.table))
+        assert not copy.is_principal
+        assert copy == lam
+        assert hash(copy) == hash(lam)

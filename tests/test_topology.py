@@ -268,3 +268,10 @@ class TestTopologyType:
         topo = discrete(p1)
         masks = [p1.subset_mask(f) for f in topo.open_families()]
         assert masks == sorted(topo.opens)
+
+
+class TestOpenFamilyClosure:
+    def test_family_missing_a_union_rejected(self, p2):
+        # {0} and {1} are open but their union, mask 3, is missing
+        with pytest.raises(ValueError):
+            Topology(p2, [0, 1, 2, 15])
