@@ -12,6 +12,7 @@ from .algebra import MAX_ATOMS, Carrier, EPSeq
 from .convergence import lambda_li, lambda_ls, lambda_s
 from .report import RelationViolation, build_figure1, emit
 from .seqclass import inf_class
+from .submeasure import Submeasure, SubmeasureTableError
 from .verify import VerifyContext, format_results, run_all
 
 
@@ -148,12 +149,16 @@ def converge(atoms: int, seq: str, law: str) -> None:
 )
 def verify(atoms: int, seed: int, samples: int, submeasure_path) -> None:
     """Run every verification criterion at the requested scale."""
-    _carrier(atoms)
+    carrier = _carrier(atoms)
     if samples < 1:
         raise click.UsageError("--samples must be at least 1")
-    ctx = VerifyContext(
-        atoms=atoms, seed=seed, samples=samples, submeasure_path=submeasure_path
-    )
+    submeasure = None
+    if submeasure_path is not None:
+        try:
+            submeasure = Submeasure.from_file(submeasure_path, carrier)
+        except SubmeasureTableError as exc:
+            raise click.UsageError(f"bad submeasure table: {exc}")
+    ctx = VerifyContext(atoms=atoms, seed=seed, samples=samples, submeasure=submeasure)
     results = run_all(ctx)
     click.echo(format_results(results))
     sys.exit(0 if all(r.passed for r in results) else 1)

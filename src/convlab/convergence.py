@@ -1,7 +1,7 @@
 """Convergence structures on a finite Boolean algebra.
 
 A convergence maps infinite-occurrence classes to sets of candidate limits;
-both are bit-masks over the carrier enumeration.  It comes in three forms:
+both are bit-masks over the carrier enumeration.  It comes in two forms:
 
 - principal: only the singleton column ``lim1[s]`` = lam({s}) is stored and
   lam(S) is the intersection of ``lim1[s]`` over s in S.  The built-in laws,
@@ -9,20 +9,19 @@ both are bit-masks over the carrier enumeration.  It comes in three forms:
   so their operations cost O(2^n) instead of O(2^(2^n)).
 - extensional: a full table indexed by class mask, for inputs that need not
   be principal (random or hand-made convergences, test oracles).
-- rule: a callable evaluated and memoised class by class.
 
-Every form answers point queries at any size.  The full table (``.table``)
-and other sweeps over all classes exist only up to 4 atoms and raise
-``SweepCapacityError`` above that.
+A principal convergence answers point queries at any size.  The full table
+(``.table``) and other sweeps over all classes exist only up to 4 atoms and
+raise ``SweepCapacityError`` above that.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import Carrier, CarrierMismatchError, Element, iter_bits
-from .seqclass import InfClass, class_from_mask, class_mask
+from .seqclass import InfClass, class_mask
 
 
 class SweepCapacityError(RuntimeError):
@@ -68,29 +67,26 @@ def sos_intersection_nonempty(table: list[int], m: int) -> list[int]:
 class Convergence:
     """A total map from infinite-occurrence classes to sets of limits.
 
-    Give exactly the representation you have: ``lim1`` (singleton limits of
-    a principal convergence), ``table`` (limit mask per class mask, entry 0
-    unused) or ``rule`` (class to element set).
+    Give exactly one representation: ``lim1`` (singleton limits of a
+    principal convergence) or ``table`` (limit mask per class mask, entry 0
+    unused).
     """
 
     def __init__(
         self,
         carrier: Carrier,
-        rule: Optional[Callable[[InfClass], frozenset[Element]]] = None,
         table: Optional[list[int]] = None,
         name: str = "",
         lim1: Optional[Sequence[int]] = None,
     ):
-        if rule is None and table is None and lim1 is None:
-            raise ValueError("a rule, a table or singleton limits are required")
+        if (table is None) == (lim1 is None):
+            raise ValueError("exactly one of table and lim1 is required")
         if lim1 is not None and len(lim1) != carrier.size:
             raise ValueError(f"expected {carrier.size} singleton limits, got {len(lim1)}")
         self.carrier = carrier
         self.name = name
-        self._rule = rule
         self._table = table
         self._lim1 = tuple(lim1) if lim1 is not None else None
-        self._memo: dict[int, int] = {}
 
     @property
     def is_principal(self) -> bool:
@@ -109,38 +105,25 @@ class Convergence:
         """Full limit-set table indexed by class mask (entry 0 unused)."""
         if self._table is None:
             _require_table_capacity(self.carrier)
-            classes = 1 << self.carrier.size
-            built = [0] * classes
-            if self._lim1 is not None:
-                lim1 = self._lim1
-                built[0] = (1 << self.carrier.size) - 1
-                for mask in range(1, classes):
-                    low = mask & -mask
-                    built[mask] = built[mask ^ low] & lim1[low.bit_length() - 1]
-                built[0] = 0
-            else:
-                for mask in range(1, classes):
-                    built[mask] = self.limit_mask(mask)
+            lim1 = self._lim1
+            built = [0] * (1 << self.carrier.size)
+            built[0] = (1 << self.carrier.size) - 1
+            for mask in range(1, len(built)):
+                low = mask & -mask
+                built[mask] = built[mask ^ low] & lim1[low.bit_length() - 1]
+            built[0] = 0
             self._table = built
         return self._table
 
     def limit_mask(self, mask: int) -> int:
         if self._table is not None:
             return self._table[mask]
-        if self._lim1 is not None:
-            if not mask:
-                return 0
-            out = (1 << self.carrier.size) - 1
-            for s in iter_bits(mask):
-                out &= self._lim1[s]
-            return out
-        if mask in self._memo:
-            return self._memo[mask]
-        assert self._rule is not None
-        s = class_from_mask(self.carrier, mask)
-        value = self.carrier.subset_mask(self._rule(s))
-        self._memo[mask] = value
-        return value
+        if not mask:
+            return 0
+        out = (1 << self.carrier.size) - 1
+        for s in iter_bits(mask):
+            out &= self._lim1[s]
+        return out
 
     def limit_count(self) -> int:
         """Number of (nonempty class, limit) pairs: the popcount sum of the table.
@@ -176,16 +159,6 @@ class Convergence:
 
     def __repr__(self) -> str:
         return f"Convergence({self.name or 'anonymous'}, P({self.carrier.n}))"
-
-
-def _sup_table(carrier: Carrier) -> list[int]:
-    """sup[S] = element mask of the join of the class with characteristic mask S."""
-    m = carrier.size
-    sup = [0] * (1 << m)
-    for s in range(1, 1 << m):
-        low = s & -s
-        sup[s] = sup[s ^ low] | (low.bit_length() - 1)
-    return sup
 
 
 def lambda_ls(carrier: Carrier) -> Convergence:
@@ -322,34 +295,13 @@ def hbar_witness(s: InfClass) -> InfClass:
 def check_hbar(carrier: Carrier) -> bool:
     """Every class has a subclass on which the limsup is subsequence-stable.
 
-    Candidates are scanned in characteristic-mask order; the first singleton
-    always works on a finite carrier, so the scan is cheap but honest.
+    The least singleton s & -s of class mask s is such a subclass: it is a
+    nonempty subclass of s and its own only nonempty subclass.  Searching
+    further, for larger stable subclasses, is finite-trivial and not done.
     """
     _require_table_capacity(carrier)
-    m = carrier.size
-    sup = _sup_table(carrier)
-    for s in range(1, 1 << m):
-        found = False
-        cand = s & -s  # subsets of s in ascending mask order, starting at the least
-        while True:
-            # check all nonempty subsets of cand share its join
-            target = sup[cand]
-            t = cand
-            ok = True
-            while t:
-                if sup[t] != target:
-                    ok = False
-                    break
-                t = (t - 1) & cand
-            if ok:
-                found = True
-                break
-            # next nonempty subset of s in ascending order
-            cand += 1
-            while cand <= s and cand & s != cand:
-                cand += 1
-            if cand > s:
-                break
-        if not found:
+    for s in range(1, 1 << carrier.size):
+        low = s & -s
+        if not (low and s & low == low and low & (low - 1) == 0):
             return False
     return True

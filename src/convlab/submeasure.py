@@ -16,7 +16,7 @@ from .topology import Topology, generate
 
 
 class SubmeasureTableError(ValueError):
-    """The value table does not cover the whole carrier."""
+    """The value table is malformed or does not cover the whole carrier."""
 
 
 @dataclass(frozen=True)
@@ -80,24 +80,41 @@ class Submeasure:
 
     @classmethod
     def from_file(cls, path: str, carrier: Carrier) -> "Submeasure":
-        """Load a table of ``element-mask value`` lines, values as fractions."""
+        """Load a table of ``element-mask value`` lines, values as fractions.
+
+        Each mask must appear exactly once, with a nonnegative value.
+        """
         values: dict[int, Fraction] = {}
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise SubmeasureTableError(
-                        f"{path}:{lineno}: expected 'mask value', got {line!r}"
-                    )
-                mask = int(parts[0])
-                if not 0 <= mask < carrier.size:
-                    raise SubmeasureTableError(
-                        f"{path}:{lineno}: mask {mask} out of range for P({carrier.n})"
-                    )
-                values[mask] = Fraction(parts[1])
+        seen_at: dict[int, int] = {}
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise SubmeasureTableError(f"{path}: not a UTF-8 text file") from None
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                mask_text, value_text = line.split()
+                mask, value = int(mask_text), Fraction(value_text)
+            except (ValueError, ZeroDivisionError):
+                raise SubmeasureTableError(
+                    f"{where}: expected 'mask value', got {line!r}"
+                ) from None
+            if not 0 <= mask < carrier.size:
+                raise SubmeasureTableError(
+                    f"{where}: mask {mask} out of range for P({carrier.n})"
+                )
+            if value < 0:
+                raise SubmeasureTableError(f"{where}: value {value} is negative")
+            if mask in seen_at:
+                raise SubmeasureTableError(
+                    f"{where}: mask {mask} already given on line {seen_at[mask]}"
+                )
+            values[mask] = value
+            seen_at[mask] = lineno
         missing = [m for m in range(carrier.size) if m not in values]
         if missing:
             raise SubmeasureTableError(

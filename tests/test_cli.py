@@ -148,6 +148,34 @@ class TestVerify:
         )
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (b"0 0\nx 1\n", "mu.txt:2: expected 'mask value', got 'x 1'"),
+            (b"0 0\n1 1/0\n", "mu.txt:2: expected 'mask value', got '1 1/0'"),
+            (b"0 0\n1 -1/2\n", "mu.txt:2: value -1/2 is negative"),
+            (b"0 0\n1 1/2\n2 1/2\n1 1\n3 1\n", "mu.txt:4: mask 1 already given on line 2"),
+            (b"0 0\n\xff 1\n", "mu.txt: not a UTF-8 text file"),
+        ],
+        ids=["non-integer-mask", "zero-denominator", "negative-value", "duplicate-mask", "not-utf8"],
+    )
+    def test_bad_submeasure_table_is_usage_error(self, runner, tmp_path, table, message):
+        path = tmp_path / "mu.txt"
+        path.write_bytes(table)
+        result = runner.invoke(
+            main, ["verify", "--atoms", "2", "--samples", "20", "--submeasure", str(path)]
+        )
+        assert result.exit_code == 2
+        assert message in result.output
+
+    def test_submeasure_file_at_five_atoms(self, runner, tmp_path):
+        path = tmp_path / "mu.txt"
+        path.write_text("".join(f"{m} {m.bit_count()}/5\n" for m in range(32)))
+        result = runner.invoke(
+            main, ["verify", "--atoms", "5", "--samples", "10", "--submeasure", str(path)]
+        )
+        assert result.exit_code == 0, result.output
+
     def test_missing_submeasure_file(self, runner):
         result = runner.invoke(
             main, ["verify", "--atoms", "2", "--submeasure", "/nonexistent"]

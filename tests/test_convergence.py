@@ -187,6 +187,16 @@ class TestStar:
             star(empty)
         assert caught
 
+    def test_non_L2_input_closed_on_tables(self, p1):
+        # class 3 has limits 11 but its singletons only 01 and 10, so the
+        # star-closure gives it the intersection of 01, 10 and 11: nothing
+        lam = Convergence(p1, table=[0, 0b01, 0b10, 0b11])
+        assert not check_L2(lam)
+        with pytest.warns(UserWarning):
+            starred = star(lam)
+        assert not starred.is_principal
+        assert starred == lambda_s(p1)
+
 
 class TestHbar:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -213,7 +223,8 @@ class TestLazyRule:
                 top = el_join(top, v)
             return upset([top])
 
-        lam = Convergence(p2, rule=rule)
+        table = [0] + [p2.subset_mask(rule(s)) for s in all_classes(p2)]
+        lam = Convergence(p2, table=table)
         assert lam == lambda_ls(p2)
 
     def test_large_carrier_pointwise_only(self):
@@ -228,6 +239,12 @@ class TestLazyRule:
 
 
 class TestEqualityAcrossForms:
+    def test_needs_exactly_one_form(self, p1):
+        with pytest.raises(ValueError):
+            Convergence(p1)
+        with pytest.raises(ValueError):
+            Convergence(p1, table=[0, 1, 2, 0], lim1=[1, 2])
+
     def test_large_carrier_star_fixes_ls(self):
         big = Carrier(5)
         lam = lambda_ls(big)

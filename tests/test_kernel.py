@@ -24,6 +24,7 @@ from convlab.convergence import (
 )
 from convlab.report import DiagramNode, _conv_leq_witness
 from convlab.topology import (
+    Topology,
     first_open_not_in,
     lim_of_topology_as_convergence,
     synthesize_O_lambda,
@@ -40,6 +41,15 @@ def star_table(table, m):
     outer = sos_intersection_nonempty(sos_union(table, m), m)
     outer[0] = 0
     return outer
+
+
+def brute_topology(lam):
+    """Opens are the complements of the subsets A fixed by the closure
+    A -> union of lam(S) over classes S inside A, tested subset by subset."""
+    m = lam.carrier.size
+    full = (1 << m) - 1
+    u = sos_union(lam.table, m)
+    return Topology(lam.carrier, [full ^ a for a in range(1 << m) if u[a] & ~a == 0])
 
 
 def lim_table(o):
@@ -68,7 +78,7 @@ def check_against_oracle(lam, other):
     assert starred.table == star_table(lam.table, m)
 
     topo = synthesize_O_lambda(lam)
-    brute = synthesize_O_lambda(lam, strategy="brute")
+    brute = brute_topology(lam)
     assert topo == brute
     assert len(topo) == topo_size(topo) == len(brute.opens)
 

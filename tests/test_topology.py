@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from convlab.algebra import Carrier, EPSeq
+from convlab.algebra import Carrier, EPSeq, upset
 from convlab.convergence import (
     ClosureAxiomError,
     Convergence,
@@ -31,6 +31,7 @@ from convlab.topology import (
 from convlab.verify import _random_l12_convergence, _random_topology, brute_downsets
 
 from test_algebra import random_epseq
+from test_kernel import brute_topology
 
 
 class TestGenerate:
@@ -84,9 +85,7 @@ class TestSynthesis:
         lams = [lambda_ls(carrier), lambda_li(carrier), lambda_s(carrier)]
         lams += [_random_l12_convergence(carrier, rng) for _ in range(20)]
         for lam in lams:
-            brute = synthesize_O_lambda(lam, strategy="brute")
-            closure = synthesize_O_lambda(lam, strategy="closure")
-            assert brute == closure
+            assert synthesize_O_lambda(lam) == brute_topology(lam)
 
     def test_single_closure_step(self, p2):
         lam = lambda_ls(p2)
@@ -94,6 +93,17 @@ class TestSynthesis:
         closed = sequential_closure(lam, a_mask)
         # the class {{0},{1}} has limsup = top, so top joins the closure
         assert closed >> p2.top.mask & 1
+
+    def test_closure_at_five_atoms(self):
+        big = Carrier(5)
+        a = big.element([0])
+        assert sequential_closure(lambda_ls(big), 1 << a.mask) == big.subset_mask(upset([a]))
+        assert sequential_closure(lambda_s(big), 1 << a.mask) == 1 << a.mask
+
+    def test_closure_requires_L2(self, p1):
+        lam = Convergence(p1, table=[0, 0b01, 0b10, 0b11])
+        with pytest.raises(ClosureAxiomError):
+            sequential_closure(lam, 0b11)
 
 
 class TestLimits:
@@ -222,12 +232,12 @@ class TestAdjunction:
 
 
 class TestCharacterizations:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_closed_sets_of_left_topology(self, n):
         carrier = Carrier(n)
         assert check_closed_char(synthesize_O_lambda(lambda_ls(carrier)), "up")
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_closed_sets_of_right_topology(self, n):
         carrier = Carrier(n)
         assert check_closed_char(synthesize_O_lambda(lambda_li(carrier)), "down")
