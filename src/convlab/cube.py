@@ -1,10 +1,11 @@
 """Coordinatewise limits on the power set of the naturals.
 
 Elements are finite or cofinite subsets of the naturals, so every set is
-described by a finite support.  The three cube topologies (half-open
-coordinates, reversed half-open coordinates, discrete coordinates) are never
-materialized; their limit predicates are evaluated coordinatewise over the
-finitely many exceptional coordinates plus one representative generic one.
+described by a finite support, held as one int bit-mask.  The three cube
+topologies (half-open coordinates, reversed half-open coordinates, discrete
+coordinates) are never materialized; their limit predicates are evaluated on
+a window, the mask of the finitely many exceptional coordinates plus one
+representative generic coordinate, at all its coordinates at once.
 """
 
 from __future__ import annotations
@@ -12,37 +13,59 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
+from .algebra import iter_bits
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False, slots=True)
 class FCSet:
     """A finite or cofinite subset of the naturals.
 
-    ``support`` is the set itself when finite, its complement when cofinite;
-    the representation is canonical by construction.
+    ``bits`` is the support as a bit-mask: the set itself when finite, its
+    complement when cofinite (canonical).  The constructor takes any iterable.
     """
 
     cofinite: bool
-    support: frozenset[int]
+    bits: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "support", frozenset(self.support))
-        if any(i < 0 for i in self.support):
-            raise ValueError("supports are sets of naturals")
+    def __init__(self, cofinite: bool, support: Iterable[int]) -> None:
+        bits = 0
+        for i in support:
+            if i < 0:
+                raise ValueError("supports are sets of naturals")
+            bits |= 1 << i
+        _set(self, "cofinite", bool(cofinite))
+        _set(self, "bits", bits)
+
+    @property
+    def support(self) -> frozenset[int]:
+        """The support as a frozenset, read from ``bits``."""
+        return frozenset(iter_bits(self.bits))
 
     def contains(self, i: int) -> bool:
-        return (i in self.support) != self.cofinite
+        return bool(self.bits >> i & 1) != self.cofinite
 
     def __repr__(self) -> str:
-        inner = ",".join(str(i) for i in sorted(self.support))
+        inner = ",".join(str(i) for i in iter_bits(self.bits))
         return f"~{{{inner}}}" if self.cofinite else f"{{{inner}}}"
 
 
+_set = object.__setattr__
+
+
+def _fc(cofinite: bool, bits: int) -> FCSet:
+    """An FCSet from its flag and support mask, without the constructor's checks."""
+    s = object.__new__(FCSet)
+    _set(s, "cofinite", cofinite)
+    _set(s, "bits", bits)
+    return s
+
+
 def fc_finite(items: Iterable[int]) -> FCSet:
-    return FCSet(False, frozenset(items))
+    return FCSet(False, items)
 
 
 def fc_cofinite(excluded: Iterable[int]) -> FCSet:
-    return FCSet(True, frozenset(excluded))
+    return FCSet(True, excluded)
 
 
 FC_EMPTY = fc_finite(())
@@ -50,21 +73,21 @@ FC_FULL = fc_cofinite(())
 
 
 def fc_complement(a: FCSet) -> FCSet:
-    return FCSet(not a.cofinite, a.support)
+    return _fc(not a.cofinite, a.bits)
 
 
 def fc_union(a: FCSet, b: FCSet) -> FCSet:
-    if a.cofinite and b.cofinite:
-        return FCSet(True, a.support & b.support)
     if a.cofinite:
-        return FCSet(True, a.support - b.support)
+        return _fc(True, a.bits & b.bits if b.cofinite else a.bits & ~b.bits)
     if b.cofinite:
-        return FCSet(True, b.support - a.support)
-    return FCSet(False, a.support | b.support)
+        return _fc(True, b.bits & ~a.bits)
+    return _fc(False, a.bits | b.bits)
 
 
 def fc_intersection(a: FCSet, b: FCSet) -> FCSet:
-    return fc_complement(fc_union(fc_complement(a), fc_complement(b)))
+    if a.cofinite:
+        return _fc(True, a.bits | b.bits) if b.cofinite else _fc(False, b.bits & ~a.bits)
+    return _fc(False, a.bits & ~b.bits if b.cofinite else a.bits & b.bits)
 
 
 def fc_difference(a: FCSet, b: FCSet) -> FCSet:
@@ -73,7 +96,7 @@ def fc_difference(a: FCSet, b: FCSet) -> FCSet:
 
 def _least_rotation(period: tuple[FCSet, ...]) -> tuple[FCSet, ...]:
     def key(r: tuple[FCSet, ...]):
-        return tuple((s.cofinite, tuple(sorted(s.support))) for s in r)
+        return tuple((s.cofinite, tuple(iter_bits(s.bits))) for s in r)
 
     return min((period[i:] + period[:i] for i in range(len(period))), key=key)
 
@@ -121,14 +144,21 @@ def fc_limsup(x: FCSeq) -> FCSet:
     return out
 
 
-def _window(x: FCSeq, extra: Iterable[FCSet] = ()) -> tuple[list[int], int]:
-    """Exceptional coordinates: supports of everything in sight, plus one
-    representative generic coordinate beyond them."""
-    coords: set[int] = set()
-    for v in list(x.preperiod) + list(x.period) + list(extra):
-        coords |= v.support
-    generic = (max(coords) + 1) if coords else 0
-    return sorted(coords), generic
+def _supports(x: FCSeq) -> int:
+    out = 0
+    for v in x.preperiod + x.period:
+        out |= v.bits
+    return out
+
+
+def _window(coords: int) -> int:
+    """The exceptional coordinates plus the generic one just beyond them."""
+    return coords | 1 << coords.bit_length()
+
+
+def _members(v: FCSet, window: int) -> int:
+    """The window coordinates that v contains."""
+    return (v.bits ^ window if v.cofinite else v.bits) & window
 
 
 def lim_alexandrov(x: FCSeq) -> Callable[[FCSet], bool]:
@@ -136,14 +166,11 @@ def lim_alexandrov(x: FCSeq) -> Callable[[FCSet], bool]:
     proper neighborhood: a coordinate at 0 in the candidate forces the
     sequence's coordinate to 0 eventually; a coordinate at 1 is unconstrained.
     """
-    vals = list(set(x.period))
+    vals, coords = set(x.period), _supports(x)
 
     def holds(a: FCSet) -> bool:
-        coords, generic = _window(x, [a])
-        for i in coords + [generic]:
-            if not a.contains(i) and any(v.contains(i) for v in vals):
-                return False
-        return True
+        w = _window(coords | a.bits)
+        return all(_members(v, w) & ~_members(a, w) == 0 for v in vals)
 
     return holds
 
@@ -151,14 +178,11 @@ def lim_alexandrov(x: FCSeq) -> Callable[[FCSet], bool]:
 def lim_alexandrov_dual(x: FCSeq) -> Callable[[FCSet], bool]:
     """Dual cube ({1} is the proper neighborhood): a coordinate at 1 in the
     candidate forces the sequence's coordinate to 1 eventually."""
-    vals = list(set(x.period))
+    vals, coords = set(x.period), _supports(x)
 
     def holds(a: FCSet) -> bool:
-        coords, generic = _window(x, [a])
-        for i in coords + [generic]:
-            if a.contains(i) and not all(v.contains(i) for v in vals):
-                return False
-        return True
+        w = _window(coords | a.bits)
+        return all(_members(a, w) & ~_members(v, w) == 0 for v in vals)
 
     return holds
 
@@ -166,26 +190,20 @@ def lim_alexandrov_dual(x: FCSeq) -> Callable[[FCSet], bool]:
 def lim_cantor(x: FCSeq) -> Optional[FCSet]:
     """Limit in the cube with discrete coordinates: every coordinate must be
     eventually constant; the limit is that coordinatewise value."""
-    vals = list(set(x.period))
-    coords, generic = _window(x)
-    for i in coords + [generic]:
-        flags = {v.contains(i) for v in vals}
-        if len(flags) > 1:
-            return None
-    out = fc_limsup(x)
-    return out
+    w = _window(_supports(x))
+    constant = len({_members(v, w) for v in set(x.period)}) == 1
+    return fc_limsup(x) if constant else None
 
 
 def candidate_limits(x: FCSeq, rng, count: int = 8) -> list[FCSet]:
     """A candidate pool for predicate sweeps: structured candidates derived
     from the sequence plus seeded random finite/cofinite sets in its window."""
     li, ls = fc_liminf(x), fc_limsup(x)
-    coords, generic = _window(x)
     pool = [li, ls, fc_complement(li), fc_complement(ls), FC_EMPTY, FC_FULL]
-    universe = coords + [generic]
+    universe = [1 << i for i in iter_bits(_window(_supports(x)))]
     for _ in range(count):
-        support = frozenset(i for i in universe if rng.random() < 0.5)
-        pool.append(FCSet(rng.random() < 0.5, support))
+        bits = sum(b for b in universe if rng.random() < 0.5)
+        pool.append(_fc(rng.random() < 0.5, bits))
     return pool
 
 

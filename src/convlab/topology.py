@@ -22,7 +22,7 @@ from .convergence import (
     check_L1,
     check_L2,
 )
-from .seqclass import InfClass, inf_class
+from .seqclass import InfClass, representative
 
 
 def _transpose(rows: Iterable[int], m: int) -> list[int]:
@@ -252,20 +252,21 @@ def synthesize_O_lambda(lam: Convergence) -> Topology:
 
 
 def lim_topo(o: Topology, x: EPSeq) -> frozenset[Element]:
-    """Topological limits: points whose every neighborhood eventually absorbs x."""
+    """Topological limits: points whose every neighborhood eventually absorbs x.
+
+    a is a limit iff N(a) holds every value v of x's period, iff a lies in
+    each closure of v: the limits are the AND of ``point_closures[v]``.
+    """
     if x.width != o.carrier.n:
         raise CarrierMismatchError("sequence and topology on different carriers")
-    return lim_topo_class(o, inf_class(x))
+    closures, out = o.point_closures, o.full
+    for v in x.period:
+        out &= closures[v.mask]
+    return o.carrier.subset_from_mask(out)
 
 
 def lim_topo_class(o: Topology, s: InfClass) -> frozenset[Element]:
-    smask = o.carrier.subset_mask(s.values)
-    mins = o.min_neighborhoods
-    return frozenset(
-        o.carrier.elements[a]
-        for a in range(o.carrier.size)
-        if smask & ~mins[a] == 0
-    )
+    return lim_topo(o, representative(s))
 
 
 def join_topologies(o1: Topology, o2: Topology) -> Topology:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .algebra import Carrier, EPSeq
+from .algebra import MAX_ATOMS, Carrier, EPSeq
 from .convergence import (
     Convergence,
     check_hbar,
@@ -74,8 +74,12 @@ class VerifyContext:
             self._cache[key] = build()
         return self._cache[key]
 
-    def scales(self, cap: int = 4) -> range:
+    def scales(self, cap: int = MAX_ATOMS) -> range:
         return range(1, min(self.atoms, cap) + 1)
+
+    def covered(self, cap: int = MAX_ATOMS) -> str:
+        """The atom counts ``scales(cap)`` runs through, as a criterion's detail names them."""
+        return f"n=1..{min(self.atoms, cap)}"
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,7 @@ def random_epseq(carrier: Carrier, rng: random.Random) -> EPSeq:
 
 def random_fcseq(rng: random.Random, window: int = 8) -> FCSeq:
     def rand_set() -> FCSet:
-        support = frozenset(i for i in range(window) if rng.random() < 0.4)
+        support = [i for i in range(window) if rng.random() < 0.4]
         return FCSet(rng.random() < 0.5, support)
 
     pre = tuple(rand_set() for _ in range(rng.randrange(0, 3)))
@@ -109,30 +113,29 @@ def random_fcseq(rng: random.Random, window: int = 8) -> FCSeq:
 
 
 def brute_downsets(n: int) -> int:
-    """Independent down-set counter: subsets of P(n) as frozensets of atom
-    sets, down-closedness via plain subset tests."""
+    """Independent down-set counter: points of P(n) as frozensets of atoms,
+    order via plain subset tests.  Points are decided in ascending mask order,
+    a linear extension of inclusion, and a point may join only after every
+    point below it has."""
     points = [frozenset(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
-    below = [
-        sum(1 << q for q in range(len(points)) if points[q] <= points[p])
-        for p in range(len(points))
-    ]
-    count = 0
-    for bits in range(1 << len(points)):
-        ok = all(
-            bits & below[p] == below[p]
-            for p in range(len(points))
-            if bits >> p & 1
-        )
-        if ok:
-            count += 1
-    return count
+    below = [sum(1 << q for q in range(p) if points[q] < points[p]) for p in range(len(points))]
+
+    def extend(p: int, chosen: int) -> int:
+        if p == len(points):
+            return 1
+        total = extend(p + 1, chosen)
+        if chosen & below[p] == below[p]:
+            total += extend(p + 1, chosen | 1 << p)
+        return total
+
+    return extend(0, 0)
 
 
 def _crit_pointwise_meet(ctx: VerifyContext):
     for n in ctx.scales():
         if meet_conv(ctx.conv("ls", n), ctx.conv("li", n)) != ctx.conv("s", n):
             return False, f"pointwise meet mismatch at n={n}"
-    return True, f"all classes up to n={max(ctx.scales())}"
+    return True, f"all classes, {ctx.covered()}"
 
 
 def _crit_star_fixed(ctx: VerifyContext):
@@ -144,11 +147,11 @@ def _crit_star_fixed(ctx: VerifyContext):
                 return False, f"star(lambda_{name}) != lambda_{name} at n={n}"
         if stars["s"] != meet_conv(stars["ls"], stars["li"]):
             return False, f"star meet identity fails at n={n}"
-    return True, "star fixes all three convergences"
+    return True, f"star fixes all three convergences, {ctx.covered()}"
 
 
 def _crit_open_counts(ctx: VerifyContext):
-    expected = {1: 3, 2: 6, 3: 20, 4: 168}
+    expected = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
     for n in ctx.scales():
         got = len(ctx.topo("ls", n))
         independent = brute_downsets(n)
@@ -156,7 +159,7 @@ def _crit_open_counts(ctx: VerifyContext):
             return False, f"n={n}: opens={got}, brute={independent}, expected={expected[n]}"
         if len(ctx.topo("s", n)) != 1 << (1 << n):
             return False, f"n={n}: O_s is not discrete"
-    return True, "down-set counts and discreteness match"
+    return True, f"down-set counts and discreteness match, {ctx.covered()}"
 
 
 def _crit_closed_char(ctx: VerifyContext):
@@ -165,7 +168,7 @@ def _crit_closed_char(ctx: VerifyContext):
             return False, f"left closed sets != up-sets at n={n}"
         if not check_closed_char(ctx.topo("li", n), "down"):
             return False, f"right closed sets != down-sets at n={n}"
-    return True, "closed sets match the order characterization (chain clause finite-trivial)"
+    return True, f"closed sets match the order characterization, {ctx.covered()} (chain clause finite-trivial)"
 
 
 def _crit_join_collapse(ctx: VerifyContext):
@@ -177,7 +180,7 @@ def _crit_join_collapse(ctx: VerifyContext):
             return False, f"metric topology != O_s at n={n}"
         if lim_of_topology_as_convergence(o_lsi) != ctx.conv("s", n):
             return False, f"lim of join != lambda_s at n={n}"
-    return True, "join, metric and discrete topologies coincide"
+    return True, f"join, metric and discrete topologies coincide, {ctx.covered()}"
 
 
 def _crit_limit_intersection(ctx: VerifyContext):
@@ -188,7 +191,7 @@ def _crit_limit_intersection(ctx: VerifyContext):
             x = random_epseq(ctx.carrier(n), rng)
             if lim_topo(o_lsi, x) != lim_topo(o_ls, x) & lim_topo(o_li, x):
                 return False, f"intersection law fails at n={n} for {x}"
-    return True, f"{ctx.samples} sequences per carrier"
+    return True, f"{ctx.samples} sequences per carrier, {ctx.covered()}"
 
 
 def _crit_strictness(ctx: VerifyContext):
@@ -202,7 +205,7 @@ def _crit_strictness(ctx: VerifyContext):
         for name in ("ls", "li"):
             if ctx.topo("lsi", n) <= ctx.topo(name, n):
                 return False, f"O_{name} not strictly below the join at n={n}"
-    return True, "witness classes and witness opens found"
+    return True, f"witness classes and witness opens found, {ctx.covered()}"
 
 
 def _crit_homeo_and_props(ctx: VerifyContext):
@@ -212,7 +215,7 @@ def _crit_homeo_and_props(ctx: VerifyContext):
         props = space_properties(ctx.topo("ls", n))
         if not (props.t0 and props.connected and props.compact):
             return False, f"space properties fail at n={n}: {props}"
-    return True, "homeomorphic, T0, connected, compact"
+    return True, f"homeomorphic, T0, connected, compact, {ctx.covered()}"
 
 
 def _random_l12_convergence(carrier: Carrier, rng: random.Random) -> Convergence:
@@ -248,14 +251,13 @@ def _crit_galois(ctx: VerifyContext):
         ]
         convs += [_random_l12_convergence(car, rng) for _ in range(50)]
         topos += [_random_topology(car, rng) for _ in range(50)]
+        lims = [lim_of_topology_as_convergence(o) for o in topos]
         for lam in convs:
             f_lam = synthesize_O_lambda(lam)
-            for o in topos:
-                left = o <= f_lam
-                right = leq_conv(lam, lim_of_topology_as_convergence(o))
-                if left != right:
+            for o, lim_o in zip(topos, lims):
+                if (o <= f_lam) != leq_conv(lam, lim_o):
                     return False, f"adjunction fails at n={n}"
-    return True, "no counterexamples over built-in and random pairs"
+    return True, f"no counterexamples over built-in and random pairs, {ctx.covered(3)}"
 
 
 def _crit_cube(ctx: VerifyContext):
@@ -275,7 +277,7 @@ def _crit_cube(ctx: VerifyContext):
             return False, f"discrete-cube limit disagrees with the unique-value rule for {x}"
     if not check_T1235a(sample, random.Random(ctx.seed + 4)):
         return False, "predicate conjunction does not characterize the discrete limit"
-    return True, f"{len(sample)} sequences"
+    return True, f"{len(sample)} sequences (the cube has no atom count)"
 
 
 def _crit_submeasures(ctx: VerifyContext):
@@ -313,7 +315,8 @@ def _crit_submeasures(ctx: VerifyContext):
             return False, f"loaded table is not a submeasure: {rep}"
         if rep.strictly_positive and metric_topology(loaded) != ctx.topo("s", loaded.carrier.n):
             return False, "loaded strictly positive submeasure does not induce O_s"
-    return True, "axioms and triangle inequality verified"
+    loaded_n = f", loaded table n={loaded.carrier.n}" if loaded is not None else ""
+    return True, f"axioms {ctx.covered()}, triangle inequality {ctx.covered(3)}{loaded_n}"
 
 
 def _crit_hbar(ctx: VerifyContext):
@@ -324,7 +327,7 @@ def _crit_hbar(ctx: VerifyContext):
         sample = class_from_mask(car, (1 << car.size) - 1)
         if len(hbar_witness(sample).values) != 1:
             return False, f"witness is not a singleton at n={n}"
-    return True, "singleton witnesses on every class (larger subclasses finite-trivial)"
+    return True, f"singleton witnesses on every class, {ctx.covered()} (larger subclasses finite-trivial)"
 
 
 CRITERIA: list[tuple[str, Callable[[VerifyContext], tuple[bool, str]]]] = [

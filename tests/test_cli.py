@@ -176,6 +176,21 @@ class TestVerify:
         )
         assert result.exit_code == 0, result.output
 
+    def test_details_name_the_atom_counts_covered(self, runner):
+        result = runner.invoke(main, ["verify", "--atoms", "5", "--samples", "10"])
+        assert result.exit_code == 0, result.output
+        lines = {
+            l.split("]", 1)[1].split(":", 1)[0].split(None, 1)[1]: l
+            for l in result.output.splitlines()
+            if l.startswith("[")
+        }
+        assert len(lines) == 12
+        assert all("PASS" in l for l in lines.values())
+        assert "n=1..5" in lines["sequential topology open counts"]
+        assert "n=1..3" in lines["antitone adjunction"]
+        assert "n=1..5" not in lines["antitone adjunction"]
+        assert "triangle inequality n=1..3" in lines["submeasure axioms and metric"]
+
     def test_missing_submeasure_file(self, runner):
         result = runner.invoke(
             main, ["verify", "--atoms", "2", "--submeasure", "/nonexistent"]

@@ -199,7 +199,7 @@ class TestStar:
 
 
 class TestHbar:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_holds_on_finite_carriers(self, n):
         assert check_hbar(Carrier(n))
 

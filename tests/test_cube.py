@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convlab.cube import (
     FC_EMPTY,
@@ -28,6 +30,52 @@ def brute_membership(s: FCSet, window: int = 12) -> tuple:
     return tuple(s.contains(i) for i in range(window)) + (s.cofinite,)
 
 
+# Per-coordinate oracles: the cube predicates checked one window coordinate
+# at a time, the exceptional coordinates plus one generic coordinate beyond.
+
+def oracle_window(x: FCSeq, extra=()) -> list[int]:
+    coords: set[int] = set()
+    for v in list(x.preperiod) + list(x.period) + list(extra):
+        coords |= v.support
+    generic = (max(coords) + 1) if coords else 0
+    return sorted(coords) + [generic]
+
+
+def oracle_alexandrov(x: FCSeq, a: FCSet) -> bool:
+    vals = set(x.period)
+    for i in oracle_window(x, [a]):
+        if not a.contains(i) and any(v.contains(i) for v in vals):
+            return False
+    return True
+
+
+def oracle_alexandrov_dual(x: FCSeq, a: FCSet) -> bool:
+    vals = set(x.period)
+    for i in oracle_window(x, [a]):
+        if a.contains(i) and not all(v.contains(i) for v in vals):
+            return False
+    return True
+
+
+def oracle_cantor(x: FCSeq):
+    vals = set(x.period)
+    for i in oracle_window(x):
+        if len({v.contains(i) for v in vals}) > 1:
+            return None
+    return fc_limsup(x)
+
+
+def fcsets(top: int):
+    return st.builds(FCSet, st.booleans(), st.frozensets(st.integers(0, top), max_size=5))
+
+
+fcseqs = st.builds(
+    FCSeq,
+    st.lists(fcsets(8), max_size=2).map(tuple),
+    st.lists(fcsets(8), min_size=1, max_size=3).map(tuple),
+)
+
+
 class TestFCSetOps:
     def test_complement_of_finite(self):
         assert fc_complement(fc_finite([2, 5])) == fc_cofinite([2, 5])
@@ -50,6 +98,18 @@ class TestFCSetOps:
     def test_canonical_equality(self):
         assert fc_finite([1, 2]) == fc_finite([2, 1])
         assert fc_finite([1]) != fc_cofinite([1])
+
+    def test_frozenset_and_list_supports_agree(self):
+        a = FCSet(True, frozenset({3, 0, 7}))
+        b = FCSet(True, [7, 0, 3, 3])
+        assert a == b and hash(a) == hash(b)
+        assert a.support == frozenset({0, 3, 7})
+        assert {a: 1}[b] == 1
+
+    def test_is_immutable(self):
+        a = fc_finite([1])
+        with pytest.raises(AttributeError):
+            a.bits = 0
 
 
 class TestLimInfSup:
@@ -130,6 +190,53 @@ class TestCubeLimits:
         rng = random.Random(107)
         sample = [random_fcseq(rng) for _ in range(500)]
         assert check_T1235a(sample, random.Random(109))
+
+
+class TestBitPredicatesAgainstOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(fcseqs, st.lists(fcsets(14), max_size=6))
+    def test_bit_predicates_match_coordinate_loops(self, x, beyond):
+        # candidates from the pool plus ones whose support reaches past the
+        # sequence's window
+        alex, dual = lim_alexandrov(x), lim_alexandrov_dual(x)
+        for a in candidate_limits(x, random.Random(0)) + beyond:
+            assert alex(a) == oracle_alexandrov(x, a)
+            assert dual(a) == oracle_alexandrov_dual(x, a)
+        assert lim_cantor(x) == oracle_cantor(x)
+
+
+class TestPinnedStreams:
+    # reprs of random_fcseq and candidate_limits(count=3) for seeds 0..4,
+    # captured from the frozenset-backed implementation: a seed keeps
+    # checking the same sequences and candidates
+    PINNED = [
+        (
+            "FCSeq(preperiod=({2,6},), period=({1,4},))",
+            "[{1,4}, {1,4}, ~{1,4}, ~{1,4}, {}, ~{}, ~{1,7}, {1,7}, ~{1,6}]",
+        ),
+        (
+            "FCSeq(preperiod=(), period=({3,6}, ~{0,1,4,5,7}, ~{2,7}))",
+            "[{3,6}, ~{7}, ~{3,6}, {7}, {}, ~{}, {0,1,2,3,4,5,6,7}, ~{1,4,5}, ~{2,8}]",
+        ),
+        (
+            "FCSeq(preperiod=(), period=(~{0,4},))",
+            "[~{0,4}, ~{0,4}, {0,4}, {0,4}, {}, ~{}, {0,4}, ~{5}, ~{0,4,5}]",
+        ),
+        (
+            "FCSeq(preperiod=(), period=({5}, ~{2,5,6}, ~{1,4,5,7}))",
+            "[{}, ~{}, ~{}, {}, {}, ~{}, {6,8}, ~{2,4,5,7}, {2,4}]",
+        ),
+        (
+            "FCSeq(preperiod=(), period=({1,2,3,4}, ~{0,1,2,3}))",
+            "[{4}, ~{0}, ~{4}, {0}, {}, ~{}, ~{0,1}, {3,4,5}, {2}]",
+        ),
+    ]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rng_streams_unchanged(self, seed):
+        rng = random.Random(seed)
+        x = random_fcseq(rng)
+        assert (repr(x), repr(candidate_limits(x, rng, count=3))) == self.PINNED[seed]
 
 
 class TestInvariances:

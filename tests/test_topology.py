@@ -24,6 +24,7 @@ from convlab.topology import (
     join_topologies,
     lim_of_topology_as_convergence,
     lim_topo,
+    lim_topo_class,
     sequential_closure,
     space_properties,
     synthesize_O_lambda,
@@ -67,6 +68,9 @@ class TestSynthesis:
 
     def test_left_topology_p4_has_168_opens(self, p4):
         assert len(synthesize_O_lambda(lambda_ls(p4)).opens) == 168 == brute_downsets(4)
+
+    def test_down_set_count_p5_is_dedekind(self):
+        assert len(synthesize_O_lambda(lambda_ls(Carrier(5)))) == 7581 == brute_downsets(5)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_two_sided_topology_is_discrete(self, n):
@@ -131,6 +135,24 @@ class TestLimits:
         for _ in range(20):
             x = random_epseq(p2, rng)
             assert lim_topo(topo, x) == frozenset(p2.elements)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closure_and_matches_neighbourhood_scan(self, n):
+        # the scan lim_topo used to run: {a : S inside N(a)}
+        carrier = Carrier(n)
+        rng = random.Random(61 + n)
+        for _ in range(30):
+            topo = _random_topology(carrier, rng)
+            for _ in range(10):
+                x = random_epseq(carrier, rng)
+                smask = carrier.subset_mask(set(x.period))
+                scan = frozenset(
+                    carrier.elements[a]
+                    for a, nb in enumerate(topo.min_neighborhoods)
+                    if smask & ~nb == 0
+                )
+                assert lim_topo(topo, x) == scan
+                assert lim_topo_class(topo, InfClass(frozenset(x.period))) == scan
 
 
 class TestJoin:
