@@ -1,7 +1,7 @@
 """Finite Boolean algebra carrier P(n) and eventually periodic sequences.
 
-Elements are bit-masks over atom indices, so meet/join/complement are plain
-integer operations and the whole carrier fits in a tuple of 2^n values.
+Elements are bit-masks over atom indices, so meet/join/complement are integer
+operations; up- and down-sets are ANDs of atom columns, built in O(2^n · n).
 """
 
 from __future__ import annotations
@@ -101,25 +101,25 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 class Carrier:
-    """The algebra P(n) with its 2^n elements in ascending mask order."""
+    """The algebra P(n): its 2^n elements in ascending mask order and, per point
+    p, ``up_masks[p]`` = {q >= p}, the AND of the columns of p's atoms (atom i's
+    is 1^(2^i) 0^(2^i) repeated), and ``down_masks[p]`` = {q <= p}, built on its
+    own from the other columns' complements.  One AND per entry: O(2^n · n)."""
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_ATOMS:
             raise ValueError(f"atom count must be in 1..{MAX_ATOMS}, got {n}")
         self.n = n
-        self.size = 1 << n
-        self.elements: tuple[Element, ...] = tuple(
-            Element(m, n) for m in range(self.size)
-        )
-        # up_masks[p] / down_masks[p]: carrier-subset masks of {q : q >= p} / {q : q <= p}
-        self.up_masks = tuple(
-            sum(1 << q for q in range(self.size) if q & p == p)
-            for p in range(self.size)
-        )
-        self.down_masks = tuple(
-            sum(1 << q for q in range(self.size) if q & p == q)
-            for p in range(self.size)
-        )
+        self.size = size = 1 << n
+        self.elements: tuple[Element, ...] = tuple(Element(m, n) for m in range(size))
+        full = (1 << size) - 1
+        col = [full // ((1 << 2 * k) - 1) * ((1 << 2 * k) - (1 << k)) for k in (1 << i for i in range(n))]
+        up, down = [full] * size, [full] * size
+        for p in range(1, size):  # p & (p - 1) drops p's lowest atom
+            up[p] = up[p & (p - 1)] & col[(p & -p).bit_length() - 1]
+        for p in range(size - 2, -1, -1):  # p | (p + 1) adds p's lowest missing atom
+            down[p] = down[p | (p + 1)] & ~col[(~p & (p + 1)).bit_length() - 1]
+        self.up_masks, self.down_masks = tuple(up), tuple(down)
 
     @property
     def bottom(self) -> Element:

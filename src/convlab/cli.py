@@ -38,7 +38,7 @@ def parse_seq_literal(text: str, carrier: Carrier) -> EPSeq:
         atoms = []
         while pos < len(text) and text[pos] != "}":
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and "0" <= text[pos] <= "9":
                 pos += 1
             if pos == start:
                 raise SeqParseError("expected atom index", pos)
@@ -70,6 +70,11 @@ def parse_seq_literal(text: str, carrier: Carrier) -> EPSeq:
     if not per:
         raise SeqParseError("period must be nonempty", pos - 1)
     return EPSeq(pre, per)
+
+
+def format_seq_literal(x: EPSeq) -> str:
+    """Inverse of :func:`parse_seq_literal`: ``[pre;per]`` with ``{i,j}`` elements."""
+    return "[{};{}]".format(*(",".join(map(repr, part)) for part in (x.preperiod, x.period)))
 
 
 def _atom_cap() -> int:

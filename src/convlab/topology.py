@@ -22,7 +22,6 @@ from .convergence import (
     check_L1,
     check_L2,
 )
-from .seqclass import InfClass, representative
 
 
 def _transpose(rows: Iterable[int], m: int) -> list[int]:
@@ -263,10 +262,6 @@ def lim_topo(o: Topology, x: EPSeq) -> frozenset[Element]:
     for v in x.period:
         out &= closures[v.mask]
     return o.carrier.subset_from_mask(out)
-
-
-def lim_topo_class(o: Topology, s: InfClass) -> frozenset[Element]:
-    return lim_topo(o, representative(s))
 
 
 def join_topologies(o1: Topology, o2: Topology) -> Topology:

@@ -100,6 +100,28 @@ class TestUpDownSets:
             assert downset(downset(a)) == downset(a)
 
 
+class TestCarrierTables:
+    """The atom-column up/down tables against their defining comprehensions."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_tables_match_comprehensions(self, n):
+        carrier = Carrier(n)
+        points = range(carrier.size)
+        assert carrier.up_masks == tuple(
+            sum(1 << q for q in points if q & p == p) for p in points
+        )
+        assert carrier.down_masks == tuple(
+            sum(1 << q for q in points if q & p == q) for p in points
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tables_match_upset_and_downset(self, n):
+        carrier = Carrier(n)
+        for e in carrier.elements:
+            assert carrier.subset_from_mask(carrier.up_masks[e.mask]) == upset([e])
+            assert carrier.subset_from_mask(carrier.down_masks[e.mask]) == downset([e])
+
+
 class TestLimInfSup:
     def test_alternating_atoms(self, p2):
         x = EPSeq((), (p2.element([0]), p2.element([1])))

@@ -2,9 +2,11 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
-from convlab.algebra import Carrier
-from convlab.cli import SeqParseError, main, parse_seq_literal
+from convlab.algebra import Carrier, EPSeq
+from convlab.cli import SeqParseError, format_seq_literal, main, parse_seq_literal
 
 
 @pytest.fixture
@@ -44,6 +46,29 @@ class TestSeqLiteral:
         assert "position 3" in str(exc.value)
 
 
+@st.composite
+def epseqs(draw):
+    carrier = Carrier(draw(st.integers(min_value=1, max_value=5)))
+    elems = st.integers(min_value=0, max_value=carrier.size - 1).map(
+        lambda m: carrier.elements[m]
+    )
+    pre = draw(st.lists(elems, max_size=4))
+    per = draw(st.lists(elems, min_size=1, max_size=4))
+    return carrier, EPSeq(tuple(pre), tuple(per))
+
+
+class TestFormatSeqLiteral:
+    def test_format(self):
+        p3 = Carrier(3)
+        x = EPSeq((p3.top,), (p3.element([0]), p3.bottom))
+        assert format_seq_literal(x) == "[{0,1,2};{},{0}]"
+
+    @given(epseqs())
+    def test_round_trip(self, case):
+        carrier, x = case
+        assert parse_seq_literal(format_seq_literal(x), carrier) == x
+
+
 class TestConverge:
     def test_alternating_atoms_upper_law(self, runner):
         result = runner.invoke(
@@ -78,12 +103,52 @@ class TestConverge:
         assert result.exit_code == 2
         assert "bad sequence literal" in result.output
 
+    # superscript two and Arabic-Indic three both pass str.isdigit()
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+    def test_non_ascii_digit_is_usage_error(self, runner, digit):
+        result = runner.invoke(
+            main, ["converge", "--atoms", "4", "--seq", "[;{" + digit + "}]"]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "expected atom index at position 3" in result.output
+
     @pytest.mark.parametrize("atoms", ["0", "6", "-1"])
     def test_atoms_out_of_range(self, runner, atoms):
         result = runner.invoke(
             main, ["converge", "--atoms", atoms, "--seq", "[;{0}]"]
         )
         assert result.exit_code == 2
+
+
+class TestConvergeAtFiveAtoms:
+    # period values as atom lists; the expectation is built from the period's
+    # join (limsup) and meet (liminf) masks alone
+    PERIODS = [[[0], [1, 4]], [[2, 3]], [[0, 1, 2, 3, 4], [0, 2, 4]], [[], [4]]]
+
+    @pytest.mark.parametrize("law", ["ls", "li", "s"])
+    @pytest.mark.parametrize("period", PERIODS)
+    def test_limits_follow_limsup_and_liminf(self, runner, law, period):
+        values = [sum(1 << i for i in atoms) for atoms in period]
+        sup = inf = values[0]
+        for v in values:
+            sup, inf = sup | v, inf & v
+        expected = {
+            "ls": [m for m in range(32) if m & sup == sup],
+            "li": [m for m in range(32) if m & inf == m],
+            "s": [sup] if sup == inf else [],
+        }[law]
+        literal = "[{1};" + ",".join("{" + ",".join(map(str, a)) + "}" for a in period) + "]"
+        result = runner.invoke(
+            main, ["converge", "--atoms", "5", "--seq", literal, "--law", law]
+        )
+        assert result.exit_code == 0
+        lines = [
+            f"mask={m} atoms={{{','.join(str(i) for i in range(5) if m >> i & 1)}}}"
+            for m in expected
+        ] or ["(no limits)"]
+        assert result.output == "\n".join(lines) + "\n"
 
 
 class TestDiagram:

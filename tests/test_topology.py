@@ -11,7 +11,7 @@ from convlab.convergence import (
     lambda_s,
     leq_conv,
 )
-from convlab.seqclass import InfClass, all_classes
+from convlab.seqclass import InfClass, all_classes, representative
 from convlab.topology import (
     Topology,
     antidiscrete,
@@ -24,7 +24,6 @@ from convlab.topology import (
     join_topologies,
     lim_of_topology_as_convergence,
     lim_topo,
-    lim_topo_class,
     sequential_closure,
     space_properties,
     synthesize_O_lambda,
@@ -152,7 +151,7 @@ class TestLimits:
                     if smask & ~nb == 0
                 )
                 assert lim_topo(topo, x) == scan
-                assert lim_topo_class(topo, InfClass(frozenset(x.period))) == scan
+                assert lim_topo(topo, representative(InfClass(frozenset(x.period)))) == scan
 
 
 class TestJoin:
