@@ -1,13 +1,13 @@
 """Finite Boolean algebra carrier P(n) and eventually periodic sequences.
 
 Elements are bit-masks over atom indices, so meet/join/complement are integer
-operations; up- and down-sets are ANDs of atom columns, built in O(2^n · n).
+operations; a carrier makes its up/down tables and ``Element``s on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Iterator
 
 MAX_ATOMS = 5
@@ -101,33 +101,51 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 class Carrier:
-    """The algebra P(n): its 2^n elements in ascending mask order and, per point
-    p, ``up_masks[p]`` = {q >= p}, the AND of the columns of p's atoms (atom i's
-    is 1^(2^i) 0^(2^i) repeated), and ``down_masks[p]`` = {q <= p}, built on its
-    own from the other columns' complements.  One AND per entry: O(2^n · n)."""
+    """The algebra P(n), whose tables are each built on their own on first read:
+    ``up_masks[p]`` = {q >= p}, the AND of the columns of p's atoms (atom i's is
+    1^(2^i) 0^(2^i) repeated), and ``down_masks[p]`` = {q <= p}, of the other
+    columns' complements, in O(2^n · n); the 2^n ``elements`` in ascending mask
+    order, each made and kept when any accessor first asks for it."""
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_ATOMS:
             raise ValueError(f"atom count must be in 1..{MAX_ATOMS}, got {n}")
         self.n = n
-        self.size = size = 1 << n
-        self.elements: tuple[Element, ...] = tuple(Element(m, n) for m in range(size))
-        full = (1 << size) - 1
-        col = [full // ((1 << 2 * k) - 1) * ((1 << 2 * k) - (1 << k)) for k in (1 << i for i in range(n))]
-        up, down = [full] * size, [full] * size
-        for p in range(1, size):  # p & (p - 1) drops p's lowest atom
+        self.size = 1 << n
+        self._made: dict[int, Element] = {}
+
+    def _element(self, mask: int) -> Element:
+        return self._made.get(mask) or self._made.setdefault(mask, Element(mask, self.n))
+
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        return tuple(map(self._element, range(self.size)))
+
+    def _columns(self) -> list[int]:
+        full = (1 << self.size) - 1
+        return [full // ((1 << 2 * k) - 1) * ((1 << 2 * k) - (1 << k)) for k in (1 << i for i in range(self.n))]
+
+    @cached_property
+    def up_masks(self) -> tuple[int, ...]:
+        col, up = self._columns(), [(1 << self.size) - 1] * self.size
+        for p in range(1, self.size):  # p & (p - 1) drops p's lowest atom
             up[p] = up[p & (p - 1)] & col[(p & -p).bit_length() - 1]
-        for p in range(size - 2, -1, -1):  # p | (p + 1) adds p's lowest missing atom
+        return tuple(up)
+
+    @cached_property
+    def down_masks(self) -> tuple[int, ...]:
+        col, down = self._columns(), [(1 << self.size) - 1] * self.size
+        for p in range(self.size - 2, -1, -1):  # p | (p + 1) adds p's lowest missing atom
             down[p] = down[p | (p + 1)] & ~col[(~p & (p + 1)).bit_length() - 1]
-        self.up_masks, self.down_masks = tuple(up), tuple(down)
+        return tuple(down)
 
     @property
     def bottom(self) -> Element:
-        return self.elements[0]
+        return self._element(0)
 
     @property
     def top(self) -> Element:
-        return self.elements[-1]
+        return self._element(self.size - 1)
 
     def element(self, atoms: Iterable[int]) -> Element:
         mask = 0
@@ -135,7 +153,7 @@ class Carrier:
             if not 0 <= i < self.n:
                 raise ValueError(f"atom index {i} out of range for P({self.n})")
             mask |= 1 << i
-        return self.elements[mask]
+        return self._element(mask)
 
     def subset_mask(self, elems: Iterable[Element]) -> int:
         """Pack a set of elements into a carrier-subset bit-mask."""
@@ -147,9 +165,7 @@ class Carrier:
         return mask
 
     def subset_from_mask(self, mask: int) -> frozenset[Element]:
-        return frozenset(
-            self.elements[p] for p in range(self.size) if mask >> p & 1
-        )
+        return frozenset(self._element(p) for p in range(self.size) if mask >> p & 1)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Carrier) and other.n == self.n

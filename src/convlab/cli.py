@@ -42,10 +42,11 @@ def parse_seq_literal(text: str, carrier: Carrier) -> EPSeq:
                 pos += 1
             if pos == start:
                 raise SeqParseError("expected atom index", pos)
-            atom = int(text[start:pos])
-            if atom >= carrier.n:
-                raise SeqParseError(f"atom {atom} out of range for P({carrier.n})", start)
-            atoms.append(atom)
+            digits = text[start:pos].lstrip("0") or "0"
+            # length first: int() refuses digit runs past the interpreter's limit
+            if len(digits) > len(str(carrier.n)) or int(digits) >= carrier.n:
+                raise SeqParseError(f"atom index out of range for P({carrier.n})", start)
+            atoms.append(int(digits))
             if pos < len(text) and text[pos] == ",":
                 pos += 1
         expect("}")

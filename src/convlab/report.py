@@ -61,7 +61,7 @@ class DiagramNode:
     @property
     def size(self) -> int:
         if self.kind == "topology":
-            return len(self.payload)
+            return self.payload.open_count()
         return self.payload.limit_count()
 
 

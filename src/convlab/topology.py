@@ -56,7 +56,7 @@ class Topology:
         # Every member is the union of the minimal neighbourhoods of its
         # points, so the family lies inside the topology the neighbourhoods
         # generate, and equals it exactly when the sizes agree.
-        if len(family) != len(self):
+        if len(family) != self.open_count():
             raise ValueError("open family is not closed under union and intersection")
 
     @classmethod
@@ -135,7 +135,7 @@ class Topology:
     def __hash__(self) -> int:
         return hash((self.carrier, self._mins))
 
-    def __len__(self) -> int:
+    def open_count(self) -> int:
         """Number of open sets, counted as down-sets of the preorder
         q <= p iff q in N(p): those avoiding a point p avoid its closure,
         those containing p contain N(p)."""
@@ -153,7 +153,7 @@ class Topology:
         return self._count
 
     def __repr__(self) -> str:
-        return f"Topology(P({self.carrier.n}), {len(self)} opens)"
+        return f"Topology(P({self.carrier.n}), {self.open_count()} opens)"
 
 
 def first_open_not_in(a: Topology, b: Topology) -> Optional[int]:

@@ -37,7 +37,6 @@ from .topology import (
     generate,
     join_topologies,
     lim_of_topology_as_convergence,
-    lim_topo,
     space_properties,
     synthesize_O_lambda,
 )
@@ -90,16 +89,10 @@ class CriterionResult:
     detail: str
 
 
-def random_epseq(carrier: Carrier, rng: random.Random) -> EPSeq:
-    pre = tuple(
-        carrier.elements[rng.randrange(carrier.size)]
-        for _ in range(rng.randrange(0, 4))
-    )
-    per = tuple(
-        carrier.elements[rng.randrange(carrier.size)]
-        for _ in range(rng.randrange(1, 5))
-    )
-    return EPSeq(pre, per)
+def _random_seq_masks(rng: random.Random, size: int) -> tuple[list[int], list[int]]:
+    """Preperiod and period value masks of a random eventually periodic sequence."""
+    pre = [rng.randrange(size) for _ in range(rng.randrange(0, 4))]
+    return pre, [rng.randrange(size) for _ in range(rng.randrange(1, 5))]
 
 
 def random_fcseq(rng: random.Random, window: int = 8) -> FCSeq:
@@ -153,11 +146,11 @@ def _crit_star_fixed(ctx: VerifyContext):
 def _crit_open_counts(ctx: VerifyContext):
     expected = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
     for n in ctx.scales():
-        got = len(ctx.topo("ls", n))
+        got = ctx.topo("ls", n).open_count()
         independent = brute_downsets(n)
         if got != expected[n] or independent != expected[n]:
             return False, f"n={n}: opens={got}, brute={independent}, expected={expected[n]}"
-        if len(ctx.topo("s", n)) != 1 << (1 << n):
+        if ctx.topo("s", n).open_count() != 1 << (1 << n):
             return False, f"n={n}: O_s is not discrete"
     return True, f"down-set counts and discreteness match, {ctx.covered()}"
 
@@ -186,10 +179,12 @@ def _crit_join_collapse(ctx: VerifyContext):
 def _crit_limit_intersection(ctx: VerifyContext):
     rng = random.Random(ctx.seed)
     for n in ctx.scales():
-        o_ls, o_li, o_lsi = ctx.topo("ls", n), ctx.topo("li", n), ctx.topo("lsi", n)
+        ls, li, lsi = (lim_of_topology_as_convergence(ctx.topo(name, n)) for name in ("ls", "li", "lsi"))
         for _ in range(ctx.samples):
-            x = random_epseq(ctx.carrier(n), rng)
-            if lim_topo(o_lsi, x) != lim_topo(o_ls, x) & lim_topo(o_li, x):
+            pre, per = _random_seq_masks(rng, 1 << n)
+            cls = sum({1 << v for v in per})  # the distinct period values' bits, ORed
+            if lsi.limit_mask(cls) != ls.limit_mask(cls) & li.limit_mask(cls):
+                x = EPSeq(*(tuple(ctx.carrier(n).elements[v] for v in part) for part in (pre, per)))
                 return False, f"intersection law fails at n={n} for {x}"
     return True, f"{ctx.samples} sequences per carrier, {ctx.covered()}"
 

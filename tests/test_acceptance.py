@@ -4,9 +4,19 @@ Runs every criterion once on a shared context and asserts each individually,
 printing one status line per criterion (run with ``-s`` to see them).
 """
 
+import random
+
 import pytest
 
-from convlab.verify import CRITERIA, CriterionResult, VerifyContext, run_all
+from convlab.algebra import Carrier, EPSeq
+from convlab.verify import (
+    CRITERIA,
+    CriterionResult,
+    VerifyContext,
+    _crit_limit_intersection,
+    _random_seq_masks,
+    run_all,
+)
 
 
 @pytest.fixture(scope="module")
@@ -25,3 +35,49 @@ def test_criterion(results, name):
 
 def test_all_twelve_present(results):
     assert len(results) == len(CRITERIA) == 12
+
+
+class TestLimitIntersectionLaw:
+    # the first 20 sequences drawn from random.Random(seed) on P(n), as
+    # "preperiod/period" value masks in hex, one sequence per word, captured
+    # from the Element-based sampler the criterion used before it drew masks:
+    # a seed keeps checking the same sequences
+    PINNED = {
+        (0, 1): "101/1 0/001 1/0 10/011 110/0 011/01 0/01 /1 011/1 1/0011 00/01 000/0 100/1 /011 0/1 /01 10/0 0/0 /01 /0",
+        (0, 2): "302/23 1/021 2/0 30/132 320/0 032/02 1/13 /2 022/2 2/0321 11/02 001/0 211/2233 /032 1/2 /12 30/1 0/0 /03 /0",
+        (0, 3): "604/4756 2/142 4/1 71/365 740/1 075/15 3/27 /5 144/5 4/1653 23/04 112/01 433/4775 /175 3/4 /25 60/2 0/0 /16 /001",
+        (0, 4): "d18/9fbc 4/384 9/2 f3/6da e81/2 0fa/2a 7/4e /a 399/a 9/2ca7 56/18 224/12 876/8efb /3fa 7/8 /5b d1/4 1/0 /3c /031",
+        (1, 1): "0/011 100/0011 100/0 /0001 101/01 01/0 01/0111 010/0111 /0011 010/001 0/01 11/001 1/1 01/0111 10/0 /0 /01 /1 /01 1/1",
+        (1, 2): "0/033 310/0033 210/0 /0113 312/13 03/1 02/1223 031/1223 /0132 030/113 0/13 23/031 3/3 13/0232 30/1 /0 /0212 /2 /12 2/233",
+        (1, 3): "1/177 631/0066 431/0 /0336 735/37 06/2 15/3447 073/2556 /1265 070/226 0/36 57/062 6/7 36/0565 70/2 /011 /0434 /45 /24 4/577",
+        (1, 4): "2/3fe c63/00cd 873/0 /076d f7b/7e 0d/5 3a/699f 1f7/5bbd /35cb 0f1/55c 0/7c be/0c4 d/f 6d/0bdb e0/5 /122 /0878 /9b /58 8/afe",
+        (2, 1): "/0 01/0 111/001 111/0 0/01 1/1 11/0011 111/1 1/1 11/011 /0 /1 0/01 0/0011 0/0 /0 /1 00/01 /0 /011",
+        (2, 2): "/0 12/011 323/002 233/1 0/12 2/3 22/1133 232/2333 2/23 23/132 /001 /2 0/12 0/0022 1/0 /0 /2 11/03 /01 /022",
+        (2, 3): "/1 24/023 657/005 566/23 0/25 5/67 55/2673 475/5777 5/47 46/375 /031 /4 1/34 0/0055 3/1 /0 /5 22/06 /02 /145",
+        (2, 4): "/2 59/156 cbe/0b1 acd/57 0/5a b/de bb/5ce7 8fb/befe a/8f 9d/6fb /063 /8 3/78 1/11bb 7/2 /0 /b 45/0c /14 /39a",
+        (3, 1): "0/001 100/0011 1/0 0/011 111/01 /01 11/0111 01/01 1/001 010/0011 000/0011 00/0 1/001 11/1 101/0111 10/01 /1 10/0 11/011 1/1",
+        (3, 2): "1/003 211/1133 3/0 0/023 333/02 /13 32/1323 02/02 2/003 020/0231 000/0221 00/0 3/021 22/3 302/1232 20/0312 /223 30/0 23/122 2/223",
+        (3, 3): "2/071 433/2376 6/1 0/047 667/15 /37 64/3656 04/15 4/117 151/0462 100/0543 01/0 6/042 55/6 614/3464 50/0625 /557 70/0 47/255 5/446",
+        (3, 4): "4/0f2 876/47fc c/2 1/08f dce/3b /6f d9/7cbd 08/3a 8/2f3 2b2/09d4 311/1a87 02/1 d/184 ab/c c38/79d8 a0/0c4a /bbe f0/0 8e/5ba a/89c",
+        (4, 1): "1/1 000/1 00/001 00/001 11/1 000/01 10/1 0/001 /0111 0/0011 11/01 /01 /011 /1 /011 10/01 01/01 /0111 /0001 /0",
+        (4, 2): "2/3 100/3 01/021 10/112 22/2 111/02 21/2333 1/002 /1232 0/1132 32/02 /12 /123 /2 /022 21/0213 12/0212 /1222 /0131 /0",
+        (4, 3): "4/6 211/6 03/142 30/243 45/5 323/0414 43/4676 3/014 /2475 1/2374 65/15 /34 /247 /5 /055 52/1437 24/0525 /2554 /1363 /0",
+        (4, 4): "9/c 422/c 17/385 60/586 9b/a 757/0829 96/9ded 7/128 /48fa 2/56e8 da/3a /78 /59e /b /0aa a4/296e 48/0b5a /5bb9 /36d6 /1",
+    }
+
+    @pytest.mark.parametrize("seed, n", sorted(PINNED))
+    def test_draws_are_pinned(self, seed, n):
+        carrier, rng = Carrier(n), random.Random(seed)
+        words = []
+        for _ in range(20):
+            pre, per = _random_seq_masks(rng, carrier.size)
+            x = EPSeq(tuple(carrier.elements[v] for v in pre), tuple(carrier.elements[v] for v in per))
+            words.append("".join("%x" % e.mask for e in x.preperiod) + "/" + "".join("%x" % e.mask for e in x.period))
+        assert " ".join(words) == self.PINNED[seed, n]
+
+    def test_failure_names_a_sequence(self):
+        ctx = VerifyContext(atoms=2, seed=0, samples=50)
+        ctx._cache[("O_lsi", 2)] = ctx.topo("ls", 2)
+        passed, detail = _crit_limit_intersection(ctx)
+        assert not passed
+        assert detail.startswith("intersection law fails at n=2 for EPSeq(preperiod=(")

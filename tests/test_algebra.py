@@ -103,16 +103,36 @@ class TestUpDownSets:
 class TestCarrierTables:
     """The atom-column up/down tables against their defining comprehensions."""
 
+    @staticmethod
+    def oracles(carrier):
+        points = range(carrier.size)
+        up = tuple(sum(1 << q for q in points if q & p == p) for p in points)
+        down = tuple(sum(1 << q for q in points if q & p == q) for p in points)
+        return up, down
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_tables_match_comprehensions(self, n):
         carrier = Carrier(n)
-        points = range(carrier.size)
-        assert carrier.up_masks == tuple(
-            sum(1 << q for q in points if q & p == p) for p in points
-        )
-        assert carrier.down_masks == tuple(
-            sum(1 << q for q in points if q & p == q) for p in points
-        )
+        up, down = self.oracles(carrier)
+        assert carrier.up_masks == up
+        assert carrier.down_masks == down
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_down_table_read_first(self, n):
+        # each table is built on its own on first read, so either may come first
+        carrier = Carrier(n)
+        up, down = self.oracles(carrier)
+        assert carrier.down_masks == down
+        assert carrier.up_masks == up
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_elements_are_made_once(self, n):
+        carrier = Carrier(n)
+        assert carrier.bottom is carrier.elements[0]
+        assert carrier.top is carrier.element(range(n)) is carrier.elements[-1]
+        assert carrier.elements is carrier.elements
+        assert all(e.mask == m and e.width == n for m, e in enumerate(carrier.elements))
+        assert Carrier(n).bottom is not carrier.bottom
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_tables_match_upset_and_downset(self, n):

@@ -114,6 +114,24 @@ class TestConverge:
         assert "Traceback" not in result.output
         assert "expected atom index at position 3" in result.output
 
+    def test_overlong_atom_index_is_usage_error(self, runner):
+        # 5,000 digits: past the interpreter's limit on int() conversions
+        result = runner.invoke(
+            main, ["converge", "--atoms", "2", "--seq", "[;{" + "9" * 5000 + "}]"]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "atom index out of range for P(2) at position 3" in result.output
+        assert "99" not in result.output
+
+    def test_leading_zeros_are_dropped(self):
+        p5 = Carrier(5)
+        assert parse_seq_literal("[;{03}]", p5).period == (p5.element([3]),)
+        assert parse_seq_literal("[;{" + "0" * 5000 + "4}]", p5).period == (p5.element([4]),)
+        with pytest.raises(SeqParseError, match="out of range"):
+            parse_seq_literal("[;{05}]", p5)
+
     @pytest.mark.parametrize("atoms", ["0", "6", "-1"])
     def test_atoms_out_of_range(self, runner, atoms):
         result = runner.invoke(

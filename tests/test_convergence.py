@@ -245,6 +245,14 @@ class TestEqualityAcrossForms:
         with pytest.raises(ValueError):
             Convergence(p1, table=[0, 1, 2, 0], lim1=[1, 2])
 
+    # bit 2 lies outside P(1)'s two points, and -1 has every bit set
+    @pytest.mark.parametrize(
+        "form", [{"lim1": [4, 1]}, {"lim1": [1, -1]}, {"table": [0, -1, 2, 3]}, {"table": [0, 1, 2, 4]}]
+    )
+    def test_limit_masks_must_lie_in_the_carrier(self, p1, form):
+        with pytest.raises(ValueError, match="limit masks"):
+            Convergence(p1, **form)
+
     def test_large_carrier_star_fixes_ls(self):
         big = Carrier(5)
         lam = lambda_ls(big)

@@ -69,7 +69,11 @@ class TestSynthesis:
         assert len(synthesize_O_lambda(lambda_ls(p4)).opens) == 168 == brute_downsets(4)
 
     def test_down_set_count_p5_is_dedekind(self):
-        assert len(synthesize_O_lambda(lambda_ls(Carrier(5)))) == 7581 == brute_downsets(5)
+        assert synthesize_O_lambda(lambda_ls(Carrier(5))).open_count() == 7581 == brute_downsets(5)
+
+    def test_discrete_count_p5_exceeds_an_index(self):
+        # a plain int: len() stops at sys.maxsize, below O_s's 2^64 opens at n = 6
+        assert synthesize_O_lambda(lambda_s(Carrier(5))).open_count() == 2**32
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_two_sided_topology_is_discrete(self, n):
