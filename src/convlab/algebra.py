@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 MAX_ATOMS = 5
 
@@ -177,17 +177,14 @@ class Carrier:
         return f"Carrier(P({self.n}))"
 
 
-def _primitive_period(period: tuple[Element, ...]) -> tuple[Element, ...]:
+def canonical_period(period: tuple, key: Callable) -> tuple:
+    """The shortest repeating block of period, rotated so that the tuple of
+    its entries' keys is least.  Each entry's key is computed once."""
     n = len(period)
-    for d in range(1, n + 1):
-        if n % d == 0 and period == period[:d] * (n // d):
-            return period[:d]
-    return period
-
-
-def _least_rotation(period: tuple[Element, ...]) -> tuple[Element, ...]:
-    rotations = [period[i:] + period[:i] for i in range(len(period))]
-    return min(rotations, key=lambda r: tuple(e.mask for e in r))
+    d = next(d for d in range(1, n + 1) if n % d == 0 and period == period[:d] * (n // d))
+    keys = tuple(key(e) for e in period[:d])
+    i = min(range(d), key=lambda i: keys[i:] + keys[:i])
+    return period[i:d] + period[:i]
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,7 @@ class EPSeq:
         for e in self.preperiod + self.period:
             if e.width != width:
                 raise CarrierMismatchError("mixed-width entries in sequence")
-        canon = _least_rotation(_primitive_period(tuple(self.period)))
+        canon = canonical_period(tuple(self.period), lambda e: e.mask)
         object.__setattr__(self, "preperiod", tuple(self.preperiod))
         object.__setattr__(self, "period", canon)
 

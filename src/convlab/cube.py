@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .algebra import iter_bits
+from .algebra import canonical_period, iter_bits
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -94,19 +94,8 @@ def fc_difference(a: FCSet, b: FCSet) -> FCSet:
     return fc_intersection(a, fc_complement(b))
 
 
-def _least_rotation(period: tuple[FCSet, ...]) -> tuple[FCSet, ...]:
-    def key(r: tuple[FCSet, ...]):
-        return tuple((s.cofinite, tuple(iter_bits(s.bits))) for s in r)
-
-    return min((period[i:] + period[:i] for i in range(len(period))), key=key)
-
-
-def _primitive(period: tuple[FCSet, ...]) -> tuple[FCSet, ...]:
-    n = len(period)
-    for d in range(1, n + 1):
-        if n % d == 0 and period == period[:d] * (n // d):
-            return period[:d]
-    return period
+def _order_key(s: FCSet) -> tuple[bool, tuple[int, ...]]:
+    return s.cofinite, tuple(iter_bits(s.bits))
 
 
 @dataclass(frozen=True)
@@ -120,7 +109,7 @@ class FCSeq:
         if not self.period:
             raise ValueError("period must be nonempty")
         object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        object.__setattr__(self, "period", _least_rotation(_primitive(tuple(self.period))))
+        object.__setattr__(self, "period", canonical_period(tuple(self.period), _order_key))
 
     def value_at(self, i: int) -> FCSet:
         if i < len(self.preperiod):

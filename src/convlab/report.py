@@ -2,9 +2,12 @@
 carrier, their order relations with strictness witnesses, and emit DOT, JSON,
 or a text table.
 
-Every relation the theory asserts is re-verified from the computed payloads;
-a violation aborts with a witness rather than producing a silently wrong
-diagram.
+The order is decided once: for every ordered pair of distinct nodes of one
+kind, ``escape[a, b]`` is the witness that a is not below b, or None when it
+is.  Relations, equality classes and the Hasse edges are read from that
+table, and so are the relations the theory asserts, listed as rows of
+``REQUIRED`` and ``MEET_IDENTITIES``; a violation aborts with a witness rather
+than producing a silently wrong diagram.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Optional, Union
 
 from .algebra import Carrier
 from .convergence import (
-    Convergence, first_escape, lambda_li, lambda_ls, lambda_s, leq_conv, meet_conv, star,
+    Convergence, first_escape, lambda_li, lambda_ls, lambda_s, meet_conv, star,
 )
 from .seqclass import class_from_mask
 from .topology import (
@@ -51,6 +54,38 @@ CONVERGENCE_NODES = (
 
 TOPOLOGY_NODES = ("O_ls", "O_li", "O_s", "O_lsi")
 
+# The relations the theory asserts, (a, rel, b) with rel "<=", "<" or "=";
+# on topologies "<=" is inclusion of the opens.  Checked in this order.
+REQUIRED = (
+    ("lambda_s", "<", "lambda_ls"),
+    ("lambda_s", "<", "lambda_li"),
+    ("lambda_s_star", "<", "lambda_ls_star"),
+    ("lambda_s_star", "<", "lambda_li_star"),
+    ("lim_O_lsi", "<", "lim_O_ls"),
+    ("lim_O_lsi", "<", "lim_O_li"),
+    # star extends
+    ("lambda_ls", "<=", "lambda_ls_star"),
+    ("lambda_li", "<=", "lambda_li_star"),
+    ("lambda_s", "<=", "lambda_s_star"),
+    # star against topological limits: equal at this scale, but the general
+    # theory only promises <= for the one-sided laws
+    ("lambda_ls_star", "<=", "lim_O_ls"),
+    ("lambda_li_star", "<=", "lim_O_li"),
+    ("lambda_s_star", "=", "lim_O_s"),
+    ("O_ls", "<=", "O_s"),
+    ("O_li", "<=", "O_s"),
+    ("O_lsi", "<=", "O_s"),
+    ("O_ls", "<", "O_lsi"),
+    ("O_li", "<", "O_lsi"),
+)
+
+# (a, b, c): the pointwise meet of a and b is c.  Checked before REQUIRED.
+MEET_IDENTITIES = (
+    ("lambda_ls", "lambda_li", "lambda_s"),
+    ("lambda_ls_star", "lambda_li_star", "lambda_s_star"),
+    ("lim_O_ls", "lim_O_li", "lim_O_lsi"),
+)
+
 
 @dataclass(frozen=True)
 class DiagramNode:
@@ -72,7 +107,6 @@ class Relation:
     rel: str  # "<=" | "subset"
     strict: bool
     witness: Optional[str] = None
-    note: Optional[str] = None
 
 
 @dataclass
@@ -99,68 +133,60 @@ def _topo_subset_witness(a: Topology, b: Topology) -> Optional[str]:
     return "open {" + ",".join(repr(e) for e in elems) + "}"
 
 
+# kind, node names, relation label, witness that a is not below b
+KINDS = (
+    ("convergence", CONVERGENCE_NODES, "<=", _conv_leq_witness),
+    ("topology", TOPOLOGY_NODES, "subset", _topo_subset_witness),
+)
+
+
 def build_figure1(carrier: Carrier) -> DiagramReport:
     """Compute all diagram nodes on the carrier and verify the asserted
     relations, raising RelationViolation (with a witness) on any failure."""
-    l_ls = lambda_ls(carrier)
-    l_li = lambda_li(carrier)
-    l_s = lambda_s(carrier)
-    l_ls_star = star(l_ls)
-    l_li_star = star(l_li)
-    l_s_star = star(l_s)
-    o_ls = synthesize_O_lambda(l_ls)
-    o_li = synthesize_O_lambda(l_li)
-    o_s = synthesize_O_lambda(l_s)
-    o_lsi = join_topologies(o_ls, o_li)
-    lim_ls = lim_of_topology_as_convergence(o_ls)
-    lim_li = lim_of_topology_as_convergence(o_li)
-    lim_s = lim_of_topology_as_convergence(o_s)
-    lim_lsi = lim_of_topology_as_convergence(o_lsi)
-
-    convs = {
-        "lambda_ls": l_ls,
-        "lambda_li": l_li,
-        "lambda_s": l_s,
-        "lambda_ls_star": l_ls_star,
-        "lambda_li_star": l_li_star,
-        "lambda_s_star": l_s_star,
-        "lim_O_ls": lim_ls,
-        "lim_O_li": lim_li,
-        "lim_O_s": lim_s,
-        "lim_O_lsi": lim_lsi,
+    payloads = {
+        "lambda_ls": lambda_ls(carrier),
+        "lambda_li": lambda_li(carrier),
+        "lambda_s": lambda_s(carrier),
     }
-    topos = {"O_ls": o_ls, "O_li": o_li, "O_s": o_s, "O_lsi": o_lsi}
+    for law in ("ls", "li", "s"):
+        payloads[f"lambda_{law}_star"] = star(payloads[f"lambda_{law}"])
+        payloads[f"O_{law}"] = synthesize_O_lambda(payloads[f"lambda_{law}"])
+    payloads["O_lsi"] = join_topologies(payloads["O_ls"], payloads["O_li"])
+    for law in ("ls", "li", "s", "lsi"):
+        payloads[f"lim_O_{law}"] = lim_of_topology_as_convergence(payloads[f"O_{law}"])
 
     report = DiagramReport(carrier=carrier)
-    for name in CONVERGENCE_NODES:
-        report.nodes.append(DiagramNode(name, "convergence", convs[name]))
-    for name in TOPOLOGY_NODES:
-        report.nodes.append(DiagramNode(name, "topology", topos[name]))
+    escape: dict[tuple[str, str], Optional[str]] = {}
+    for kind, names, rel, witness in KINDS:
+        report.nodes += [DiagramNode(name, kind, payloads[name]) for name in names]
+        pairs = [(a, b) for a in names for b in names if a != b]
+        escape.update({(a, b): witness(payloads[a], payloads[b]) for a, b in pairs})
+        report.relations += [
+            Relation(a, b, rel, escape[b, a] is not None, escape[b, a])
+            for a, b in pairs
+            if escape[a, b] is None
+        ]
 
-    # all pairwise relations
-    for a in CONVERGENCE_NODES:
-        for b in CONVERGENCE_NODES:
-            if a == b:
-                continue
-            if leq_conv(convs[a], convs[b]):
-                strict = not leq_conv(convs[b], convs[a])
-                witness = _conv_leq_witness(convs[b], convs[a]) if strict else None
-                report.relations.append(Relation(a, b, "<=", strict, witness))
-    for a in TOPOLOGY_NODES:
-        for b in TOPOLOGY_NODES:
-            if a == b:
-                continue
-            if topos[a] <= topos[b]:
-                strict = topos[a] != topos[b]
-                witness = _topo_subset_witness(topos[b], topos[a]) if strict else None
-                report.relations.append(Relation(a, b, "subset", strict, witness))
+    def same(a: str, b: str) -> bool:
+        return escape[a, b] is None and escape[b, a] is None
 
-    _verify_required(carrier, convs, topos)
+    for a, b, c in MEET_IDENTITIES:
+        meet = meet_conv(payloads[a], payloads[b])
+        if meet != payloads[c]:
+            witness = _conv_leq_witness(meet, payloads[c]) or _conv_leq_witness(payloads[c], meet)
+            raise RelationViolation(f"{a} & {b} = {c} fails", witness)
+    for a, rel, b in REQUIRED:
+        up, down = escape[a, b], escape[b, a]
+        if up is not None or (rel == "<" and down is None) or (rel == "=" and down is not None):
+            raise RelationViolation(f"{a} {rel} {b} fails", up or (down if rel == "=" else None))
 
-    report.equality_classes = {
-        "convergence": _equality_classes(CONVERGENCE_NODES, lambda a, b: convs[a] == convs[b]),
-        "topology": _equality_classes(TOPOLOGY_NODES, lambda a, b: topos[a] == topos[b]),
-    }
+    # the finite-scale collapse and its round trip
+    if same("lim_O_lsi", "lim_O_s") and is_sequential(payloads["O_lsi"]) and not same("O_lsi", "O_s"):
+        raise RelationViolation(
+            "sequential O_lsi with matching limits must equal O_s", escape["O_s", "O_lsi"]
+        )
+
+    report.equality_classes = {kind: _equality_classes(names, same) for kind, names, _, _ in KINDS}
     report.collapse = {
         "convergences": len(report.equality_classes["convergence"]),
         "topologies": len(report.equality_classes["topology"]),
@@ -178,69 +204,6 @@ def _equality_classes(names, same) -> list[list[str]]:
         else:
             groups.append([name])
     return groups
-
-
-def _verify_required(carrier, convs, topos) -> None:
-    def require_eq(a: str, b: str) -> None:
-        if convs[a] != convs[b]:
-            raise RelationViolation(
-                f"{a} != {b}", _conv_leq_witness(convs[a], convs[b]) or _conv_leq_witness(convs[b], convs[a])
-            )
-
-    def require_lt(a: str, b: str) -> None:
-        if not leq_conv(convs[a], convs[b]):
-            raise RelationViolation(f"{a} <= {b} fails", _conv_leq_witness(convs[a], convs[b]))
-        if leq_conv(convs[b], convs[a]):
-            raise RelationViolation(f"{a} < {b} is not strict")
-
-    # intersection identities
-    if meet_conv(convs["lambda_ls"], convs["lambda_li"]) != convs["lambda_s"]:
-        raise RelationViolation("lambda_ls & lambda_li != lambda_s")
-    if meet_conv(convs["lambda_ls_star"], convs["lambda_li_star"]) != convs["lambda_s_star"]:
-        raise RelationViolation("lambda_ls* & lambda_li* != lambda_s*")
-    if meet_conv(convs["lim_O_ls"], convs["lim_O_li"]) != convs["lim_O_lsi"]:
-        raise RelationViolation("lim_O_ls & lim_O_li != lim_O_lsi")
-
-    # strictness
-    require_lt("lambda_s", "lambda_ls")
-    require_lt("lambda_s", "lambda_li")
-    require_lt("lambda_s_star", "lambda_ls_star")
-    require_lt("lambda_s_star", "lambda_li_star")
-    require_lt("lim_O_lsi", "lim_O_ls")
-    require_lt("lim_O_lsi", "lim_O_li")
-
-    # star extends
-    for base, starred in (
-        ("lambda_ls", "lambda_ls_star"),
-        ("lambda_li", "lambda_li_star"),
-        ("lambda_s", "lambda_s_star"),
-    ):
-        if not leq_conv(convs[base], convs[starred]):
-            raise RelationViolation(f"{base} <= {starred} fails")
-
-    # star against topological limits; equality at this scale, the general
-    # theory only promises <=
-    if not leq_conv(convs["lambda_ls_star"], convs["lim_O_ls"]):
-        raise RelationViolation("lambda_ls* <= lim_O_ls fails")
-    if not leq_conv(convs["lambda_li_star"], convs["lim_O_li"]):
-        raise RelationViolation("lambda_li* <= lim_O_li fails")
-    require_eq("lambda_s_star", "lim_O_s")
-
-    # topology inclusions
-    for small, big in (("O_ls", "O_s"), ("O_li", "O_s"), ("O_lsi", "O_s"), ("O_ls", "O_lsi"), ("O_li", "O_lsi")):
-        if not topos[small] <= topos[big]:
-            raise RelationViolation(f"{small} subset {big} fails", _topo_subset_witness(topos[small], topos[big]))
-    for small, big in (("O_ls", "O_lsi"), ("O_li", "O_lsi")):
-        if topos[small] == topos[big]:
-            raise RelationViolation(f"{small} strictly below {big} fails")
-
-    # the finite-scale collapse and its round trip
-    if convs["lim_O_lsi"] == convs["lim_O_s"] and is_sequential(topos["O_lsi"]):
-        if topos["O_lsi"] != topos["O_s"]:
-            raise RelationViolation(
-                "sequential O_lsi with matching limits must equal O_s",
-                _topo_subset_witness(topos["O_s"], topos["O_lsi"]),
-            )
 
 
 REPORT_SCHEMA = {
@@ -299,14 +262,14 @@ def _group_label(group: list[str]) -> str:
     return " = ".join(group)
 
 
-def _hasse_edges(groups: list[list[str]], leq) -> list[tuple[int, int]]:
+def _hasse_edges(groups: list[list[str]], below: set[tuple[str, str]]) -> list[tuple[int, int]]:
     """Covering relation between equality classes: edges with no shortcuts."""
     n = len(groups)
-    below = [[leq(groups[i][0], groups[j][0]) and i != j for j in range(n)] for i in range(n)]
+    lt = [[(groups[i][0], groups[j][0]) in below for j in range(n)] for i in range(n)]
     edges = []
     for i in range(n):
         for j in range(n):
-            if below[i][j] and not any(below[i][k] and below[k][j] for k in range(n)):
+            if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n)):
                 edges.append((i, j))
     return edges
 
@@ -343,23 +306,16 @@ def _emit_json(report: DiagramReport) -> str:
 
 
 def _emit_dot(report: DiagramReport) -> str:
-    payloads = {n.name: n.payload for n in report.nodes}
-
-    def conv_leq(a, b):
-        return leq_conv(payloads[a], payloads[b])
-
-    def topo_leq(a, b):
-        return payloads[a] <= payloads[b]
-
+    below = {(r.lhs, r.rhs) for r in report.relations}
     lines = ["digraph diagram {", "  rankdir=BT;"]
-    for kind, order in (("convergence", conv_leq), ("topology", topo_leq)):
+    for kind in ("convergence", "topology"):
         groups = report.equality_classes[kind]
         lines.append(f"  subgraph cluster_{kind} {{")
         plural = "convergences" if kind == "convergence" else "topologies"
         lines.append(f'    label="{plural} on P({report.carrier.n})";')
         for i, g in enumerate(groups):
             lines.append(f'    {kind}_{i} [label="{_group_label(g)}"];')
-        for i, j in _hasse_edges(groups, order):
+        for i, j in _hasse_edges(groups, below):
             lines.append(f"    {kind}_{i} -> {kind}_{j};")
         lines.append("  }")
     lines.append("}")

@@ -159,11 +159,13 @@ class Topology:
 def first_open_not_in(a: Topology, b: Topology) -> Optional[int]:
     """Smallest mask that is open in a and not in b; None when a <= b.
 
-    Walks a's opens in ascending mask order, deciding bits from the top:
-    leaving p out forces its closure out, taking p in forces N(p) in, and
-    neither choice can contradict an earlier one.
+    Inclusion is decided first, on the neighbourhood arrays.  Otherwise the
+    walk visits a's opens in ascending mask order, deciding bits from the
+    top: leaving p out forces its closure out, taking p in forces N(p) in,
+    and neither choice can contradict an earlier one.
     """
-    _check_same_carrier(a, b)
+    if a <= b:
+        return None
     mins, closures = a.min_neighborhoods, a.point_closures
     stack = [(a.carrier.size - 1, 0, 0)]
     while stack:

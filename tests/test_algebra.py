@@ -10,6 +10,7 @@ from convlab.algebra import (
     CarrierMismatchError,
     Element,
     EPSeq,
+    canonical_period,
     complement,
     downset,
     join,
@@ -189,7 +190,27 @@ class TestLimInfSup:
             assert liminf(x) == complement(limsup(pointwise_complement(x)))
 
 
+def rotation_oracle(period, key):
+    """Oracle for canonical_period: the shortest repeating block, then the
+    least of its rotations, each rotation's keys rebuilt."""
+    n = len(period)
+    d = min(d for d in range(1, n + 1) if n % d == 0 and period == period[:d] * (n // d))
+    block = period[:d]
+    rotations = [block[i:] + block[:i] for i in range(d)]
+    return min(rotations, key=lambda r: tuple(key(e) for e in r))
+
+
 class TestEPSeqCanonicalization:
+    @given(
+        block=st.lists(st.integers(0, 3).map(lambda m: Element(m, 2)), min_size=1, max_size=5),
+        repeat=st.integers(1, 3),
+    )
+    def test_matches_rotation_oracle(self, block, repeat):
+        period = tuple(block) * repeat
+        expected = rotation_oracle(period, lambda e: e.mask)
+        assert canonical_period(period, lambda e: e.mask) == expected
+        assert EPSeq((), period).period == expected
+
     def test_repeated_period_collapses(self, p2):
         a, b = p2.element([0]), p2.element([1])
         assert EPSeq((), (a, b, a, b)).period == (a, b)

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convlab.algebra import canonical_period
 from convlab.cube import (
     FC_EMPTY,
     FC_FULL,
     FCSeq,
     FCSet,
+    _order_key,
     candidate_limits,
     check_T1235a,
     fc_cofinite,
@@ -24,6 +26,8 @@ from convlab.cube import (
     lim_cantor,
 )
 from convlab.verify import random_fcseq
+
+from test_algebra import rotation_oracle
 
 
 def brute_membership(s: FCSet, window: int = 12) -> tuple:
@@ -280,6 +284,13 @@ class TestInvariances:
 
 
 class TestFCSeqCanonicalization:
+    @given(block=st.lists(fcsets(2), min_size=1, max_size=5), repeat=st.integers(1, 3))
+    def test_matches_rotation_oracle(self, block, repeat):
+        period = tuple(block) * repeat
+        expected = rotation_oracle(period, lambda s: (s.cofinite, tuple(sorted(s.support))))
+        assert canonical_period(period, _order_key) == expected
+        assert FCSeq((), period).period == expected
+
     def test_period_rotation_and_reduction(self):
         a, b = fc_finite([0]), fc_finite([1])
         assert FCSeq((), (b, a, b, a)).period == FCSeq((), (a, b)).period

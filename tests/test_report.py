@@ -3,8 +3,9 @@ import json
 import jsonschema
 import pytest
 
+from convlab import report as report_module
 from convlab.algebra import Carrier
-from convlab.convergence import lambda_s, leq_conv
+from convlab.convergence import Convergence, lambda_li, lambda_ls, lambda_s, leq_conv, star
 from convlab.report import (
     CONVERGENCE_NODES,
     REPORT_SCHEMA,
@@ -15,7 +16,14 @@ from convlab.report import (
     build_figure1,
     emit,
 )
-from convlab.topology import discrete
+from convlab.topology import (
+    Topology,
+    discrete,
+    generate,
+    join_topologies,
+    lim_of_topology_as_convergence,
+    synthesize_O_lambda,
+)
 
 
 @pytest.fixture(scope="module")
@@ -133,12 +141,97 @@ class TestEmitters:
             assert emit(report_p2, fmt) == emit(report_p2, fmt)
 
 
+def tamper_star(monkeypatch, law, replacement):
+    """star returns replacement(carrier) for the law's convergence."""
+    monkeypatch.setattr(
+        report_module,
+        "star",
+        lambda lam, warn=True: replacement(lam.carrier) if lam == law(lam.carrier) else star(lam, warn),
+    )
+
+
+def honest_limits(monkeypatch, honest):
+    """The limits of each tampered topology are those of its honest one."""
+    monkeypatch.setattr(
+        report_module,
+        "lim_of_topology_as_convergence",
+        lambda o: lim_of_topology_as_convergence(honest.get(o, o)),
+    )
+
+
 class TestViolationPath:
-    def test_tampered_relation_detected(self, report_p2):
-        # the verifier runs inside build_figure1; simulate a broken payload by
-        # checking the exception type is raised from a direct misuse
-        with pytest.raises(RelationViolation):
-            raise RelationViolation("demo", witness="class {bottom}")
+    """Each case breaks one payload of build_figure1 on P(2) so that one
+    asserted relation is the first to fail, and checks that it is named."""
+
+    def test_tampered_relation_detected(self, monkeypatch):
+        # a join that forgets O_li has the limits of O_ls: the meet identity breaks
+        monkeypatch.setattr(report_module, "join_topologies", lambda a, b: a)
+        with pytest.raises(RelationViolation, match=r"lim_O_ls & lim_O_li !?= lim_O_lsi"):
+            build_figure1(Carrier(2))
+
+    def test_strictness_checked(self, monkeypatch):
+        # lambda_ls* = lambda_s keeps every meet, but lambda_s* < lambda_ls* is not strict
+        tamper_star(monkeypatch, lambda_ls, lambda_s)
+        with pytest.raises(RelationViolation, match=r"lambda_s_star < lambda_ls_star"):
+            build_figure1(Carrier(2))
+
+    def test_star_extension_checked(self, monkeypatch):
+        # lambda_ls with the top point dropped from the bottom's column: strictly
+        # between lambda_s and lambda_ls, so only lambda_ls <= lambda_ls* fails
+        def shrunk(carrier):
+            lim1 = list(carrier.up_masks)
+            lim1[0] &= ~(1 << (carrier.size - 1))
+            return Convergence(carrier, lim1=lim1)
+
+        tamper_star(monkeypatch, lambda_ls, shrunk)
+        with pytest.raises(RelationViolation, match=r"lambda_ls <= lambda_ls_star fails"):
+            build_figure1(Carrier(2))
+
+    def test_equality_checked(self, monkeypatch):
+        # O_s replaced by O_ls: lim_O_s becomes lambda_ls, only the equality reads it
+        real = synthesize_O_lambda
+        monkeypatch.setattr(
+            report_module,
+            "synthesize_O_lambda",
+            lambda lam: real(lambda_ls(lam.carrier) if lam == lambda_s(lam.carrier) else lam),
+        )
+        with pytest.raises(RelationViolation, match=r"lambda_s_star !?= lim_O_s") as err:
+            build_figure1(Carrier(2))
+        assert err.value.witness == "class InfClass({})"
+
+    def test_topology_strictness_checked(self, monkeypatch):
+        # O_lsi replaced by O_ls with its top point made open: it lies strictly
+        # above O_ls but misses the up-sets of O_li; its limits stay honest
+        carrier = Carrier(2)
+        o_ls = synthesize_O_lambda(lambda_ls(carrier))
+        o_li = synthesize_O_lambda(lambda_li(carrier))
+        top = 1 << (carrier.size - 1)
+        fake = Topology.from_min_neighborhoods(carrier, o_ls.min_neighborhoods[:-1] + (top,))
+        monkeypatch.setattr(report_module, "join_topologies", lambda a, b: fake)
+        honest_limits(monkeypatch, {fake: join_topologies(o_ls, o_li)})
+        with pytest.raises(RelationViolation, match=r"O_li (subset|<) O_lsi fails") as err:
+            build_figure1(carrier)
+        assert err.value.witness == "open {{0},{0,1}}"
+
+    def test_collapse_round_trip_checked(self, monkeypatch):
+        # O_li replaced by the topology whose only proper open is the top point:
+        # every inclusion holds, limits stay honest, yet the join is not O_s
+        carrier = Carrier(2)
+        o_ls = synthesize_O_lambda(lambda_ls(carrier))
+        o_li = synthesize_O_lambda(lambda_li(carrier))
+        coarse = generate(carrier, [1 << (carrier.size - 1)])
+        real = synthesize_O_lambda
+        monkeypatch.setattr(
+            report_module,
+            "synthesize_O_lambda",
+            lambda lam: coarse if lam == lambda_li(lam.carrier) else real(lam),
+        )
+        honest_limits(
+            monkeypatch, {coarse: o_li, join_topologies(o_ls, coarse): join_topologies(o_ls, o_li)}
+        )
+        with pytest.raises(RelationViolation, match="sequential O_lsi with matching limits must equal O_s") as err:
+            build_figure1(carrier)
+        assert err.value.witness == "open {{0}}"
 
     def test_violation_message_includes_witness(self):
         err = RelationViolation("a <= b fails", witness="class X")

@@ -18,6 +18,7 @@ from convlab.topology import (
     check_closed_char,
     complement_homeomorphism_check,
     discrete,
+    first_open_not_in,
     generate,
     generate_from_elements,
     is_sequential,
@@ -310,3 +311,15 @@ class TestOpenFamilyClosure:
         # {0} and {1} are open but their union, mask 3, is missing
         with pytest.raises(ValueError):
             Topology(p2, [0, 1, 2, 15])
+
+
+class TestFirstOpenNotIn:
+    def test_included_pair_is_decided_without_a_walk(self, monkeypatch):
+        carrier = Carrier(4)
+        o_s = synthesize_O_lambda(lambda_s(carrier))
+        o_ls = synthesize_O_lambda(lambda_ls(carrier))
+        for a in (o_s, o_ls):
+            calls = []
+            monkeypatch.setattr(o_s, "is_open_mask", lambda mask: calls.append(mask) or True)
+            assert first_open_not_in(a, o_s) is None
+            assert calls == []
