@@ -8,13 +8,11 @@ from .algebra import (
     Element,
     EPSeq,
     complement,
-    downset,
     join,
     leq,
     liminf,
     limsup,
     meet,
-    upset,
 )
 from .convergence import (
     ClosureAxiomError,
@@ -59,7 +57,6 @@ __all__ = [
     "check_L3",
     "check_hbar",
     "complement",
-    "downset",
     "generate",
     "inf_class",
     "is_hausdorff",
@@ -82,7 +79,6 @@ __all__ = [
     "star",
     "subsequence_classes",
     "synthesize_O_lambda",
-    "upset",
 ]
 
 __version__ = "0.1.0"

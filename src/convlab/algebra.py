@@ -62,36 +62,6 @@ def leq(a: Element, b: Element) -> bool:
     return a.mask & b.mask == a.mask
 
 
-def upset(elements: Iterable[Element]) -> frozenset[Element]:
-    """All carrier elements lying above some member of ``elements``."""
-    elems = list(elements)
-    if not elems:
-        return frozenset()
-    width = elems[0].width
-    for e in elems:
-        _check_same(elems[0], e)
-    return frozenset(
-        Element(m, width)
-        for m in range(1 << width)
-        if any(e.mask & m == e.mask for e in elems)
-    )
-
-
-def downset(elements: Iterable[Element]) -> frozenset[Element]:
-    """All carrier elements lying below some member of ``elements``."""
-    elems = list(elements)
-    if not elems:
-        return frozenset()
-    width = elems[0].width
-    for e in elems:
-        _check_same(elems[0], e)
-    return frozenset(
-        Element(m, width)
-        for m in range(1 << width)
-        if any(e.mask & m == m for e in elems)
-    )
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, ascending."""
     while mask:
@@ -231,10 +201,3 @@ def liminf(x: EPSeq) -> Element:
 def limsup(x: EPSeq) -> Element:
     """Smallest element above infinitely many entries: join of the period."""
     return reduce(join, set(x.period))
-
-
-def pointwise_complement(x: EPSeq) -> EPSeq:
-    return EPSeq(
-        tuple(complement(e) for e in x.preperiod),
-        tuple(complement(e) for e in x.period),
-    )

@@ -83,6 +83,8 @@ class Convergence:
             raise ValueError("exactly one of table and lim1 is required")
         if lim1 is not None and len(lim1) != carrier.size:
             raise ValueError(f"expected {carrier.size} singleton limits, got {len(lim1)}")
+        if table is not None and len(table) != 1 << carrier.size:
+            raise ValueError(f"expected a table of 2^{carrier.size} entries, got {len(table)}")
         entries = table if lim1 is None else lim1
         if entries and not 0 <= min(entries) <= max(entries) < 1 << carrier.size:
             raise ValueError(f"limit masks must lie in 0..2^{carrier.size} - 1")

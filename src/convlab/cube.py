@@ -90,10 +90,6 @@ def fc_intersection(a: FCSet, b: FCSet) -> FCSet:
     return _fc(False, a.bits & ~b.bits if b.cofinite else a.bits & b.bits)
 
 
-def fc_difference(a: FCSet, b: FCSet) -> FCSet:
-    return fc_intersection(a, fc_complement(b))
-
-
 def _order_key(s: FCSet) -> tuple[bool, tuple[int, ...]]:
     return s.cofinite, tuple(iter_bits(s.bits))
 
@@ -184,13 +180,13 @@ def lim_cantor(x: FCSeq) -> Optional[FCSet]:
     return fc_limsup(x) if constant else None
 
 
-def candidate_limits(x: FCSeq, rng, count: int = 8) -> list[FCSet]:
-    """A candidate pool for predicate sweeps: structured candidates derived
-    from the sequence plus seeded random finite/cofinite sets in its window."""
+def candidate_limits(x: FCSeq, rng) -> list[FCSet]:
+    """A candidate pool for predicate sweeps: six structured candidates derived
+    from the sequence, then eight seeded random finite/cofinite sets in its window."""
     li, ls = fc_liminf(x), fc_limsup(x)
     pool = [li, ls, fc_complement(li), fc_complement(ls), FC_EMPTY, FC_FULL]
     universe = [1 << i for i in iter_bits(_window(_supports(x)))]
-    for _ in range(count):
+    for _ in range(8):
         bits = sum(b for b in universe if rng.random() < 0.5)
         pool.append(_fc(rng.random() < 0.5, bits))
     return pool

@@ -2,6 +2,10 @@
 carrier, their order relations with strictness witnesses, and emit DOT, JSON,
 or a text table.
 
+``figure_nodes`` is the one builder of the nodes, by name: ``build_figure1``,
+``verify.VerifyContext`` and ``submeasure.check_halfball_opens`` read them
+from it.
+
 The order is decided once: for every ordered pair of distinct nodes of one
 kind, ``escape[a, b]`` is the witness that a is not below b, or None when it
 is.  Relations, equality classes and the Hasse edges are read from that
@@ -140,21 +144,28 @@ KINDS = (
 )
 
 
-def build_figure1(carrier: Carrier) -> DiagramReport:
-    """Compute all diagram nodes on the carrier and verify the asserted
-    relations, raising RelationViolation (with a witness) on any failure."""
-    payloads = {
+def figure_nodes(carrier: Carrier) -> dict[str, Union[Convergence, Topology]]:
+    """Every diagram node on the carrier, by name: the three laws and their
+    stars, their sequential topologies and the join O_lsi, and the limit
+    operator of each topology."""
+    nodes: dict[str, Union[Convergence, Topology]] = {
         "lambda_ls": lambda_ls(carrier),
         "lambda_li": lambda_li(carrier),
         "lambda_s": lambda_s(carrier),
     }
     for law in ("ls", "li", "s"):
-        payloads[f"lambda_{law}_star"] = star(payloads[f"lambda_{law}"])
-        payloads[f"O_{law}"] = synthesize_O_lambda(payloads[f"lambda_{law}"])
-    payloads["O_lsi"] = join_topologies(payloads["O_ls"], payloads["O_li"])
+        nodes[f"lambda_{law}_star"] = star(nodes[f"lambda_{law}"])
+        nodes[f"O_{law}"] = synthesize_O_lambda(nodes[f"lambda_{law}"])
+    nodes["O_lsi"] = join_topologies(nodes["O_ls"], nodes["O_li"])
     for law in ("ls", "li", "s", "lsi"):
-        payloads[f"lim_O_{law}"] = lim_of_topology_as_convergence(payloads[f"O_{law}"])
+        nodes[f"lim_O_{law}"] = lim_of_topology_as_convergence(nodes[f"O_{law}"])
+    return nodes
 
+
+def build_figure1(carrier: Carrier) -> DiagramReport:
+    """Compute all diagram nodes on the carrier and verify the asserted
+    relations, raising RelationViolation (with a witness) on any failure."""
+    payloads = figure_nodes(carrier)
     report = DiagramReport(carrier=carrier)
     escape: dict[tuple[str, str], Optional[str]] = {}
     for kind, names, rel, witness in KINDS:
@@ -180,7 +191,9 @@ def build_figure1(carrier: Carrier) -> DiagramReport:
         if up is not None or (rel == "<" and down is None) or (rel == "=" and down is not None):
             raise RelationViolation(f"{a} {rel} {b} fails", up or (down if rel == "=" else None))
 
-    # the finite-scale collapse and its round trip
+    # The finite-scale collapse and its round trip.  A finite topology is fixed
+    # by its limit operator, so with lim_O_lsi = lim_O_s this fails only when a
+    # limit operator disagrees with the topology it was built from.
     if same("lim_O_lsi", "lim_O_s") and is_sequential(payloads["O_lsi"]) and not same("O_lsi", "O_s"):
         raise RelationViolation(
             "sequential O_lsi with matching limits must equal O_s", escape["O_s", "O_lsi"]

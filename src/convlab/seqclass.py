@@ -3,7 +3,8 @@
 Every implemented convergence depends on a sequence only through the set of
 values it takes infinitely often, and subsequence quantifiers reduce to
 nonempty subsets of that set.  This module provides the quotient map, its
-section, and concrete subsequence constructors that realize the reduction.
+section (``representative``) and the subclass enumeration; the concrete
+subsequence constructors that realize the reduction are test oracles.
 """
 
 from __future__ import annotations
@@ -71,44 +72,3 @@ def all_classes(carrier: Carrier):
     """All 2^(2^n) - 1 classes in ascending characteristic-mask order."""
     for mask in range(1, 1 << carrier.size):
         yield class_from_mask(carrier, mask)
-
-
-# -- concrete subsequence constructors -------------------------------------
-#
-# These sample the underlying infinite sequence through explicit increasing
-# index maps, so the class-level reduction can be property-tested against
-# honest subsequences.
-
-def drop_prefix(x: EPSeq, k: int) -> EPSeq:
-    """The subsequence x_{k}, x_{k+1}, ... (delete the first k entries)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k <= len(x.preperiod):
-        return EPSeq(x.preperiod[k:], x.period)
-    off = (k - len(x.preperiod)) % len(x.period)
-    return EPSeq((), x.period[off:] + x.period[:off])
-
-
-def stride(x: EPSeq, k: int) -> EPSeq:
-    """The subsequence x_0, x_k, x_{2k}, ... (every k-th entry)."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    pre_len = len(x.preperiod)
-    q = -(-pre_len // k)  # first j with j*k >= pre_len
-    new_pre = tuple(x.value_at(j * k) for j in range(q))
-    p = len(x.period)
-    new_per = tuple(x.value_at((q + j) * k) for j in range(p))
-    return EPSeq(new_pre, new_per)
-
-
-def select_values(x: EPSeq, values: frozenset[Element]) -> EPSeq:
-    """The subsequence of entries lying in ``values``.
-
-    Realizes any target subclass: for S' a nonempty subset of inf_class(x),
-    select_values(x, S'.values) is an honest subsequence with class S'.
-    """
-    if not values & set(x.period):
-        raise ValueError("values must meet the period, or the selection is finite")
-    new_pre = tuple(e for e in x.preperiod if e in values)
-    new_per = tuple(e for e in x.period if e in values)
-    return EPSeq(new_pre, new_per)

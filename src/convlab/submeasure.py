@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .algebra import Carrier, Element
+from .report import figure_nodes
 from .topology import Topology, generate
 
 
@@ -67,16 +68,9 @@ class Submeasure:
         )
 
     @classmethod
-    def truncated_cardinality(cls, carrier: Carrier, cap: int = 1) -> "Submeasure":
-        """min(cap, |atoms|): subadditive and monotone but not additive."""
-        return cls(
-            carrier,
-            [Fraction(min(cap, m.bit_count())) for m in range(carrier.size)],
-        )
-
-    @classmethod
-    def zero(cls, carrier: Carrier) -> "Submeasure":
-        return cls(carrier, [Fraction(0)] * carrier.size)
+    def truncated_cardinality(cls, carrier: Carrier) -> "Submeasure":
+        """min(1, |atoms|): subadditive and monotone but not additive."""
+        return cls(carrier, [Fraction(min(1, m.bit_count())) for m in range(carrier.size)])
 
     @classmethod
     def from_file(cls, path: str, carrier: Carrier) -> "Submeasure":
@@ -96,13 +90,16 @@ class Submeasure:
             if not line:
                 continue
             where = f"{path}:{lineno}"
+            malformed = SubmeasureTableError(f"{where}: expected 'mask value', got {line!r}")
+            # int() and Fraction() also read non-ASCII digits and "_" digit
+            # separators (Fraction() only from Python 3.11)
+            if not line.isascii() or "_" in line:
+                raise malformed
             try:
                 mask_text, value_text = line.split()
                 mask, value = int(mask_text), Fraction(value_text)
             except (ValueError, ZeroDivisionError):
-                raise SubmeasureTableError(
-                    f"{where}: expected 'mask value', got {line!r}"
-                ) from None
+                raise malformed from None
             if not 0 <= mask < carrier.size:
                 raise SubmeasureTableError(
                     f"{where}: mask {mask} out of range for P({carrier.n})"
@@ -190,9 +187,6 @@ class HalfBallReport:
 def check_halfball_opens(mu: Submeasure, a: Element, r: Fraction) -> HalfBallReport:
     """The two half-balls around a of radius r/2 are open in the left/right
     sequential topologies and squeeze between a and the full ball."""
-    from .convergence import lambda_li, lambda_ls
-    from .topology import synthesize_O_lambda
-
     car = mu.carrier
     half = Fraction(r) / 2
     o1 = frozenset(
@@ -201,12 +195,11 @@ def check_halfball_opens(mu: Submeasure, a: Element, r: Fraction) -> HalfBallRep
     o2 = frozenset(
         x for x in car.elements if mu.values[a.mask & ~x.mask] < half
     )
-    o_ls = synthesize_O_lambda(lambda_ls(car))
-    o_li = synthesize_O_lambda(lambda_li(car))
+    nodes = figure_nodes(car)
     inter = o1 & o2
     b = ball(mu, a, Fraction(r))
     return HalfBallReport(
-        o1_open_in_left=o_ls.is_open(o1),
-        o2_open_in_right=o_li.is_open(o2),
+        o1_open_in_left=nodes["O_ls"].is_open(o1),
+        o2_open_in_right=nodes["O_li"].is_open(o2),
         sandwich=(a in inter) and inter <= b,
     )

@@ -22,6 +22,23 @@ from .convergence import (
     check_L1,
     check_L2,
 )
+from .seqclass import inf_class
+
+
+def _meets_around_points(carrier: Carrier, masks: Iterable[int]) -> list[int]:
+    """out[p] = the AND of the masks holding point p (the carrier where none does).
+
+    Each mask's range is checked before its bits are walked: ``iter_bits``
+    never ends on a negative mask.
+    """
+    full = (1 << carrier.size) - 1
+    out = [full] * carrier.size
+    for mask in masks:
+        if not 0 <= mask <= full:
+            raise ValueError(f"open masks must lie in 0..{full}")
+        for p in iter_bits(mask):
+            out[p] &= mask
+    return out
 
 
 def _transpose(rows: Iterable[int], m: int) -> list[int]:
@@ -38,21 +55,15 @@ class Topology:
 
     ``Topology(carrier, opens)`` builds one from a family of open masks and
     raises ``ValueError`` unless the family contains the empty set and the
-    carrier and is closed under union and intersection.
+    carrier, lies inside the carrier and is closed under union and
+    intersection.
     """
 
     def __init__(self, carrier: Carrier, opens: Iterable[int]):
-        full = (1 << carrier.size) - 1
         family = frozenset(opens)
-        if 0 not in family or full not in family:
+        if 0 not in family or (1 << carrier.size) - 1 not in family:
             raise ValueError("a topology must contain the empty set and the carrier")
-        if any(not 0 <= o <= full for o in family):
-            raise ValueError(f"open masks must lie in 0..{full}")
-        mins = [full] * carrier.size
-        for o in family:
-            for p in iter_bits(o):
-                mins[p] &= o
-        self._set(carrier, mins)
+        self._set(carrier, _meets_around_points(carrier, family))
         # Every member is the union of the minimal neighbourhoods of its
         # points, so the family lies inside the topology the neighbourhoods
         # generate, and equals it exactly when the sizes agree.
@@ -102,10 +113,6 @@ class Topology:
 
     def is_open(self, subset: Iterable[Element]) -> bool:
         return self.is_open_mask(self.carrier.subset_mask(subset))
-
-    def open_families(self) -> list[frozenset[Element]]:
-        """Opens as element sets, in canonical (ascending mask) order."""
-        return [self.carrier.subset_from_mask(o) for o in sorted(self.opens)]
 
     def validate(self) -> bool:
         """Check that the neighbourhoods form a preorder: every point lies in
@@ -201,19 +208,7 @@ def generate(carrier: Carrier, subbase: Iterable[int]) -> Topology:
     Each point's minimal neighborhood is the intersection of the subbase sets
     containing it; the opens are exactly the unions of minimal neighborhoods.
     """
-    m = carrier.size
-    mins = [(1 << m) - 1] * m
-    for s in subbase:
-        for p in range(m):
-            if s >> p & 1:
-                mins[p] &= s
-    return Topology.from_min_neighborhoods(carrier, mins)
-
-
-def generate_from_elements(
-    carrier: Carrier, subbase: Iterable[Iterable[Element]]
-) -> Topology:
-    return generate(carrier, [carrier.subset_mask(s) for s in subbase])
+    return Topology.from_min_neighborhoods(carrier, _meets_around_points(carrier, subbase))
 
 
 def sequential_closure(lam: Convergence, subset_mask: int) -> int:
@@ -256,14 +251,10 @@ def lim_topo(o: Topology, x: EPSeq) -> frozenset[Element]:
     """Topological limits: points whose every neighborhood eventually absorbs x.
 
     a is a limit iff N(a) holds every value v of x's period, iff a lies in
-    each closure of v: the limits are the AND of ``point_closures[v]``.
+    each closure of v: the limits of x's class under the principal operator
+    ``lim_of_topology_as_convergence(o)``, the AND of ``point_closures[v]``.
     """
-    if x.width != o.carrier.n:
-        raise CarrierMismatchError("sequence and topology on different carriers")
-    closures, out = o.point_closures, o.full
-    for v in x.period:
-        out &= closures[v.mask]
-    return o.carrier.subset_from_mask(out)
+    return lim_of_topology_as_convergence(o)(inf_class(x))
 
 
 def join_topologies(o1: Topology, o2: Topology) -> Topology:

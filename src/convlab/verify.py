@@ -14,28 +14,19 @@ from typing import Callable, Optional
 
 from .algebra import MAX_ATOMS, Carrier, EPSeq
 from .convergence import (
-    Convergence,
-    check_hbar,
-    hbar_witness,
-    lambda_li,
-    lambda_ls,
-    lambda_s,
-    leq_conv,
-    meet_conv,
-    sos_intersection_nonempty,
-    star,
+    Convergence, check_hbar, hbar_witness, leq_conv, meet_conv, sos_intersection_nonempty,
 )
 from .cube import (
     FCSeq, FCSet, candidate_limits, check_T1235a, fc_limsup, fc_union, lim_alexandrov, lim_cantor,
 )
+from .report import figure_nodes
 from .seqclass import class_from_mask, inf_class
 from .submeasure import Submeasure, metric_topology, validate_submeasure
 from .topology import (
     Topology,
-    complement_homeomorphism_check,
     check_closed_char,
+    complement_homeomorphism_check,
     generate,
-    join_topologies,
     lim_of_topology_as_convergence,
     space_properties,
     synthesize_O_lambda,
@@ -48,30 +39,16 @@ class VerifyContext:
     seed: int = 0
     samples: int = 1000
     submeasure: Optional[Submeasure] = None
-    _cache: dict = field(default_factory=dict)
+    _nodes: dict[int, dict] = field(default_factory=dict, init=False, repr=False)
+
+    def node(self, name: str, n: int):
+        """The diagram node ``name`` on P(n), from one ``figure_nodes`` build per n."""
+        if n not in self._nodes:
+            self._nodes[n] = figure_nodes(Carrier(n))
+        return self._nodes[n][name]
 
     def carrier(self, n: int) -> Carrier:
-        return self._get(("carrier", n), lambda: Carrier(n))
-
-    def conv(self, name: str, n: int) -> Convergence:
-        builders = {"ls": lambda_ls, "li": lambda_li, "s": lambda_s}
-        return self._get((name, n), lambda: builders[name](self.carrier(n)))
-
-    def topo(self, name: str, n: int) -> Topology:
-        if name == "lsi":
-            return self._get(
-                ("O_lsi", n),
-                lambda: join_topologies(self.topo("ls", n), self.topo("li", n)),
-            )
-        return self._get(
-            ("O_" + name, n),
-            lambda: synthesize_O_lambda(self.conv(name, n)),
-        )
-
-    def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+        return self.node("lambda_ls", n).carrier
 
     def scales(self, cap: int = MAX_ATOMS) -> range:
         return range(1, min(self.atoms, cap) + 1)
@@ -95,9 +72,10 @@ def _random_seq_masks(rng: random.Random, size: int) -> tuple[list[int], list[in
     return pre, [rng.randrange(size) for _ in range(rng.randrange(1, 5))]
 
 
-def random_fcseq(rng: random.Random, window: int = 8) -> FCSeq:
+def random_fcseq(rng: random.Random) -> FCSeq:
+    """A seeded sequence whose sets have supports inside coordinates 0..7."""
     def rand_set() -> FCSet:
-        support = [i for i in range(window) if rng.random() < 0.4]
+        support = [i for i in range(8) if rng.random() < 0.4]
         return FCSet(rng.random() < 0.5, support)
 
     pre = tuple(rand_set() for _ in range(rng.randrange(0, 3)))
@@ -126,19 +104,18 @@ def brute_downsets(n: int) -> int:
 
 def _crit_pointwise_meet(ctx: VerifyContext):
     for n in ctx.scales():
-        if meet_conv(ctx.conv("ls", n), ctx.conv("li", n)) != ctx.conv("s", n):
+        if meet_conv(ctx.node("lambda_ls", n), ctx.node("lambda_li", n)) != ctx.node("lambda_s", n):
             return False, f"pointwise meet mismatch at n={n}"
     return True, f"all classes, {ctx.covered()}"
 
 
 def _crit_star_fixed(ctx: VerifyContext):
     for n in ctx.scales():
-        ls, li, s = ctx.conv("ls", n), ctx.conv("li", n), ctx.conv("s", n)
-        stars = {name: star(c) for name, c in (("ls", ls), ("li", li), ("s", s))}
-        for name, c in (("ls", ls), ("li", li), ("s", s)):
-            if stars[name] != c:
-                return False, f"star(lambda_{name}) != lambda_{name} at n={n}"
-        if stars["s"] != meet_conv(stars["ls"], stars["li"]):
+        for law in ("ls", "li", "s"):
+            if ctx.node(f"lambda_{law}_star", n) != ctx.node(f"lambda_{law}", n):
+                return False, f"star(lambda_{law}) != lambda_{law} at n={n}"
+        ls, li, s = (ctx.node(f"lambda_{law}_star", n) for law in ("ls", "li", "s"))
+        if s != meet_conv(ls, li):
             return False, f"star meet identity fails at n={n}"
     return True, f"star fixes all three convergences, {ctx.covered()}"
 
@@ -146,32 +123,32 @@ def _crit_star_fixed(ctx: VerifyContext):
 def _crit_open_counts(ctx: VerifyContext):
     expected = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
     for n in ctx.scales():
-        got = ctx.topo("ls", n).open_count()
+        got = ctx.node("O_ls", n).open_count()
         independent = brute_downsets(n)
         if got != expected[n] or independent != expected[n]:
             return False, f"n={n}: opens={got}, brute={independent}, expected={expected[n]}"
-        if ctx.topo("s", n).open_count() != 1 << (1 << n):
+        if ctx.node("O_s", n).open_count() != 1 << (1 << n):
             return False, f"n={n}: O_s is not discrete"
     return True, f"down-set counts and discreteness match, {ctx.covered()}"
 
 
 def _crit_closed_char(ctx: VerifyContext):
     for n in ctx.scales():
-        if not check_closed_char(ctx.topo("ls", n), "up"):
+        if not check_closed_char(ctx.node("O_ls", n), "up"):
             return False, f"left closed sets != up-sets at n={n}"
-        if not check_closed_char(ctx.topo("li", n), "down"):
+        if not check_closed_char(ctx.node("O_li", n), "down"):
             return False, f"right closed sets != down-sets at n={n}"
     return True, f"closed sets match the order characterization, {ctx.covered()} (chain clause finite-trivial)"
 
 
 def _crit_join_collapse(ctx: VerifyContext):
     for n in ctx.scales():
-        o_lsi, o_s = ctx.topo("lsi", n), ctx.topo("s", n)
+        o_lsi, o_s = ctx.node("O_lsi", n), ctx.node("O_s", n)
         if o_lsi != o_s:
             return False, f"join != O_s at n={n}"
         if metric_topology(Submeasure.counting(ctx.carrier(n))) != o_s:
             return False, f"metric topology != O_s at n={n}"
-        if lim_of_topology_as_convergence(o_lsi) != ctx.conv("s", n):
+        if ctx.node("lim_O_lsi", n) != ctx.node("lambda_s", n):
             return False, f"lim of join != lambda_s at n={n}"
     return True, f"join, metric and discrete topologies coincide, {ctx.covered()}"
 
@@ -179,7 +156,7 @@ def _crit_join_collapse(ctx: VerifyContext):
 def _crit_limit_intersection(ctx: VerifyContext):
     rng = random.Random(ctx.seed)
     for n in ctx.scales():
-        ls, li, lsi = (lim_of_topology_as_convergence(ctx.topo(name, n)) for name in ("ls", "li", "lsi"))
+        ls, li, lsi = (ctx.node(f"lim_O_{law}", n) for law in ("ls", "li", "lsi"))
         for _ in range(ctx.samples):
             pre, per = _random_seq_masks(rng, 1 << n)
             cls = sum({1 << v for v in per})  # the distinct period values' bits, ORed
@@ -193,21 +170,21 @@ def _crit_strictness(ctx: VerifyContext):
     for n in ctx.scales():
         car = ctx.carrier(n)
         zero_class = inf_class(EPSeq((), (car.bottom,)))
-        if car.top not in ctx.conv("ls", n)(zero_class):
+        if car.top not in ctx.node("lambda_ls", n)(zero_class):
             return False, f"top not a left-limit of the constant-0 sequence at n={n}"
-        if car.top in ctx.conv("s", n)(zero_class):
+        if car.top in ctx.node("lambda_s", n)(zero_class):
             return False, f"top wrongly a two-sided limit at n={n}"
-        for name in ("ls", "li"):
-            if ctx.topo("lsi", n) <= ctx.topo(name, n):
-                return False, f"O_{name} not strictly below the join at n={n}"
+        for law in ("ls", "li"):
+            if ctx.node("O_lsi", n) <= ctx.node(f"O_{law}", n):
+                return False, f"O_{law} not strictly below the join at n={n}"
     return True, f"witness classes and witness opens found, {ctx.covered()}"
 
 
 def _crit_homeo_and_props(ctx: VerifyContext):
     for n in ctx.scales():
-        if not complement_homeomorphism_check(ctx.topo("ls", n), ctx.topo("li", n)):
+        if not complement_homeomorphism_check(ctx.node("O_ls", n), ctx.node("O_li", n)):
             return False, f"complement map is not a homeomorphism at n={n}"
-        props = space_properties(ctx.topo("ls", n))
+        props = space_properties(ctx.node("O_ls", n))
         if not (props.t0 and props.connected and props.compact):
             return False, f"space properties fail at n={n}: {props}"
     return True, f"homeomorphic, T0, connected, compact, {ctx.covered()}"
@@ -237,13 +214,8 @@ def _crit_galois(ctx: VerifyContext):
     rng = random.Random(ctx.seed + 1)
     for n in ctx.scales(cap=3):
         car = ctx.carrier(n)
-        convs = [ctx.conv("ls", n), ctx.conv("li", n), ctx.conv("s", n)]
-        topos = [
-            ctx.topo("ls", n),
-            ctx.topo("li", n),
-            ctx.topo("s", n),
-            ctx.topo("lsi", n),
-        ]
+        convs = [ctx.node(f"lambda_{law}", n) for law in ("ls", "li", "s")]
+        topos = [ctx.node(f"O_{law}", n) for law in ("ls", "li", "s", "lsi")]
         convs += [_random_l12_convergence(car, rng) for _ in range(50)]
         topos += [_random_topology(car, rng) for _ in range(50)]
         lims = [lim_of_topology_as_convergence(o) for o in topos]
@@ -279,21 +251,10 @@ def _crit_submeasures(ctx: VerifyContext):
     for n in ctx.scales():
         car = ctx.carrier(n)
         counting = validate_submeasure(Submeasure.counting(car))
-        if not (
-            counting.zero_on_bottom
-            and counting.monotone
-            and counting.subadditive
-            and counting.strictly_positive
-            and counting.continuous
-        ):
+        if not (counting.is_submeasure() and counting.strictly_positive and counting.continuous):
             return False, f"counting measure fails an axiom at n={n}"
         truncated = validate_submeasure(Submeasure.truncated_cardinality(car))
-        if not (
-            truncated.zero_on_bottom
-            and truncated.monotone
-            and truncated.subadditive
-            and truncated.continuous
-        ):
+        if not (truncated.is_submeasure() and truncated.continuous):
             return False, f"truncated submeasure fails an axiom at n={n}"
     for n in ctx.scales(cap=3):
         car = ctx.carrier(n)
@@ -308,7 +269,7 @@ def _crit_submeasures(ctx: VerifyContext):
         rep = validate_submeasure(loaded)
         if not rep.is_submeasure():
             return False, f"loaded table is not a submeasure: {rep}"
-        if rep.strictly_positive and metric_topology(loaded) != ctx.topo("s", loaded.carrier.n):
+        if rep.strictly_positive and metric_topology(loaded) != ctx.node("O_s", loaded.carrier.n):
             return False, "loaded strictly positive submeasure does not induce O_s"
     loaded_n = f", loaded table n={loaded.carrier.n}" if loaded is not None else ""
     return True, f"axioms {ctx.covered()}, triangle inequality {ctx.covered(3)}{loaded_n}"

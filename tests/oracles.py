@@ -1,0 +1,116 @@
+"""Reference implementations that only the tests call.
+
+Each is a direct, element-by-element construction that the tests compare the
+library's bit-mask code against: up/down sets against ``Carrier.up_masks`` and
+``down_masks``, honest subsequences against the class reduction in
+``convlab.seqclass``, and element-set views of topologies, FC sets and
+submeasures.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable
+
+from convlab.algebra import Carrier, CarrierMismatchError, Element, EPSeq, complement
+from convlab.cube import FCSet, fc_complement, fc_intersection
+from convlab.submeasure import Submeasure
+from convlab.topology import Topology, generate
+
+
+def _width(elems: list[Element]) -> int:
+    width = elems[0].width
+    if any(e.width != width for e in elems):
+        raise CarrierMismatchError("mixed-width elements")
+    return width
+
+
+def upset(elements: Iterable[Element]) -> frozenset[Element]:
+    """All carrier elements lying above some member of ``elements``."""
+    elems = list(elements)
+    if not elems:
+        return frozenset()
+    width = _width(elems)
+    return frozenset(
+        Element(m, width)
+        for m in range(1 << width)
+        if any(e.mask & m == e.mask for e in elems)
+    )
+
+
+def downset(elements: Iterable[Element]) -> frozenset[Element]:
+    """All carrier elements lying below some member of ``elements``."""
+    elems = list(elements)
+    if not elems:
+        return frozenset()
+    width = _width(elems)
+    return frozenset(
+        Element(m, width)
+        for m in range(1 << width)
+        if any(e.mask & m == m for e in elems)
+    )
+
+
+def pointwise_complement(x: EPSeq) -> EPSeq:
+    return EPSeq(
+        tuple(complement(e) for e in x.preperiod),
+        tuple(complement(e) for e in x.period),
+    )
+
+
+# -- concrete subsequence constructors -------------------------------------
+#
+# These sample the underlying infinite sequence through explicit increasing
+# index maps, so the class-level reduction can be property-tested against
+# honest subsequences.
+
+def drop_prefix(x: EPSeq, k: int) -> EPSeq:
+    """The subsequence x_{k}, x_{k+1}, ... (delete the first k entries)."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k <= len(x.preperiod):
+        return EPSeq(x.preperiod[k:], x.period)
+    off = (k - len(x.preperiod)) % len(x.period)
+    return EPSeq((), x.period[off:] + x.period[:off])
+
+
+def stride(x: EPSeq, k: int) -> EPSeq:
+    """The subsequence x_0, x_k, x_{2k}, ... (every k-th entry)."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    pre_len = len(x.preperiod)
+    q = -(-pre_len // k)  # first j with j*k >= pre_len
+    new_pre = tuple(x.value_at(j * k) for j in range(q))
+    p = len(x.period)
+    new_per = tuple(x.value_at((q + j) * k) for j in range(p))
+    return EPSeq(new_pre, new_per)
+
+
+def select_values(x: EPSeq, values: frozenset[Element]) -> EPSeq:
+    """The subsequence of entries lying in ``values``.
+
+    Realizes any target subclass: for S' a nonempty subset of inf_class(x),
+    select_values(x, S'.values) is an honest subsequence with class S'.
+    """
+    if not values & set(x.period):
+        raise ValueError("values must meet the period, or the selection is finite")
+    new_pre = tuple(e for e in x.preperiod if e in values)
+    new_per = tuple(e for e in x.period if e in values)
+    return EPSeq(new_pre, new_per)
+
+
+def generate_from_elements(carrier: Carrier, subbase: Iterable[Iterable[Element]]) -> Topology:
+    return generate(carrier, [carrier.subset_mask(s) for s in subbase])
+
+
+def open_families(topo: Topology) -> list[frozenset[Element]]:
+    """Opens as element sets, in canonical (ascending mask) order."""
+    return [topo.carrier.subset_from_mask(o) for o in sorted(topo.opens)]
+
+
+def fc_difference(a: FCSet, b: FCSet) -> FCSet:
+    return fc_intersection(a, fc_complement(b))
+
+
+def zero_submeasure(carrier: Carrier) -> Submeasure:
+    return Submeasure(carrier, [Fraction(0)] * carrier.size)

@@ -12,15 +12,14 @@ from convlab.algebra import (
     EPSeq,
     canonical_period,
     complement,
-    downset,
     join,
     leq,
     liminf,
     limsup,
     meet,
-    pointwise_complement,
-    upset,
 )
+
+from oracles import downset, pointwise_complement, upset
 
 
 def tail_liminf(x: EPSeq) -> Element:

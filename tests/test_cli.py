@@ -239,8 +239,13 @@ class TestVerify:
             (b"0 0\n1 -1/2\n", "mu.txt:2: value -1/2 is negative"),
             (b"0 0\n1 1/2\n2 1/2\n1 1\n3 1\n", "mu.txt:4: mask 1 already given on line 2"),
             (b"0 0\n\xff 1\n", "mu.txt: not a UTF-8 text file"),
+            ("0 0\n\u0661 1\n".encode(), "mu.txt:2: expected 'mask value', got '\u0661 1'"),
+            (b"0 0\n1 1_0\n", "mu.txt:2: expected 'mask value', got '1 1_0'"),
         ],
-        ids=["non-integer-mask", "zero-denominator", "negative-value", "duplicate-mask", "not-utf8"],
+        ids=[
+            "non-integer-mask", "zero-denominator", "negative-value", "duplicate-mask", "not-utf8",
+            "non-ascii-digit", "underscore",
+        ],
     )
     def test_bad_submeasure_table_is_usage_error(self, runner, tmp_path, table, message):
         path = tmp_path / "mu.txt"

@@ -2,7 +2,7 @@ import warnings
 
 import pytest
 
-from convlab.algebra import Carrier, EPSeq, upset
+from convlab.algebra import Carrier, EPSeq
 from convlab.convergence import (
     Convergence,
     check_hbar,
@@ -19,6 +19,8 @@ from convlab.convergence import (
     star,
 )
 from convlab.seqclass import InfClass, all_classes, class_from_mask, inf_class
+
+from oracles import upset
 
 
 def cls(carrier, *atom_lists):
@@ -251,6 +253,15 @@ class TestEqualityAcrossForms:
     )
     def test_limit_masks_must_lie_in_the_carrier(self, p1, form):
         with pytest.raises(ValueError, match="limit masks"):
+            Convergence(p1, **form)
+
+    # P(1) has two points, so two singleton limits and a table of 2^2 entries;
+    # the six-entry table would hash equal to lambda_s(P(1))
+    @pytest.mark.parametrize(
+        "form", [{"lim1": [1]}, {"lim1": [1, 2, 3]}, {"table": [0, 1]}, {"table": [0, 1, 2, 0, 0, 0]}]
+    )
+    def test_form_length_must_match_the_carrier(self, p1, form):
+        with pytest.raises(ValueError, match="expected"):
             Convergence(p1, **form)
 
     def test_large_carrier_star_fixes_ls(self):

@@ -1,8 +1,11 @@
-"""`convlab diagram` output is byte-identical to the committed goldens.
+"""`convlab diagram` and `convlab verify` output is byte-identical to the
+committed goldens.
 
-The goldens for n = 1..4 in perfbench/goldens/ were captured on the seed
-commit; those for n = 5 in tests/goldens/ were captured before the relation
-table replaced the hand-written checks. Both are read, never rewritten.
+The diagram goldens for n = 1..4 in perfbench/goldens/ were captured on the
+seed commit; those for n = 5 in tests/goldens/ were captured before the
+relation table replaced the hand-written checks. The verify goldens in
+tests/goldens/ were captured before the suite read its nodes from the diagram
+builder. All are read, never rewritten.
 """
 
 from pathlib import Path
@@ -26,3 +29,13 @@ def test_diagram_matches_golden(atoms, fmt):
     result = CliRunner().invoke(main, ["diagram", "--atoms", str(atoms), "--format", fmt])
     assert result.exit_code == 0
     assert result.stdout_bytes == golden(atoms, fmt).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [(["--atoms", "4"], "verify-n4.txt"), (["--atoms", "5", "--samples", "20"], "verify-n5.txt")],
+)
+def test_verify_matches_golden(args, name):
+    result = CliRunner().invoke(main, ["verify", *args])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (ROOT / "tests" / "goldens" / name).read_bytes()

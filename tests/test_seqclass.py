@@ -8,14 +8,12 @@ from convlab.seqclass import (
     all_classes,
     class_from_mask,
     class_mask,
-    drop_prefix,
     inf_class,
     representative,
-    select_values,
-    stride,
     subsequence_classes,
 )
 
+from oracles import drop_prefix, select_values, stride
 from test_algebra import random_epseq
 
 

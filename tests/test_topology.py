@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from convlab.algebra import Carrier, EPSeq, upset
+from convlab.algebra import Carrier, EPSeq
 from convlab.convergence import (
     ClosureAxiomError,
     Convergence,
@@ -20,7 +20,6 @@ from convlab.topology import (
     discrete,
     first_open_not_in,
     generate,
-    generate_from_elements,
     is_sequential,
     join_topologies,
     lim_of_topology_as_convergence,
@@ -31,6 +30,7 @@ from convlab.topology import (
 )
 from convlab.verify import _random_l12_convergence, _random_topology, brute_downsets
 
+from oracles import downset, generate_from_elements, open_families, upset
 from test_algebra import random_epseq
 from test_kernel import brute_topology
 
@@ -45,11 +45,20 @@ class TestGenerate:
         assert len(topo.opens) == 1 << p2.size
 
     def test_up_and_down_sets_generate_discrete(self, p1):
-        from convlab.algebra import downset, upset
-
         subbase = [upset([e]) for e in p1.elements] + [downset([e]) for e in p1.elements]
         topo = generate_from_elements(p1, subbase)
         assert topo == discrete(p1)
+
+    # P(1) has four points; bit 5 lies outside them, and -1 has every bit set
+    @pytest.mark.parametrize("mask", [1 << 5, -1])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda c, m: generate(c, [m]), lambda c, m: Topology(c, [0, 3, m])],
+        ids=["generate", "Topology"],
+    )
+    def test_masks_outside_the_carrier_rejected(self, p1, build, mask):
+        with pytest.raises(ValueError, match=r"open masks must lie in 0\.\.3"):
+            build(p1, mask)
 
     def test_result_is_a_topology(self, p2):
         rng = random.Random(41)
@@ -302,7 +311,7 @@ class TestTopologyType:
 
     def test_open_families_in_canonical_order(self, p1):
         topo = discrete(p1)
-        masks = [p1.subset_mask(f) for f in topo.open_families()]
+        masks = [p1.subset_mask(f) for f in open_families(topo)]
         assert masks == sorted(topo.opens)
 
 
