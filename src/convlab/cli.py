@@ -4,6 +4,7 @@ the full verification suite."""
 from __future__ import annotations
 
 import os
+import re
 import sys
 
 import click
@@ -78,12 +79,38 @@ def format_seq_literal(x: EPSeq) -> str:
     return "[{};{}]".format(*(",".join(map(repr, part)) for part in (x.preperiod, x.period)))
 
 
+# `verify` holds all its cube samples in memory at once, a few hundred bytes each
+MAX_SAMPLES = 100_000
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _ascii_int(text: str) -> int:
+    """An optional sign, then ASCII digits: ``int()`` alone also takes other
+    scripts' digits and ``_`` separators."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer in ASCII digits")
+    return int(text)
+
+
+class _AsciiInt(click.ParamType):
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, int):
+            return value
+        try:
+            return _ascii_int(value)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
+
+
 def _atom_cap() -> int:
     cap = MAX_ATOMS
     env = os.environ.get("CONVLAB_MAX_ATOMS")
     if env is not None:
         try:
-            requested = int(env)
+            requested = _ascii_int(env)
         except ValueError:
             raise click.UsageError(f"CONVLAB_MAX_ATOMS must be an integer, got {env!r}")
         if requested >= 1:
@@ -104,7 +131,7 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--atoms", type=int, default=3, show_default=True)
+@click.option("--atoms", type=_AsciiInt(), default=3, show_default=True)
 @click.option(
     "--format",
     "fmt",
@@ -124,7 +151,7 @@ def diagram(atoms: int, fmt: str) -> None:
 
 
 @main.command()
-@click.option("--atoms", type=int, default=2, show_default=True)
+@click.option("--atoms", type=_AsciiInt(), default=2, show_default=True)
 @click.option("--seq", required=True, help="sequence literal, e.g. '[{0,1};{0},{1}]'")
 @click.option("--law", type=click.Choice(["ls", "li", "s"]), default="ls", show_default=True)
 def converge(atoms: int, seq: str, law: str) -> None:
@@ -143,9 +170,9 @@ def converge(atoms: int, seq: str, law: str) -> None:
 
 
 @main.command()
-@click.option("--atoms", type=int, default=3, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--samples", type=int, default=1000, show_default=True)
+@click.option("--atoms", type=_AsciiInt(), default=3, show_default=True)
+@click.option("--seed", type=_AsciiInt(), default=0, show_default=True)
+@click.option("--samples", type=_AsciiInt(), default=1000, show_default=True)
 @click.option(
     "--submeasure",
     "submeasure_path",
@@ -156,8 +183,8 @@ def converge(atoms: int, seq: str, law: str) -> None:
 def verify(atoms: int, seed: int, samples: int, submeasure_path) -> None:
     """Run every verification criterion at the requested scale."""
     carrier = _carrier(atoms)
-    if samples < 1:
-        raise click.UsageError("--samples must be at least 1")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise click.UsageError(f"--samples must be in 1..{MAX_SAMPLES}, got {samples}")
     submeasure = None
     if submeasure_path is not None:
         try:

@@ -4,7 +4,8 @@ Every implemented convergence depends on a sequence only through the set of
 values it takes infinitely often, and subsequence quantifiers reduce to
 nonempty subsets of that set.  This module provides the quotient map, its
 section (``representative``) and the subclass enumeration; the concrete
-subsequence constructors that realize the reduction are test oracles.
+subsequence constructors that realize the reduction, and the enumeration of
+every class, are test oracles.
 """
 
 from __future__ import annotations
@@ -67,8 +68,3 @@ def class_from_mask(carrier: Carrier, mask: int) -> InfClass:
         raise ValueError("class mask must select at least one element")
     return InfClass(carrier.subset_from_mask(mask))
 
-
-def all_classes(carrier: Carrier):
-    """All 2^(2^n) - 1 classes in ascending characteristic-mask order."""
-    for mask in range(1, 1 << carrier.size):
-        yield class_from_mask(carrier, mask)

@@ -2,11 +2,12 @@
 
 Every finite topology is the Alexandrov topology of its specialization
 preorder, so it is stored as the minimal open neighbourhood N(p) of each
-point p, as carrier-subset bit-masks.  The opens are exactly the unions of
-minimal neighbourhoods; they are derived on demand up to 4 atoms, and
-counted without being listed.  Synthesis of the sequential topology of a
-convergence, topological limits, joins, and the space properties needed for
-the diagram reports all work on the neighbourhood array.
+point p, as carrier-subset bit-masks, and ``Topology(carrier, mins)`` is its
+only constructor.  The opens are exactly the unions of minimal
+neighbourhoods; they are counted and tested one mask at a time, never listed.
+Synthesis of the sequential topology of a convergence, topological limits,
+joins, and the space properties needed for the diagram reports all work on
+the neighbourhood array.
 """
 
 from __future__ import annotations
@@ -15,30 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .algebra import Carrier, CarrierMismatchError, Element, EPSeq, iter_bits
-from .convergence import (
-    ClosureAxiomError,
-    Convergence,
-    SweepCapacityError,
-    check_L1,
-    check_L2,
-)
+from .convergence import ClosureAxiomError, Convergence, check_L1, check_L2
 from .seqclass import inf_class
-
-
-def _meets_around_points(carrier: Carrier, masks: Iterable[int]) -> list[int]:
-    """out[p] = the AND of the masks holding point p (the carrier where none does).
-
-    Each mask's range is checked before its bits are walked: ``iter_bits``
-    never ends on a negative mask.
-    """
-    full = (1 << carrier.size) - 1
-    out = [full] * carrier.size
-    for mask in masks:
-        if not 0 <= mask <= full:
-            raise ValueError(f"open masks must lie in 0..{full}")
-        for p in iter_bits(mask):
-            out[p] &= mask
-    return out
 
 
 def _transpose(rows: Iterable[int], m: int) -> list[int]:
@@ -53,60 +32,28 @@ def _transpose(rows: Iterable[int], m: int) -> list[int]:
 class Topology:
     """A finite topology, held as the minimal neighbourhood of every point.
 
-    ``Topology(carrier, opens)`` builds one from a family of open masks and
-    raises ``ValueError`` unless the family contains the empty set and the
-    carrier, lies inside the carrier and is closed under union and
-    intersection.
+    ``Topology(carrier, mins)`` is the topology whose minimal neighbourhood of
+    point p is mins[p].  It raises ``ValueError`` unless there is one mask per
+    point, each inside the carrier, and the masks form a preorder.  A family
+    of opens is never a valid argument: it holds the empty set, and an empty
+    neighbourhood fails reflexivity.
     """
 
-    def __init__(self, carrier: Carrier, opens: Iterable[int]):
-        family = frozenset(opens)
-        if 0 not in family or (1 << carrier.size) - 1 not in family:
-            raise ValueError("a topology must contain the empty set and the carrier")
-        self._set(carrier, _meets_around_points(carrier, family))
-        # Every member is the union of the minimal neighbourhoods of its
-        # points, so the family lies inside the topology the neighbourhoods
-        # generate, and equals it exactly when the sizes agree.
-        if len(family) != self.open_count():
-            raise ValueError("open family is not closed under union and intersection")
-
-    @classmethod
-    def from_min_neighborhoods(cls, carrier: Carrier, mins: Iterable[int]) -> "Topology":
-        """The topology whose minimal neighbourhood of point p is mins[p]."""
-        topo = cls.__new__(cls)
-        topo._set(carrier, mins)
-        if not topo.validate():
-            raise ValueError("minimal neighbourhoods must be reflexive and transitive")
-        return topo
-
-    def _set(self, carrier: Carrier, mins: Iterable[int]) -> None:
+    def __init__(self, carrier: Carrier, mins: Iterable[int]):
         self.carrier = carrier
         self.full = (1 << carrier.size) - 1
         self._mins = tuple(mins)
+        # checked before the transpose, which walks the bits of every mask
+        if not self.validate():
+            raise ValueError("minimal neighbourhoods must be reflexive and transitive")
         # the closure of point p is {q : p in N(q)}
         self.point_closures = tuple(_transpose(self._mins, carrier.size))
         self._count: Optional[int] = None
-        self._opens: Optional[frozenset[int]] = None
 
     @property
     def min_neighborhoods(self) -> tuple[int, ...]:
         """Smallest open set around each point (finite spaces always have one)."""
         return self._mins
-
-    @property
-    def opens(self) -> frozenset[int]:
-        """All open masks: every union of minimal neighbourhoods."""
-        if self._opens is None:
-            if self.carrier.size > 16:
-                raise SweepCapacityError(
-                    f"topologies on P({self.carrier.n}) are not listed open by open; "
-                    "open sets are only materialized for up to 4 atoms"
-                )
-            opens = {0}
-            for b in set(self._mins):
-                opens |= {o | b for o in opens}
-            self._opens = frozenset(opens)
-        return self._opens
 
     def is_open_mask(self, mask: int) -> bool:
         return all(self._mins[p] & ~mask == 0 for p in iter_bits(mask))
@@ -194,21 +141,30 @@ def _check_same_carrier(a, b) -> None:
 
 
 def discrete(carrier: Carrier) -> Topology:
-    return Topology.from_min_neighborhoods(carrier, [1 << p for p in range(carrier.size)])
+    return Topology(carrier, [1 << p for p in range(carrier.size)])
 
 
 def antidiscrete(carrier: Carrier) -> Topology:
     full = (1 << carrier.size) - 1
-    return Topology.from_min_neighborhoods(carrier, [full] * carrier.size)
+    return Topology(carrier, [full] * carrier.size)
 
 
 def generate(carrier: Carrier, subbase: Iterable[int]) -> Topology:
     """Smallest topology containing the subbase.
 
     Each point's minimal neighborhood is the intersection of the subbase sets
-    containing it; the opens are exactly the unions of minimal neighborhoods.
+    containing it, or the carrier where none does; the opens are exactly the
+    unions of minimal neighborhoods.  Each mask's range is checked before its
+    bits are walked: ``iter_bits`` never ends on a negative mask.
     """
-    return Topology.from_min_neighborhoods(carrier, _meets_around_points(carrier, subbase))
+    full = (1 << carrier.size) - 1
+    mins = [full] * carrier.size
+    for mask in subbase:
+        if not 0 <= mask <= full:
+            raise ValueError(f"open masks must lie in 0..{full}")
+        for p in iter_bits(mask):
+            mins[p] &= mask
+    return Topology(carrier, mins)
 
 
 def sequential_closure(lam: Convergence, subset_mask: int) -> int:
@@ -244,7 +200,7 @@ def synthesize_O_lambda(lam: Convergence) -> Topology:
         for i in range(m):
             if reach[i] & bit:
                 reach[i] |= row
-    return Topology.from_min_neighborhoods(lam.carrier, _transpose(reach, m))
+    return Topology(lam.carrier, _transpose(reach, m))
 
 
 def lim_topo(o: Topology, x: EPSeq) -> frozenset[Element]:
@@ -260,7 +216,7 @@ def lim_topo(o: Topology, x: EPSeq) -> frozenset[Element]:
 def join_topologies(o1: Topology, o2: Topology) -> Topology:
     """Minimal topology containing both: N(p) = N1(p) & N2(p)."""
     _check_same_carrier(o1, o2)
-    return Topology.from_min_neighborhoods(
+    return Topology(
         o1.carrier, [a & b for a, b in zip(o1.min_neighborhoods, o2.min_neighborhoods)]
     )
 

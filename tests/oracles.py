@@ -3,17 +3,21 @@
 Each is a direct, element-by-element construction that the tests compare the
 library's bit-mask code against: up/down sets against ``Carrier.up_masks`` and
 ``down_masks``, honest subsequences against the class reduction in
-``convlab.seqclass``, and element-set views of topologies, FC sets and
+``convlab.seqclass``, listed opens against the minimal neighbourhoods a
+``Topology`` holds, and element-set views of topologies, FC sets and
 submeasures.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable
 
 from convlab.algebra import Carrier, CarrierMismatchError, Element, EPSeq, complement
+from convlab.convergence import _require_table_capacity
 from convlab.cube import FCSet, fc_complement, fc_intersection
+from convlab.seqclass import class_from_mask
 from convlab.submeasure import Submeasure
 from convlab.topology import Topology, generate
 
@@ -99,13 +103,48 @@ def select_values(x: EPSeq, values: frozenset[Element]) -> EPSeq:
     return EPSeq(new_pre, new_per)
 
 
+def all_classes(carrier: Carrier):
+    """All 2^(2^n) - 1 classes in ascending characteristic-mask order."""
+    for mask in range(1, 1 << carrier.size):
+        yield class_from_mask(carrier, mask)
+
+
 def generate_from_elements(carrier: Carrier, subbase: Iterable[Iterable[Element]]) -> Topology:
     return generate(carrier, [carrier.subset_mask(s) for s in subbase])
 
 
 def open_families(topo: Topology) -> list[frozenset[Element]]:
     """Opens as element sets, in canonical (ascending mask) order."""
-    return [topo.carrier.subset_from_mask(o) for o in sorted(topo.opens)]
+    return [topo.carrier.subset_from_mask(o) for o in sorted(open_masks(topo))]
+
+
+@functools.cache
+def open_masks(topo: Topology) -> frozenset[int]:
+    """All open masks: every union of minimal neighbourhoods (up to 4 atoms)."""
+    _require_table_capacity(topo.carrier)
+    opens = {0}
+    for b in set(topo.min_neighborhoods):
+        opens |= {o | b for o in opens}
+    return frozenset(opens)
+
+
+def topology_from_opens(carrier: Carrier, opens: Iterable[int]) -> Topology:
+    """The topology whose opens are exactly ``opens``.
+
+    Raises ``ValueError`` unless the family contains the empty set and the
+    carrier, lies inside the carrier and is closed under union and
+    intersection.
+    """
+    family = frozenset(opens)
+    if 0 not in family or (1 << carrier.size) - 1 not in family:
+        raise ValueError("a topology must contain the empty set and the carrier")
+    topo = generate(carrier, family)
+    # Every member is the union of the minimal neighbourhoods of its points,
+    # so the family lies inside the topology it generates, and equals it
+    # exactly when the sizes agree.
+    if len(family) != topo.open_count():
+        raise ValueError("open family is not closed under union and intersection")
+    return topo
 
 
 def fc_difference(a: FCSet, b: FCSet) -> FCSet:

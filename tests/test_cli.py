@@ -139,6 +139,16 @@ class TestConverge:
         )
         assert result.exit_code == 2
 
+    # Arabic-Indic two and `_` separators: int() reads them as 2, 2 and 10
+    @pytest.mark.parametrize("atoms", ["\u0662", "0_2", "1_0"])
+    def test_atoms_must_be_ascii_digits(self, runner, atoms):
+        result = runner.invoke(
+            main, ["converge", "--atoms", atoms, "--seq", "[;{0}]", "--law", "s"]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "is not an integer in ASCII digits" in result.output
+
 
 class TestConvergeAtFiveAtoms:
     # period values as atom lists; the expectation is built from the period's
@@ -213,6 +223,24 @@ class TestVerify:
     def test_zero_samples_rejected(self, runner):
         result = runner.invoke(main, ["verify", "--atoms", "2", "--samples", "0"])
         assert result.exit_code == 2
+
+    # 30 digits: far more samples than memory holds; rejected before any is drawn
+    @pytest.mark.parametrize("samples", ["100001", "9" * 30])
+    def test_samples_above_the_bound_rejected(self, runner, samples):
+        result = runner.invoke(main, ["verify", "--atoms", "1", "--samples", samples])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "--samples must be in 1..100000" in result.output
+
+    # Arabic-Indic digits: int() reads them as 10 and 1
+    @pytest.mark.parametrize(
+        "option, value", [("--samples", "\u0661\u0660"), ("--seed", "\u0661")]
+    )
+    def test_integers_must_be_ascii_digits(self, runner, option, value):
+        result = runner.invoke(main, ["verify", "--atoms", "1", option, value])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "is not an integer in ASCII digits" in result.output
 
     def test_submeasure_file_checked(self, runner, tmp_path):
         path = tmp_path / "mu.txt"
@@ -304,6 +332,13 @@ class TestAtomCapEnv:
         monkeypatch.setenv("CONVLAB_MAX_ATOMS", "lots")
         result = runner.invoke(main, ["diagram", "--atoms", "2"])
         assert result.exit_code == 2
+
+    def test_env_must_be_ascii_digits(self, runner, monkeypatch):
+        # Arabic-Indic two: int() reads it as 2, which would allow --atoms 2
+        monkeypatch.setenv("CONVLAB_MAX_ATOMS", "\u0662")
+        result = runner.invoke(main, ["diagram", "--atoms", "2"])
+        assert result.exit_code == 2
+        assert "CONVLAB_MAX_ATOMS must be an integer" in result.output
 
 
 # Dedekind number M(5) (OEIS A000372): the down-sets of P(5), which are the

@@ -18,9 +18,9 @@ from convlab.convergence import (
     meet_conv,
     star,
 )
-from convlab.seqclass import InfClass, all_classes, class_from_mask, inf_class
+from convlab.seqclass import InfClass, class_from_mask, inf_class
 
-from oracles import upset
+from oracles import all_classes, upset
 
 
 def cls(carrier, *atom_lists):

@@ -5,7 +5,6 @@ import pytest
 from convlab.algebra import Carrier, EPSeq
 from convlab.seqclass import (
     InfClass,
-    all_classes,
     class_from_mask,
     class_mask,
     inf_class,
@@ -13,7 +12,7 @@ from convlab.seqclass import (
     subsequence_classes,
 )
 
-from oracles import drop_prefix, select_values, stride
+from oracles import all_classes, drop_prefix, select_values, stride
 from test_algebra import random_epseq
 
 

@@ -15,7 +15,7 @@ from convlab.submeasure import (
 )
 from convlab.topology import discrete, antidiscrete, synthesize_O_lambda
 
-from oracles import zero_submeasure
+from oracles import open_masks, zero_submeasure
 
 
 class TestValidation:
@@ -59,7 +59,7 @@ class TestMetricTopology:
     def test_counting_measure_gives_discrete(self, p2):
         topo = metric_topology(Submeasure.counting(p2))
         assert topo == discrete(p2)
-        assert len(topo.opens) == 16
+        assert len(open_masks(topo)) == 16
 
     def test_zero_submeasure_gives_antidiscrete(self, p2):
         with pytest.warns(UserWarning):

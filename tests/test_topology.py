@@ -11,7 +11,7 @@ from convlab.convergence import (
     lambda_s,
     leq_conv,
 )
-from convlab.seqclass import InfClass, all_classes, representative
+from convlab.seqclass import InfClass, representative
 from convlab.topology import (
     Topology,
     antidiscrete,
@@ -30,7 +30,15 @@ from convlab.topology import (
 )
 from convlab.verify import _random_l12_convergence, _random_topology, brute_downsets
 
-from oracles import downset, generate_from_elements, open_families, upset
+from oracles import (
+    all_classes,
+    downset,
+    generate_from_elements,
+    open_families,
+    open_masks,
+    topology_from_opens,
+    upset,
+)
 from test_algebra import random_epseq
 from test_kernel import brute_topology
 
@@ -42,18 +50,18 @@ class TestGenerate:
     def test_singletons_generate_discrete(self, p2):
         topo = generate(p2, [1 << p for p in range(p2.size)])
         assert topo == discrete(p2)
-        assert len(topo.opens) == 1 << p2.size
+        assert len(open_masks(topo)) == 1 << p2.size
 
     def test_up_and_down_sets_generate_discrete(self, p1):
         subbase = [upset([e]) for e in p1.elements] + [downset([e]) for e in p1.elements]
         topo = generate_from_elements(p1, subbase)
         assert topo == discrete(p1)
 
-    # P(1) has four points; bit 5 lies outside them, and -1 has every bit set
+    # P(1) has two points; bit 5 lies outside them, and -1 has every bit set
     @pytest.mark.parametrize("mask", [1 << 5, -1])
     @pytest.mark.parametrize(
         "build",
-        [lambda c, m: generate(c, [m]), lambda c, m: Topology(c, [0, 3, m])],
+        [lambda c, m: generate(c, [m]), lambda c, m: topology_from_opens(c, [0, 3, m])],
         ids=["generate", "Topology"],
     )
     def test_masks_outside_the_carrier_rejected(self, p1, build, mask):
@@ -70,13 +78,13 @@ class TestGenerate:
 class TestSynthesis:
     def test_left_topology_opens_are_downsets_p2(self, p2):
         topo = synthesize_O_lambda(lambda_ls(p2))
-        assert len(topo.opens) == 6 == brute_downsets(2)
+        assert len(open_masks(topo)) == 6 == brute_downsets(2)
 
     def test_left_topology_p3_has_20_opens(self, p3):
-        assert len(synthesize_O_lambda(lambda_ls(p3)).opens) == 20 == brute_downsets(3)
+        assert len(open_masks(synthesize_O_lambda(lambda_ls(p3)))) == 20 == brute_downsets(3)
 
     def test_left_topology_p4_has_168_opens(self, p4):
-        assert len(synthesize_O_lambda(lambda_ls(p4)).opens) == 168 == brute_downsets(4)
+        assert len(open_masks(synthesize_O_lambda(lambda_ls(p4)))) == 168 == brute_downsets(4)
 
     def test_down_set_count_p5_is_dedekind(self):
         assert synthesize_O_lambda(lambda_ls(Carrier(5))).open_count() == 7581 == brute_downsets(5)
@@ -188,8 +196,8 @@ class TestJoin:
             o1 = _random_topology(p2, rng)
             o2 = _random_topology(p2, rng)
             joined = join_topologies(o1, o2)
-            assert o1.opens <= joined.opens
-            assert o2.opens <= joined.opens
+            assert open_masks(o1) <= open_masks(joined)
+            assert open_masks(o2) <= open_masks(joined)
 
     def test_limits_in_join_are_intersections(self, p3):
         o_ls = synthesize_O_lambda(lambda_ls(p3))
@@ -242,7 +250,7 @@ class TestAdjunction:
         for lam in convs:
             f_lam = synthesize_O_lambda(lam)
             for o in topos:
-                assert (o.opens <= f_lam.opens) == leq_conv(
+                assert (open_masks(o) <= open_masks(f_lam)) == leq_conv(
                     lam, lim_of_topology_as_convergence(o)
                 )
 
@@ -253,13 +261,13 @@ class TestAdjunction:
             for l2 in convs:
                 if leq_conv(l1, l2):
                     assert (
-                        synthesize_O_lambda(l2).opens
-                        <= synthesize_O_lambda(l1).opens
+                        open_masks(synthesize_O_lambda(l2))
+                        <= open_masks(synthesize_O_lambda(l1))
                     )
         topos = [_random_topology(p2, rng) for _ in range(20)]
         for o1 in topos:
             for o2 in topos:
-                if o1.opens <= o2.opens:
+                if open_masks(o1) <= open_masks(o2):
                     assert leq_conv(
                         lim_of_topology_as_convergence(o2),
                         lim_of_topology_as_convergence(o1),
@@ -307,19 +315,28 @@ class TestCharacterizations:
 class TestTopologyType:
     def test_must_contain_empty_and_full(self, p2):
         with pytest.raises(ValueError):
-            Topology(p2, [0])
+            topology_from_opens(p2, [0])
+
+    # P(1) has two points.  The first two lists hold a mask outside them;
+    # [0, 3] is the antidiscrete topology's open family, not one mask per point.
+    @pytest.mark.parametrize(
+        "mins", [[1 << 5, 3], [-1, 3], [0, 3]], ids=["bit5", "negative", "opens"]
+    )
+    def test_bad_neighbourhoods_rejected(self, p1, mins):
+        with pytest.raises(ValueError, match="reflexive and transitive"):
+            Topology(p1, mins)
 
     def test_open_families_in_canonical_order(self, p1):
         topo = discrete(p1)
         masks = [p1.subset_mask(f) for f in open_families(topo)]
-        assert masks == sorted(topo.opens)
+        assert masks == sorted(open_masks(topo))
 
 
 class TestOpenFamilyClosure:
     def test_family_missing_a_union_rejected(self, p2):
         # {0} and {1} are open but their union, mask 3, is missing
         with pytest.raises(ValueError):
-            Topology(p2, [0, 1, 2, 15])
+            topology_from_opens(p2, [0, 1, 2, 15])
 
 
 class TestFirstOpenNotIn:
