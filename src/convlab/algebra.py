@@ -135,7 +135,11 @@ class Carrier:
         return mask
 
     def subset_from_mask(self, mask: int) -> frozenset[Element]:
-        return frozenset(self._element(p) for p in range(self.size) if mask >> p & 1)
+        """Unpack a carrier-subset bit-mask, one step per set bit; raises
+        ``ValueError`` unless 0 <= mask < 2^(2^n)."""
+        if not 0 <= mask < 1 << self.size:
+            raise ValueError(f"mask {mask} is not a subset of P({self.n})")
+        return frozenset(map(self._element, iter_bits(mask)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Carrier) and other.n == self.n

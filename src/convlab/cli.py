@@ -113,8 +113,9 @@ def _atom_cap() -> int:
             requested = _ascii_int(env)
         except ValueError:
             raise click.UsageError(f"CONVLAB_MAX_ATOMS must be an integer, got {env!r}")
-        if requested >= 1:
-            cap = min(cap, requested)
+        if requested < 1:
+            raise click.UsageError(f"CONVLAB_MAX_ATOMS must be at least 1, got {env!r}")
+        cap = min(cap, requested)
     return cap
 
 

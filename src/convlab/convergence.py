@@ -134,14 +134,16 @@ class Convergence:
         """Number of (nonempty class, limit) pairs: the popcount sum of the table.
 
         For a principal convergence, a is a limit of S exactly when S is inside
-        P_a = {s : a in lim1[s]}, which gives 2^|P_a| - 1 classes per point.
+        P_a = {s : a in lim1[s]}, which gives 2^|P_a| - 1 classes per point;
+        the |P_a| are counted in one step per set bit of ``lim1``.
         """
         if self._lim1 is None:
             return sum(v.bit_count() for v in self.table)
-        m = self.carrier.size
-        return sum(
-            (1 << sum(col >> a & 1 for col in self._lim1)) - 1 for a in range(m)
-        )
+        sizes = [0] * self.carrier.size
+        for col in self._lim1:
+            for a in iter_bits(col):
+                sizes[a] += 1
+        return sum((1 << k) - 1 for k in sizes)
 
     def __call__(self, s: InfClass) -> frozenset[Element]:
         if s.width != self.carrier.n:

@@ -6,18 +6,20 @@ or a text table.
 ``verify.VerifyContext`` and ``submeasure.check_halfball_opens`` read them
 from it.
 
-The order is decided once: for every ordered pair of distinct nodes of one
-kind, ``escape[a, b]`` is the witness that a is not below b, or None when it
-is.  Relations, equality classes and the Hasse edges are read from that
-table, and so are the relations the theory asserts, listed as rows of
-``REQUIRED`` and ``MEET_IDENTITIES``; a violation aborts with a witness rather
-than producing a silently wrong diagram.
+The order is decided once per ordered pair of equality classes: each kind's
+nodes are grouped by payload, a witness that one class is not below another
+is computed on their first names, and a pair inside one class has none.
+Relations and the Hasse edges are read from that table, and so are the
+relations the theory asserts, rows of ``REQUIRED`` and ``MEET_IDENTITIES``;
+a violation aborts with a witness rather than a silently wrong diagram.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import permutations, product
 from typing import Optional, Union
 
 from .algebra import Carrier
@@ -97,7 +99,7 @@ class DiagramNode:
     kind: str  # "convergence" | "topology"
     payload: Union[Convergence, Topology]
 
-    @property
+    @cached_property
     def size(self) -> int:
         if self.kind == "topology":
             return self.payload.open_count()
@@ -170,16 +172,19 @@ def build_figure1(carrier: Carrier) -> DiagramReport:
     escape: dict[tuple[str, str], Optional[str]] = {}
     for kind, names, rel, witness in KINDS:
         report.nodes += [DiagramNode(name, kind, payloads[name]) for name in names]
-        pairs = [(a, b) for a in names for b in names if a != b]
-        escape.update({(a, b): witness(payloads[a], payloads[b]) for a, b in pairs})
+        groups: dict[Union[Convergence, Topology], list[str]] = {}
+        for name in names:
+            groups.setdefault(payloads[name], []).append(name)
+        report.equality_classes[kind] = classes = list(groups.values())
+        # one witness per ordered pair of classes, read by every pair of their names
+        for g, h in product(classes, repeat=2):
+            w = None if g is h else witness(payloads[g[0]], payloads[h[0]])
+            escape.update(((a, b), w) for a in g for b in h if a != b)
         report.relations += [
             Relation(a, b, rel, escape[b, a] is not None, escape[b, a])
-            for a, b in pairs
+            for a, b in permutations(names, 2)
             if escape[a, b] is None
         ]
-
-    def same(a: str, b: str) -> bool:
-        return escape[a, b] is None and escape[b, a] is None
 
     for a, b, c in MEET_IDENTITIES:
         meet = meet_conv(payloads[a], payloads[b])
@@ -194,29 +199,17 @@ def build_figure1(carrier: Carrier) -> DiagramReport:
     # The finite-scale collapse and its round trip.  A finite topology is fixed
     # by its limit operator, so with lim_O_lsi = lim_O_s this fails only when a
     # limit operator disagrees with the topology it was built from.
-    if same("lim_O_lsi", "lim_O_s") and is_sequential(payloads["O_lsi"]) and not same("O_lsi", "O_s"):
+    same_limits = payloads["lim_O_lsi"] == payloads["lim_O_s"]
+    if same_limits and is_sequential(payloads["O_lsi"]) and payloads["O_lsi"] != payloads["O_s"]:
         raise RelationViolation(
             "sequential O_lsi with matching limits must equal O_s", escape["O_s", "O_lsi"]
         )
 
-    report.equality_classes = {kind: _equality_classes(names, same) for kind, names, _, _ in KINDS}
     report.collapse = {
         "convergences": len(report.equality_classes["convergence"]),
         "topologies": len(report.equality_classes["topology"]),
     }
     return report
-
-
-def _equality_classes(names, same) -> list[list[str]]:
-    groups: list[list[str]] = []
-    for name in names:
-        for g in groups:
-            if same(g[0], name):
-                g.append(name)
-                break
-        else:
-            groups.append([name])
-    return groups
 
 
 REPORT_SCHEMA = {

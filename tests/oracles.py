@@ -4,8 +4,9 @@ Each is a direct, element-by-element construction that the tests compare the
 library's bit-mask code against: up/down sets against ``Carrier.up_masks`` and
 ``down_masks``, honest subsequences against the class reduction in
 ``convlab.seqclass``, listed opens against the minimal neighbourhoods a
-``Topology`` holds, and element-set views of topologies, FC sets and
-submeasures.
+``Topology`` holds, the diagram's order decided pair by pair of node names
+against ``report.build_figure1``'s pairs of equality classes, and element-set
+views of topologies, FC sets and submeasures.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Iterable
 from convlab.algebra import Carrier, CarrierMismatchError, Element, EPSeq, complement
 from convlab.convergence import _require_table_capacity
 from convlab.cube import FCSet, fc_complement, fc_intersection
+from convlab.report import KINDS
 from convlab.seqclass import class_from_mask
 from convlab.submeasure import Submeasure
 from convlab.topology import Topology, generate
@@ -153,3 +155,16 @@ def fc_difference(a: FCSet, b: FCSet) -> FCSet:
 
 def zero_submeasure(carrier: Carrier) -> Submeasure:
     return Submeasure(carrier, [Fraction(0)] * carrier.size)
+
+
+def pairwise_escapes(payloads: dict) -> dict[tuple[str, str], object]:
+    """The diagram's order with one witness call per ordered pair of distinct
+    node names of a kind: escape[a, b] is the witness that a is not below b,
+    or None when it is."""
+    return {
+        (a, b): witness(payloads[a], payloads[b])
+        for _, names, _, witness in KINDS
+        for a in names
+        for b in names
+        if a != b
+    }

@@ -141,6 +141,15 @@ class TestCarrierTables:
             assert carrier.subset_from_mask(carrier.up_masks[e.mask]) == upset([e])
             assert carrier.subset_from_mask(carrier.down_masks[e.mask]) == downset([e])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_subset_masks_outside_the_carrier_rejected(self, n):
+        # -1 has every bit set, and 1 << size names a point past the last one
+        carrier = Carrier(n)
+        for mask in (-1, 1 << carrier.size):
+            with pytest.raises(ValueError, match=rf"mask {mask} is not a subset of P\({n}\)"):
+                carrier.subset_from_mask(mask)
+        assert carrier.subset_from_mask((1 << carrier.size) - 1) == frozenset(carrier.elements)
+
 
 class TestLimInfSup:
     def test_alternating_atoms(self, p2):

@@ -340,6 +340,14 @@ class TestAtomCapEnv:
         assert result.exit_code == 2
         assert "CONVLAB_MAX_ATOMS must be an integer" in result.output
 
+    @pytest.mark.parametrize("env", ["0", "-3"])
+    def test_env_must_be_positive(self, runner, monkeypatch, env):
+        # a cap below one used to be ignored, leaving the default cap of 5
+        monkeypatch.setenv("CONVLAB_MAX_ATOMS", env)
+        result = runner.invoke(main, ["converge", "--atoms", "5", "--seq", "[;{0}]", "--law", "s"])
+        assert result.exit_code == 2
+        assert f"CONVLAB_MAX_ATOMS must be at least 1, got '{env}'" in result.output
+
 
 # Dedekind number M(5) (OEIS A000372): the down-sets of P(5), which are the
 # opens of each one-sided sequential topology.

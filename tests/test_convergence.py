@@ -1,4 +1,5 @@
 import warnings
+from math import comb
 
 import pytest
 
@@ -277,3 +278,28 @@ class TestEqualityAcrossForms:
         assert not copy.is_principal
         assert copy == lam
         assert hash(copy) == hash(lam)
+
+
+class TestLimitCount:
+    """(nonempty class, limit) pairs: a is a limit of S under lambda_ls
+    exactly when S lies in the downset of a, which holds 2^|a| points, so
+    the count is sum_k C(n,k) (2^(2^k) - 1); lambda_li is its dual, and
+    lambda_s has one limit per singleton class."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_closed_form(self, n):
+        carrier = Carrier(n)
+        one_sided = sum(comb(n, k) * ((1 << (1 << k)) - 1) for k in range(n + 1))
+        assert lambda_ls(carrier).limit_count() == one_sided
+        assert lambda_li(carrier).limit_count() == one_sided
+        assert lambda_s(carrier).limit_count() == 1 << n
+
+    def test_four_atoms(self, p4):
+        assert lambda_ls(p4).limit_count() == 66_658
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_principal_matches_table(self, n):
+        carrier = Carrier(n)
+        for law in (lambda_ls, lambda_li, lambda_s):
+            lam = law(carrier)
+            assert lam.limit_count() == sum(v.bit_count() for v in lam.table)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import jsonschema
 import pytest
@@ -8,6 +9,7 @@ from convlab.algebra import Carrier
 from convlab.convergence import Convergence, lambda_li, lambda_ls, lambda_s, leq_conv, star
 from convlab.report import (
     CONVERGENCE_NODES,
+    KINDS,
     REPORT_SCHEMA,
     TOPOLOGY_NODES,
     DiagramReport,
@@ -25,7 +27,7 @@ from convlab.topology import (
     synthesize_O_lambda,
 )
 
-from oracles import open_masks
+from oracles import open_masks, pairwise_escapes
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +101,53 @@ class TestBuild:
         assert sizes["lambda_s"] == 4
 
 
+def order_from_pairs(payloads):
+    """Relations and equality classes read off the pairwise escape table: a
+    name joins the first class whose first name it is equal to."""
+    escape = pairwise_escapes(payloads)
+    relations, classes = [], {}
+    for kind, names, rel, _ in KINDS:
+        relations += [
+            Relation(a, b, rel, escape[b, a] is not None, escape[b, a])
+            for a in names
+            for b in names
+            if a != b and escape[a, b] is None
+        ]
+        groups = []
+        for name in names:
+            same = [g for g in groups if escape[g[0], name] is None and escape[name, g[0]] is None]
+            if same:
+                same[0].append(name)
+            else:
+                groups.append([name])
+        classes[kind] = groups
+    return relations, classes
+
+
+class TestOrderOnClasses:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_pairwise_oracle(self, n):
+        report = build_figure1(Carrier(n))
+        relations, classes = order_from_pairs({node.name: node.payload for node in report.nodes})
+        assert report.relations == relations
+        assert report.equality_classes == classes
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_one_witness_call_per_pair_of_classes(self, monkeypatch, n):
+        calls = Counter()
+
+        def counting(name):
+            real = getattr(report_module, name)
+            return lambda a, b: calls.update([name]) or real(a, b)
+
+        for name in ("first_escape", "first_open_not_in"):
+            monkeypatch.setattr(report_module, name, counting(name))
+        build_figure1(Carrier(n))
+        # three classes of each kind give 3 * 2 ordered pairs; the 10 and 4
+        # names would give 90 and 12
+        assert calls == {"first_escape": 6, "first_open_not_in": 6}
+
+
 class TestEmitters:
     def test_json_validates_against_schema(self, report_p2):
         payload = json.loads(emit(report_p2, "json"))
@@ -141,6 +190,15 @@ class TestEmitters:
     def test_emit_is_deterministic(self, report_p2):
         for fmt in ("json", "dot", "table"):
             assert emit(report_p2, fmt) == emit(report_p2, fmt)
+
+    def test_each_size_computed_once(self, monkeypatch):
+        calls = []
+        real = Convergence.limit_count
+        monkeypatch.setattr(Convergence, "limit_count", lambda self: calls.append(self) or real(self))
+        report = build_figure1(Carrier(3))
+        emit(report, "table")
+        emit(report, "json")
+        assert len(calls) == len(CONVERGENCE_NODES) == 10
 
 
 def tamper_star(monkeypatch, law, replacement):

@@ -96,6 +96,12 @@ class TestClassMasks:
         with pytest.raises(ValueError):
             class_from_mask(p2, 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_mask_past_the_carrier_rejected(self, n):
+        carrier = Carrier(n)
+        with pytest.raises(ValueError, match=rf"not a subset of P\({n}\)"):
+            class_from_mask(carrier, 1 << carrier.size)
+
 
 class TestConcreteSubsequences:
     """The class-level reduction against honest index-map subsequences."""
