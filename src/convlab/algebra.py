@@ -193,9 +193,6 @@ class EPSeq:
             return self.preperiod[i]
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
-    def prefix(self, length: int) -> list[Element]:
-        return [self.value_at(i) for i in range(length)]
-
 
 def liminf(x: EPSeq) -> Element:
     """Largest element below all but finitely many entries: meet of the period."""

@@ -74,11 +74,6 @@ def parse_seq_literal(text: str, carrier: Carrier) -> EPSeq:
     return EPSeq(pre, per)
 
 
-def format_seq_literal(x: EPSeq) -> str:
-    """Inverse of :func:`parse_seq_literal`: ``[pre;per]`` with ``{i,j}`` elements."""
-    return "[{};{}]".format(*(",".join(map(repr, part)) for part in (x.preperiod, x.period)))
-
-
 # `verify` holds all its cube samples in memory at once, a few hundred bytes each
 MAX_SAMPLES = 100_000
 

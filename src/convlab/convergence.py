@@ -1,24 +1,24 @@
 """Convergence structures on a finite Boolean algebra.
 
 A convergence maps infinite-occurrence classes to sets of candidate limits;
-both are bit-masks over the carrier enumeration.  It comes in two forms:
+both are bit-masks over the carrier enumeration.  Every convergence here
+satisfies (L2), subsequences inherit limits, and has one form: its singleton
+column ``lim1[s]`` = lam({s}) and a list of exceptions (E, A), each a class E
+of two or more points with a limit mask A.  Then
 
-- principal: only the singleton column ``lim1[s]`` = lam({s}) is stored and
-  lam(S) is the intersection of ``lim1[s]`` over s in S.  The built-in laws,
-  their star-closures and every topological limit operator have this form,
-  so their operations cost O(2^n) instead of O(2^(2^n)).
-- extensional: a full table indexed by class mask, for inputs that need not
-  be principal (random or hand-made convergences, test oracles).
+    lam(S) = AND of lim1[s] over s in S, AND of A over exceptions E inside S.
 
-A principal convergence answers point queries at any size.  The full table
-(``.table``) and other sweeps over all classes exist only up to 4 atoms and
-raise ``SweepCapacityError`` above that.
+Every such map satisfies (L2), and every (L2) convergence has this form.  The
+built-in laws, their star-closures and every topological limit operator have
+no exceptions, so their operations cost O(2^n) instead of O(2^(2^n)), and
+answer point queries at any size.  Sweeps over all classes exist only up to
+4 atoms and raise ``SweepCapacityError`` above that.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .algebra import Carrier, CarrierMismatchError, Element, iter_bits
 from .seqclass import InfClass, class_from_mask, class_mask, subsequence_classes
@@ -29,7 +29,7 @@ class SweepCapacityError(RuntimeError):
 
 
 class ClosureAxiomError(ValueError):
-    """A convergence violates the (L1)/(L2) precondition of the operation."""
+    """A convergence violates the (L1) precondition of the operation."""
 
 
 def _require_table_capacity(carrier: Carrier) -> None:
@@ -51,96 +51,66 @@ def sos_union(table: list[int], m: int) -> list[int]:
     return out
 
 
-def sos_intersection_nonempty(table: list[int], m: int) -> list[int]:
-    """out[A] = intersection of table[S] over all nonempty S contained in A."""
-    full = (1 << m) - 1
-    out = list(table)
-    out[0] = full
-    for e in range(m):
-        bit = 1 << e
-        for a in range(1 << m):
-            if a & bit:
-                out[a] &= out[a ^ bit]
-    return out
-
-
 class Convergence:
     """A total map from infinite-occurrence classes to sets of limits.
 
-    Give exactly one representation: ``lim1`` (singleton limits of a
-    principal convergence) or ``table`` (limit mask per class mask, entry 0
-    unused).
+    ``lim1[s]`` is the limit mask of the singleton class {s}; each exception
+    (E, A) pairs a class mask E of two or more points with a limit mask A that
+    every class containing E is cut down to.
     """
 
     def __init__(
         self,
         carrier: Carrier,
-        table: Optional[list[int]] = None,
+        lim1: Sequence[int],
+        exceptions: Iterable[tuple[int, int]] = (),
         name: str = "",
-        lim1: Optional[Sequence[int]] = None,
     ):
-        if (table is None) == (lim1 is None):
-            raise ValueError("exactly one of table and lim1 is required")
-        if lim1 is not None and len(lim1) != carrier.size:
-            raise ValueError(f"expected {carrier.size} singleton limits, got {len(lim1)}")
-        if table is not None and len(table) != 1 << carrier.size:
-            raise ValueError(f"expected a table of 2^{carrier.size} entries, got {len(table)}")
-        entries = table if lim1 is None else lim1
-        if entries and not 0 <= min(entries) <= max(entries) < 1 << carrier.size:
-            raise ValueError(f"limit masks must lie in 0..2^{carrier.size} - 1")
+        size = carrier.size
+        full = (1 << size) - 1
+        if len(lim1) != size:
+            raise ValueError(f"expected {size} singleton limits, got {len(lim1)}")
+        exceptions = tuple((e, a) for e, a in exceptions)
+        for e, _ in exceptions:
+            if not 0 <= e <= full or e & (e - 1) == 0:
+                raise ValueError(f"exception class {e} must hold two or more of P({carrier.n})'s {size} points")
+        limits = [*lim1, *(a for _, a in exceptions)]
+        if limits and not 0 <= min(limits) <= max(limits) <= full:
+            raise ValueError(f"limit masks must lie in 0..2^{size} - 1")
         self.carrier = carrier
         self.name = name
-        self._table = table
-        self._lim1 = tuple(lim1) if lim1 is not None else None
-
-    @property
-    def is_principal(self) -> bool:
-        """Stored as singleton limits, so lam(S) is the meet of lam({s}), s in S."""
-        return self._lim1 is not None
-
-    @property
-    def lim1(self) -> tuple[int, ...]:
-        """The singleton column: lim1[s] is the limit mask of the class {s}."""
-        if self._lim1 is not None:
-            return self._lim1
-        return tuple(self.limit_mask(1 << s) for s in range(self.carrier.size))
-
-    @property
-    def table(self) -> list[int]:
-        """Full limit-set table indexed by class mask (entry 0 unused)."""
-        if self._table is None:
-            _require_table_capacity(self.carrier)
-            lim1 = self._lim1
-            built = [0] * (1 << self.carrier.size)
-            built[0] = (1 << self.carrier.size) - 1
-            for mask in range(1, len(built)):
-                low = mask & -mask
-                built[mask] = built[mask ^ low] & lim1[low.bit_length() - 1]
-            built[0] = 0
-            self._table = built
-        return self._table
+        self._full = full
+        self.lim1 = tuple(lim1)
+        self.exceptions = exceptions
 
     def limit_mask(self, mask: int) -> int:
-        if self._table is not None:
-            return self._table[mask]
+        # the full limit mask is also the largest class mask
+        out = self._full
+        if not 0 <= mask <= out:
+            raise ValueError(f"class mask {mask} is not a set of P({self.carrier.n})'s points")
         if not mask:
             return 0
-        out = (1 << self.carrier.size) - 1
+        lim1 = self.lim1
         for s in iter_bits(mask):
-            out &= self._lim1[s]
+            out &= lim1[s]
+        for e, a in self.exceptions:
+            if e & ~mask == 0:
+                out &= a
         return out
 
     def limit_count(self) -> int:
         """Number of (nonempty class, limit) pairs: the popcount sum of the table.
 
-        For a principal convergence, a is a limit of S exactly when S is inside
+        Without exceptions, a is a limit of S exactly when S is inside
         P_a = {s : a in lim1[s]}, which gives 2^|P_a| - 1 classes per point;
-        the |P_a| are counted in one step per set bit of ``lim1``.
+        the |P_a| are counted in one step per set bit of ``lim1``.  With
+        exceptions every class is swept, up to 4 atoms.
         """
-        if self._lim1 is None:
-            return sum(v.bit_count() for v in self.table)
+        if self.exceptions:
+            _require_table_capacity(self.carrier)
+            return sum(self.limit_mask(c).bit_count() for c in range(1, 1 << self.carrier.size))
         sizes = [0] * self.carrier.size
-        for col in self._lim1:
+        for col in self.lim1:
             for a in iter_bits(col):
                 sizes[a] += 1
         return sum((1 << k) - 1 for k in sizes)
@@ -157,9 +127,9 @@ class Convergence:
             return NotImplemented
         if self.carrier != other.carrier or self.lim1 != other.lim1:
             return False
-        if self.is_principal and other.is_principal:
+        if not (self.exceptions or other.exceptions):
             return True
-        return self.table == other.table
+        return first_escape(self, other) is None and first_escape(other, self) is None
 
     def __hash__(self) -> int:
         return hash((self.carrier, self.lim1))
@@ -193,35 +163,30 @@ def _check_same_carrier(a: Convergence, b: Convergence) -> None:
 
 
 def meet_conv(a: Convergence, b: Convergence) -> Convergence:
-    """Pointwise intersection of limit sets."""
+    """Pointwise intersection of limit sets: the columns ANDed, the
+    exceptions of both kept."""
     _check_same_carrier(a, b)
     name = f"({a.name} & {b.name})" if a.name and b.name else ""
-    if a.is_principal and b.is_principal:
-        lim1 = [x & y for x, y in zip(a.lim1, b.lim1)]
-        return Convergence(a.carrier, lim1=lim1, name=name)
-    table = [x & y for x, y in zip(a.table, b.table)]
-    return Convergence(a.carrier, table=table, name=name)
+    lim1 = [x & y for x, y in zip(a.lim1, b.lim1)]
+    return Convergence(a.carrier, lim1=lim1, exceptions=a.exceptions + b.exceptions, name=name)
 
 
 def first_escape(a: Convergence, b: Convergence) -> Optional[int]:
     """Mask of the first class, in ascending mask order, on which a's limit
     set is not contained in b's; None when a <= b.
 
-    For principal operands this is the first singleton {s} with
-    lim1_a[s] not inside lim1_b[s]: every class below it in mask order holds
-    only points where the columns are contained.
+    Only singletons and b's exception classes need testing.  A class C whose
+    singletons all pass has a(C) inside every b-column of its points, so if
+    it escapes, some exception (E, A) of b with E inside C has a(C), and by
+    (L2) a(E), not inside A: then E escapes too, and E <= C as an integer.
+    A class holding a failing singleton {s} is likewise >= 1 << s.
     """
     _check_same_carrier(a, b)
-    if a.is_principal and b.is_principal:
-        for s, (x, y) in enumerate(zip(a.lim1, b.lim1)):
-            if x & ~y:
-                return 1 << s
-        return None
-    ta, tb = a.table, b.table
-    for mask in range(1, len(ta)):
-        if ta[mask] & ~tb[mask]:
-            return mask
-    return None
+    found = next((1 << s for s, (x, y) in enumerate(zip(a.lim1, b.lim1)) if x & ~y), None)
+    for e, lim in b.exceptions:
+        if (found is None or e < found) and a.limit_mask(e) & ~lim:
+            found = e
+    return found
 
 
 def leq_conv(a: Convergence, b: Convergence) -> bool:
@@ -237,22 +202,10 @@ def check_L1(lam: Convergence) -> bool:
 def check_L2(lam: Convergence) -> bool:
     """Subsequences inherit limits: lam(S) contained in lam(S') for S' subset of S.
 
-    A principal convergence satisfies it by construction.  Otherwise
-    single-element removals suffice; chains of removals reach every subset.
+    Always true: lam(S) is an AND over the columns and exceptions inside S,
+    which include those inside S'.  It stays bound because perfbench's
+    tracer wraps it by name.
     """
-    if lam.is_principal:
-        return True
-    t = lam.table
-    m = lam.carrier.size
-    for s in range(1, 1 << m):
-        if s & (s - 1) == 0:
-            continue
-        rest = s
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if t[s] & ~t[s ^ bit]:
-                return False
     return True
 
 
@@ -262,22 +215,12 @@ def star(lam: Convergence, warn: bool = True) -> Convergence:
     On classes the double subsequence quantifier becomes: intersect over
     nonempty S' of S, the union over nonempty S'' of S' of lam(S'').  Under
     (L2) the inner union is the union of lam({s}) over s in S', so the result
-    is the principal convergence on lam's singleton column.
+    is lam's singleton column without exceptions.  It warns when lam
+    violates (L1).
     """
-    l2 = check_L2(lam)
-    if warn and not (l2 and check_L1(lam)):
-        warnings.warn(
-            "star-closure applied to a convergence violating (L1)/(L2)",
-            stacklevel=2,
-        )
-    name = f"star({lam.name})"
-    if l2:
-        return Convergence(lam.carrier, lim1=lam.lim1, name=name)
-    m = lam.carrier.size
-    inner = sos_union(lam.table, m)
-    outer = sos_intersection_nonempty(inner, m)
-    outer[0] = 0
-    return Convergence(lam.carrier, table=outer, name=name)
+    if warn and not check_L1(lam):
+        warnings.warn("star-closure applied to a convergence violating (L1)", stacklevel=2)
+    return Convergence(lam.carrier, lim1=lam.lim1, name=f"star({lam.name})")
 
 
 def check_L3(lam: Convergence) -> bool:
@@ -287,10 +230,9 @@ def check_L3(lam: Convergence) -> bool:
 
 
 def is_hausdorff(lam: Convergence) -> bool:
-    """At most one limit per class; singleton classes have the largest sets
-    in a principal convergence."""
-    values = lam.lim1 if lam.is_principal else lam.table
-    return all(v & (v - 1) == 0 for v in values)
+    """At most one limit per class; under (L2) singleton classes have the
+    largest sets."""
+    return all(v & (v - 1) == 0 for v in lam.lim1)
 
 
 def hbar_witness(s: InfClass) -> InfClass:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .algebra import Carrier, CarrierMismatchError, Element, EPSeq, iter_bits
-from .convergence import ClosureAxiomError, Convergence, check_L1, check_L2
+from .convergence import ClosureAxiomError, Convergence, check_L1
 from .seqclass import inf_class
 
 
@@ -144,11 +144,6 @@ def discrete(carrier: Carrier) -> Topology:
     return Topology(carrier, [1 << p for p in range(carrier.size)])
 
 
-def antidiscrete(carrier: Carrier) -> Topology:
-    full = (1 << carrier.size) - 1
-    return Topology(carrier, [full] * carrier.size)
-
-
 def generate(carrier: Carrier, subbase: Iterable[int]) -> Topology:
     """Smallest topology containing the subbase.
 
@@ -167,19 +162,6 @@ def generate(carrier: Carrier, subbase: Iterable[int]) -> Topology:
     return Topology(carrier, mins)
 
 
-def sequential_closure(lam: Convergence, subset_mask: int) -> int:
-    """One application of the closure operator: all limits of sequences from A.
-
-    Under (L2) this is the union of the singleton limits lam({a}), a in A.
-    """
-    if not check_L2(lam):
-        raise ClosureAxiomError("the sequential closure requires a convergence satisfying (L2)")
-    lim1, out = lam.lim1, 0
-    for a in iter_bits(subset_mask):
-        out |= lim1[a]
-    return out
-
-
 def synthesize_O_lambda(lam: Convergence) -> Topology:
     """The sequential topology of lam: opens are complements of the subsets
     fixed by the sequential-closure operator.
@@ -187,12 +169,11 @@ def synthesize_O_lambda(lam: Convergence) -> Topology:
     Under (L2) the closure of A is the union of lam({a}) over a in A, so the
     closed sets are those closed under the transitive closure of the
     singleton relation a -> lam({a}), and N(q) is the set of points whose
-    transitive closure reaches q.
+    transitive closure reaches q.  Every convergence satisfies (L2); (L1)
+    is checked.
     """
-    if not (check_L1(lam) and check_L2(lam)):
-        raise ClosureAxiomError(
-            "sequential topology requires a convergence satisfying (L1) and (L2)"
-        )
+    if not check_L1(lam):
+        raise ClosureAxiomError("sequential topology requires a convergence satisfying (L1)")
     m = lam.carrier.size
     reach = list(lam.lim1)
     for k in range(m):
@@ -207,7 +188,7 @@ def lim_topo(o: Topology, x: EPSeq) -> frozenset[Element]:
     """Topological limits: points whose every neighborhood eventually absorbs x.
 
     a is a limit iff N(a) holds every value v of x's period, iff a lies in
-    each closure of v: the limits of x's class under the principal operator
+    each closure of v: the limits of x's class under the limit operator
     ``lim_of_topology_as_convergence(o)``, the AND of ``point_closures[v]``.
     """
     return lim_of_topology_as_convergence(o)(inf_class(x))
@@ -225,7 +206,7 @@ def lim_of_topology_as_convergence(o: Topology) -> Convergence:
     """The adjoint direction: classes to their sets of topological limits.
 
     a is a limit of S exactly when S lies inside N(a), so the result is
-    principal with lim1[s] = {a : s in N(a)}.
+    the convergence with lim1[s] = {a : s in N(a)} and no exceptions.
     """
     return Convergence(o.carrier, lim1=o.point_closures, name="lim_O")
 

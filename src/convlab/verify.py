@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .algebra import MAX_ATOMS, Carrier, EPSeq
-from .convergence import (
-    Convergence, check_hbar, hbar_witness, leq_conv, meet_conv, sos_intersection_nonempty,
-)
+from .convergence import Convergence, check_hbar, hbar_witness, leq_conv, meet_conv
 from .cube import (
     FCSeq, FCSet, candidate_limits, check_T1235a, fc_limsup, fc_union, lim_alexandrov, lim_cantor,
 )
@@ -191,17 +189,14 @@ def _crit_homeo_and_props(ctx: VerifyContext):
 
 
 def _random_l12_convergence(carrier: Carrier, rng: random.Random) -> Convergence:
-    """A random extensional convergence repaired to satisfy (L1) and (L2):
-    seed limits randomly, force constants, then intersect over subclasses."""
+    """A random convergence satisfying (L1) and (L2): one random limit mask
+    per class in ascending mask order, each point forced into its own
+    singleton limits, and every larger class kept as an exception."""
     m = carrier.size
-    table = [0] * (1 << m)
-    for s in range(1, 1 << m):
-        table[s] = rng.randrange(1 << m)
-    for a in range(m):
-        table[1 << a] |= 1 << a
-    repaired = sos_intersection_nonempty(table, m)
-    repaired[0] = 0
-    return Convergence(carrier, table=repaired, name="random")
+    drawn = [0] + [rng.randrange(1 << m) for _ in range(1, 1 << m)]
+    lim1 = [drawn[1 << a] | 1 << a for a in range(m)]
+    exceptions = [(c, drawn[c]) for c in range(1, 1 << m) if c & (c - 1)]
+    return Convergence(carrier, lim1=lim1, exceptions=exceptions, name="random")
 
 
 def _random_topology(carrier: Carrier, rng: random.Random) -> Topology:

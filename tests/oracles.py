@@ -3,7 +3,8 @@
 Each is a direct, element-by-element construction that the tests compare the
 library's bit-mask code against: up/down sets against ``Carrier.up_masks`` and
 ``down_masks``, honest subsequences against the class reduction in
-``convlab.seqclass``, listed opens against the minimal neighbourhoods a
+``convlab.seqclass``, full class tables against a convergence's singleton
+column and exceptions, listed opens against the minimal neighbourhoods a
 ``Topology`` holds, the diagram's order decided pair by pair of node names
 against ``report.build_figure1``'s pairs of equality classes, and element-set
 views of topologies, FC sets and submeasures.
@@ -15,8 +16,8 @@ import functools
 from fractions import Fraction
 from typing import Iterable
 
-from convlab.algebra import Carrier, CarrierMismatchError, Element, EPSeq, complement
-from convlab.convergence import _require_table_capacity
+from convlab.algebra import Carrier, CarrierMismatchError, Element, EPSeq, complement, iter_bits
+from convlab.convergence import Convergence, _require_table_capacity, sos_union
 from convlab.cube import FCSet, fc_complement, fc_intersection
 from convlab.report import KINDS
 from convlab.seqclass import class_from_mask
@@ -55,6 +56,16 @@ def downset(elements: Iterable[Element]) -> frozenset[Element]:
         for m in range(1 << width)
         if any(e.mask & m == m for e in elems)
     )
+
+
+def prefix(x: EPSeq, length: int) -> list[Element]:
+    """The first ``length`` entries of x."""
+    return [x.value_at(i) for i in range(length)]
+
+
+def format_seq_literal(x: EPSeq) -> str:
+    """Inverse of ``cli.parse_seq_literal``: ``[pre;per]`` with ``{i,j}`` elements."""
+    return "[{};{}]".format(*(",".join(map(repr, part)) for part in (x.preperiod, x.period)))
 
 
 def pointwise_complement(x: EPSeq) -> EPSeq:
@@ -109,6 +120,95 @@ def all_classes(carrier: Carrier):
     """All 2^(2^n) - 1 classes in ascending characteristic-mask order."""
     for mask in range(1, 1 << carrier.size):
         yield class_from_mask(carrier, mask)
+
+
+# -- full class tables ------------------------------------------------------
+#
+# A table lists the limit mask of every class mask (entry 0 unused), so it
+# has 2^(2^n) entries and exists only up to 4 atoms.
+
+def sos_intersection_nonempty(table: list[int], m: int) -> list[int]:
+    """out[A] = intersection of table[S] over all nonempty S contained in A."""
+    full = (1 << m) - 1
+    out = list(table)
+    out[0] = full
+    for e in range(m):
+        bit = 1 << e
+        for a in range(1 << m):
+            if a & bit:
+                out[a] &= out[a ^ bit]
+    return out
+
+
+@functools.cache
+def table_of(lam: Convergence) -> tuple[int, ...]:
+    """lam's table, by the subset transform over its columns and exceptions
+    rather than through ``limit_mask``."""
+    _require_table_capacity(lam.carrier)
+    m = lam.carrier.size
+    seed = [(1 << m) - 1] * (1 << m)
+    for s, col in enumerate(lam.lim1):
+        seed[1 << s] = col
+    for e, a in lam.exceptions:
+        seed[e] &= a
+    out = sos_intersection_nonempty(seed, m)
+    out[0] = 0
+    return tuple(out)
+
+
+def table_is_L2(table: list[int], m: int) -> bool:
+    """table[S] lies inside table[S'] for every nonempty S' inside S; removing
+    one point at a time suffices, since chains of removals reach every subset."""
+    for s in range(1, 1 << m):
+        if s & (s - 1) == 0:
+            continue
+        rest = s
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if table[s] & ~table[s ^ bit]:
+                return False
+    return True
+
+
+def star_table(table: list[int], m: int) -> tuple[int, ...]:
+    """The star-closure on tables: intersect over nonempty S' of S the union
+    of table[S''] over nonempty S'' of S'; it needs no (L2)."""
+    outer = sos_intersection_nonempty(sos_union(table, m), m)
+    outer[0] = 0
+    return tuple(outer)
+
+
+def from_table(carrier: Carrier, table: list[int]) -> Convergence:
+    """The convergence with this table.  It keeps as exceptions only the
+    classes whose entry is not the AND of their one-point-smaller
+    subclasses' entries, and raises ``ValueError`` for a table violating (L2)."""
+    m = carrier.size
+    if len(table) != 1 << m or not table_is_L2(table, m):
+        raise ValueError("a convergence needs an (L2) table of 2^size entries")
+    exceptions = []
+    for c in range(1, 1 << m):
+        if c & (c - 1):
+            below = (1 << m) - 1
+            for s in iter_bits(c):
+                below &= table[c ^ 1 << s]
+            if table[c] != below:
+                exceptions.append((c, table[c]))
+    return Convergence(carrier, lim1=[table[1 << s] for s in range(m)], exceptions=exceptions)
+
+
+def sequential_closure(lam: Convergence, subset_mask: int) -> int:
+    """One application of the closure operator: all limits of sequences from
+    A, which under (L2) is the union of the singleton limits lam({a}), a in A."""
+    out = 0
+    for a in iter_bits(subset_mask):
+        out |= lam.lim1[a]
+    return out
+
+
+def antidiscrete(carrier: Carrier) -> Topology:
+    full = (1 << carrier.size) - 1
+    return Topology(carrier, [full] * carrier.size)
 
 
 def generate_from_elements(carrier: Carrier, subbase: Iterable[Iterable[Element]]) -> Topology:

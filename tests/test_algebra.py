@@ -19,7 +19,7 @@ from convlab.algebra import (
     meet,
 )
 
-from oracles import downset, pointwise_complement, upset
+from oracles import downset, pointwise_complement, prefix, upset
 
 
 def tail_liminf(x: EPSeq) -> Element:
@@ -234,7 +234,7 @@ class TestEPSeqCanonicalization:
     def test_value_at(self, p2):
         a, b = p2.element([0]), p2.element([1])
         x = EPSeq((p2.top,), (a, b))
-        assert x.prefix(5) == [p2.top, a, b, a, b]
+        assert prefix(x, 5) == [p2.top, a, b, a, b]
 
 
 class TestLatticeProperties:

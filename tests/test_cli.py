@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convlab.algebra import Carrier, EPSeq
-from convlab.cli import SeqParseError, format_seq_literal, main, parse_seq_literal
+from convlab.cli import SeqParseError, main, parse_seq_literal
+
+from oracles import format_seq_literal
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from convlab.convergence import (
 )
 from convlab.seqclass import InfClass, class_from_mask, inf_class
 
-from oracles import all_classes, upset
+from oracles import all_classes, from_table, star_table, table_is_L2, table_of, upset
 
 
 def cls(carrier, *atom_lists):
@@ -101,7 +101,7 @@ class TestAxioms:
         assert check_L2(lambda_s(p3))
 
     def test_constant_empty_fails_L1(self, p2):
-        empty = Convergence(p2, table=[0] * (1 << p2.size), name="empty")
+        empty = Convergence(p2, lim1=[0] * p2.size, name="empty")
         assert not check_L1(empty)
 
     def test_builtins_satisfy_L3_at_finite_scale(self, p3):
@@ -120,7 +120,7 @@ class TestHausdorff:
         assert not is_hausdorff(lambda_li(carrier))
 
     def test_empty_is_vacuously_hausdorff(self, p2):
-        empty = Convergence(p2, table=[0] * (1 << p2.size))
+        empty = Convergence(p2, lim1=[0] * p2.size)
         assert is_hausdorff(empty)
 
 
@@ -184,7 +184,7 @@ class TestStar:
             assert check_L3(star(lam))
 
     def test_warns_without_L1(self, p2):
-        empty = Convergence(p2, table=[0] * (1 << p2.size))
+        empty = Convergence(p2, lim1=[0] * p2.size)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             star(empty)
@@ -193,12 +193,11 @@ class TestStar:
     def test_non_L2_input_closed_on_tables(self, p1):
         # class 3 has limits 11 but its singletons only 01 and 10, so the
         # star-closure gives it the intersection of 01, 10 and 11: nothing
-        lam = Convergence(p1, table=[0, 0b01, 0b10, 0b11])
-        assert not check_L2(lam)
-        with pytest.warns(UserWarning):
-            starred = star(lam)
-        assert not starred.is_principal
-        assert starred == lambda_s(p1)
+        table = [0, 0b01, 0b10, 0b11]
+        assert not table_is_L2(table, p1.size)
+        with pytest.raises(ValueError):
+            from_table(p1, table)
+        assert star_table(table, p1.size) == table_of(lambda_s(p1))
 
 
 class TestHbar:
@@ -227,7 +226,8 @@ class TestLazyRule:
             return upset([top])
 
         table = [0] + [p2.subset_mask(rule(s)) for s in all_classes(p2)]
-        lam = Convergence(p2, table=table)
+        lam = from_table(p2, table)
+        assert lam.exceptions == ()
         assert lam == lambda_ls(p2)
 
     def test_large_carrier_pointwise_only(self):
@@ -238,32 +238,48 @@ class TestLazyRule:
         x = EPSeq((), (big.bottom,))
         assert big.top in lam(inf_class(x))
         with pytest.raises(SweepCapacityError):
-            _ = lam.table
+            table_of(lam)
+        with_exception = Convergence(big, lim1=lam.lim1, exceptions=[(0b11, 0)])
+        with pytest.raises(SweepCapacityError):
+            with_exception.limit_count()
 
 
 class TestEqualityAcrossForms:
-    def test_needs_exactly_one_form(self, p1):
-        with pytest.raises(ValueError):
-            Convergence(p1)
-        with pytest.raises(ValueError):
-            Convergence(p1, table=[0, 1, 2, 0], lim1=[1, 2])
+    # exception classes hold two or more points: not one point, not the
+    # empty class 0, and not 1 << size, which lies outside the carrier
+    def test_needs_exactly_one_form(self):
+        for n in (1, 2, 3):
+            carrier = Carrier(n)
+            for e in (1, 1 << carrier.size - 1, 0, 1 << carrier.size, -1):
+                with pytest.raises(ValueError, match="exception class"):
+                    Convergence(carrier, lim1=carrier.up_masks, exceptions=[(e, 0)])
 
     # bit 2 lies outside P(1)'s two points, and -1 has every bit set
     @pytest.mark.parametrize(
-        "form", [{"lim1": [4, 1]}, {"lim1": [1, -1]}, {"table": [0, -1, 2, 3]}, {"table": [0, 1, 2, 4]}]
+        "form",
+        [
+            {"lim1": [4, 1]},
+            {"lim1": [1, -1]},
+            {"lim1": [1, 2], "exceptions": [(0b11, -1)]},
+            {"lim1": [1, 2], "exceptions": [(0b11, 4)]},
+        ],
     )
     def test_limit_masks_must_lie_in_the_carrier(self, p1, form):
         with pytest.raises(ValueError, match="limit masks"):
             Convergence(p1, **form)
 
-    # P(1) has two points, so two singleton limits and a table of 2^2 entries;
-    # the six-entry table would hash equal to lambda_s(P(1))
+    # P(1) has two points, so two singleton limits; from_table wants a table
+    # of 2^2 entries, and the six-entry table starts like lambda_s(P(1))'s
     @pytest.mark.parametrize(
         "form", [{"lim1": [1]}, {"lim1": [1, 2, 3]}, {"table": [0, 1]}, {"table": [0, 1, 2, 0, 0, 0]}]
     )
     def test_form_length_must_match_the_carrier(self, p1, form):
-        with pytest.raises(ValueError, match="expected"):
-            Convergence(p1, **form)
+        if "table" in form:
+            with pytest.raises(ValueError, match="2\\^size entries"):
+                from_table(p1, form["table"])
+        else:
+            with pytest.raises(ValueError, match="expected"):
+                Convergence(p1, **form)
 
     def test_large_carrier_star_fixes_ls(self):
         big = Carrier(5)
@@ -273,11 +289,23 @@ class TestEqualityAcrossForms:
         assert hash(lam) == hash(starred)
 
     def test_extensional_copy_equals_principal(self, p3):
+        # every larger class as an exception holding its own limits: all redundant
         lam = lambda_li(p3)
-        copy = Convergence(p3, table=list(lam.table))
-        assert not copy.is_principal
+        table = table_of(lam)
+        exceptions = [(c, table[c]) for c in range(1, len(table)) if c & (c - 1)]
+        copy = Convergence(p3, lim1=lam.lim1, exceptions=exceptions)
+        assert copy.exceptions != ()
         assert copy == lam
         assert hash(copy) == hash(lam)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_limit_mask_rejects_masks_outside_the_carrier(self, n):
+        carrier = Carrier(n)
+        with_exception = Convergence(carrier, lim1=carrier.up_masks, exceptions=[(0b11, 0)])
+        for lam in (lambda_ls(carrier), with_exception):
+            for mask in (-1, 1 << carrier.size):
+                with pytest.raises(ValueError, match=f"class mask {mask} .*P\\({n}\\)"):
+                    lam.limit_mask(mask)
 
 
 class TestLimitCount:
@@ -302,4 +330,4 @@ class TestLimitCount:
         carrier = Carrier(n)
         for law in (lambda_ls, lambda_li, lambda_s):
             lam = law(carrier)
-            assert lam.limit_count() == sum(v.bit_count() for v in lam.table)
+            assert lam.limit_count() == sum(v.bit_count() for v in table_of(lam))

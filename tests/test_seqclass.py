@@ -12,7 +12,7 @@ from convlab.seqclass import (
     subsequence_classes,
 )
 
-from oracles import all_classes, drop_prefix, select_values, stride
+from oracles import all_classes, drop_prefix, prefix, select_values, stride
 from test_algebra import random_epseq
 
 
@@ -20,7 +20,7 @@ def _tail_of(y, sampled):
     """Canonical rotation may delete finitely many leading period entries;
     the constructed stream must embed order-preservingly into the sampled
     one (greedy subsequence matching)."""
-    needle = y.prefix(len(sampled) - len(y.period) - len(y.preperiod))
+    needle = prefix(y, len(sampled) - len(y.period) - len(y.preperiod))
     it = iter(sampled)
     return all(v in it for v in needle)
 
@@ -144,5 +144,5 @@ class TestConcreteSubsequences:
                 y = select_values(x, target.values)
                 assert inf_class(y) == target
                 # y really is a subsequence: its entries appear in x in order
-                picked = [v for v in x.prefix(40) if v in target.values]
+                picked = [v for v in prefix(x, 40) if v in target.values]
                 assert _tail_of(y, picked)

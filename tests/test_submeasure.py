@@ -13,9 +13,9 @@ from convlab.submeasure import (
     metric_topology,
     validate_submeasure,
 )
-from convlab.topology import discrete, antidiscrete, synthesize_O_lambda
+from convlab.topology import discrete, synthesize_O_lambda
 
-from oracles import open_masks, zero_submeasure
+from oracles import antidiscrete, open_masks, zero_submeasure
 
 
 class TestValidation:
