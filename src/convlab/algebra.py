@@ -17,6 +17,12 @@ class CarrierMismatchError(ValueError):
     """Operands belong to Boolean algebras with different atom counts."""
 
 
+def check_same_carrier(a, b) -> None:
+    """Raise ``CarrierMismatchError`` unless a and b live on one carrier."""
+    if a.carrier != b.carrier:
+        raise CarrierMismatchError("operands live on different carriers")
+
+
 @dataclass(frozen=True)
 class Element:
     """One element of P(n): a set of atom indices packed into ``mask``."""

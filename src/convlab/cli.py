@@ -3,7 +3,6 @@ the full verification suite."""
 
 from __future__ import annotations
 
-import os
 import re
 import sys
 
@@ -80,44 +79,23 @@ MAX_SAMPLES = 100_000
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _ascii_int(text: str) -> int:
+class _AsciiInt(click.ParamType):
     """An optional sign, then ASCII digits: ``int()`` alone also takes other
     scripts' digits and ``_`` separators."""
-    if not _INTEGER.fullmatch(text):
-        raise ValueError(f"{text!r} is not an integer in ASCII digits")
-    return int(text)
 
-
-class _AsciiInt(click.ParamType):
     name = "integer"
 
     def convert(self, value, param, ctx):
         if isinstance(value, int):
             return value
-        try:
-            return _ascii_int(value)
-        except ValueError as exc:
-            self.fail(str(exc), param, ctx)
-
-
-def _atom_cap() -> int:
-    cap = MAX_ATOMS
-    env = os.environ.get("CONVLAB_MAX_ATOMS")
-    if env is not None:
-        try:
-            requested = _ascii_int(env)
-        except ValueError:
-            raise click.UsageError(f"CONVLAB_MAX_ATOMS must be an integer, got {env!r}")
-        if requested < 1:
-            raise click.UsageError(f"CONVLAB_MAX_ATOMS must be at least 1, got {env!r}")
-        cap = min(cap, requested)
-    return cap
+        if not _INTEGER.fullmatch(value):
+            self.fail(f"{value!r} is not an integer in ASCII digits", param, ctx)
+        return int(value)
 
 
 def _carrier(atoms: int) -> Carrier:
-    cap = _atom_cap()
-    if not 1 <= atoms <= cap:
-        raise click.UsageError(f"--atoms must be in 1..{cap}, got {atoms}")
+    if not 1 <= atoms <= MAX_ATOMS:
+        raise click.UsageError(f"--atoms must be in 1..{MAX_ATOMS}, got {atoms}")
     return Carrier(atoms)
 
 

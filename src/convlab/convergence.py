@@ -20,7 +20,7 @@ from __future__ import annotations
 import warnings
 from typing import Iterable, Optional, Sequence
 
-from .algebra import Carrier, CarrierMismatchError, Element, iter_bits
+from .algebra import Carrier, CarrierMismatchError, Element, check_same_carrier, iter_bits
 from .seqclass import InfClass, class_from_mask, class_mask, subsequence_classes
 
 
@@ -56,7 +56,9 @@ class Convergence:
 
     ``lim1[s]`` is the limit mask of the singleton class {s}; each exception
     (E, A) pairs a class mask E of two or more points with a limit mask A that
-    every class containing E is cut down to.
+    every class containing E is cut down to.  Exceptions given for one class
+    are kept as one, whose limit mask is the AND of theirs, in the order each
+    class first appears; each given limit mask is range-checked on its own.
     """
 
     def __init__(
@@ -71,9 +73,11 @@ class Convergence:
         if len(lim1) != size:
             raise ValueError(f"expected {size} singleton limits, got {len(lim1)}")
         exceptions = tuple((e, a) for e, a in exceptions)
-        for e, _ in exceptions:
+        merged: dict[int, int] = {}
+        for e, a in exceptions:
             if not 0 <= e <= full or e & (e - 1) == 0:
                 raise ValueError(f"exception class {e} must hold two or more of P({carrier.n})'s {size} points")
+            merged[e] = merged.get(e, full) & a
         limits = [*lim1, *(a for _, a in exceptions)]
         if limits and not 0 <= min(limits) <= max(limits) <= full:
             raise ValueError(f"limit masks must lie in 0..2^{size} - 1")
@@ -81,7 +85,7 @@ class Convergence:
         self.name = name
         self._full = full
         self.lim1 = tuple(lim1)
-        self.exceptions = exceptions
+        self.exceptions = tuple(merged.items())
 
     def limit_mask(self, mask: int) -> int:
         # the full limit mask is also the largest class mask
@@ -157,15 +161,10 @@ def lambda_s(carrier: Carrier) -> Convergence:
     )
 
 
-def _check_same_carrier(a: Convergence, b: Convergence) -> None:
-    if a.carrier != b.carrier:
-        raise CarrierMismatchError("convergences live on different carriers")
-
-
 def meet_conv(a: Convergence, b: Convergence) -> Convergence:
     """Pointwise intersection of limit sets: the columns ANDed, the
-    exceptions of both kept."""
-    _check_same_carrier(a, b)
+    exceptions of both kept, one per class."""
+    check_same_carrier(a, b)
     name = f"({a.name} & {b.name})" if a.name and b.name else ""
     lim1 = [x & y for x, y in zip(a.lim1, b.lim1)]
     return Convergence(a.carrier, lim1=lim1, exceptions=a.exceptions + b.exceptions, name=name)
@@ -181,7 +180,7 @@ def first_escape(a: Convergence, b: Convergence) -> Optional[int]:
     (L2) a(E), not inside A: then E escapes too, and E <= C as an integer.
     A class holding a failing singleton {s} is likewise >= 1 << s.
     """
-    _check_same_carrier(a, b)
+    check_same_carrier(a, b)
     found = next((1 << s for s, (x, y) in enumerate(zip(a.lim1, b.lim1)) if x & ~y), None)
     for e, lim in b.exceptions:
         if (found is None or e < found) and a.limit_mask(e) & ~lim:

@@ -6,6 +6,7 @@ not depend on floating-point rounding.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,6 +15,10 @@ from typing import Iterable
 from .algebra import Carrier, Element
 from .report import figure_nodes
 from .topology import Topology, generate
+
+
+# a mask and a value, as an integer or a fraction of integers, in ASCII digits
+_LINE = re.compile(r"([+-]?[0-9]+)\s+([+-]?[0-9]+(?:/[0-9]+)?)", re.ASCII)
 
 
 class SubmeasureTableError(ValueError):
@@ -91,13 +96,13 @@ class Submeasure:
                 continue
             where = f"{path}:{lineno}"
             malformed = SubmeasureTableError(f"{where}: expected 'mask value', got {line!r}")
-            # int() and Fraction() also read non-ASCII digits and "_" digit
-            # separators (Fraction() only from Python 3.11)
-            if not line.isascii() or "_" in line:
+            # int() and Fraction() also read non-ASCII digits, "_" digit
+            # separators and, Fraction() alone, decimals and unbounded exponents
+            match = _LINE.fullmatch(line)
+            if match is None:
                 raise malformed
             try:
-                mask_text, value_text = line.split()
-                mask, value = int(mask_text), Fraction(value_text)
+                mask, value = int(match[1]), Fraction(match[2])
             except (ValueError, ZeroDivisionError):
                 raise malformed from None
             if not 0 <= mask < carrier.size:

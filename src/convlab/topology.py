@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .algebra import Carrier, CarrierMismatchError, Element, EPSeq, iter_bits
+from .algebra import Carrier, Element, EPSeq, check_same_carrier, iter_bits
 from .convergence import ClosureAxiomError, Convergence, check_L1
 from .seqclass import inf_class
 
@@ -78,7 +78,7 @@ class Topology:
         """Every open of self is open in other: N_other(p) inside N_self(p)."""
         if not isinstance(other, Topology):
             return NotImplemented
-        _check_same_carrier(self, other)
+        check_same_carrier(self, other)
         return all(b & ~a == 0 for a, b in zip(self._mins, other._mins))
 
     def __eq__(self, other: object) -> bool:
@@ -114,30 +114,14 @@ def first_open_not_in(a: Topology, b: Topology) -> Optional[int]:
     """Smallest mask that is open in a and not in b; None when a <= b.
 
     Inclusion is decided first, on the neighbourhood arrays.  Otherwise the
-    walk visits a's opens in ascending mask order, deciding bits from the
-    top: leaving p out forces its closure out, taking p in forces N(p) in,
-    and neither choice can contradict an earlier one.
+    least such mask U is a minimal neighbourhood of a.  U is not open in b,
+    so some r in U has N_b(r) not inside U; U is open in a, so N_a(r) is
+    inside U.  Then N_a(r) is open in a and not open in b, since it holds r
+    but not all of N_b(r), and N_a(r) <= U as an integer, so U = N_a(r).
     """
     if a <= b:
         return None
-    mins, closures = a.min_neighborhoods, a.point_closures
-    stack = [(a.carrier.size - 1, 0, 0)]
-    while stack:
-        p, ones, zeros = stack.pop()
-        if p < 0:
-            if not b.is_open_mask(ones):
-                return ones
-        elif (ones | zeros) >> p & 1:
-            stack.append((p - 1, ones, zeros))
-        else:
-            stack.append((p - 1, ones | mins[p], zeros))
-            stack.append((p - 1, ones, zeros | closures[p]))
-    return None
-
-
-def _check_same_carrier(a, b) -> None:
-    if a.carrier != b.carrier:
-        raise CarrierMismatchError("operands live on different carriers")
+    return next(u for u in sorted(a.min_neighborhoods) if not b.is_open_mask(u))
 
 
 def discrete(carrier: Carrier) -> Topology:
@@ -196,7 +180,7 @@ def lim_topo(o: Topology, x: EPSeq) -> frozenset[Element]:
 
 def join_topologies(o1: Topology, o2: Topology) -> Topology:
     """Minimal topology containing both: N(p) = N1(p) & N2(p)."""
-    _check_same_carrier(o1, o2)
+    check_same_carrier(o1, o2)
     return Topology(
         o1.carrier, [a & b for a, b in zip(o1.min_neighborhoods, o2.min_neighborhoods)]
     )
@@ -233,7 +217,7 @@ def check_closed_char(o: Topology, direction: str = "up") -> bool:
 def complement_homeomorphism_check(o_ls: Topology, o_li: Topology) -> bool:
     """b -> b' maps the left topology's opens bijectively onto the right's:
     it carries each minimal neighbourhood N_ls(p) onto N_li(p')."""
-    _check_same_carrier(o_ls, o_li)
+    check_same_carrier(o_ls, o_li)
     m = o_ls.carrier.size
     top = m - 1
 

@@ -271,10 +271,11 @@ class TestVerify:
             (b"0 0\n\xff 1\n", "mu.txt: not a UTF-8 text file"),
             ("0 0\n\u0661 1\n".encode(), "mu.txt:2: expected 'mask value', got '\u0661 1'"),
             (b"0 0\n1 1_0\n", "mu.txt:2: expected 'mask value', got '1 1_0'"),
+            (b"0 0\n1 1e9\n2 1\n3 1\n", "mu.txt:2: expected 'mask value', got '1 1e9'"),
         ],
         ids=[
             "non-integer-mask", "zero-denominator", "negative-value", "duplicate-mask", "not-utf8",
-            "non-ascii-digit", "underscore",
+            "non-ascii-digit", "underscore", "exponent",
         ],
     )
     def test_bad_submeasure_table_is_usage_error(self, runner, tmp_path, table, message):
@@ -314,41 +315,6 @@ class TestVerify:
             main, ["verify", "--atoms", "2", "--submeasure", "/nonexistent"]
         )
         assert result.exit_code == 2
-
-
-class TestAtomCapEnv:
-    def test_env_lowers_cap(self, runner, monkeypatch):
-        monkeypatch.setenv("CONVLAB_MAX_ATOMS", "2")
-        result = runner.invoke(main, ["diagram", "--atoms", "3"])
-        assert result.exit_code == 2
-        assert "1..2" in result.output
-
-    def test_env_cannot_raise_cap(self, runner, monkeypatch):
-        monkeypatch.setenv("CONVLAB_MAX_ATOMS", "9")
-        result = runner.invoke(
-            main, ["converge", "--atoms", "6", "--seq", "[;{0}]"]
-        )
-        assert result.exit_code == 2
-
-    def test_garbage_env_rejected(self, runner, monkeypatch):
-        monkeypatch.setenv("CONVLAB_MAX_ATOMS", "lots")
-        result = runner.invoke(main, ["diagram", "--atoms", "2"])
-        assert result.exit_code == 2
-
-    def test_env_must_be_ascii_digits(self, runner, monkeypatch):
-        # Arabic-Indic two: int() reads it as 2, which would allow --atoms 2
-        monkeypatch.setenv("CONVLAB_MAX_ATOMS", "\u0662")
-        result = runner.invoke(main, ["diagram", "--atoms", "2"])
-        assert result.exit_code == 2
-        assert "CONVLAB_MAX_ATOMS must be an integer" in result.output
-
-    @pytest.mark.parametrize("env", ["0", "-3"])
-    def test_env_must_be_positive(self, runner, monkeypatch, env):
-        # a cap below one used to be ignored, leaving the default cap of 5
-        monkeypatch.setenv("CONVLAB_MAX_ATOMS", env)
-        result = runner.invoke(main, ["converge", "--atoms", "5", "--seq", "[;{0}]", "--law", "s"])
-        assert result.exit_code == 2
-        assert f"CONVLAB_MAX_ATOMS must be at least 1, got '{env}'" in result.output
 
 
 # Dedekind number M(5) (OEIS A000372): the down-sets of P(5), which are the

@@ -1,3 +1,4 @@
+import random
 import warnings
 from math import comb
 
@@ -80,6 +81,22 @@ class TestConvergenceAlgebra:
     def test_meet_idempotent(self, p3):
         lam = lambda_ls(p3)
         assert meet_conv(lam, lam) == lam
+
+    def test_self_meets_keep_one_exception_per_class(self, p3):
+        from convlab.verify import _random_l12_convergence
+
+        lam = _random_l12_convergence(p3, random.Random(0))
+        assert len(lam.exceptions) == 247
+        met = lam
+        for _ in range(3):
+            met = meet_conv(met, lam)
+            assert len(met.exceptions) == 247
+            assert met == lam
+
+    def test_exceptions_for_one_class_merge(self, p2):
+        x, y = 0b0110, 0b1100
+        lam = Convergence(p2, lim1=p2.up_masks, exceptions=[(3, x), (3, y)])
+        assert lam.exceptions == ((3, x & y),)
 
     def test_carrier_mismatch(self, p2, p3):
         from convlab.algebra import CarrierMismatchError
@@ -262,6 +279,8 @@ class TestEqualityAcrossForms:
             {"lim1": [1, -1]},
             {"lim1": [1, 2], "exceptions": [(0b11, -1)]},
             {"lim1": [1, 2], "exceptions": [(0b11, 4)]},
+            # ANDing -1 into the first limit given for the class would hide it
+            {"lim1": [1, 2], "exceptions": [(0b11, 1), (0b11, -1)]},
         ],
     )
     def test_limit_masks_must_lie_in_the_carrier(self, p1, form):

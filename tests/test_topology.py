@@ -11,6 +11,7 @@ from convlab.convergence import (
     lambda_s,
     leq_conv,
 )
+from convlab.report import figure_nodes
 from convlab.seqclass import InfClass, representative
 from convlab.topology import (
     Topology,
@@ -350,3 +351,33 @@ class TestFirstOpenNotIn:
             monkeypatch.setattr(o_s, "is_open_mask", lambda mask: calls.append(mask) or True)
             assert first_open_not_in(a, o_s) is None
             assert calls == []
+
+    @staticmethod
+    def adversarial(carrier):
+        # discrete except N(top) = {bottom, top}: every open holding top and
+        # not bottom is a witness against the discrete topology, and the least
+        # of them, {top}, is the last open an ascending walk would reach
+        top = carrier.size - 1
+        return Topology(carrier, [1 << p for p in range(top)] + [1 | 1 << top])
+
+    def test_adversarial_pair_is_decided_per_point(self, p4, monkeypatch):
+        b = self.adversarial(p4)
+        calls = []
+        is_open_mask = b.is_open_mask
+        monkeypatch.setattr(b, "is_open_mask", lambda mask: calls.append(mask) or is_open_mask(mask))
+        assert first_open_not_in(discrete(p4), b) == 1 << 15
+        assert len(calls) <= p4.size
+
+    def test_adversarial_pair_at_five_atoms(self):
+        carrier = Carrier(5)
+        assert first_open_not_in(discrete(carrier), self.adversarial(carrier)) == 1 << 31
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_witness_is_the_least_open_not_in_the_other(self, n):
+        carrier = Carrier(n)
+        nodes = figure_nodes(carrier)
+        topos = [nodes[name] for name in ("O_ls", "O_li", "O_s", "O_lsi")] + [self.adversarial(carrier)]
+        opens = [open_masks(o) for o in topos]
+        for a, opens_a in zip(topos, opens):
+            for b, opens_b in zip(topos, opens):
+                assert first_open_not_in(a, b) == min(opens_a - opens_b, default=None)
