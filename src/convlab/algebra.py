@@ -194,11 +194,6 @@ class EPSeq:
     def width(self) -> int:
         return self.period[0].width
 
-    def value_at(self, i: int) -> Element:
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
-
 
 def liminf(x: EPSeq) -> Element:
     """Largest element below all but finitely many entries: meet of the period."""

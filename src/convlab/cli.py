@@ -23,57 +23,64 @@ class SeqParseError(ValueError):
 
 
 def parse_seq_literal(text: str, carrier: Carrier) -> EPSeq:
-    """Parse ``[pre1,pre2;per1,per2]`` with elements as ``{i,j}`` atom lists."""
-    pos = 0
+    """Parse ``[pre1,pre2;per1,per2]`` with elements as ``{i,j}`` atom lists.
+
+    Exactly one ``,`` separates neighbouring items, and none follows the last.
+    """
+    pos, end = 0, len(text)
 
     def expect(ch: str) -> None:
         nonlocal pos
-        if pos >= len(text) or text[pos] != ch:
+        if pos >= end or text[pos] != ch:
             raise SeqParseError(f"expected {ch!r}", pos)
         pos += 1
 
-    def parse_element():
+    def parse_items(parse_item) -> list:
+        """Comma-separated items up to the next ``;``, ``]`` or ``}``."""
         nonlocal pos
+        if pos >= end or text[pos] in ";]}":
+            return []
+        items = [parse_item()]
+        while pos < end and text[pos] == ",":
+            pos += 1
+            if pos < end and text[pos] in ";]}":
+                raise SeqParseError(f"',' before {text[pos]!r}", pos - 1)
+            items.append(parse_item())
+        return items
+
+    def parse_atom() -> int:
+        nonlocal pos
+        start = pos
+        while pos < end and "0" <= text[pos] <= "9":
+            pos += 1
+        if pos == start:
+            raise SeqParseError("expected atom index", pos)
+        digits = text[start:pos].lstrip("0") or "0"
+        # length first: int() refuses digit runs past the interpreter's limit
+        if len(digits) > len(str(carrier.n)) or int(digits) >= carrier.n:
+            raise SeqParseError(f"atom index out of range for P({carrier.n})", start)
+        return int(digits)
+
+    def parse_element():
         expect("{")
-        atoms = []
-        while pos < len(text) and text[pos] != "}":
-            start = pos
-            while pos < len(text) and "0" <= text[pos] <= "9":
-                pos += 1
-            if pos == start:
-                raise SeqParseError("expected atom index", pos)
-            digits = text[start:pos].lstrip("0") or "0"
-            # length first: int() refuses digit runs past the interpreter's limit
-            if len(digits) > len(str(carrier.n)) or int(digits) >= carrier.n:
-                raise SeqParseError(f"atom index out of range for P({carrier.n})", start)
-            atoms.append(int(digits))
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
+        atoms = parse_items(parse_atom)
         expect("}")
         return carrier.element(atoms)
 
-    def parse_list(terminators: str):
-        nonlocal pos
-        items = []
-        while pos < len(text) and text[pos] not in terminators:
-            items.append(parse_element())
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-        return tuple(items)
-
     expect("[")
-    pre = parse_list(";]")
+    pre = parse_items(parse_element)
     expect(";")
-    per = parse_list("]")
+    per = parse_items(parse_element)
     expect("]")
-    if pos != len(text):
+    if pos != end:
         raise SeqParseError("trailing input", pos)
     if not per:
         raise SeqParseError("period must be nonempty", pos - 1)
-    return EPSeq(pre, per)
+    return EPSeq(tuple(pre), tuple(per))
 
 
-# `verify` holds all its cube samples in memory at once, a few hundred bytes each
+# `verify` holds all its cube samples in memory at once: about 200 bytes each, by
+# tracemalloc over 100,000 `random_fcseq` samples
 MAX_SAMPLES = 100_000
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")

@@ -6,8 +6,9 @@ library's bit-mask code against: up/down sets against ``Carrier.up_masks`` and
 ``convlab.seqclass``, full class tables against a convergence's singleton
 column and exceptions, listed opens against the minimal neighbourhoods a
 ``Topology`` holds, the diagram's order decided pair by pair of node names
-against ``report.build_figure1``'s pairs of equality classes, and element-set
-views of topologies, FC sets and submeasures.
+against ``report.build_figure1``'s pairs of equality classes, element-set
+views of topologies and submeasures, and the entries of eventually periodic
+sequences read one index at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable
 
 from convlab.algebra import Carrier, CarrierMismatchError, Element, EPSeq, complement, iter_bits
 from convlab.convergence import Convergence, _require_table_capacity, sos_union
-from convlab.cube import FCSet, fc_complement, fc_intersection
+from convlab.cube import FCSeq
 from convlab.report import KINDS
 from convlab.seqclass import class_from_mask
 from convlab.submeasure import Submeasure
@@ -58,9 +59,16 @@ def downset(elements: Iterable[Element]) -> frozenset[Element]:
     )
 
 
+def value_at(x: EPSeq | FCSeq, i: int):
+    """Entry i of an eventually periodic sequence."""
+    if i < len(x.preperiod):
+        return x.preperiod[i]
+    return x.period[(i - len(x.preperiod)) % len(x.period)]
+
+
 def prefix(x: EPSeq, length: int) -> list[Element]:
     """The first ``length`` entries of x."""
-    return [x.value_at(i) for i in range(length)]
+    return [value_at(x, i) for i in range(length)]
 
 
 def format_seq_literal(x: EPSeq) -> str:
@@ -97,9 +105,9 @@ def stride(x: EPSeq, k: int) -> EPSeq:
         raise ValueError("k must be positive")
     pre_len = len(x.preperiod)
     q = -(-pre_len // k)  # first j with j*k >= pre_len
-    new_pre = tuple(x.value_at(j * k) for j in range(q))
+    new_pre = tuple(value_at(x, j * k) for j in range(q))
     p = len(x.period)
-    new_per = tuple(x.value_at((q + j) * k) for j in range(p))
+    new_per = tuple(value_at(x, (q + j) * k) for j in range(p))
     return EPSeq(new_pre, new_per)
 
 
@@ -247,10 +255,6 @@ def topology_from_opens(carrier: Carrier, opens: Iterable[int]) -> Topology:
     if len(family) != topo.open_count():
         raise ValueError("open family is not closed under union and intersection")
     return topo
-
-
-def fc_difference(a: FCSet, b: FCSet) -> FCSet:
-    return fc_intersection(a, fc_complement(b))
 
 
 def zero_submeasure(carrier: Carrier) -> Submeasure:

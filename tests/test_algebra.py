@@ -19,7 +19,7 @@ from convlab.algebra import (
     meet,
 )
 
-from oracles import downset, pointwise_complement, prefix, upset
+from oracles import downset, pointwise_complement, prefix, upset, value_at
 
 
 def tail_liminf(x: EPSeq) -> Element:
@@ -27,7 +27,7 @@ def tail_liminf(x: EPSeq) -> Element:
     window = len(x.preperiod) + len(x.period)
     tails = []
     for k in range(window + 1):
-        vals = [x.value_at(i) for i in range(k, k + window)]
+        vals = [value_at(x, i) for i in range(k, k + window)]
         tails.append(reduce(meet, vals))
     return reduce(join, tails)
 
@@ -36,7 +36,7 @@ def tail_limsup(x: EPSeq) -> Element:
     window = len(x.preperiod) + len(x.period)
     tails = []
     for k in range(window + 1):
-        vals = [x.value_at(i) for i in range(k, k + window)]
+        vals = [value_at(x, i) for i in range(k, k + window)]
         tails.append(reduce(join, vals))
     return reduce(meet, tails)
 

@@ -41,6 +41,30 @@ class TestSeqLiteral:
         with pytest.raises(SeqParseError):
             parse_seq_literal(bad, Carrier(2))
 
+    # a missing separator, or a ',' right before ';', ']' or '}', with the
+    # position the error names
+    SEPARATOR_ERRORS = [
+        ("[{0}{1};{0}]", "expected ';' at position 4"),
+        ("[;{0}{1}]", "expected ']' at position 5"),
+        ("[;{0},]", "',' before ']' at position 5"),
+        ("[{0},;{1}]", "',' before ';' at position 4"),
+        ("[;{0,}]", "',' before '}' at position 4"),
+    ]
+
+    @pytest.mark.parametrize("bad, message", SEPARATOR_ERRORS)
+    def test_rejects_missing_or_trailing_separator(self, bad, message):
+        with pytest.raises(SeqParseError) as exc:
+            parse_seq_literal(bad, Carrier(2))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("bad, message", SEPARATOR_ERRORS)
+    def test_cli_rejects_missing_or_trailing_separator(self, bad, message):
+        result = CliRunner().invoke(main, ["converge", "--atoms", "2", "--seq", bad])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert f"bad sequence literal: {message}" in result.output
+
     def test_error_carries_position(self):
         with pytest.raises(SeqParseError) as exc:
             parse_seq_literal("[;{9}]", Carrier(2))
