@@ -19,7 +19,7 @@ class CarrierMismatchError(ValueError):
 
 def check_same_carrier(a, b) -> None:
     """Raise ``CarrierMismatchError`` unless a and b live on one carrier."""
-    if a.carrier != b.carrier:
+    if a.carrier is not b.carrier and a.carrier != b.carrier:
         raise CarrierMismatchError("operands live on different carriers")
 
 

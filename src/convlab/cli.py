@@ -153,7 +153,13 @@ def converge(atoms: int, seq: str, law: str) -> None:
 @main.command()
 @click.option("--atoms", type=_AsciiInt(), default=3, show_default=True)
 @click.option("--seed", type=_AsciiInt(), default=0, show_default=True)
-@click.option("--samples", type=_AsciiInt(), default=1000, show_default=True)
+@click.option(
+    "--samples",
+    type=_AsciiInt(),
+    default=1000,
+    show_default=True,
+    help="sequences the cube criterion (10) samples; the limit intersection law (6) checks every class",
+)
 @click.option(
     "--submeasure",
     "submeasure_path",

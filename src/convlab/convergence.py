@@ -18,6 +18,7 @@ answer point queries at any size.  Sweeps over all classes exist only up to
 from __future__ import annotations
 
 import warnings
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .algebra import Carrier, CarrierMismatchError, Element, check_same_carrier, iter_bits
@@ -86,6 +87,11 @@ class Convergence:
         self._full = full
         self.lim1 = tuple(lim1)
         self.exceptions = tuple(merged.items())
+
+    @cached_property
+    def _lanes(self) -> int:
+        """``lim1`` packed into 2^n-bit lanes, made on first order test."""
+        return sum(col << s * self.carrier.size for s, col in enumerate(self.lim1))
 
     def limit_mask(self, mask: int) -> int:
         # the full limit mask is also the largest class mask
@@ -181,7 +187,9 @@ def first_escape(a: Convergence, b: Convergence) -> Optional[int]:
     A class holding a failing singleton {s} is likewise >= 1 << s.
     """
     check_same_carrier(a, b)
-    found = next((1 << s for s, (x, y) in enumerate(zip(a.lim1, b.lim1)) if x & ~y), None)
+    # every failing singleton at once; the lowest set bit is in the least one's lane
+    lost = a._lanes & ~b._lanes
+    found = 1 << ((lost & -lost).bit_length() - 1) // a.carrier.size if lost else None
     for e, lim in b.exceptions:
         if (found is None or e < found) and a.limit_mask(e) & ~lim:
             found = e

@@ -13,7 +13,7 @@ its coordinates at once: the window members of v are ``v & window``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .algebra import canonical_period, iter_bits
@@ -57,16 +57,22 @@ def _tuple_repr(sets: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True, repr=False, slots=True)
 class FCSeq:
-    """Eventually periodic sequence of finite/cofinite sets."""
+    """Eventually periodic sequence of finite/cofinite sets; ``support`` is
+    the union of its entries' support masks, made once."""
 
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
+    support: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.period:
             raise ValueError("period must be nonempty")
         object.__setattr__(self, "preperiod", tuple(self.preperiod))
         object.__setattr__(self, "period", canonical_period(tuple(self.period), _order_key))
+        support = 0
+        for v in self.preperiod + self.period:
+            support |= fc_support(v)
+        object.__setattr__(self, "support", support)
 
     def __repr__(self) -> str:
         return f"FCSeq(preperiod={_tuple_repr(self.preperiod)}, period={_tuple_repr(self.period)})"
@@ -88,13 +94,6 @@ def fc_limsup(x: FCSeq) -> int:
     return out
 
 
-def _supports(x: FCSeq) -> int:
-    out = 0
-    for v in x.preperiod + x.period:
-        out |= fc_support(v)
-    return out
-
-
 def _window(coords: int) -> int:
     """The exceptional coordinates plus the generic one just beyond them."""
     return coords | 1 << coords.bit_length()
@@ -105,7 +104,7 @@ def lim_alexandrov(x: FCSeq) -> Callable[[int], bool]:
     proper neighborhood: a coordinate at 0 in the candidate forces the
     sequence's coordinate to 0 eventually; a coordinate at 1 is unconstrained.
     """
-    vals, coords = set(x.period), _supports(x)
+    vals, coords = set(x.period), x.support
 
     def holds(a: int) -> bool:
         w = _window(coords | fc_support(a))
@@ -117,7 +116,7 @@ def lim_alexandrov(x: FCSeq) -> Callable[[int], bool]:
 def lim_alexandrov_dual(x: FCSeq) -> Callable[[int], bool]:
     """Dual cube ({1} is the proper neighborhood): a coordinate at 1 in the
     candidate forces the sequence's coordinate to 1 eventually."""
-    vals, coords = set(x.period), _supports(x)
+    vals, coords = set(x.period), x.support
 
     def holds(a: int) -> bool:
         w = _window(coords | fc_support(a))
@@ -129,7 +128,7 @@ def lim_alexandrov_dual(x: FCSeq) -> Callable[[int], bool]:
 def lim_cantor(x: FCSeq) -> Optional[int]:
     """Limit in the cube with discrete coordinates: every coordinate must be
     eventually constant; the limit is that coordinatewise value."""
-    w = _window(_supports(x))
+    w = _window(x.support)
     return fc_limsup(x) if len({v & w for v in x.period}) == 1 else None
 
 
@@ -138,7 +137,7 @@ def candidate_limits(x: FCSeq, rng) -> list[int]:
     from the sequence, then eight seeded random finite/cofinite sets in its window."""
     li, ls = fc_liminf(x), fc_limsup(x)
     pool = [li, ls, ~li, ~ls, FC_EMPTY, FC_FULL]
-    universe = [1 << i for i in iter_bits(_window(_supports(x)))]
+    universe = [1 << i for i in iter_bits(_window(x.support))]
     for _ in range(8):
         bits = 0
         for b in universe:

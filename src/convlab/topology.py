@@ -13,6 +13,7 @@ the neighbourhood array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .algebra import Carrier, Element, EPSeq, check_same_carrier, iter_bits
@@ -55,6 +56,11 @@ class Topology:
         """Smallest open set around each point (finite spaces always have one)."""
         return self._mins
 
+    @cached_property
+    def _lanes(self) -> int:
+        """The neighbourhoods packed into 2^n-bit lanes, made on first order test."""
+        return sum(nb << p * self.carrier.size for p, nb in enumerate(self._mins))
+
     def is_open_mask(self, mask: int) -> bool:
         return all(self._mins[p] & ~mask == 0 for p in iter_bits(mask))
 
@@ -79,7 +85,7 @@ class Topology:
         if not isinstance(other, Topology):
             return NotImplemented
         check_same_carrier(self, other)
-        return all(b & ~a == 0 for a, b in zip(self._mins, other._mins))
+        return other._lanes & ~self._lanes == 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Topology):
@@ -218,19 +224,10 @@ def complement_homeomorphism_check(o_ls: Topology, o_li: Topology) -> bool:
     """b -> b' maps the left topology's opens bijectively onto the right's:
     it carries each minimal neighbourhood N_ls(p) onto N_li(p')."""
     check_same_carrier(o_ls, o_li)
-    m = o_ls.carrier.size
-    top = m - 1
-
-    def map_open(u: int) -> int:
-        out = 0
-        for p in range(m):
-            if u >> p & 1:
-                out |= 1 << (top ^ p)
-        return out
-
+    top = o_ls.carrier.size - 1
     return all(
-        map_open(o_ls.min_neighborhoods[p]) == o_li.min_neighborhoods[top ^ p]
-        for p in range(m)
+        sum(1 << (top ^ q) for q in iter_bits(nb)) == o_li.min_neighborhoods[top ^ p]
+        for p, nb in enumerate(o_ls.min_neighborhoods)
     )
 
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .algebra import MAX_ATOMS, Carrier, EPSeq
-from .convergence import Convergence, check_hbar, hbar_witness, leq_conv, meet_conv
+from .convergence import Convergence, check_hbar, first_escape, hbar_witness, leq_conv, meet_conv
 from .cube import FCSeq, candidate_limits, check_T1235a, fc_limsup, lim_alexandrov, lim_cantor
 from .report import figure_nodes
-from .seqclass import class_from_mask, inf_class
+from .seqclass import class_from_mask, inf_class, representative
 from .submeasure import Submeasure, metric_topology, validate_submeasure
 from .topology import (
     Topology,
@@ -60,12 +60,6 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-
-
-def _random_seq_masks(rng: random.Random, size: int) -> tuple[list[int], list[int]]:
-    """Preperiod and period value masks of a random eventually periodic sequence."""
-    pre = [rng.randrange(size) for _ in range(rng.randrange(0, 4))]
-    return pre, [rng.randrange(size) for _ in range(rng.randrange(1, 5))]
 
 
 def random_fcseq(rng: random.Random) -> FCSeq:
@@ -153,16 +147,12 @@ def _crit_join_collapse(ctx: VerifyContext):
 
 
 def _crit_limit_intersection(ctx: VerifyContext):
-    rng = random.Random(ctx.seed)
     for n in ctx.scales():
-        ls, li, lsi = (ctx.node(f"lim_O_{law}", n) for law in ("ls", "li", "lsi"))
-        for _ in range(ctx.samples):
-            pre, per = _random_seq_masks(rng, 1 << n)
-            cls = sum({1 << v for v in per})  # the distinct period values' bits, ORed
-            if lsi.limit_mask(cls) != ls.limit_mask(cls) & li.limit_mask(cls):
-                x = EPSeq(*(tuple(ctx.carrier(n).elements[v] for v in part) for part in (pre, per)))
-                return False, f"intersection law fails at n={n} for {x}"
-    return True, f"{ctx.samples} sequences per carrier, {ctx.covered()}"
+        both, lsi = meet_conv(ctx.node("lim_O_ls", n), ctx.node("lim_O_li", n)), ctx.node("lim_O_lsi", n)
+        if both != lsi:  # equal convergences agree on all 2^(2^n) - 1 classes
+            cls = min(c for c in (first_escape(both, lsi), first_escape(lsi, both)) if c is not None)
+            return False, f"intersection law fails at n={n} for {representative(class_from_mask(ctx.carrier(n), cls))}"
+    return True, f"all classes, {ctx.covered()}"
 
 
 def _crit_strictness(ctx: VerifyContext):

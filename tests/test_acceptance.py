@@ -9,16 +9,21 @@ import random
 import pytest
 
 from convlab import verify
-from convlab.algebra import Carrier, EPSeq
+from convlab.algebra import Carrier
+from convlab.convergence import Convergence, meet_conv
 from convlab.report import figure_nodes
+from convlab.seqclass import class_from_mask, representative
+from convlab.topology import lim_topo
 from convlab.verify import (
     CRITERIA,
     CriterionResult,
     VerifyContext,
     _crit_limit_intersection,
-    _random_seq_masks,
     run_all,
 )
+
+from oracles import table_of
+from test_algebra import random_epseq
 
 
 @pytest.fixture(scope="module")
@@ -40,10 +45,10 @@ def test_all_twelve_present(results):
 
 
 class TestLimitIntersectionLaw:
-    # the first 20 sequences drawn from random.Random(seed) on P(n), as
-    # "preperiod/period" value masks in hex, one sequence per word, captured
-    # from the Element-based sampler the criterion used before it drew masks:
-    # a seed keeps checking the same sequences
+    # the first 20 sequences random_epseq draws from random.Random(seed) on
+    # P(n), as "preperiod/period" value masks in hex, one sequence per word,
+    # captured from the sampler the criterion drew from before it compared
+    # columns: the sequence-level tests keep checking the same sequences
     PINNED = {
         (0, 1): "101/1 0/001 1/0 10/011 110/0 011/01 0/01 /1 011/1 1/0011 00/01 000/0 100/1 /011 0/1 /01 10/0 0/0 /01 /0",
         (0, 2): "302/23 1/021 2/0 30/132 320/0 032/02 1/13 /2 022/2 2/0321 11/02 001/0 211/2233 /032 1/2 /12 30/1 0/0 /03 /0",
@@ -72,8 +77,7 @@ class TestLimitIntersectionLaw:
         carrier, rng = Carrier(n), random.Random(seed)
         words = []
         for _ in range(20):
-            pre, per = _random_seq_masks(rng, carrier.size)
-            x = EPSeq(tuple(carrier.elements[v] for v in pre), tuple(carrier.elements[v] for v in per))
+            x = random_epseq(carrier, rng)
             words.append("".join("%x" % e.mask for e in x.preperiod) + "/" + "".join("%x" % e.mask for e in x.period))
         assert " ".join(words) == self.PINNED[seed, n]
 
@@ -89,3 +93,40 @@ class TestLimitIntersectionLaw:
         passed, detail = _crit_limit_intersection(ctx)
         assert not passed
         assert detail.startswith("intersection law fails at n=2 for EPSeq(preperiod=(")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_law_on_sampled_sequences(self, n):
+        # the law read sequence by sequence through lim_topo, preperiods and
+        # all, on the stream pinned above
+        carrier, rng = Carrier(n), random.Random(n)
+        o_ls, o_li, o_lsi = (figure_nodes(carrier)[f"O_{law}"] for law in ("ls", "li", "lsi"))
+        for _ in range(300):
+            x = random_epseq(carrier, rng)
+            assert lim_topo(o_lsi, x) == lim_topo(o_ls, x) & lim_topo(o_li, x)
+
+    @pytest.mark.parametrize("grown, emptied, least", [(9, None, 9), (9, 5, 5), (5, 9, 5)])
+    def test_tampered_column_names_the_least_failing_class(self, monkeypatch, grown, emptied, least):
+        # lim_O_lsi at n = 4 with one extra limit bit in column `grown`, and
+        # optionally no limit in column `emptied`: only classes holding one of
+        # those points fail, and the least of them is a singleton
+        def tampered(carrier):
+            nodes = figure_nodes(carrier)
+            if carrier.n == 4:
+                lim1 = list(nodes["lim_O_lsi"].lim1)
+                lim1[grown] |= 1 << 3
+                if emptied is not None:
+                    lim1[emptied] = 0
+                nodes["lim_O_lsi"] = Convergence(carrier, lim1=lim1)
+            return nodes
+
+        monkeypatch.setattr(verify, "figure_nodes", tampered)
+        ctx = VerifyContext(atoms=4)
+        passed, detail = _crit_limit_intersection(ctx)
+        carrier = ctx.carrier(4)
+        lsi = table_of(ctx.node("lim_O_lsi", 4))
+        both = table_of(meet_conv(ctx.node("lim_O_ls", 4), ctx.node("lim_O_li", 4)))
+        failing = [c for c in range(1, 1 << carrier.size) if lsi[c] != both[c]]
+        assert all(c >> grown & 1 or (emptied is not None and c >> emptied & 1) for c in failing)
+        assert failing[0] == 1 << least
+        assert not passed
+        assert detail == f"intersection law fails at n=4 for {representative(class_from_mask(carrier, 1 << least))}"

@@ -5,7 +5,9 @@ The diagram goldens for n = 1..4 in perfbench/goldens/ were captured on the
 seed commit; those for n = 5 in tests/goldens/ were captured before the
 relation table replaced the hand-written checks. The verify goldens in
 tests/goldens/ were captured before the suite read its nodes from the diagram
-builder. All are read, never rewritten.
+builder, apart from line 6, captured again when the limit intersection law
+went from sampled sequences to all classes. The tests read the goldens and
+never rewrite them.
 """
 
 from pathlib import Path

@@ -4,6 +4,8 @@ Random (L1)/(L2) convergences and random singleton columns with a few
 exceptions at n <= 3, and the three built-in laws at n = 4, go through the
 kernel (singleton columns, exceptions and minimal neighbourhoods) and through
 full class tables or listed open sets (``tests/oracles.py``); both must agree.
+At n = 5, past the tables, the order tests on packed 32-bit lanes are checked
+against a loop over one column or neighbourhood at a time.
 """
 
 import hashlib
@@ -29,7 +31,10 @@ from convlab.convergence import (
 )
 from convlab.report import DiagramNode
 from convlab.topology import (
+    Topology,
+    discrete,
     first_open_not_in,
+    join_topologies,
     lim_of_topology_as_convergence,
     synthesize_O_lambda,
 )
@@ -186,3 +191,93 @@ def test_random_topologies(n, seed):
         assert table_of(lim_of_topology_as_convergence(o)) == lim_table(o)
     assert (o1 <= o2) == (open_masks(o1) <= open_masks(o2))
     assert first_open_not_in(o1, o2) == min(open_masks(o1) - open_masks(o2), default=None)
+
+
+def lane_escape(a, b):
+    """first_escape one singleton column at a time, then b's exceptions."""
+    found = next((1 << s for s, (x, y) in enumerate(zip(a.lim1, b.lim1)) if x & ~y), None)
+    for e, lim in b.exceptions:
+        if (found is None or e < found) and a.limit_mask(e) & ~lim:
+            found = e
+    return found
+
+
+def lane_leq(o1, o2):
+    """o1 <= o2 one neighbourhood at a time: N_o2(p) inside N_o1(p)."""
+    return all(nb & ~na == 0 for na, nb in zip(o1.min_neighborhoods, o2.min_neighborhoods))
+
+
+class TestPackedLanes:
+    @pytest.fixture(scope="class")
+    def p5(self):
+        return Carrier(5)
+
+    @staticmethod
+    def cleared(lam, bits):
+        """lam with limit bit b removed from column s for each (s, b)."""
+        lim1 = list(lam.lim1)
+        for s, b in bits:
+            lim1[s] &= ~(1 << b)
+        return Convergence(lam.carrier, lim1=lim1)
+
+    @pytest.mark.parametrize(
+        "bits, least",
+        [
+            ([(31, 31)], 31),  # the top bit of the whole packed int
+            ([(31, 0), (31, 31)], 31),  # the top lane only, at both of its ends
+            ([(17, 0), (3, 31), (31, 31)], 3),  # a high bit of lane 3 beats a low bit of lane 17
+            ([(s, 0) for s in range(0, 32, 2)], 0),
+        ],
+    )
+    def test_first_escape_names_the_least_failing_point(self, p5, bits, least):
+        a = Convergence(p5, lim1=[(1 << 32) - 1] * 32)
+        b = self.cleared(a, bits)
+        assert first_escape(a, b) == lane_escape(a, b) == 1 << least
+        assert first_escape(b, a) is None
+        assert not leq_conv(a, b) and leq_conv(b, a)
+
+    def test_exception_below_the_least_failing_point_wins(self, p5):
+        a = lambda_ls(p5)
+        b = Convergence(p5, lim1=self.cleared(a, [(31, 31)]).lim1, exceptions=[(0b11, 0)])
+        assert first_escape(a, b) == lane_escape(a, b) == 0b11
+
+    def test_topology_failure_only_in_the_top_lane(self, p5):
+        top = p5.size - 1
+        o_s = discrete(p5)
+        widened = Topology(p5, [1 << p for p in range(top)] + [1 | 1 << top])
+        assert widened <= o_s and lane_leq(widened, o_s)
+        assert not o_s <= widened and not lane_leq(o_s, widened)
+        assert first_open_not_in(o_s, widened) == 1 << top
+
+    def test_topology_failures_in_several_lanes(self, p5):
+        points = (30, 7, 19)
+        widened = Topology(p5, [1 << p | (1 if p in points else 0) for p in range(p5.size)])
+        o_s = discrete(p5)
+        assert not o_s <= widened and not lane_leq(o_s, widened)
+        assert first_open_not_in(o_s, widened) == 1 << min(points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_topologies_against_lanes(self, p5, seed):
+        rng = random.Random(seed)
+        o1, o2 = _random_topology(p5, rng), _random_topology(p5, rng)
+        joined = join_topologies(o1, o2)
+        for x in (o1, o2, joined):
+            for y in (o1, o2, joined):
+                assert (x <= y) == lane_leq(x, y)
+        assert o1 <= joined and o2 <= joined
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        bits=st.lists(st.tuples(st.integers(0, 31), st.integers(0, 31)), max_size=4),
+        exceptions=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)), max_size=2),
+    )
+    def test_random_columns_against_lanes(self, p5, seed, bits, exceptions):
+        rng = random.Random(seed)
+        a = Convergence(p5, lim1=[rng.getrandbits(32) for _ in range(32)])
+        cut = self.cleared(a, bits)
+        b = Convergence(p5, lim1=cut.lim1, exceptions=[(e, lim) for e, lim in exceptions if e & (e - 1)])
+        for x, y in ((a, b), (b, a), (a, cut), (cut, a)):
+            assert first_escape(x, y) == lane_escape(x, y)
+            assert leq_conv(x, y) == (lane_escape(x, y) is None)
