@@ -97,7 +97,10 @@ class _AsciiInt(click.ParamType):
             return value
         if not _INTEGER.fullmatch(value):
             self.fail(f"{value!r} is not an integer in ASCII digits", param, ctx)
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # past the interpreter's limit on int() conversions
+            self.fail(f"an integer of {len(value)} characters is too long", param, ctx)
 
 
 def _carrier(atoms: int) -> Carrier:

@@ -6,9 +6,8 @@ negative int whose infinitely many high bits are set.  Union, intersection
 and complement are ``|``, ``&`` and ``~``, and coordinate i is in a when
 ``a >> i & 1``.  The three cube topologies (half-open coordinates, reversed
 half-open coordinates, discrete coordinates) are never materialized; their
-limit predicates are evaluated on a window, the mask of the finitely many
-exceptional coordinates plus one representative generic coordinate, at all
-its coordinates at once: the window members of v are ``v & window``.
+limit predicates test every coordinate at once with one AND-NOT per period
+value, since the int holds all of them.
 """
 
 from __future__ import annotations
@@ -95,7 +94,8 @@ def fc_limsup(x: FCSeq) -> int:
 
 
 def _window(coords: int) -> int:
-    """The exceptional coordinates plus the generic one just beyond them."""
+    """The exceptional coordinates plus the generic one just beyond them: the
+    coordinates a candidate pool draws from."""
     return coords | 1 << coords.bit_length()
 
 
@@ -104,32 +104,22 @@ def lim_alexandrov(x: FCSeq) -> Callable[[int], bool]:
     proper neighborhood: a coordinate at 0 in the candidate forces the
     sequence's coordinate to 0 eventually; a coordinate at 1 is unconstrained.
     """
-    vals, coords = set(x.period), x.support
-
-    def holds(a: int) -> bool:
-        w = _window(coords | fc_support(a))
-        return all(v & ~a & w == 0 for v in vals)
-
-    return holds
+    vals = set(x.period)
+    return lambda a: all(v & ~a == 0 for v in vals)
 
 
 def lim_alexandrov_dual(x: FCSeq) -> Callable[[int], bool]:
     """Dual cube ({1} is the proper neighborhood): a coordinate at 1 in the
     candidate forces the sequence's coordinate to 1 eventually."""
-    vals, coords = set(x.period), x.support
-
-    def holds(a: int) -> bool:
-        w = _window(coords | fc_support(a))
-        return all(a & ~v & w == 0 for v in vals)
-
-    return holds
+    vals = set(x.period)
+    return lambda a: all(a & ~v == 0 for v in vals)
 
 
 def lim_cantor(x: FCSeq) -> Optional[int]:
     """Limit in the cube with discrete coordinates: every coordinate must be
     eventually constant; the limit is that coordinatewise value."""
-    w = _window(x.support)
-    return fc_limsup(x) if len({v & w for v in x.period}) == 1 else None
+    limsup = fc_limsup(x)
+    return limsup if fc_liminf(x) == limsup else None
 
 
 def candidate_limits(x: FCSeq, rng) -> list[int]:

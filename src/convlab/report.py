@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 from .algebra import Carrier
 from .convergence import (
-    Convergence, first_escape, lambda_li, lambda_ls, lambda_s, meet_conv, star,
+    Convergence, first_difference, first_escape, lambda_li, lambda_ls, lambda_s, meet_conv, star,
 )
 from .seqclass import class_from_mask
 from .topology import (
@@ -85,7 +85,8 @@ REQUIRED = (
     ("O_li", "<", "O_lsi"),
 )
 
-# (a, b, c): the pointwise meet of a and b is c.  Checked before REQUIRED.
+# (a, b, c): the pointwise meet of a and b is c.  Checked before REQUIRED; a
+# failure names the least class on which the meet and c differ.
 MEET_IDENTITIES = (
     ("lambda_ls", "lambda_li", "lambda_s"),
     ("lambda_ls_star", "lambda_li_star", "lambda_s_star"),
@@ -189,8 +190,8 @@ def build_figure1(carrier: Carrier) -> DiagramReport:
     for a, b, c in MEET_IDENTITIES:
         meet = meet_conv(payloads[a], payloads[b])
         if meet != payloads[c]:
-            witness = _conv_leq_witness(meet, payloads[c]) or _conv_leq_witness(payloads[c], meet)
-            raise RelationViolation(f"{a} & {b} = {c} fails", witness)
+            witness = class_from_mask(carrier, first_difference(meet, payloads[c]))
+            raise RelationViolation(f"{a} & {b} = {c} fails", f"class {witness!r}")
     for a, rel, b in REQUIRED:
         up, down = escape[a, b], escape[b, a]
         if up is not None or (rel == "<" and down is None) or (rel == "=" and down is not None):

@@ -7,13 +7,15 @@ library's bit-mask code against: up/down sets against ``Carrier.up_masks`` and
 column and exceptions, listed opens against the minimal neighbourhoods a
 ``Topology`` holds, the diagram's order decided pair by pair of node names
 against ``report.build_figure1``'s pairs of equality classes, element-set
-views of topologies and submeasures, and the entries of eventually periodic
-sequences read one index at a time.
+views of topologies and submeasures, the triangle inequality over triples
+against ``verify``'s pairs of masks, random convergences with exceptions, and
+the entries of eventually periodic sequences read one index at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import random
 from fractions import Fraction
 from typing import Iterable
 
@@ -205,6 +207,17 @@ def from_table(carrier: Carrier, table: list[int]) -> Convergence:
     return Convergence(carrier, lim1=[table[1 << s] for s in range(m)], exceptions=exceptions)
 
 
+def random_l12_convergence(carrier: Carrier, rng: random.Random) -> Convergence:
+    """A random convergence satisfying (L1) and (L2): one random limit mask
+    per class in ascending mask order, each point forced into its own
+    singleton limits, and every larger class kept as an exception."""
+    m = carrier.size
+    drawn = [0] + [rng.randrange(1 << m) for _ in range(1, 1 << m)]
+    lim1 = [drawn[1 << a] | 1 << a for a in range(m)]
+    exceptions = [(c, drawn[c]) for c in range(1, 1 << m) if c & (c - 1)]
+    return Convergence(carrier, lim1=lim1, exceptions=exceptions, name="random")
+
+
 def sequential_closure(lam: Convergence, subset_mask: int) -> int:
     """One application of the closure operator: all limits of sequences from
     A, which under (L2) is the union of the singleton limits lam({a}), a in A."""
@@ -259,6 +272,17 @@ def topology_from_opens(carrier: Carrier, opens: Iterable[int]) -> Topology:
 
 def zero_submeasure(carrier: Carrier) -> Submeasure:
     return Submeasure(carrier, [Fraction(0)] * carrier.size)
+
+
+def triangle_holds(mu: Submeasure) -> bool:
+    """d(a, c) <= d(a, b) + d(b, c) for every triple of elements."""
+    elems = mu.carrier.elements
+    return all(
+        mu.distance(a, c) <= mu.distance(a, b) + mu.distance(b, c)
+        for a in elems
+        for b in elems
+        for c in elems
+    )
 
 
 def pairwise_escapes(payloads: dict) -> dict[tuple[str, str], object]:

@@ -5,24 +5,30 @@ printing one status line per criterion (run with ``-s`` to see them).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convlab import verify
 from convlab.algebra import Carrier
 from convlab.convergence import Convergence, meet_conv
 from convlab.report import figure_nodes
 from convlab.seqclass import class_from_mask, representative
-from convlab.topology import lim_topo
+from convlab.submeasure import Submeasure, ValidationReport
+from convlab.topology import discrete, lim_topo, synthesize_O_lambda
 from convlab.verify import (
     CRITERIA,
     CriterionResult,
     VerifyContext,
+    _crit_galois,
     _crit_limit_intersection,
+    _crit_submeasures,
     run_all,
 )
 
-from oracles import table_of
+from oracles import table_of, triangle_holds
 from test_algebra import random_epseq
 
 
@@ -130,3 +136,52 @@ class TestLimitIntersectionLaw:
         assert failing[0] == 1 << least
         assert not passed
         assert detail == f"intersection law fails at n=4 for {representative(class_from_mask(carrier, 1 << least))}"
+
+
+class TestAdjunction:
+    def test_tampered_synthesis_fails_at_four_atoms(self, monkeypatch):
+        # O_lam replaced by the discrete topology at n = 4 only: every O lies
+        # inside it, yet lambda_ls is not below the limits of O_s
+        monkeypatch.setattr(
+            verify,
+            "synthesize_O_lambda",
+            lambda lam: discrete(lam.carrier) if lam.carrier.n == 4 else synthesize_O_lambda(lam),
+        )
+        assert _crit_galois(VerifyContext(atoms=3)) == (
+            True, "no counterexamples over built-in and random pairs, n=1..3",
+        )
+        assert _crit_galois(VerifyContext(atoms=4)) == (False, "adjunction fails at n=4")
+
+
+# every axiom passes, so criterion 11 fails, if at all, on the triangle inequality
+PASSING = ValidationReport(*[True] * 5)
+
+
+def triangle_criterion(tables: dict):
+    """Criterion 11 with validate_submeasure stubbed and the counting measure
+    on P(n) replaced by ``tables[n]``, at n = 1..len(tables)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "validate_submeasure", lambda mu: PASSING)
+        mp.setattr(Submeasure, "counting", classmethod(lambda cls, carrier: cls(carrier, tables[carrier.n])))
+        return _crit_submeasures(VerifyContext(atoms=len(tables)))
+
+
+class TestTriangleInequality:
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(*(st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n) for n in (1, 2, 3))))
+    def test_pairs_agree_with_triples(self, tables):
+        tables = dict(enumerate(tables, start=1))
+        failing = [n for n, v in tables.items() if not triangle_holds(Submeasure(Carrier(n), v))]
+        passed, detail = triangle_criterion(tables)
+        if failing:
+            assert (passed, detail) == (False, f"triangle inequality fails at n={failing[0]}")
+        else:
+            assert (passed, detail) == (True, "axioms and triangle inequality, n=1..3")
+
+    def test_names_the_only_failing_atom_count(self):
+        # the counting measure's values, with the top of P(4) pushed above
+        # d(top, {0,1}) + d({0,1}, bottom) = 1/2 + 1/2
+        tables = {n: Submeasure.counting(Carrier(n)).values for n in (1, 2, 3, 4)}
+        tables[4] = tables[4][:-1] + (Fraction(3, 2),)
+        assert [triangle_holds(Submeasure(Carrier(n), v)) for n, v in tables.items()] == [True, True, True, False]
+        assert triangle_criterion(tables) == (False, "triangle inequality fails at n=4")

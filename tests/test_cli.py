@@ -268,6 +268,24 @@ class TestVerify:
         assert isinstance(result.exception, SystemExit)
         assert "is not an integer in ASCII digits" in result.output
 
+    # 5,000 digits: past the interpreter's limit on int() conversions
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["converge", "--atoms", "1" * 5000, "--seq", "[;{0}]"],
+            ["verify", "--atoms", "1", "--seed", "1" * 5000],
+            ["verify", "--atoms", "1", "--samples", "1" * 5000],
+        ],
+        ids=["atoms", "seed", "samples"],
+    )
+    def test_overlong_integer_is_usage_error(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "an integer of 5000 characters is too long" in result.output
+        assert "11" not in result.output
+
     def test_submeasure_file_checked(self, runner, tmp_path):
         path = tmp_path / "mu.txt"
         path.write_text("0 0\n1 1/2\n2 1/2\n3 1\n")
@@ -329,10 +347,13 @@ class TestVerify:
         }
         assert len(lines) == 12
         assert all("PASS" in l for l in lines.values())
-        assert "n=1..5" in lines["sequential topology open counts"]
-        assert "n=1..3" in lines["antitone adjunction"]
-        assert "n=1..5" not in lines["antitone adjunction"]
-        assert "triangle inequality n=1..3" in lines["submeasure axioms and metric"]
+        # every criterion but the cube's, which has no atom count, runs at every n
+        assert "the cube has no atom count" in lines["coordinatewise cube limits"]
+        counted = [l for name, l in lines.items() if name != "coordinatewise cube limits"]
+        assert len(counted) == 11
+        assert all("n=1..5" in l for l in counted)
+        assert "n=1..4" not in result.output and "n=1..3" not in result.output
+        assert "triangle inequality, n=1..5" in lines["submeasure axioms and metric"]
 
     def test_missing_submeasure_file(self, runner):
         result = runner.invoke(

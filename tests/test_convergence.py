@@ -22,7 +22,7 @@ from convlab.convergence import (
 )
 from convlab.seqclass import InfClass, class_from_mask, inf_class
 
-from oracles import all_classes, from_table, star_table, table_is_L2, table_of, upset
+from oracles import all_classes, from_table, random_l12_convergence, star_table, table_is_L2, table_of, upset
 
 
 def cls(carrier, *atom_lists):
@@ -83,9 +83,7 @@ class TestConvergenceAlgebra:
         assert meet_conv(lam, lam) == lam
 
     def test_self_meets_keep_one_exception_per_class(self, p3):
-        from convlab.verify import _random_l12_convergence
-
-        lam = _random_l12_convergence(p3, random.Random(0))
+        lam = random_l12_convergence(p3, random.Random(0))
         assert len(lam.exceptions) == 247
         met = lam
         for _ in range(3):
@@ -191,13 +189,9 @@ class TestStar:
         assert is_hausdorff(star(lam))
 
     def test_star_of_l12_convergence_satisfies_L3(self, p2):
-        import random
-
-        from convlab.verify import _random_l12_convergence
-
         rng = random.Random(37)
         for _ in range(20):
-            lam = _random_l12_convergence(p2, rng)
+            lam = random_l12_convergence(p2, rng)
             assert check_L3(star(lam))
 
     def test_warns_without_L1(self, p2):

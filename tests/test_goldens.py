@@ -6,7 +6,9 @@ seed commit; those for n = 5 in tests/goldens/ were captured before the
 relation table replaced the hand-written checks. The verify goldens in
 tests/goldens/ were captured before the suite read its nodes from the diagram
 builder, apart from line 6, captured again when the limit intersection law
-went from sampled sequences to all classes. The tests read the goldens and
+went from sampled sequences to all classes, and lines 9 and 11, captured again
+when the antitone adjunction and the triangle inequality went from n = 1..3 to
+every atom count. The tests read the goldens and
 never rewrite them.
 """
 

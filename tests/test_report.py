@@ -17,6 +17,7 @@ from convlab.report import (
     RelationViolation,
     build_figure1,
     emit,
+    figure_nodes,
 )
 from convlab.topology import (
     Topology,
@@ -301,3 +302,20 @@ class TestViolationPath:
     def test_report_is_plain_dataclass(self, report_p2):
         assert isinstance(report_p2, DiagramReport)
         assert all(isinstance(r, Relation) for r in report_p2.relations)
+
+    def test_meet_identity_names_the_least_differing_class(self, monkeypatch):
+        # lim_O_lsi on P(4) with point 5 = {0,2} gaining limit 3 and point
+        # 9 = {0,3} losing every limit: {9} is the least class where the meet
+        # escapes lim_O_lsi, but {5} is the least where the two differ
+        def tampered(carrier):
+            nodes = figure_nodes(carrier)
+            lim1 = list(nodes["lim_O_lsi"].lim1)
+            lim1[5] |= 1 << 3
+            lim1[9] = 0
+            nodes["lim_O_lsi"] = Convergence(carrier, lim1=lim1)
+            return nodes
+
+        monkeypatch.setattr(report_module, "figure_nodes", tampered)
+        with pytest.raises(RelationViolation, match=r"lim_O_ls & lim_O_li = lim_O_lsi fails") as err:
+            build_figure1(Carrier(4))
+        assert err.value.witness == "class InfClass({0,2})"

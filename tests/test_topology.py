@@ -27,7 +27,7 @@ from convlab.topology import (
     space_properties,
     synthesize_O_lambda,
 )
-from convlab.verify import _random_l12_convergence, _random_topology, brute_downsets
+from convlab.verify import _random_topology, brute_downsets
 
 from oracles import (
     all_classes,
@@ -37,6 +37,7 @@ from oracles import (
     generate_from_elements,
     open_families,
     open_masks,
+    random_l12_convergence,
     sequential_closure,
     topology_from_opens,
     upset,
@@ -110,7 +111,7 @@ class TestSynthesis:
         carrier = Carrier(n)
         rng = random.Random(43 + n)
         lams = [lambda_ls(carrier), lambda_li(carrier), lambda_s(carrier)]
-        lams += [_random_l12_convergence(carrier, rng) for _ in range(20)]
+        lams += [random_l12_convergence(carrier, rng) for _ in range(20)]
         for lam in lams:
             assert synthesize_O_lambda(lam) == brute_topology(lam)
 
@@ -242,7 +243,7 @@ class TestAdjunction:
         carrier = Carrier(n)
         rng = random.Random(67 + n)
         convs = [lambda_ls(carrier), lambda_li(carrier), lambda_s(carrier)]
-        convs += [_random_l12_convergence(carrier, rng) for _ in range(50)]
+        convs += [random_l12_convergence(carrier, rng) for _ in range(50)]
         topos = [
             synthesize_O_lambda(lambda_ls(carrier)),
             discrete(carrier),
@@ -258,7 +259,7 @@ class TestAdjunction:
 
     def test_antitone_both_directions(self, p2):
         rng = random.Random(71)
-        convs = [_random_l12_convergence(p2, rng) for _ in range(20)]
+        convs = [random_l12_convergence(p2, rng) for _ in range(20)]
         for l1 in convs:
             for l2 in convs:
                 if leq_conv(l1, l2):
