@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_ATOMS = 5
 
@@ -81,7 +81,9 @@ class Carrier:
     ``up_masks[p]`` = {q >= p}, the AND of the columns of p's atoms (atom i's is
     1^(2^i) 0^(2^i) repeated), and ``down_masks[p]`` = {q <= p}, of the other
     columns' complements, in O(2^n · n); the 2^n ``elements`` in ascending mask
-    order, each made and kept when any accessor first asks for it."""
+    order, each made and kept when any accessor first asks for it.  A relation
+    on the points, row p a mask, packs into one int whose bit p·2^n + q holds
+    "q in row p": ``pack``, ``unpack``, and ``transpose`` in n big-int steps."""
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_ATOMS:
@@ -100,6 +102,39 @@ class Carrier:
     def _columns(self) -> list[int]:
         full = (1 << self.size) - 1
         return [full // ((1 << 2 * k) - 1) * ((1 << 2 * k) - (1 << k)) for k in (1 << i for i in range(self.n))]
+
+    @cached_property
+    def lane_ones(self) -> int:  # bit 0 of every lane, so (lanes >> q) & lane_ones is column q
+        return ((1 << self.size**2) - 1) // ((1 << self.size) - 1)
+
+    @cached_property
+    def lane_diagonal(self) -> int:  # bit p of lane p, for every point p
+        return ((1 << self.size * (self.size + 1)) - 1) // ((2 << self.size) - 1)
+
+    @cached_property
+    def _swaps(self) -> list[tuple[int, int]]:
+        """Per atom i, with j = 2^i: a mask of bit q in lane p for p without and q
+        with atom i, and the shift j(2^n - 1) from there to bit q - j of lane p + j."""
+        m = self.size
+        return [(j * (m - 1), self.pack([0 if p & j else col for p in range(m)]))
+                for j, col in zip((1 << i for i in range(self.n)), self._columns())]
+
+    def pack(self, rows: Sequence[int]) -> int:
+        """Row p in lane p; each row must lie in 0..2^(2^n) - 1."""
+        lanes = 0
+        for row in reversed(rows):
+            lanes = lanes << self.size | row
+        return lanes
+
+    def unpack(self, lanes: int) -> list[int]:
+        return [lanes >> p * self.size & (1 << self.size) - 1 for p in range(self.size)]
+
+    def transpose(self, lanes: int) -> int:
+        """Row q becomes {p : q in row p}: per atom, one delta swap of the blocks."""
+        for shift, mask in self._swaps:
+            moved = (lanes ^ lanes >> shift) & mask
+            lanes ^= moved | moved << shift
+        return lanes
 
     @cached_property
     def up_masks(self) -> tuple[int, ...]:

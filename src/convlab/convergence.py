@@ -90,8 +90,8 @@ class Convergence:
 
     @cached_property
     def _lanes(self) -> int:
-        """``lim1`` packed into 2^n-bit lanes, made on first order test."""
-        return sum(col << s * self.carrier.size for s, col in enumerate(self.lim1))
+        """``lim1`` packed into lanes on first use, which no point query makes."""
+        return self.carrier.pack(self.lim1)
 
     def limit_mask(self, mask: int) -> int:
         # the full limit mask is also the largest class mask
@@ -113,17 +113,14 @@ class Convergence:
 
         Without exceptions, a is a limit of S exactly when S is inside
         P_a = {s : a in lim1[s]}, which gives 2^|P_a| - 1 classes per point;
-        the |P_a| are counted in one step per set bit of ``lim1``.  With
+        |P_a| is the popcount of column a of the packed lanes.  With
         exceptions every class is swept, up to 4 atoms.
         """
         if self.exceptions:
             _require_table_capacity(self.carrier)
             return sum(self.limit_mask(c).bit_count() for c in range(1, 1 << self.carrier.size))
-        sizes = [0] * self.carrier.size
-        for col in self.lim1:
-            for a in iter_bits(col):
-                sizes[a] += 1
-        return sum((1 << k) - 1 for k in sizes)
+        lanes, ones = self._lanes, self.carrier.lane_ones
+        return sum((1 << (lanes >> a & ones).bit_count()) - 1 for a in range(self.carrier.size))
 
     def __call__(self, s: InfClass) -> frozenset[Element]:
         if s.width != self.carrier.n:

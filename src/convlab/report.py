@@ -265,10 +265,6 @@ REPORT_SCHEMA = {
 }
 
 
-def _group_label(group: list[str]) -> str:
-    return " = ".join(group)
-
-
 def _hasse_edges(groups: list[list[str]], below: set[tuple[str, str]]) -> list[tuple[int, int]]:
     """Covering relation between equality classes: edges with no shortcuts."""
     n = len(groups)
@@ -297,16 +293,8 @@ def _emit_json(report: DiagramReport) -> str:
         "nodes": [
             {"name": n.name, "kind": n.kind, "size": n.size} for n in report.nodes
         ],
-        "relations": [
-            {
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "rel": r.rel,
-                "strict": r.strict,
-                "witness": r.witness,
-            }
-            for r in report.relations
-        ],
+        # a relation's fields are its json keys
+        "relations": [vars(r) for r in report.relations],
         "collapse": report.collapse,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -321,7 +309,7 @@ def _emit_dot(report: DiagramReport) -> str:
         plural = "convergences" if kind == "convergence" else "topologies"
         lines.append(f'    label="{plural} on P({report.carrier.n})";')
         for i, g in enumerate(groups):
-            lines.append(f'    {kind}_{i} [label="{_group_label(g)}"];')
+            lines.append(f'    {kind}_{i} [label="{" = ".join(g)}"];')
         for i, j in _hasse_edges(groups, below):
             lines.append(f"    {kind}_{i} -> {kind}_{j};")
         lines.append("  }")
@@ -344,7 +332,7 @@ def _emit_table(report: DiagramReport) -> str:
     lines.append("equality classes:")
     for kind in ("convergence", "topology"):
         for g in report.equality_classes[kind]:
-            lines.append(f"  {_group_label(g)}")
+            lines.append("  " + " = ".join(g))
     lines.append("")
     lines.append(
         "collapse: convergences={convergences} topologies={topologies}".format(

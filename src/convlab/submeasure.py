@@ -131,24 +131,12 @@ def validate_submeasure(mu: Submeasure) -> ValidationReport:
     m = car.size
     v = mu.values
     zero_on_bottom = v[0] == 0
-    monotone = all(
-        v[a] <= v[b]
-        for a in range(m)
-        for b in range(m)
-        if a & b == a
-    )
+    monotone = all(v[a] <= v[b] for a in range(m) for b in range(m) if a & b == a)
     subadditive = all(v[a | b] <= v[a] + v[b] for a in range(m) for b in range(m))
     strictly_positive = all(v[a] > 0 for a in range(1, m))
     # decreasing chains stabilize at their meet, so continuity along chains
     # with meet 0 is exactly vanishing at 0
-    continuous = zero_on_bottom
-    return ValidationReport(
-        zero_on_bottom=zero_on_bottom,
-        monotone=monotone,
-        subadditive=subadditive,
-        strictly_positive=strictly_positive,
-        continuous=continuous,
-    )
+    return ValidationReport(zero_on_bottom, monotone, subadditive, strictly_positive, continuous=zero_on_bottom)
 
 
 def ball(mu: Submeasure, a: Element, r: Fraction) -> frozenset[Element]:

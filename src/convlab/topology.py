@@ -3,8 +3,11 @@
 Every finite topology is the Alexandrov topology of its specialization
 preorder, so it is stored as the minimal open neighbourhood N(p) of each
 point p, as carrier-subset bit-masks, and ``Topology(carrier, mins)`` is its
-only constructor.  The opens are exactly the unions of minimal
-neighbourhoods; they are counted and tested one mask at a time, never listed.
+only constructor.  It packs the relation into the carrier's lanes at
+construction, so the preorder check, the reflexive-transitive closure and the
+transpose are each a few big-int steps, and it makes the point closures on
+first read.  The opens are exactly the unions of minimal neighbourhoods; they
+are counted and tested one mask at a time, never listed.
 Synthesis of the sequential topology of a convergence, topological limits,
 joins, and the space properties needed for the diagram reports all work on
 the neighbourhood array.
@@ -21,13 +24,12 @@ from .convergence import ClosureAxiomError, Convergence, check_L1
 from .seqclass import inf_class
 
 
-def _transpose(rows: Iterable[int], m: int) -> list[int]:
-    """out[q] = {p : q in rows[p]}: the same relation read from the other side."""
-    out = [0] * m
-    for p, row in enumerate(rows):
-        for q in iter_bits(row):
-            out[q] |= 1 << p
-    return out
+def _transitive_closure(carrier: Carrier, lanes: int) -> int:
+    """Warshall's algorithm, packed: step k adds row k to every row holding k."""
+    ones, full, m = carrier.lane_ones, (1 << carrier.size) - 1, carrier.size
+    for k in range(m):
+        lanes |= (lanes >> k & ones) * (lanes >> k * m & full)
+    return lanes
 
 
 class Topology:
@@ -44,11 +46,9 @@ class Topology:
         self.carrier = carrier
         self.full = (1 << carrier.size) - 1
         self._mins = tuple(mins)
-        # checked before the transpose, which walks the bits of every mask
+        # packs the neighbourhoods once their length and range pass
         if not self.validate():
             raise ValueError("minimal neighbourhoods must be reflexive and transitive")
-        # the closure of point p is {q : p in N(q)}
-        self.point_closures = tuple(_transpose(self._mins, carrier.size))
         self._count: Optional[int] = None
 
     @property
@@ -58,8 +58,13 @@ class Topology:
 
     @cached_property
     def _lanes(self) -> int:
-        """The neighbourhoods packed into 2^n-bit lanes, made on first order test."""
-        return sum(nb << p * self.carrier.size for p, nb in enumerate(self._mins))
+        """The neighbourhoods packed into 2^n-bit lanes, made by ``validate``."""
+        return self.carrier.pack(self._mins)
+
+    @cached_property
+    def point_closures(self) -> tuple[int, ...]:
+        """The closure of point p, {q : p in N(q)}, made on first read."""
+        return tuple(self.carrier.unpack(self.carrier.transpose(self._lanes)))
 
     def is_open_mask(self, mask: int) -> bool:
         return all(self._mins[p] & ~mask == 0 for p in iter_bits(mask))
@@ -68,17 +73,13 @@ class Topology:
         return self.is_open_mask(self.carrier.subset_mask(subset))
 
     def validate(self) -> bool:
-        """Check that the neighbourhoods form a preorder: every point lies in
-        its own, and q in N(p) implies N(q) inside N(p)."""
-        mins = self._mins
-        if len(mins) != self.carrier.size:
+        """One mask per point, each inside the carrier, forming a preorder: the
+        packed lanes hold their diagonal, and their transitive closure adds nothing."""
+        mins, carrier = self._mins, self.carrier
+        if len(mins) != carrier.size or not 0 <= min(mins) <= max(mins) <= self.full:
             return False
-        return all(
-            nb >> p & 1
-            and nb & ~self.full == 0
-            and all(mins[q] & ~nb == 0 for q in iter_bits(nb))
-            for p, nb in enumerate(mins)
-        )
+        lanes, diagonal = self._lanes, carrier.lane_diagonal
+        return lanes & diagonal == diagonal and _transitive_closure(carrier, lanes) == lanes
 
     def __le__(self, other: "Topology") -> bool:
         """Every open of self is open in other: N_other(p) inside N_self(p)."""
@@ -159,19 +160,13 @@ def synthesize_O_lambda(lam: Convergence) -> Topology:
     Under (L2) the closure of A is the union of lam({a}) over a in A, so the
     closed sets are those closed under the transitive closure of the
     singleton relation a -> lam({a}), and N(q) is the set of points whose
-    transitive closure reaches q.  Every convergence satisfies (L2); (L1)
-    is checked.
+    transitive closure reaches q: the transpose of that closure.  Every
+    convergence satisfies (L2); (L1) is checked.
     """
     if not check_L1(lam):
         raise ClosureAxiomError("sequential topology requires a convergence satisfying (L1)")
-    m = lam.carrier.size
-    reach = list(lam.lim1)
-    for k in range(m):
-        bit, row = 1 << k, reach[k]
-        for i in range(m):
-            if reach[i] & bit:
-                reach[i] |= row
-    return Topology(lam.carrier, _transpose(reach, m))
+    carrier = lam.carrier
+    return Topology(carrier, carrier.unpack(carrier.transpose(_transitive_closure(carrier, lam._lanes))))
 
 
 def lim_topo(o: Topology, x: EPSeq) -> frozenset[Element]:
@@ -222,13 +217,12 @@ def check_closed_char(o: Topology, direction: str = "up") -> bool:
 
 def complement_homeomorphism_check(o_ls: Topology, o_li: Topology) -> bool:
     """b -> b' maps the left topology's opens bijectively onto the right's:
-    it carries each minimal neighbourhood N_ls(p) onto N_li(p')."""
+    it carries each minimal neighbourhood N_ls(p) onto N_li(p').  The
+    complement reverses the bits of a point's index, so reversing all the
+    packed lanes moves bit q of lane p to bit q' of lane p'."""
     check_same_carrier(o_ls, o_li)
-    top = o_ls.carrier.size - 1
-    return all(
-        sum(1 << (top ^ q) for q in iter_bits(nb)) == o_li.min_neighborhoods[top ^ p]
-        for p, nb in enumerate(o_ls.min_neighborhoods)
-    )
+    width = o_ls.carrier.size ** 2
+    return int(f"{o_ls._lanes:0{width}b}"[::-1], 2) == o_li._lanes
 
 
 @dataclass(frozen=True)
@@ -241,15 +235,9 @@ class SpaceProperties:
 
 def space_properties(o: Topology) -> SpaceProperties:
     """T0: the N(p) are pairwise distinct.  Connected: the graph joining p
-    to every point of N(p) is connected."""
-    m = o.carrier.size
-    mins = o.min_neighborhoods
-    t0 = len(set(mins)) == m
-    component, grown = 1, True
-    while grown:
-        grown = False
-        for nb in mins:
-            if nb & component and nb | component != component:
-                component |= nb
-                grown = True
-    return SpaceProperties(t0=t0, connected=component == o.full, compact=True)
+    to every point of N(p) is connected, so the closure of that relation and
+    its transpose relates point 0 to every point."""
+    carrier = o.carrier
+    t0 = len(set(o.min_neighborhoods)) == carrier.size
+    linked = _transitive_closure(carrier, o._lanes | carrier.transpose(o._lanes))
+    return SpaceProperties(t0=t0, connected=linked & o.full == o.full, compact=True)

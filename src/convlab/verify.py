@@ -280,9 +280,13 @@ CRITERIA: list[tuple[str, Callable[[VerifyContext], tuple[bool, str]]]] = [
 
 
 def run_all(ctx: VerifyContext) -> list[CriterionResult]:
+    """Run the criteria in order; one that raises fails, detailing the exception."""
     results = []
     for i, (name, fn) in enumerate(CRITERIA, start=1):
-        passed, detail = fn(ctx)
+        try:
+            passed, detail = fn(ctx)
+        except Exception as exc:
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
         results.append(CriterionResult(i, name, passed, detail))
     return results
 

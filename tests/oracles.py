@@ -7,9 +7,11 @@ library's bit-mask code against: up/down sets against ``Carrier.up_masks`` and
 column and exceptions, listed opens against the minimal neighbourhoods a
 ``Topology`` holds, the diagram's order decided pair by pair of node names
 against ``report.build_figure1``'s pairs of equality classes, element-set
-views of topologies and submeasures, the triangle inequality over triples
-against ``verify``'s pairs of masks, random convergences with exceptions, and
-the entries of eventually periodic sequences read one index at a time.
+views of topologies and submeasures, relations transposed, closed and
+checked one bit per step against the packed lanes of ``Carrier`` and
+``Topology``, the triangle inequality over triples against ``verify``'s
+pairs of masks, random convergences with exceptions, and the entries of
+eventually periodic sequences read one index at a time.
 """
 
 from __future__ import annotations
@@ -225,6 +227,47 @@ def sequential_closure(lam: Convergence, subset_mask: int) -> int:
     for a in iter_bits(subset_mask):
         out |= lam.lim1[a]
     return out
+
+
+# -- relations one bit per step ---------------------------------------------
+#
+# A relation on the points of P(n) is a list of rows, one mask per point;
+# the library packs it into lanes and works on all rows at once.
+
+def transpose_rows(rows: Iterable[int], m: int) -> list[int]:
+    """out[q] = {p : q in rows[p]}: the same relation read from the other side."""
+    out = [0] * m
+    for p, row in enumerate(rows):
+        for q in iter_bits(row):
+            out[q] |= 1 << p
+    return out
+
+
+def warshall_rows(rows: Iterable[int]) -> list[int]:
+    """The transitive closure of the relation, by Warshall's nested loops."""
+    reach = list(rows)
+    m = len(reach)
+    for k in range(m):
+        bit, row = 1 << k, reach[k]
+        for i in range(m):
+            if reach[i] & bit:
+                reach[i] |= row
+    return reach
+
+
+def is_preorder(carrier: Carrier, mins: list[int]) -> bool:
+    """One mask per point, each inside the carrier; every point lies in its
+    own, and q in N(p) implies N(q) inside N(p).  Each mask's range is
+    checked before its bits are walked."""
+    full = (1 << carrier.size) - 1
+    if len(mins) != carrier.size:
+        return False
+    return all(
+        nb >> p & 1
+        and nb & ~full == 0
+        and all(mins[q] & ~nb == 0 for q in iter_bits(nb))
+        for p, nb in enumerate(mins)
+    )
 
 
 def antidiscrete(carrier: Carrier) -> Topology:

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convlab import verify
+from convlab import report, topology, verify
 from convlab.algebra import Carrier
 from convlab.convergence import Convergence, meet_conv
 from convlab.report import figure_nodes
 from convlab.seqclass import class_from_mask, representative
 from convlab.submeasure import Submeasure, ValidationReport
-from convlab.topology import discrete, lim_topo, synthesize_O_lambda
+from convlab.topology import Topology, discrete, lim_topo, synthesize_O_lambda
 from convlab.verify import (
     CRITERIA,
     CriterionResult,
@@ -28,7 +28,7 @@ from convlab.verify import (
     run_all,
 )
 
-from oracles import table_of, triangle_holds
+from oracles import table_of, transpose_rows, triangle_holds
 from test_algebra import random_epseq
 
 
@@ -151,6 +151,42 @@ class TestAdjunction:
             True, "no counterexamples over built-in and random pairs, n=1..3",
         )
         assert _crit_galois(VerifyContext(atoms=4)) == (False, "adjunction fails at n=4")
+
+
+def synthesis_without_closure(lam):
+    """synthesize_O_lambda with the transitive closure left out: N(q) is
+    {p : q in lim1[p]}, which is not a preorder for most columns at n >= 2."""
+    carrier = lam.carrier
+    return Topology(carrier, transpose_rows(lam.lim1, carrier.size))
+
+
+def crash_synthesis(monkeypatch):
+    """Bind the mutant wherever convlab looks synthesis up."""
+    for module in (topology, report, verify):
+        monkeypatch.setattr(module, "synthesize_O_lambda", synthesis_without_closure)
+
+
+class TestCrashingCriterion:
+    def test_raising_criterion_fails_and_later_ones_run(self, monkeypatch):
+        def boom(ctx):
+            raise RuntimeError("boom")
+
+        criteria = list(CRITERIA)
+        criteria[2] = (criteria[2][0], boom)
+        monkeypatch.setattr(verify, "CRITERIA", criteria)
+        results = run_all(VerifyContext(atoms=2, samples=20))
+        assert len(results) == 12
+        assert (results[2].passed, results[2].detail) == (False, "RuntimeError: boom")
+        assert all(r.passed for i, r in enumerate(results) if i != 2)
+
+    def test_synthesis_without_closure_fails_the_adjunction(self, monkeypatch):
+        crash_synthesis(monkeypatch)
+        results = run_all(VerifyContext(atoms=4))
+        failed = [(r.name, r.detail) for r in results if not r.passed]
+        assert failed == [
+            ("antitone adjunction", "ValueError: minimal neighbourhoods must be reflexive and transitive")
+        ]
+        assert results[-1].index == 12
 
 
 # every axiom passes, so criterion 11 fails, if at all, on the triangle inequality

@@ -9,6 +9,7 @@ from convlab.algebra import Carrier, EPSeq
 from convlab.cli import SeqParseError, main, parse_seq_literal
 
 from oracles import format_seq_literal
+from test_acceptance import crash_synthesis
 
 
 @pytest.fixture
@@ -354,6 +355,19 @@ class TestVerify:
         assert all("n=1..5" in l for l in counted)
         assert "n=1..4" not in result.output and "n=1..3" not in result.output
         assert "triangle inequality, n=1..5" in lines["submeasure axioms and metric"]
+
+    def test_crashing_criterion_exits_one_without_traceback(self, runner, monkeypatch):
+        crash_synthesis(monkeypatch)
+        result = runner.invoke(main, ["verify", "--atoms", "2"])
+        assert result.exit_code == 1, result.output
+        # a crash that escaped would also exit 1, with the exception kept here
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert (
+            "[ 9/12] FAIL  antitone adjunction: ValueError: minimal neighbourhoods must be reflexive and transitive"
+            in result.output.splitlines()
+        )
+        assert result.output.endswith("11/12 criteria passed\n")
 
     def test_missing_submeasure_file(self, runner):
         result = runner.invoke(

@@ -1,0 +1,140 @@
+"""Relations packed into lanes against the one-bit-per-step oracles.
+
+``Carrier.pack``, ``unpack`` and ``transpose``, the packed closure behind
+``synthesize_O_lambda``, the packed preorder check of ``Topology`` and the
+lane popcounts of ``Convergence.limit_count`` are each compared with a loop
+over single bits (``tests/oracles.py``) at n = 1..5.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from convlab.algebra import Carrier
+from convlab.convergence import Convergence
+from convlab.topology import Topology, synthesize_O_lambda
+
+from oracles import is_preorder, table_of, transpose_rows, warshall_rows
+
+CARRIERS = {n: Carrier(n) for n in range(1, 6)}
+
+
+@st.composite
+def relations(draw, max_atoms=5):
+    """A carrier and one random row per point."""
+    carrier = CARRIERS[draw(st.integers(1, max_atoms))]
+    rows = draw(st.lists(st.integers(0, (1 << carrier.size) - 1), min_size=carrier.size, max_size=carrier.size))
+    return carrier, rows
+
+
+def reflexive(rows):
+    return [row | 1 << p for p, row in enumerate(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations())
+def test_transpose_against_oracle(relation):
+    carrier, rows = relation
+    lanes = carrier.pack(rows)
+    assert carrier.unpack(lanes) == rows
+    assert carrier.unpack(carrier.transpose(lanes)) == transpose_rows(rows, carrier.size)
+    assert carrier.transpose(carrier.transpose(lanes)) == lanes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lane_constants(n):
+    carrier = CARRIERS[n]
+    m = carrier.size
+    assert carrier.lane_ones == carrier.pack([1] * m)
+    assert carrier.lane_diagonal == carrier.pack([1 << p for p in range(m)])
+    # the full relation and the empty one are their own transposes
+    assert carrier.transpose(carrier.pack([(1 << m) - 1] * m)) == carrier.pack([(1 << m) - 1] * m)
+    assert carrier.transpose(0) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations())
+def test_synthesis_against_oracle_closure(relation):
+    carrier, rows = relation
+    lim1 = reflexive(rows)
+    reach = warshall_rows(lim1)
+    topo = synthesize_O_lambda(Convergence(carrier, lim1=lim1))
+    assert topo.min_neighborhoods == tuple(transpose_rows(reach, carrier.size))
+    assert topo.point_closures == tuple(reach)
+
+
+@st.composite
+def neighbourhood_lists(draw):
+    """Candidate minimal neighbourhoods: random rows, reflexive rows, closed
+    preorders with one bit cut, and preorders with one entry made negative,
+    pushed above the carrier, or with an entry too many or too few."""
+    carrier, rows = draw(relations())
+    m, full = carrier.size, (1 << carrier.size) - 1
+    kind = draw(st.sampled_from(["random", "reflexive", "preorder", "cut", "negative", "above", "length"]))
+    if kind == "random":
+        return carrier, rows
+    if kind == "reflexive":
+        return carrier, reflexive(rows)
+    mins = warshall_rows(reflexive(rows))
+    p = draw(st.integers(0, m - 1))
+    if kind == "cut":
+        mins[p] &= ~(1 << draw(st.integers(0, m - 1)))
+    elif kind == "negative":
+        mins[p] = draw(st.integers(max_value=-1))
+    elif kind == "above":
+        mins[p] |= 1 << draw(st.integers(m, m + 8))
+    elif kind == "length":
+        mins = mins[:-1] if draw(st.booleans()) else mins + [full]
+    return carrier, mins
+
+
+@settings(max_examples=400, deadline=None)
+@given(neighbourhood_lists())
+def test_topology_accepts_exactly_the_preorders(candidate):
+    carrier, mins = candidate
+    if is_preorder(carrier, mins):
+        topo = Topology(carrier, mins)
+        assert topo.min_neighborhoods == tuple(mins)
+        assert topo.point_closures == tuple(transpose_rows(mins, carrier.size))
+    else:
+        with pytest.raises(ValueError, match="reflexive and transitive"):
+            Topology(carrier, mins)
+
+
+# P(2) has four points; N(0) = {0, 1} holds 1, whose N(1) = {1, 2} does not
+# lie inside it
+@pytest.mark.parametrize(
+    "mins",
+    [
+        [0b0001, 0b0010, 0b0100, 0b0000],  # point 3 outside its own
+        [0b0011, 0b0110, 0b0100, 0b1000],  # not transitive
+        [0b0001, 0b0010, 0b0100, -1],  # negative
+        [0b0001, 0b0010, 0b0100, 0b11000],  # above the carrier
+        [0b0001, 0b0010, 0b0100],  # one too few
+        [0b0001, 0b0010, 0b0100, 0b1000, 0b1000],  # one too many
+    ],
+    ids=["non-reflexive", "non-transitive", "negative", "above-full", "short", "long"],
+)
+def test_each_rejection(mins):
+    carrier = CARRIERS[2]
+    assert not is_preorder(carrier, mins)
+    with pytest.raises(ValueError, match="reflexive and transitive"):
+        Topology(carrier, mins)
+
+
+@settings(max_examples=100, deadline=None)
+@given(relations(max_atoms=3))
+def test_limit_count_matches_table(relation):
+    carrier, rows = relation
+    lam = Convergence(carrier, lim1=rows)
+    assert lam.limit_count() == sum(v.bit_count() for v in table_of(lam))
+
+
+@settings(max_examples=100, deadline=None)
+@given(relations())
+def test_limit_count_from_column_sizes(relation):
+    # past the tables: a is a limit of exactly the 2^|P_a| - 1 nonempty
+    # classes inside P_a = {s : a in lim1[s]}, row a of the transpose
+    carrier, rows = relation
+    sizes = [col.bit_count() for col in transpose_rows(rows, carrier.size)]
+    assert Convergence(carrier, lim1=rows).limit_count() == sum((1 << k) - 1 for k in sizes)
