@@ -17,7 +17,6 @@ from .algebra import (
 from .convergence import (
     ClosureAxiomError,
     Convergence,
-    SweepCapacityError,
     check_hbar,
     check_L1,
     check_L2,
@@ -50,7 +49,6 @@ __all__ = [
     "EPSeq",
     "Element",
     "InfClass",
-    "SweepCapacityError",
     "Topology",
     "check_L1",
     "check_L2",

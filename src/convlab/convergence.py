@@ -11,8 +11,7 @@ of two or more points with a limit mask A.  Then
 Every such map satisfies (L2), and every (L2) convergence has this form.  The
 built-in laws, their star-closures and every topological limit operator have
 no exceptions, so their operations cost O(2^n) instead of O(2^(2^n)), and
-answer point queries at any size.  Sweeps over all classes exist only up to
-4 atoms and raise ``SweepCapacityError`` above that.
+answer point queries at any size.
 """
 
 from __future__ import annotations
@@ -25,24 +24,14 @@ from .algebra import Carrier, CarrierMismatchError, Element, check_same_carrier,
 from .seqclass import InfClass, class_from_mask, class_mask, subsequence_classes
 
 
-class SweepCapacityError(RuntimeError):
-    """An exhaustive class sweep was requested on a carrier too large to enumerate."""
-
-
 class ClosureAxiomError(ValueError):
     """A convergence violates the (L1) precondition of the operation."""
 
 
-def _require_table_capacity(carrier: Carrier) -> None:
-    if carrier.size > 16:
-        raise SweepCapacityError(
-            f"carrier P({carrier.n}) has 2^{carrier.size} - 1 classes; "
-            "exhaustive enumeration is only supported for up to 4 atoms"
-        )
-
-
 def sos_union(table: list[int], m: int) -> list[int]:
-    """Subset transform: out[A] = union of table[S] over all S contained in A."""
+    """Subset transform: out[A] = union of table[S] over all S contained in A.
+    Only ``tests/oracles.py`` calls it; it stays bound because perfbench's
+    tracer wraps it by name."""
     out = list(table)
     for e in range(m):
         bit = 1 << e
@@ -111,16 +100,37 @@ class Convergence:
     def limit_count(self) -> int:
         """Number of (nonempty class, limit) pairs: the popcount sum of the table.
 
-        Without exceptions, a is a limit of S exactly when S is inside
-        P_a = {s : a in lim1[s]}, which gives 2^|P_a| - 1 classes per point;
-        |P_a| is the popcount of column a of the packed lanes.  With
-        exceptions every class is swept, up to 4 atoms.
+        A class has the limit a iff it lies inside P_a = {s : a in lim1[s]},
+        column a of the lanes, and holds no class of F_a: the least exception
+        classes E inside P_a (a is in the AND of lim1 over E) whose A lacks a.
+        By inclusion-exclusion, with the terms of one union U S merged,
+
+            count = sum_a (2^|P_a| - 1 + sum_{nonempty S of F_a} (-1)^|S| 2^(|P_a| - |U S|)).
+
+        Without exceptions the inner sum is empty.  The cost is exponential
+        only in the number of least exception classes that cut one point.
         """
-        if self.exceptions:
-            _require_table_capacity(self.carrier)
-            return sum(self.limit_mask(c).bit_count() for c in range(1, 1 << self.carrier.size))
-        lanes, ones = self._lanes, self.carrier.lane_ones
-        return sum((1 << (lanes >> a & ones).bit_count()) - 1 for a in range(self.carrier.size))
+        lanes, ones, lim1 = self._lanes, self.carrier.lane_ones, self.lim1
+        cuts: dict[int, list[int]] = {}
+        for e, lim in self.exceptions:
+            inside = self._full
+            for s in iter_bits(e):
+                inside &= lim1[s]
+            for a in iter_bits(inside & ~lim):
+                cuts.setdefault(a, []).append(e)
+        total = sum((1 << (lanes >> a & ones).bit_count()) - 1 for a in range(self.carrier.size))
+        for a, classes in cuts.items():
+            least: list[int] = []
+            terms = {0: 1}
+            for e in sorted(classes, key=int.bit_count):
+                if all(f & ~e for f in least):
+                    least.append(e)
+                    for u, c in list(terms.items()):
+                        terms[u | e] = terms.get(u | e, 0) - c
+                    terms = {u: c for u, c in terms.items() if c}
+            k = (lanes >> a & ones).bit_count()
+            total += sum(c << k - u.bit_count() for u, c in terms.items()) - (1 << k)
+        return total
 
     def __call__(self, s: InfClass) -> frozenset[Element]:
         if s.width != self.carrier.n:

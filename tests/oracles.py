@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from convlab.algebra import Carrier, CarrierMismatchError, Element, EPSeq, complement, iter_bits
-from convlab.convergence import Convergence, _require_table_capacity, sos_union
+from convlab.convergence import Convergence, sos_union
 from convlab.cube import FCSeq
 from convlab.report import KINDS
 from convlab.seqclass import class_from_mask
@@ -138,6 +138,18 @@ def all_classes(carrier: Carrier):
 #
 # A table lists the limit mask of every class mask (entry 0 unused), so it
 # has 2^(2^n) entries and exists only up to 4 atoms.
+
+class SweepCapacityError(RuntimeError):
+    """An exhaustive class sweep was requested on a carrier too large to enumerate."""
+
+
+def _require_table_capacity(carrier: Carrier) -> None:
+    if carrier.size > 16:
+        raise SweepCapacityError(
+            f"carrier P({carrier.n}) has 2^{carrier.size} - 1 classes; "
+            "exhaustive enumeration is only supported for up to 4 atoms"
+        )
+
 
 def sos_intersection_nonempty(table: list[int], m: int) -> list[int]:
     """out[A] = intersection of table[S] over all nonempty S contained in A."""

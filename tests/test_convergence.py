@@ -3,6 +3,8 @@ import warnings
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convlab.algebra import Carrier, EPSeq
 from convlab.convergence import (
@@ -22,7 +24,39 @@ from convlab.convergence import (
 )
 from convlab.seqclass import InfClass, class_from_mask, inf_class
 
-from oracles import all_classes, from_table, random_l12_convergence, star_table, table_is_L2, table_of, upset
+from oracles import (
+    SweepCapacityError,
+    all_classes,
+    from_table,
+    random_l12_convergence,
+    star_table,
+    table_is_L2,
+    table_of,
+    transpose_rows,
+    upset,
+)
+
+
+@st.composite
+def counted_convergences(draw):
+    """A random column, with or without (L1), and 0-8 exceptions; each class
+    is drawn afresh, repeats an earlier one or widens it, so repeated and
+    nested classes both occur."""
+    carrier = Carrier(draw(st.integers(1, 3)))
+    m = carrier.size
+    masks = st.integers(0, (1 << m) - 1)
+    fresh = st.sampled_from([c for c in range(1, 1 << m) if c & (c - 1)])
+    lim1 = draw(st.lists(masks, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        lim1 = [col | 1 << s for s, col in enumerate(lim1)]
+    classes = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["fresh", "repeat", "widen"])) if classes else "fresh"
+        e = draw(fresh) if kind == "fresh" else draw(st.sampled_from(classes))
+        if kind == "widen":
+            e |= draw(masks)
+        classes.append(e)
+    return Convergence(carrier, lim1=lim1, exceptions=[(e, draw(masks)) for e in classes])
 
 
 def cls(carrier, *atom_lists):
@@ -242,17 +276,16 @@ class TestLazyRule:
         assert lam == lambda_ls(p2)
 
     def test_large_carrier_pointwise_only(self):
-        from convlab.convergence import SweepCapacityError
-
         big = Carrier(5)
         lam = lambda_ls(big)
         x = EPSeq((), (big.bottom,))
         assert big.top in lam(inf_class(x))
         with pytest.raises(SweepCapacityError):
             table_of(lam)
+        # counted without a table: the exception cuts every point above
+        # {0, 1}, and 4,295,297,686 - sum_j C(4, j) 2^(2^(j+1) - 2) is left
         with_exception = Convergence(big, lim1=lam.lim1, exceptions=[(0b11, 0)])
-        with pytest.raises(SweepCapacityError):
-            with_exception.limit_count()
+        assert with_exception.limit_count() == 3_221_489_925
 
 
 class TestEqualityAcrossForms:
@@ -344,3 +377,46 @@ class TestLimitCount:
         for law in (lambda_ls, lambda_li, lambda_s):
             lam = law(carrier)
             assert lam.limit_count() == sum(v.bit_count() for v in table_of(lam))
+
+    @settings(max_examples=300, deadline=None)
+    @given(counted_convergences())
+    def test_exceptions_match_table(self, lam):
+        assert lam.limit_count() == sum(v.bit_count() for v in table_of(lam))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_larger_class_an_exception(self, n):
+        rng = random.Random(n)
+        for _ in range(10):
+            lam = random_l12_convergence(Carrier(n), rng)
+            assert lam.limit_count() == sum(v.bit_count() for v in table_of(lam))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_one_exception_on_two_points(self, n):
+        # (E, A) cuts the points a of AND(lim1[E]) outside A, and removes
+        # the 2^(|P_a| - 2) classes inside P_a that contain E
+        carrier = Carrier(n)
+        m = carrier.size
+        for law in (lambda_ls, lambda_li, lambda_s):
+            lim1 = law(carrier).lim1
+            sizes = [col.bit_count() for col in transpose_rows(lim1, m)]  # |P_a|
+            base = sum((1 << k) - 1 for k in sizes)
+            for lim in (0, 0x5555_5555 & (1 << m) - 1):
+                for t in range(m):
+                    for s in range(t):
+                        cut = lim1[s] & lim1[t] & ~lim
+                        lam = Convergence(carrier, lim1=lim1, exceptions=[(1 << s | 1 << t, lim)])
+                        expected = base - sum(1 << sizes[a] - 2 for a in range(m) if cut >> a & 1)
+                        assert lam.limit_count() == expected
+
+    def test_counts_without_a_class_sweep(self, monkeypatch):
+        def no_sweep(self, mask):
+            raise AssertionError("limit_count swept a class")
+
+        monkeypatch.setattr(Convergence, "limit_mask", no_sweep)
+        big = Carrier(5)
+        with_exception = Convergence(big, lim1=big.up_masks, exceptions=[(0b11, 0)])
+        assert with_exception.limit_count() == 3_221_489_925
+        rng = random.Random(5)
+        exceptions = [(rng.randrange(1 << 32), rng.randrange(1 << 32)) for _ in range(20)]
+        lam = Convergence(big, lim1=big.down_masks, exceptions=exceptions)
+        assert 0 < lam.limit_count() < lambda_li(big).limit_count()
