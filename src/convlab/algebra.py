@@ -136,6 +136,16 @@ class Carrier:
             lanes ^= moved | moved << shift
         return lanes
 
+    def escapes(self, relations: Sequence[int]) -> Callable[[int], int]:
+        """The test mapping a packed relation x to the guard bits of the relations
+        r with x & ~r != 0.  Relation i fills field i, 4^n data bits under a guard
+        bit; x copied into every field, less r, carries into its guard iff nonzero."""
+        width = self.size**2
+        rep = ((1 << (width + 1) * len(relations)) - 1) // ((2 << width) - 1)
+        low, guards = rep * ((1 << width) - 1), rep << width
+        outside = ~sum(row << i * (width + 1) for i, row in enumerate(relations))
+        return lambda x: ((x * rep & outside) + low) & guards
+
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
         col, up = self._columns(), [(1 << self.size) - 1] * self.size

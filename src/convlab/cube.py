@@ -104,15 +104,27 @@ def lim_alexandrov(x: FCSeq) -> Callable[[int], bool]:
     proper neighborhood: a coordinate at 0 in the candidate forces the
     sequence's coordinate to 0 eventually; a coordinate at 1 is unconstrained.
     """
-    vals = set(x.period)
-    return lambda a: all(v & ~a == 0 for v in vals)
+    vals = tuple(set(x.period))
+    def converges(a: int) -> bool:
+        for v in vals:
+            if v & ~a:
+                return False
+        return True
+
+    return converges
 
 
 def lim_alexandrov_dual(x: FCSeq) -> Callable[[int], bool]:
     """Dual cube ({1} is the proper neighborhood): a coordinate at 1 in the
     candidate forces the sequence's coordinate to 1 eventually."""
-    vals = set(x.period)
-    return lambda a: all(a & ~v == 0 for v in vals)
+    vals = tuple(set(x.period))
+    def converges(a: int) -> bool:
+        for v in vals:
+            if a & ~v:
+                return False
+        return True
+
+    return converges
 
 
 def lim_cantor(x: FCSeq) -> Optional[int]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .algebra import Carrier, EPSeq
-from .convergence import Convergence, check_hbar, first_difference, hbar_witness, leq_conv, meet_conv
+from .convergence import Convergence, check_hbar, first_difference, hbar_witness, meet_conv
 from .cube import FCSeq, candidate_limits, check_T1235a, fc_limsup, lim_alexandrov, lim_cantor
 from .report import figure_nodes
 from .seqclass import class_from_mask, inf_class, representative
@@ -192,17 +192,20 @@ def _crit_galois(ctx: VerifyContext):
         m = car.size
         convs = [ctx.node(f"lambda_{law}", n) for law in ("ls", "li", "s")]
         topos = [ctx.node(f"O_{law}", n) for law in ("ls", "li", "s", "lsi")]
-        # random (L1) columns: O_lam reads only lam's columns, and lim_O has no
-        # exceptions, so lam <= lim_O is decided on singletons; exceptions of
-        # lam would change neither side
+        # random (L1) columns: O_lam reads only lam's columns, and lim_O must have
+        # no exceptions, so lam <= lim_O is decided on singletons and exceptions of
+        # lam would change neither side.  Stacked, guard i is set when o_i is not
+        # inside O_lam (O_lam's lanes escape o_i's) and when lam is not below lim_o_i.
         convs += [Convergence(car, lim1=[rng.randrange(1 << m) | 1 << a for a in range(m)]) for _ in range(50)]
         topos += [_random_topology(car, rng) for _ in range(50)]
         lims = [lim_of_topology_as_convergence(o) for o in topos]
+        if any(lim_o.exceptions for lim_o in lims):
+            return False, f"lim_O has exceptions at n={n}"
+        opens_escaped = car.escapes([o._lanes for o in topos])
+        limits_escaped = car.escapes([lim_o._lanes for lim_o in lims])
         for lam in convs:
-            f_lam = synthesize_O_lambda(lam)
-            for o, lim_o in zip(topos, lims):
-                if (o <= f_lam) != leq_conv(lam, lim_o):
-                    return False, f"adjunction fails at n={n}"
+            if opens_escaped(synthesize_O_lambda(lam)._lanes) != limits_escaped(lam._lanes):
+                return False, f"adjunction fails at n={n}"
     return True, f"no counterexamples over built-in and random pairs, {ctx.covered()}"
 
 
@@ -223,7 +226,7 @@ def _crit_cube(ctx: VerifyContext):
             return False, f"discrete-cube limit disagrees with the unique-value rule for {x}"
     if not check_T1235a(sample, random.Random(ctx.seed + 4)):
         return False, "predicate conjunction does not characterize the discrete limit"
-    return True, f"{len(sample)} sequences (the cube has no atom count)"
+    return True, f"{len(sample)} sequence{'s' if len(sample) != 1 else ''} (the cube has no atom count)"
 
 
 def _crit_submeasures(ctx: VerifyContext):

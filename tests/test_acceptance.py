@@ -17,7 +17,7 @@ from convlab.convergence import Convergence, meet_conv
 from convlab.report import figure_nodes
 from convlab.seqclass import class_from_mask, representative
 from convlab.submeasure import Submeasure, ValidationReport
-from convlab.topology import Topology, discrete, lim_topo, synthesize_O_lambda
+from convlab.topology import Topology, discrete, lim_of_topology_as_convergence, lim_topo, synthesize_O_lambda
 from convlab.verify import (
     CRITERIA,
     CriterionResult,
@@ -151,6 +151,39 @@ class TestAdjunction:
             True, "no counterexamples over built-in and random pairs, n=1..3",
         )
         assert _crit_galois(VerifyContext(atoms=4)) == (False, "adjunction fails at n=4")
+
+    @staticmethod
+    def tamper_lim_O_ls(monkeypatch, change):
+        """lim_{O_ls} at n = 4 replaced by ``change`` of it; every other limit
+        operator is left alone."""
+        def tampered(o):
+            lim = lim_of_topology_as_convergence(o)
+            if o.carrier.n == 4 and o.min_neighborhoods == o.carrier.down_masks:
+                return change(lim)
+            return lim
+
+        monkeypatch.setattr(verify, "lim_of_topology_as_convergence", tampered)
+
+    def test_tampered_limit_operator_fails_at_four_atoms(self, monkeypatch):
+        # the limit 15 of the singleton {0} dropped: lambda_ls is no longer
+        # below lim_{O_ls}, yet O_ls still lies inside O_{lambda_ls}; 15 != 0,
+        # so the operator stays (L1)
+        self.tamper_lim_O_ls(
+            monkeypatch, lambda lim: Convergence(lim.carrier, lim1=[lim.lim1[0] & ~(1 << 15), *lim.lim1[1:]])
+        )
+        assert _crit_galois(VerifyContext(atoms=3)) == (
+            True, "no counterexamples over built-in and random pairs, n=1..3",
+        )
+        assert _crit_galois(VerifyContext(atoms=4)) == (False, "adjunction fails at n=4")
+
+    def test_limit_operator_with_an_exception_fails(self, monkeypatch):
+        # the class {0, 15} loses every limit: lambda_ls is no longer below
+        # lim_{O_ls}, though the singleton columns, which the stacked test
+        # reads, are unchanged
+        self.tamper_lim_O_ls(
+            monkeypatch, lambda lim: Convergence(lim.carrier, lim1=lim.lim1, exceptions=[(1 | 1 << 15, 0)])
+        )
+        assert _crit_galois(VerifyContext(atoms=4)) == (False, "lim_O has exceptions at n=4")
 
 
 def synthesis_without_closure(lam):

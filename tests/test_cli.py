@@ -247,6 +247,13 @@ class TestVerify:
         args = ["verify", "--atoms", "2", "--samples", "50", "--seed", "7"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
+    @pytest.mark.parametrize("samples, detail", [("1", "1 sequence ("), ("20", "20 sequences (")])
+    def test_cube_detail_counts_the_sequences(self, runner, samples, detail):
+        result = runner.invoke(main, ["verify", "--atoms", "1", "--samples", samples])
+        assert result.exit_code == 0, result.output
+        cube = next(l for l in result.output.splitlines() if "coordinatewise cube limits" in l)
+        assert cube.endswith(f"PASS  coordinatewise cube limits: {detail}the cube has no atom count)")
+
     def test_zero_samples_rejected(self, runner):
         result = runner.invoke(main, ["verify", "--atoms", "2", "--samples", "0"])
         assert result.exit_code == 2

@@ -3,7 +3,8 @@
 ``Carrier.pack``, ``unpack`` and ``transpose``, the packed closure behind
 ``synthesize_O_lambda``, the packed preorder check of ``Topology`` and the
 lane popcounts of ``Convergence.limit_count`` are each compared with a loop
-over single bits (``tests/oracles.py``) at n = 1..5.
+over single bits (``tests/oracles.py``) at n = 1..5, and the stacked
+``Carrier.escapes`` with the pairwise ``Topology.__le__`` and ``leq_conv``.
 """
 
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlab.algebra import Carrier
-from convlab.convergence import Convergence
-from convlab.topology import Topology, synthesize_O_lambda
+from convlab.convergence import Convergence, leq_conv
+from convlab.topology import Topology, generate, synthesize_O_lambda
 
 from oracles import is_preorder, table_of, transpose_rows, warshall_rows
 
@@ -138,3 +139,61 @@ def test_limit_count_from_column_sizes(relation):
     carrier, rows = relation
     sizes = [col.bit_count() for col in transpose_rows(rows, carrier.size)]
     assert Convergence(carrier, lim1=rows).limit_count() == sum((1 << k) - 1 for k in sizes)
+
+
+def guard_bits(carrier, flags):
+    """The guard bit of field i for every true flags[i]: the top bit of the
+    i-th (4^n + 1)-bit field."""
+    width = carrier.size**2 + 1
+    return sum(1 << i * width + width - 1 for i, flag in enumerate(flags) if flag)
+
+
+@st.composite
+def escape_cases(draw):
+    """A carrier, one to eight random topologies, one to eight random (L1)
+    columns, and one of each to test against the stacks: a fresh draw or a
+    row of the stack."""
+    carrier = CARRIERS[draw(st.integers(1, 5))]
+    m, full = carrier.size, (1 << carrier.size) - 1
+    masks = st.integers(0, full)
+
+    def topology():
+        return generate(carrier, draw(st.lists(masks, max_size=4)))
+
+    def columns():
+        return Convergence(carrier, lim1=[draw(masks) | 1 << a for a in range(m)])
+
+    k = draw(st.integers(1, 8))
+    topos, convs = [topology() for _ in range(k)], [columns() for _ in range(k)]
+    o = topology() if draw(st.booleans()) else draw(st.sampled_from(topos))
+    lam = columns() if draw(st.booleans()) else draw(st.sampled_from(convs))
+    return carrier, topos, o, convs, lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(escape_cases())
+def test_escapes_against_pairwise_order_tests(case):
+    carrier, topos, o, convs, lam = case
+    opens_escaped = carrier.escapes([t._lanes for t in topos])
+    assert opens_escaped(o._lanes) == guard_bits(carrier, [not t <= o for t in topos])
+    limits_escaped = carrier.escapes([c._lanes for c in convs])
+    assert limits_escaped(lam._lanes) == guard_bits(carrier, [not leq_conv(lam, c) for c in convs])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_escapes_edge_rows(n):
+    carrier = CARRIERS[n]
+    full, top = (1 << carrier.size**2) - 1, 1 << carrier.size**2 - 1
+    # a stack of one row
+    assert carrier.escapes([full])(full) == 0
+    assert carrier.escapes([0])(1) == guard_bits(carrier, [True])
+    # failing only in the top data bit: the carry reaches this field's guard
+    # and no further
+    assert carrier.escapes([full ^ top, full, full])(full) == guard_bits(carrier, [True, False, False])
+    assert carrier.escapes([full, full ^ top])(top) == guard_bits(carrier, [False, True])
+    # failing only in bit 0 of the first field
+    assert carrier.escapes([full ^ 1, full])(1) == guard_bits(carrier, [True, False])
+    # x escaping every row, and the empty relation escaping none
+    rows = [full ^ 1, full ^ top, 0, full ^ 1 << carrier.size]
+    assert carrier.escapes(rows)(full) == guard_bits(carrier, [True] * len(rows))
+    assert carrier.escapes(rows)(0) == 0
