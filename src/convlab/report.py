@@ -22,11 +22,11 @@ from functools import cached_property
 from itertools import permutations, product
 from typing import Optional, Union
 
-from .algebra import Carrier
+from .algebra import Carrier, Element, iter_bits
 from .convergence import (
     Convergence, first_difference, first_escape, lambda_li, lambda_ls, lambda_s, meet_conv, star,
 )
-from .seqclass import class_from_mask
+from .seqclass import InfClass
 from .topology import (
     Topology,
     first_open_not_in,
@@ -128,7 +128,7 @@ class DiagramReport:
 def _conv_leq_witness(a: Convergence, b: Convergence) -> Optional[str]:
     """First class (in mask order) where a's limit set escapes b's."""
     mask = first_escape(a, b)
-    return None if mask is None else f"class {class_from_mask(a.carrier, mask)!r}"
+    return None if mask is None else f"class {InfClass(mask, a.carrier.n)!r}"
 
 
 def _topo_subset_witness(a: Topology, b: Topology) -> Optional[str]:
@@ -136,8 +136,7 @@ def _topo_subset_witness(a: Topology, b: Topology) -> Optional[str]:
     o = first_open_not_in(a, b)
     if o is None:
         return None
-    elems = sorted(a.carrier.subset_from_mask(o), key=lambda e: e.mask)
-    return "open {" + ",".join(repr(e) for e in elems) + "}"
+    return "open {" + ",".join(repr(Element(v, a.carrier.n)) for v in iter_bits(o)) + "}"
 
 
 # kind, node names, relation label, witness that a is not below b
@@ -190,7 +189,7 @@ def build_figure1(carrier: Carrier) -> DiagramReport:
     for a, b, c in MEET_IDENTITIES:
         meet = meet_conv(payloads[a], payloads[b])
         if meet != payloads[c]:
-            witness = class_from_mask(carrier, first_difference(meet, payloads[c]))
+            witness = InfClass(first_difference(meet, payloads[c]), carrier.n)
             raise RelationViolation(f"{a} & {b} = {c} fails", f"class {witness!r}")
     for a, rel, b in REQUIRED:
         up, down = escape[a, b], escape[b, a]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import Carrier, Element
+from .algebra import Carrier, CarrierMismatchError, Element
 from .report import figure_nodes
 from .topology import Topology, generate
 
@@ -57,11 +57,17 @@ class Submeasure:
         if any(v < 0 for v in self.values):
             raise SubmeasureTableError("submeasure values must be nonnegative")
 
+    def _check_carrier(self, *elems: Element) -> None:
+        if any(e.width != self.carrier.n for e in elems):
+            raise CarrierMismatchError(f"element of another carrier fed to submeasure on P({self.carrier.n})")
+
     def __call__(self, a: Element) -> Fraction:
+        self._check_carrier(a)
         return self.values[a.mask]
 
     def distance(self, a: Element, b: Element) -> Fraction:
         """mu of the symmetric difference; a pseudo-metric in general."""
+        self._check_carrier(a, b)
         return self.values[a.mask ^ b.mask]
 
     @classmethod
@@ -180,6 +186,7 @@ class HalfBallReport:
 def check_halfball_opens(mu: Submeasure, a: Element, r: Fraction) -> HalfBallReport:
     """The two half-balls around a of radius r/2 are open in the left/right
     sequential topologies and squeeze between a and the full ball."""
+    mu._check_carrier(a)
     car = mu.carrier
     half = Fraction(r) / 2
     o1 = frozenset(

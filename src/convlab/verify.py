@@ -12,11 +12,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .algebra import Carrier, EPSeq
+from .algebra import Carrier
 from .convergence import Convergence, check_hbar, first_difference, hbar_witness, meet_conv
 from .cube import FCSeq, candidate_limits, check_T1235a, fc_limsup, lim_alexandrov, lim_cantor
 from .report import figure_nodes
-from .seqclass import class_from_mask, inf_class, representative
+from .seqclass import InfClass, representative
 from .submeasure import Submeasure, metric_topology, validate_submeasure
 from .topology import (
     Topology,
@@ -151,14 +151,14 @@ def _crit_limit_intersection(ctx: VerifyContext):
         both = meet_conv(ctx.node("lim_O_ls", n), ctx.node("lim_O_li", n))
         cls = first_difference(both, ctx.node("lim_O_lsi", n))
         if cls is not None:
-            return False, f"intersection law fails at n={n} for {representative(class_from_mask(ctx.carrier(n), cls))}"
+            return False, f"intersection law fails at n={n} for {representative(InfClass(cls, n))}"
     return True, f"all classes, {ctx.covered()}"
 
 
 def _crit_strictness(ctx: VerifyContext):
     for n in ctx.scales():
         car = ctx.carrier(n)
-        zero_class = inf_class(EPSeq((), (car.bottom,)))
+        zero_class = InfClass(1, n)
         if car.top not in ctx.node("lambda_ls", n)(zero_class):
             return False, f"top not a left-limit of the constant-0 sequence at n={n}"
         if car.top in ctx.node("lambda_s", n)(zero_class):
@@ -260,8 +260,8 @@ def _crit_hbar(ctx: VerifyContext):
         car = ctx.carrier(n)
         if not check_hbar(car):
             return False, f"subsequence-stability condition fails at n={n}"
-        sample = class_from_mask(car, (1 << car.size) - 1)
-        if len(hbar_witness(sample).values) != 1:
+        sample = InfClass((1 << car.size) - 1, n)
+        if hbar_witness(sample).mask.bit_count() != 1:
             return False, f"witness is not a singleton at n={n}"
     return True, f"singleton witnesses on every class, {ctx.covered()} (larger subclasses finite-trivial)"
 

@@ -3,7 +3,8 @@
 Each is a direct, element-by-element construction that the tests compare the
 library's bit-mask code against: up/down sets against ``Carrier.up_masks`` and
 ``down_masks``, honest subsequences against the class reduction in
-``convlab.seqclass``, full class tables against a convergence's singleton
+``convlab.seqclass``, subclasses, least singletons and reprs built from a
+class's set of elements against the bits of ``InfClass.mask``, full class tables against a convergence's singleton
 column and exceptions, listed opens against the minimal neighbourhoods a
 ``Topology`` holds, the diagram's order decided pair by pair of node names
 against ``report.build_figure1``'s pairs of equality classes, element-set
@@ -19,13 +20,14 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable
 
 from convlab.algebra import Carrier, CarrierMismatchError, Element, EPSeq, complement, iter_bits
 from convlab.convergence import Convergence, sos_union
 from convlab.cube import FCSeq
 from convlab.report import KINDS
-from convlab.seqclass import class_from_mask
+from convlab.seqclass import InfClass
 from convlab.submeasure import Submeasure
 from convlab.topology import Topology, generate
 
@@ -131,7 +133,33 @@ def select_values(x: EPSeq, values: frozenset[Element]) -> EPSeq:
 def all_classes(carrier: Carrier):
     """All 2^(2^n) - 1 classes in ascending characteristic-mask order."""
     for mask in range(1, 1 << carrier.size):
-        yield class_from_mask(carrier, mask)
+        yield InfClass(mask, carrier.n)
+
+
+# -- classes as sets of elements ---------------------------------------------
+#
+# The class operations built from the set of elements a sequence visits
+# infinitely often, by sorting and combining elements instead of walking the
+# bits of ``InfClass.mask``.
+
+def _by_mask(values: Iterable[Element]) -> list[Element]:
+    return sorted(values, key=lambda e: e.mask)
+
+
+def subclasses_of(values: frozenset[Element]) -> frozenset[frozenset[Element]]:
+    """Every nonempty subset of values, one combination size at a time."""
+    vals = _by_mask(values)
+    return frozenset(frozenset(c) for k in range(1, len(vals) + 1) for c in combinations(vals, k))
+
+
+def least_singleton(values: frozenset[Element]) -> frozenset[Element]:
+    """The singleton of the element with the least mask."""
+    return frozenset([min(values, key=lambda e: e.mask)])
+
+
+def class_repr(values: frozenset[Element]) -> str:
+    """``InfClass(...)`` listing the elements in ascending mask order."""
+    return "InfClass(" + ",".join(repr(e) for e in _by_mask(values)) + ")"
 
 
 # -- full class tables ------------------------------------------------------

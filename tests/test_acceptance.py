@@ -15,7 +15,7 @@ from convlab import report, topology, verify
 from convlab.algebra import Carrier
 from convlab.convergence import Convergence, meet_conv
 from convlab.report import figure_nodes
-from convlab.seqclass import class_from_mask, representative
+from convlab.seqclass import InfClass, representative
 from convlab.submeasure import Submeasure, ValidationReport
 from convlab.topology import Topology, discrete, lim_of_topology_as_convergence, lim_topo, synthesize_O_lambda
 from convlab.verify import (
@@ -135,7 +135,7 @@ class TestLimitIntersectionLaw:
         assert all(c >> grown & 1 or (emptied is not None and c >> emptied & 1) for c in failing)
         assert failing[0] == 1 << least
         assert not passed
-        assert detail == f"intersection law fails at n=4 for {representative(class_from_mask(carrier, 1 << least))}"
+        assert detail == f"intersection law fails at n=4 for {representative(InfClass(1 << least, carrier.n))}"
 
 
 class TestAdjunction:

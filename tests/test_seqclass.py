@@ -1,19 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from convlab.algebra import Carrier, EPSeq
-from convlab.seqclass import (
-    InfClass,
-    class_from_mask,
-    class_mask,
-    inf_class,
-    representative,
-    subsequence_classes,
-)
+from convlab.convergence import hbar_witness
+from convlab.seqclass import InfClass, inf_class, representative, subsequence_classes
 
-from oracles import all_classes, drop_prefix, prefix, select_values, stride, value_at
+from oracles import (
+    all_classes,
+    class_repr,
+    drop_prefix,
+    least_singleton,
+    prefix,
+    select_values,
+    stride,
+    subclasses_of,
+    value_at,
+)
 from test_algebra import random_epseq
+from test_cli import epseqs
 
 
 def _tail_of(y, sampled):
@@ -45,20 +51,20 @@ class TestInfClass:
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError):
-            InfClass(frozenset())
+            InfClass(0, 2)
 
 
 class TestSubsequenceClasses:
     def test_singleton(self, p2):
-        s = InfClass(frozenset({p2.top}))
+        s = InfClass(1 << p2.top.mask, p2.n)
         assert subsequence_classes(s) == frozenset({s})
 
     def test_pair_gives_three(self, p2):
-        s = InfClass(frozenset({p2.element([0]), p2.element([1])}))
+        s = InfClass(p2.subset_mask({p2.element([0]), p2.element([1])}), p2.n)
         assert len(subsequence_classes(s)) == 3
 
     def test_triple_gives_seven(self, p3):
-        s = InfClass(frozenset({p3.element([0]), p3.element([1]), p3.element([2])}))
+        s = InfClass(p3.subset_mask({p3.element([0]), p3.element([1]), p3.element([2])}), p3.n)
         assert len(subsequence_classes(s)) == 7
 
     def test_counts_match_powerset(self, p2):
@@ -69,11 +75,11 @@ class TestSubsequenceClasses:
 class TestRepresentative:
     def test_pair(self, p2):
         a, b = p2.element([0]), p2.element([1])
-        s = InfClass(frozenset({a, b}))
+        s = InfClass(p2.subset_mask({a, b}), p2.n)
         assert representative(s) == EPSeq((), (a, b))
 
     def test_constant(self, p2):
-        s = InfClass(frozenset({p2.top}))
+        s = InfClass(1 << p2.top.mask, p2.n)
         assert representative(s) == EPSeq((), (p2.top,))
 
     def test_round_trip(self, p3):
@@ -83,24 +89,50 @@ class TestRepresentative:
                 p3.elements[rng.randrange(p3.size)]
                 for _ in range(rng.randrange(1, 5))
             )
-            s = InfClass(vals)
+            s = InfClass(p3.subset_mask(vals), p3.n)
             assert inf_class(representative(s)) == s
 
 
 class TestClassMasks:
     def test_round_trip(self, p2):
         for mask in range(1, 1 << p2.size):
-            assert class_mask(p2, class_from_mask(p2, mask)) == mask
+            assert p2.subset_mask(InfClass(mask, p2.n).values) == mask
 
     def test_zero_rejected(self, p2):
         with pytest.raises(ValueError):
-            class_from_mask(p2, 0)
+            InfClass(0, p2.n)
+
+    def test_negative_rejected(self, p2):
+        with pytest.raises(ValueError, match=r"not a subset of P\(2\)"):
+            InfClass(-1, p2.n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_mask_past_the_carrier_rejected(self, n):
         carrier = Carrier(n)
+        assert InfClass((1 << carrier.size) - 1, n).values == frozenset(carrier.elements)
         with pytest.raises(ValueError, match=rf"not a subset of P\({n}\)"):
-            class_from_mask(carrier, 1 << carrier.size)
+            InfClass(1 << carrier.size, n)
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_width_below_one_rejected(self, width):
+        with pytest.raises(ValueError):
+            InfClass(1, width)
+
+
+class TestAgainstElementSets:
+    """The mask-backed class against the same operations on its elements."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(epseqs())
+    def test_operations_match_element_sets(self, case):
+        _, x = case
+        s, period = inf_class(x), frozenset(x.period)
+        assert s.values == period
+        assert inf_class(representative(s)) == s
+        assert representative(s).period == tuple(sorted(period, key=lambda e: e.mask))
+        assert {c.values for c in subsequence_classes(s)} == subclasses_of(period)
+        assert hbar_witness(s).values == least_singleton(period)
+        assert repr(s) == class_repr(period)
 
 
 class TestConcreteSubsequences:

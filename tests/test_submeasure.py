@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from convlab.algebra import Carrier
+from convlab.algebra import Carrier, CarrierMismatchError
 from convlab.convergence import lambda_s
 from convlab.submeasure import (
     HalfBallReport,
@@ -131,6 +131,31 @@ class TestHalfBalls:
                 assert report.o1_open_in_left
                 assert report.o2_open_in_right
                 assert report.sandwich
+
+
+class TestForeignElements:
+    """An element of P(1) would read a wrong entry of a P(2) table, and one
+    of P(3) an entry past its end; both are refused."""
+
+    @pytest.fixture(params=[1, 3])
+    def foreign(self, request):
+        return Carrier(request.param).element([0])
+
+    def test_value(self, p2, foreign):
+        with pytest.raises(CarrierMismatchError):
+            Submeasure.counting(p2)(foreign)
+
+    def test_distance(self, p2, foreign):
+        with pytest.raises(CarrierMismatchError):
+            Submeasure.counting(p2).distance(p2.bottom, foreign)
+
+    def test_ball(self, p2, foreign):
+        with pytest.raises(CarrierMismatchError):
+            ball(Submeasure.counting(p2), foreign, Fraction(1))
+
+    def test_halfball_opens(self, p2, foreign):
+        with pytest.raises(CarrierMismatchError):
+            check_halfball_opens(Submeasure.counting(p2), foreign, Fraction(1))
 
 
 class TestFileLoading:

@@ -176,7 +176,7 @@ class TestLimits:
                     if smask & ~nb == 0
                 )
                 assert lim_topo(topo, x) == scan
-                assert lim_topo(topo, representative(InfClass(frozenset(x.period)))) == scan
+                assert lim_topo(topo, representative(InfClass(smask, carrier.n))) == scan
 
 
 class TestJoin:
