@@ -17,7 +17,8 @@ answer point queries at any size.
 from __future__ import annotations
 
 import warnings
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .algebra import Carrier, CarrierMismatchError, Element, check_same_carrier, iter_bits
@@ -39,6 +40,26 @@ def sos_union(table: list[int], m: int) -> list[int]:
             if a & bit:
                 out[a] |= out[a ^ bit]
     return out
+
+
+def _avoiding(points: int, classes: frozenset[int], memo: dict) -> int:
+    """Number of subsets of the point mask ``points`` holding no class (a mask
+    inside ``points``) whole.  Points in no class double the count; on the
+    rest, branch on a point p of a smallest class, leaving it out (dropping
+    the classes that hold p) or putting it in (removing p from each class).
+    An emptied class is held whole.  ``memo`` is keyed by the classes alone."""
+    if not classes:
+        return 1 << points.bit_count()
+    if 0 in classes:
+        return 0
+    union = reduce(or_, classes)
+    if classes not in memo:
+        e = min(classes, key=int.bit_count)
+        p = e & -e
+        left_out = frozenset(c for c in classes if not c & p)
+        put_in = frozenset(c & ~p for c in classes)
+        memo[classes] = _avoiding(union & ~p, left_out, memo) + _avoiding(union & ~p, put_in, memo)
+    return memo[classes] << (points & ~union).bit_count()
 
 
 class Convergence:
@@ -101,14 +122,10 @@ class Convergence:
         """Number of (nonempty class, limit) pairs: the popcount sum of the table.
 
         A class has the limit a iff it lies inside P_a = {s : a in lim1[s]},
-        column a of the lanes, and holds no class of F_a: the least exception
-        classes E inside P_a (a is in the AND of lim1 over E) whose A lacks a.
-        By inclusion-exclusion, with the terms of one union U S merged,
-
-            count = sum_a (2^|P_a| - 1 + sum_{nonempty S of F_a} (-1)^|S| 2^(|P_a| - |U S|)).
-
-        Without exceptions the inner sum is empty.  The cost is exponential
-        only in the number of least exception classes that cut one point.
+        column a of the lanes, and holds no class of F_a: the exception
+        classes E inside P_a (a is in the AND of lim1 over E) whose A lacks
+        a.  ``_avoiding`` counts those subsets of P_a, in time that grows
+        with how the classes of F_a overlap.
         """
         lanes, ones, lim1 = self._lanes, self.carrier.lane_ones, self.lim1
         cuts: dict[int, list[int]] = {}
@@ -120,16 +137,8 @@ class Convergence:
                 cuts.setdefault(a, []).append(e)
         total = sum((1 << (lanes >> a & ones).bit_count()) - 1 for a in range(self.carrier.size))
         for a, classes in cuts.items():
-            least: list[int] = []
-            terms = {0: 1}
-            for e in sorted(classes, key=int.bit_count):
-                if all(f & ~e for f in least):
-                    least.append(e)
-                    for u, c in list(terms.items()):
-                        terms[u | e] = terms.get(u | e, 0) - c
-                    terms = {u: c for u, c in terms.items() if c}
-            k = (lanes >> a & ones).bit_count()
-            total += sum(c << k - u.bit_count() for u, c in terms.items()) - (1 << k)
+            points = sum(1 << s for s, col in enumerate(lim1) if col >> a & 1)  # P_a
+            total += _avoiding(points, frozenset(classes), {}) - (1 << points.bit_count())
         return total
 
     def __call__(self, s: InfClass) -> frozenset[Element]:

@@ -45,10 +45,6 @@ def fc_repr(a: int) -> str:
     return f"~{{{inner}}}" if a < 0 else f"{{{inner}}}"
 
 
-def _order_key(a: int) -> tuple[bool, tuple[int, ...]]:
-    return a < 0, tuple(iter_bits(fc_support(a)))
-
-
 def _tuple_repr(sets: tuple[int, ...]) -> str:
     inner = ", ".join(map(fc_repr, sets))
     return f"({inner},)" if len(sets) == 1 else f"({inner})"
@@ -56,8 +52,8 @@ def _tuple_repr(sets: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True, repr=False, slots=True)
 class FCSeq:
-    """Eventually periodic sequence of finite/cofinite sets; ``support`` is
-    the union of its entries' support masks, made once."""
+    """Eventually periodic sequence of finite/cofinite sets, the period at its
+    least rotation as ints; ``support`` is the union of its entries' supports."""
 
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
@@ -67,7 +63,7 @@ class FCSeq:
         if not self.period:
             raise ValueError("period must be nonempty")
         object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        object.__setattr__(self, "period", canonical_period(tuple(self.period), _order_key))
+        object.__setattr__(self, "period", canonical_period(tuple(self.period), int))
         support = 0
         for v in self.preperiod + self.period:
             support |= fc_support(v)
@@ -91,12 +87,6 @@ def fc_limsup(x: FCSeq) -> int:
     for v in x.period:
         out |= v
     return out
-
-
-def _window(coords: int) -> int:
-    """The exceptional coordinates plus the generic one just beyond them: the
-    coordinates a candidate pool draws from."""
-    return coords | 1 << coords.bit_length()
 
 
 def lim_alexandrov(x: FCSeq) -> Callable[[int], bool]:
@@ -136,16 +126,15 @@ def lim_cantor(x: FCSeq) -> Optional[int]:
 
 def candidate_limits(x: FCSeq, rng) -> list[int]:
     """A candidate pool for predicate sweeps: six structured candidates derived
-    from the sequence, then eight seeded random finite/cofinite sets in its window."""
+    from the sequence, then eight seeded random finite/cofinite sets, each one
+    draw masked to the window (the support plus the generic coordinate just
+    beyond it, which stands for all later ones) and one bit for its sign."""
     li, ls = fc_liminf(x), fc_limsup(x)
     pool = [li, ls, ~li, ~ls, FC_EMPTY, FC_FULL]
-    universe = [1 << i for i in iter_bits(_window(x.support))]
+    window = x.support | 1 << x.support.bit_length()
     for _ in range(8):
-        bits = 0
-        for b in universe:
-            if rng.random() < 0.5:
-                bits |= b
-        pool.append(~bits if rng.random() < 0.5 else bits)
+        bits = rng.getrandbits(window.bit_length()) & window
+        pool.append(~bits if rng.getrandbits(1) else bits)
     return pool
 
 

@@ -63,13 +63,12 @@ class CriterionResult:
 
 
 def random_fcseq(rng: random.Random) -> FCSeq:
-    """A seeded sequence whose sets have supports inside coordinates 0..7."""
+    """A seeded sequence whose sets have supports inside coordinates 0..7:
+    each set is one 8-bit draw plus a sign bit, so every coordinate is a fair
+    coin, chosen so that one draw makes the whole set."""
     def rand_set() -> int:
-        bits = 0
-        for i in range(8):
-            if rng.random() < 0.4:
-                bits |= 1 << i
-        return ~bits if rng.random() < 0.5 else bits
+        bits = rng.getrandbits(8)
+        return ~bits if rng.getrandbits(1) else bits
 
     pre = tuple(rand_set() for _ in range(rng.randrange(0, 3)))
     per = tuple(rand_set() for _ in range(rng.randrange(1, 4)))

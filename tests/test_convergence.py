@@ -408,6 +408,37 @@ class TestLimitCount:
                         expected = base - sum(1 << sizes[a] - 2 for a in range(m) if cut >> a & 1)
                         assert lam.limit_count() == expected
 
+    def test_many_overlapping_two_point_classes_match_table(self, p4):
+        # 30 two-point classes on 16 points overlap heavily: the count
+        # branches on their shared points rather than on subsets of them
+        rng = random.Random(30)
+        for lim1 in (p4.up_masks, p4.down_masks):
+            pairs = [rng.sample(range(16), 2) for _ in range(30)]
+            lam = Convergence(p4, lim1=lim1, exceptions=[(1 << s | 1 << t, rng.randrange(1 << 16)) for s, t in pairs])
+            assert lam.limit_count() == sum(v.bit_count() for v in table_of(lam))
+
+    def test_cycle_of_two_point_classes(self):
+        # lambda_ls on P(5) with the 32 classes {p, p + 1 mod 32}, none with a
+        # limit: a is a limit of the classes inside its downset that hold no
+        # consecutive pair.  Below a < 31 the cycle's edges split the downset
+        # into runs of consecutive points, and a run of l points has F(l + 2)
+        # such subsets; below the top the whole cycle has L(32) = F(31) + F(33)
+        big = Carrier(5)
+        fib = [0, 1]
+        while len(fib) < 34:
+            fib.append(fib[-1] + fib[-2])
+        expected = fib[31] + fib[33] - 1
+        for a in range(31):
+            product, run = 1, 0
+            for s in range(33):
+                if s < 32 and s & ~a == 0:
+                    run += 1
+                else:
+                    product, run = product * fib[run + 2], 0
+            expected += product - 1
+        cycle = [(1 << p | 1 << (p + 1) % 32, 0) for p in range(32)]
+        assert Convergence(big, lim1=big.up_masks, exceptions=cycle).limit_count() == expected == 4_954_219
+
     def test_counts_without_a_class_sweep(self, monkeypatch):
         def no_sweep(self, mask):
             raise AssertionError("limit_count swept a class")

@@ -11,7 +11,6 @@ from convlab.cube import (
     FC_EMPTY,
     FC_FULL,
     FCSeq,
-    _order_key,
     candidate_limits,
     check_T1235a,
     fc_cofinite,
@@ -43,7 +42,7 @@ def fc_set(cofinite: bool, support) -> int:
 
 
 def coordinate_key(a: int) -> tuple[bool, tuple[int, ...]]:
-    """The (cofinite, sorted support) order key, read coordinate by coordinate."""
+    """The cofinite flag and the sorted support, read coordinate by coordinate."""
     cofinite = member(a, FAR)
     return cofinite, tuple(i for i in range(FAR) if member(a, i) != cofinite)
 
@@ -132,13 +131,6 @@ class TestFCSetOps:
         inner = text.removeprefix("~")[1:-1]
         support = [int(i) for i in inner.split(",")] if inner else []
         assert fc_set(text.startswith("~"), support) == a
-
-    @given(st.lists(fcsets(6), max_size=8))
-    def test_order_key_matches_cofinite_then_sorted_support(self, sets):
-        for a in sets:
-            for b in sets:
-                assert (_order_key(a) < _order_key(b)) == (coordinate_key(a) < coordinate_key(b))
-                assert (_order_key(a) == _order_key(b)) == (a == b)
 
     def test_is_immutable(self):
         x = FCSeq((), (fc_finite([1]),))
@@ -251,31 +243,66 @@ class TestBitPredicatesAgainstOracles:
         assert lim_cantor(x) == oracle_cantor(x)
 
 
+class TestDraws:
+    """What the random sets may be, whatever the seeded streams hold."""
+
+    def test_candidates_cover_the_window(self):
+        # every window coordinate, the generic one included, is both in and
+        # out of some random candidate's support, and both signs occur
+        seqs, cands = random.Random(11), random.Random(13)
+        held, cleared, signs, generic = 0, 0, set(), set()
+        for _ in range(2000):
+            x = random_fcseq(seqs)
+            window = x.support | 1 << x.support.bit_length()
+            for a in candidate_limits(x, cands)[6:]:
+                support = fc_support(a)
+                assert support & ~window == 0
+                held |= support
+                cleared |= window & ~support
+                signs.add(a < 0)
+                generic.add(support >> x.support.bit_length() & 1)
+        assert held == cleared == (1 << 9) - 1
+        assert signs == generic == {0, 1}
+
+    def test_sampled_sets_are_fair_coins_on_coordinates_0_to_7(self):
+        rng = random.Random(17)
+        sets: list[int] = []
+        for _ in range(2000):
+            x = random_fcseq(rng)
+            sets += x.preperiod + x.period
+        assert all(fc_support(v) >> 8 == 0 for v in sets)
+        assert {v < 0 for v in sets} == {True, False}
+        for i in range(8):
+            share = sum(fc_support(v) >> i & 1 for v in sets) / len(sets)
+            assert 0.45 < share < 0.55
+
+
 class TestPinnedStreams:
     # reprs of random_fcseq and the first nine candidate_limits (six
     # structured, three random) for seeds 0..4, captured from the
-    # frozenset-backed implementation: a seed keeps checking the same
-    # sequences and candidates
+    # implementation that draws each random set with one getrandbits call
+    # plus one sign bit: a seed keeps checking the same sequences and
+    # candidates
     PINNED = [
         (
-            "FCSeq(preperiod=({2,6},), period=({1,4},))",
-            "[{1,4}, {1,4}, ~{1,4}, ~{1,4}, {}, ~{}, ~{1,7}, {1,7}, ~{1,6}]",
+            "FCSeq(preperiod=(~{1,6,7},), period=(~{0,1,2,4,5,6,7}, {1,3}))",
+            "[{3}, ~{0,2,4,5,6,7}, ~{3}, {0,2,4,5,6,7}, {}, ~{}, {3,4,5,6,7}, ~{1,2,4,6,7,8}, {3,5,7,8}]",
         ),
         (
-            "FCSeq(preperiod=(), period=({3,6}, ~{0,1,4,5,7}, ~{2,7}))",
-            "[{3,6}, ~{7}, ~{3,6}, {7}, {}, ~{}, {0,1,2,3,4,5,6,7}, ~{1,4,5}, ~{2,8}]",
+            "FCSeq(preperiod=(), period=(~{3,4,6,7}, {0,1,6,7}, {0,6}))",
+            "[{0}, ~{3,4}, ~{0}, {3,4}, {}, ~{}, ~{0,3,4,6,7}, {1,6,7}, {0,3,6,8}]",
         ),
         (
-            "FCSeq(preperiod=(), period=(~{0,4},))",
-            "[~{0,4}, ~{0,4}, {0,4}, {0,4}, {}, ~{}, {0,4}, ~{5}, ~{0,4,5}]",
+            "FCSeq(preperiod=(), period=({0,2,4},))",
+            "[{0,2,4}, {0,2,4}, ~{0,2,4}, ~{0,2,4}, {}, ~{}, {0,2,4,5}, ~{0,2,5}, ~{5}]",
         ),
         (
-            "FCSeq(preperiod=(), period=({5}, ~{2,5,6}, ~{1,4,5,7}))",
-            "[{}, ~{}, ~{}, {}, {}, ~{}, {6,8}, ~{2,4,5,7}, {2,4}]",
+            "FCSeq(preperiod=(), period=(~{1,2,3,4,6}, {1,3,4,7}, {0,1,3,7}))",
+            "[{7}, ~{2,6}, ~{7}, {2,6}, {}, ~{}, ~{6,8}, ~{0}, ~{1,2}]",
         ),
         (
-            "FCSeq(preperiod=(), period=({1,2,3,4}, ~{0,1,2,3}))",
-            "[{4}, ~{0}, ~{4}, {0}, {}, ~{}, ~{0,1}, {3,4,5}, {2}]",
+            "FCSeq(preperiod=(), period=(~{1,3,4}, {0,2,5,6}))",
+            "[{0,2,5,6}, ~{1,3,4}, ~{0,2,5,6}, {1,3,4}, {}, ~{}, {0,1,2,5}, {0,4}, ~{1,2,5,6}]",
         ),
     ]
 
@@ -289,8 +316,9 @@ class TestPinnedStreams:
     # sha256 of one line per sequence over 2,000 seeded sequences: the
     # sequence, its candidate pool, both half-open predicates on every
     # candidate, the discrete limit, limsup and liminf, as captured from the
-    # implementation that held each set as a cofinite flag plus a support mask
-    DIGEST = "fbf04213a736dcaf659d24487d75f9d918cece204053ea5328b598e99b04d247"
+    # implementation that draws each set in one call and orders a period by
+    # the sets' ints
+    DIGEST = "ec532a3982d0ca403adb90ae2c6e8418ab68fb6ff1bf361f59551fa36ca9680d"
 
     def test_streams_and_verdicts_unchanged(self):
         seqs, cands = random.Random(2024), random.Random(2025)
@@ -354,8 +382,8 @@ class TestFCSeqCanonicalization:
     @given(block=st.lists(fcsets(2), min_size=1, max_size=5), repeat=st.integers(1, 3))
     def test_matches_rotation_oracle(self, block, repeat):
         period = tuple(block) * repeat
-        expected = rotation_oracle(period, coordinate_key)
-        assert canonical_period(period, _order_key) == expected
+        expected = rotation_oracle(period, int)
+        assert canonical_period(period, int) == expected
         assert FCSeq((), period).period == expected
 
     def test_period_rotation_and_reduction(self):
