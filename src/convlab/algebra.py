@@ -139,12 +139,21 @@ class Carrier:
     def escapes(self, relations: Sequence[int]) -> Callable[[int], int]:
         """The test mapping a packed relation x to the guard bits of the relations
         r with x & ~r != 0.  Relation i fills field i, 4^n data bits under a guard
-        bit; x copied into every field, less r, carries into its guard iff nonzero."""
+        bit; x copied into every field, less r, carries into its guard iff nonzero.
+        x is copied by doubling shifts, which may fill fields past the last: the
+        guard mask drops them, and a carry never runs down into a lower field."""
         width = self.size**2
         rep = ((1 << (width + 1) * len(relations)) - 1) // ((2 << width) - 1)
         low, guards = rep * ((1 << width) - 1), rep << width
         outside = ~sum(row << i * (width + 1) for i, row in enumerate(relations))
-        return lambda x: ((x * rep & outside) + low) & guards
+        shifts = [(width + 1) << i for i in range((len(relations) - 1).bit_length())]
+
+        def escaped(x: int) -> int:
+            for s in shifts:
+                x |= x << s
+            return ((x & outside) + low) & guards
+
+        return escaped
 
     @cached_property
     def up_masks(self) -> tuple[int, ...]:

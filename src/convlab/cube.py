@@ -138,14 +138,15 @@ def candidate_limits(x: FCSeq, rng) -> list[int]:
     return pool
 
 
-def check_T1235a(sample: list[FCSeq], rng) -> bool:
+def check_T1235a(sample: list[FCSeq], pools: list[list[int]]) -> bool:
     """The conjunction of the two half-open cube predicates characterizes
-    exactly the discrete-cube limit, over a candidate pool per sequence."""
-    for x in sample:
+    exactly the discrete-cube limit, over each sequence's candidate pool
+    (``pools[i]`` for ``sample[i]``)."""
+    for x, pool in zip(sample, pools, strict=True):
         alex = lim_alexandrov(x)
         dual = lim_alexandrov_dual(x)
         cantor = lim_cantor(x)
-        for a in candidate_limits(x, rng):
+        for a in pool:
             if (alex(a) and dual(a)) != (cantor == a):
                 return False
     return True

@@ -9,6 +9,7 @@ from it.
 The order is decided once per ordered pair of equality classes: each kind's
 nodes are grouped by payload, a witness that one class is not below another
 is computed on their first names, and a pair inside one class has none.
+Each class's size (its limit or open count) is counted once, too.
 Relations and the Hasse edges are read from that table, and so are the
 relations the theory asserts, rows of ``REQUIRED`` and ``MEET_IDENTITIES``;
 a violation aborts with a witness rather than a silently wrong diagram.
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import permutations, product
+from operator import methodcaller
 from typing import Optional, Union
 
 from .algebra import Carrier, Element, iter_bits
@@ -99,12 +100,7 @@ class DiagramNode:
     name: str
     kind: str  # "convergence" | "topology"
     payload: Union[Convergence, Topology]
-
-    @cached_property
-    def size(self) -> int:
-        if self.kind == "topology":
-            return self.payload.open_count()
-        return self.payload.limit_count()
+    size: int  # limit_count() of a convergence, open_count() of a topology
 
 
 @dataclass(frozen=True)
@@ -139,10 +135,10 @@ def _topo_subset_witness(a: Topology, b: Topology) -> Optional[str]:
     return "open {" + ",".join(repr(Element(v, a.carrier.n)) for v in iter_bits(o)) + "}"
 
 
-# kind, node names, relation label, witness that a is not below b
+# kind, node names, relation label, witness that a is not below b, size
 KINDS = (
-    ("convergence", CONVERGENCE_NODES, "<=", _conv_leq_witness),
-    ("topology", TOPOLOGY_NODES, "subset", _topo_subset_witness),
+    ("convergence", CONVERGENCE_NODES, "<=", _conv_leq_witness, methodcaller("limit_count")),
+    ("topology", TOPOLOGY_NODES, "subset", _topo_subset_witness, methodcaller("open_count")),
 )
 
 
@@ -170,12 +166,15 @@ def build_figure1(carrier: Carrier) -> DiagramReport:
     payloads = figure_nodes(carrier)
     report = DiagramReport(carrier=carrier)
     escape: dict[tuple[str, str], Optional[str]] = {}
-    for kind, names, rel, witness in KINDS:
-        report.nodes += [DiagramNode(name, kind, payloads[name]) for name in names]
+    for kind, names, rel, witness, count in KINDS:
         groups: dict[Union[Convergence, Topology], list[str]] = {}
         for name in names:
             groups.setdefault(payloads[name], []).append(name)
         report.equality_classes[kind] = classes = list(groups.values())
+        size: dict[str, int] = {}
+        for payload, g in groups.items():  # equal payloads have equal sizes
+            size.update(dict.fromkeys(g, count(payload)))
+        report.nodes += [DiagramNode(name, kind, payloads[name], size[name]) for name in names]
         # one witness per ordered pair of classes, read by every pair of their names
         for g, h in product(classes, repeat=2):
             w = None if g is h else witness(payloads[g[0]], payloads[h[0]])
@@ -286,17 +285,41 @@ def emit(report: DiagramReport, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+# The json output is json.dumps(payload, indent=2, sort_keys=True), which runs
+# Python's pure-Python encoder: the C encoder serves only indent=None.  So each
+# flat object or list of flat records is encoded by one C-encoder call whose
+# item separator already holds the newline and indent of its fields, and the
+# braces get lines of their own after.  ensure_ascii escapes every newline in
+# a string, so in the output a real newline is always a separator and "},\n"
+# always ends a record.
+_FIELDS = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
+_RECORDS = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
+
+
+def _json_object(fields: dict) -> str:
+    """An object of scalars one level deep, as indent=2 writes it."""
+    return "{\n    " + _FIELDS(fields)[1:-1] + "\n  }" if fields else "{}"
+
+
+def _json_records(records: list[dict]) -> str:
+    """A list, one level deep, of nonempty objects of scalars, as indent=2 writes it."""
+    if not records:
+        return "[]"
+    body = _RECORDS(records)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    return "[\n    {\n      " + body + "\n    }\n  ]"
+
+
 def _emit_json(report: DiagramReport) -> str:
-    payload = {
-        "carrier": {"atoms": report.carrier.n},
-        "nodes": [
-            {"name": n.name, "kind": n.kind, "size": n.size} for n in report.nodes
-        ],
-        # a relation's fields are its json keys
-        "relations": [vars(r) for r in report.relations],
-        "collapse": report.collapse,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    nodes = [{"name": n.name, "kind": n.kind, "size": n.size} for n in report.nodes]
+    # a relation's fields are its json keys
+    relations = [vars(r) for r in report.relations]
+    return (
+        '{\n  "carrier": ' + _json_object({"atoms": report.carrier.n})
+        + ',\n  "collapse": ' + _json_object(report.collapse)
+        + ',\n  "nodes": ' + _json_records(nodes)
+        + ',\n  "relations": ' + _json_records(relations)
+        + "\n}"
+    )
 
 
 def _emit_dot(report: DiagramReport) -> str:

@@ -212,10 +212,11 @@ def _crit_cube(ctx: VerifyContext):
     rng = random.Random(ctx.seed + 2)
     sample = [random_fcseq(rng) for _ in range(ctx.samples)]
     cand_rng = random.Random(ctx.seed + 3)
-    for x in sample:
+    pools = [candidate_limits(x, cand_rng) for x in sample]
+    for x, pool in zip(sample, pools):
         alex = lim_alexandrov(x)
         ls = fc_limsup(x)
-        for a in candidate_limits(x, cand_rng):
+        for a in pool:
             if alex(a) != (a | ls == a):
                 return False, f"coordinatewise limit disagrees with limsup rule for {x}"
         cantor = lim_cantor(x)
@@ -223,7 +224,7 @@ def _crit_cube(ctx: VerifyContext):
         expect = next(iter(vals)) if len(vals) == 1 else None
         if cantor != expect:
             return False, f"discrete-cube limit disagrees with the unique-value rule for {x}"
-    if not check_T1235a(sample, random.Random(ctx.seed + 4)):
+    if not check_T1235a(sample, pools):
         return False, "predicate conjunction does not characterize the discrete limit"
     return True, f"{len(sample)} sequence{'s' if len(sample) != 1 else ''} (the cube has no atom count)"
 

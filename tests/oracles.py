@@ -374,7 +374,7 @@ def pairwise_escapes(payloads: dict) -> dict[tuple[str, str], object]:
     or None when it is."""
     return {
         (a, b): witness(payloads[a], payloads[b])
-        for _, names, _, witness in KINDS
+        for _, names, _, witness, _ in KINDS
         for a in names
         for b in names
         if a != b

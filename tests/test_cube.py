@@ -227,7 +227,8 @@ class TestCubeLimits:
     def test_conjunction_characterizes_discrete_limit(self):
         rng = random.Random(107)
         sample = [random_fcseq(rng) for _ in range(500)]
-        assert check_T1235a(sample, random.Random(109))
+        cand_rng = random.Random(109)
+        assert check_T1235a(sample, [candidate_limits(x, cand_rng) for x in sample])
 
 
 class TestBitPredicatesAgainstOracles:

@@ -197,3 +197,25 @@ def test_escapes_edge_rows(n):
     rows = [full ^ 1, full ^ top, 0, full ^ 1 << carrier.size]
     assert carrier.escapes(rows)(full) == guard_bits(carrier, [True] * len(rows))
     assert carrier.escapes(rows)(0) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(CARRIERS)),
+    st.sampled_from([1, 2, 3, 5, 6, 7, 11, 54]),
+    st.randoms(use_true_random=False),
+    st.sampled_from(["random", "below", "row", "one bit"]),
+)
+def test_escapes_against_per_relation_oracle(n, k, rng, kind):
+    # x is copied into the k fields by doubling shifts, which overshoot
+    # the last field unless k is a power of two
+    carrier = CARRIERS[n]
+    width = carrier.size**2
+    rows = [rng.getrandbits(width) | rng.getrandbits(width) | rng.getrandbits(width) for _ in range(k)]
+    x = {
+        "random": rng.getrandbits(width),
+        "below": rows[rng.randrange(k)] & rng.getrandbits(width),
+        "row": rows[rng.randrange(k)],
+        "one bit": 1 << rng.randrange(width),
+    }[kind]
+    assert carrier.escapes(rows)(x) == guard_bits(carrier, [x & ~r != 0 for r in rows])

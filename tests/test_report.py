@@ -3,6 +3,8 @@ from collections import Counter
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convlab import report as report_module
 from convlab.algebra import Carrier
@@ -12,6 +14,7 @@ from convlab.report import (
     KINDS,
     REPORT_SCHEMA,
     TOPOLOGY_NODES,
+    DiagramNode,
     DiagramReport,
     Relation,
     RelationViolation,
@@ -107,7 +110,7 @@ def order_from_pairs(payloads):
     name joins the first class whose first name it is equal to."""
     escape = pairwise_escapes(payloads)
     relations, classes = [], {}
-    for kind, names, rel, _ in KINDS:
+    for kind, names, rel, _, _ in KINDS:
         relations += [
             Relation(a, b, rel, escape[b, a] is not None, escape[b, a])
             for a in names
@@ -192,14 +195,57 @@ class TestEmitters:
         for fmt in ("json", "dot", "table"):
             assert emit(report_p2, fmt) == emit(report_p2, fmt)
 
+    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "pure-python"])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_json_is_json_dumps_with_indent(self, c_encoder, data):
+        # records are split at "},\n" between them, so the strings hold
+        # quotes, escapes, newlines, braces and that very boundary
+        text = st.one_of(
+            st.sampled_from(['"', "\\", "\n", "\t", "λ_ls ∩ λ_li", "{}", "},\n      {", "open {{}}"]),
+            st.text(max_size=12),
+        )
+        lengths = st.sampled_from([0, 1, 2, 9])
+        kinds = st.sampled_from(["convergence", "topology"])
+        node = st.builds(DiagramNode, text, kinds, st.none(), st.integers(0, 10**30))
+        rels = st.sampled_from(["<=", "subset"])
+        relation = st.builds(Relation, text, text, rels, st.booleans(), st.none() | text)
+        n_nodes, n_relations = data.draw(lengths), data.draw(lengths)
+        nodes = data.draw(st.lists(node, min_size=n_nodes, max_size=n_nodes))
+        relations = data.draw(st.lists(relation, min_size=n_relations, max_size=n_relations))
+        collapse = {"convergences": data.draw(st.integers(1, 14)), "topologies": data.draw(st.integers(1, 4))}
+        carrier = Carrier(data.draw(st.integers(1, 3)))
+        report = DiagramReport(carrier, nodes, relations, {}, collapse)
+        payload = {
+            "carrier": {"atoms": carrier.n},
+            "nodes": [{"name": n.name, "kind": n.kind, "size": n.size} for n in nodes],
+            "relations": [
+                {"lhs": r.lhs, "rhs": r.rhs, "rel": r.rel, "strict": r.strict, "witness": r.witness}
+                for r in relations
+            ],
+            "collapse": collapse,
+        }
+        with pytest.MonkeyPatch.context() as mp:
+            if not c_encoder:
+                mp.setattr(json.encoder, "c_make_encoder", None)
+            out = emit(report, "json")
+        assert out == json.dumps(payload, indent=2, sort_keys=True)
+        for key, records in (("nodes", nodes), ("relations", relations)):
+            assert records or f'"{key}": []' in out
+        jsonschema.validate(json.loads(out), REPORT_SCHEMA)
+
     def test_each_size_computed_once(self, monkeypatch):
-        calls = []
-        real = Convergence.limit_count
-        monkeypatch.setattr(Convergence, "limit_count", lambda self: calls.append(self) or real(self))
+        # one count per equality class, not per node: equal payloads have
+        # equal sizes
+        calls = Counter()
+        for cls, method in ((Convergence, "limit_count"), (Topology, "open_count")):
+            real = getattr(cls, method)
+            monkeypatch.setattr(cls, method, lambda self, m=method, f=real: calls.update([m]) or f(self))
         report = build_figure1(Carrier(3))
         emit(report, "table")
         emit(report, "json")
-        assert len(calls) == len(CONVERGENCE_NODES) == 10
+        assert calls == {"limit_count": 3, "open_count": 3}
+        assert report.collapse == {"convergences": 3, "topologies": 3}
 
 
 def tamper_star(monkeypatch, law, replacement):
