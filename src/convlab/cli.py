@@ -175,6 +175,9 @@ def verify(atoms: int, seed: int, samples: int, submeasure_path) -> None:
     carrier = _carrier(atoms)
     if not 1 <= samples <= MAX_SAMPLES:
         raise click.UsageError(f"--samples must be in 1..{MAX_SAMPLES}, got {samples}")
+    # random.Random seeds with the absolute value, so -s would repeat s's draws
+    if seed < 0:
+        raise click.UsageError(f"--seed must be >= 0, got {seed}")
     submeasure = None
     if submeasure_path is not None:
         try:

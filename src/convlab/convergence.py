@@ -153,7 +153,9 @@ class Convergence:
             return NotImplemented
         if self.carrier != other.carrier or self.lim1 != other.lim1:
             return False
-        return not (self.exceptions or other.exceptions) or first_difference(self, other) is None
+        if not (self.exceptions or other.exceptions):
+            return True
+        return first_escape(self, other) is None and first_escape(other, self) is None
 
     def __hash__(self) -> int:
         return hash((self.carrier, self.lim1))
@@ -208,13 +210,6 @@ def first_escape(a: Convergence, b: Convergence) -> Optional[int]:
         if (found is None or e < found) and a.limit_mask(e) & ~lim:
             found = e
     return found
-
-
-def first_difference(a: Convergence, b: Convergence) -> Optional[int]:
-    """Mask of the least class on which a's and b's limit sets differ; None
-    when they agree on every class.  A class differs when one side escapes
-    the other, so this is the least of the two ``first_escape`` classes."""
-    return min((c for c in (first_escape(a, b), first_escape(b, a)) if c is not None), default=None)
 
 
 def leq_conv(a: Convergence, b: Convergence) -> bool:

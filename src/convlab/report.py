@@ -10,9 +10,13 @@ The order is decided once per ordered pair of equality classes: each kind's
 nodes are grouped by payload, a witness that one class is not below another
 is computed on their first names, and a pair inside one class has none.
 Each class's size (its limit or open count) is counted once, too.
-Relations and the Hasse edges are read from that table, and so are the
-relations the theory asserts, rows of ``REQUIRED`` and ``MEET_IDENTITIES``;
-a violation aborts with a witness rather than a silently wrong diagram.
+Relations and the Hasse edges are read from that table.
+
+``RELATIONS`` holds the relations the theory asserts, each row tagged
+``general``, ``omega2``, ``maharam`` or ``finite``; ``first_violation``, their
+one checker, runs on all of them in ``build_figure1``, where a violation
+aborts with a witness rather than a silently wrong diagram, and on the rows
+each verify criterion names.
 """
 
 from __future__ import annotations
@@ -24,14 +28,11 @@ from operator import methodcaller
 from typing import Optional, Union
 
 from .algebra import Carrier, Element, iter_bits
-from .convergence import (
-    Convergence, first_difference, first_escape, lambda_li, lambda_ls, lambda_s, meet_conv, star,
-)
+from .convergence import Convergence, first_escape, lambda_li, lambda_ls, lambda_s, meet_conv, star
 from .seqclass import InfClass
 from .topology import (
     Topology,
     first_open_not_in,
-    is_sequential,
     join_topologies,
     lim_of_topology_as_convergence,
     synthesize_O_lambda,
@@ -61,45 +62,67 @@ CONVERGENCE_NODES = (
 
 TOPOLOGY_NODES = ("O_ls", "O_li", "O_s", "O_lsi")
 
-# The relations the theory asserts, (a, rel, b) with rel "<=", "<" or "=";
-# on topologies "<=" is inclusion of the opens.  Checked in this order.
-REQUIRED = (
-    ("lambda_s", "<", "lambda_ls"),
-    ("lambda_s", "<", "lambda_li"),
-    ("lambda_s_star", "<", "lambda_ls_star"),
-    ("lambda_s_star", "<", "lambda_li_star"),
-    ("lim_O_lsi", "<", "lim_O_ls"),
-    ("lim_O_lsi", "<", "lim_O_li"),
+# (lhs, rel, rhs, source), checked in this order.  rel is "<=", "<" or "=",
+# "<=" on topologies being inclusion of the opens; an lhs "a & b" is a
+# pointwise meet.  source is where the row holds: "general" in every complete
+# Boolean algebra, "omega2" in (omega,2)-distributive and "maharam" in Maharam
+# algebras (every P(n) is both), "finite" on every P(n) but not in the paper.
+RELATIONS = (
+    # the abstract's identity; the other two hold at this scale
+    ("lambda_ls & lambda_li", "=", "lambda_s", "general"),
+    ("lambda_ls_star & lambda_li_star", "=", "lambda_s_star", "finite"),
+    ("lim_O_ls & lim_O_li", "=", "lim_O_lsi", "finite"),
+    # the constant-0 class has every point as a lambda_ls limit but only 0 as
+    # a lambda_s limit, dually the constant-1 class; star is monotone and
+    # leaves a constant class's limits alone
+    ("lambda_s", "<", "lambda_ls", "general"),
+    ("lambda_s", "<", "lambda_li", "general"),
+    ("lambda_s_star", "<", "lambda_ls_star", "general"),
+    ("lambda_s_star", "<", "lambda_li_star", "general"),
+    ("lim_O_lsi", "<", "lim_O_ls", "finite"),
+    ("lim_O_lsi", "<", "lim_O_li", "finite"),
     # star extends
-    ("lambda_ls", "<=", "lambda_ls_star"),
-    ("lambda_li", "<=", "lambda_li_star"),
-    ("lambda_s", "<=", "lambda_s_star"),
-    # star against topological limits: equal at this scale, but the general
-    # theory only promises <= for the one-sided laws
-    ("lambda_ls_star", "<=", "lim_O_ls"),
-    ("lambda_li_star", "<=", "lim_O_li"),
-    ("lambda_s_star", "=", "lim_O_s"),
-    ("O_ls", "<=", "O_s"),
-    ("O_li", "<=", "O_s"),
-    ("O_lsi", "<=", "O_s"),
-    ("O_ls", "<", "O_lsi"),
-    ("O_li", "<", "O_lsi"),
+    ("lambda_ls", "<=", "lambda_ls_star", "general"),
+    ("lambda_li", "<=", "lambda_li_star", "general"),
+    ("lambda_s", "<=", "lambda_s_star", "general"),
+    # lim_O_lambda extends lambda and satisfies (L1)-(L3), and lambda* is the
+    # least such; the two-sided one is equal at this scale
+    ("lambda_ls_star", "<=", "lim_O_ls", "general"),
+    ("lambda_li_star", "<=", "lim_O_li", "general"),
+    ("lambda_s_star", "=", "lim_O_s", "finite"),
+    # lambda -> O_lambda is antitone, and O_lsi is the least topology holding
+    # O_ls and O_li.  Strictly: an O_ls-open set holding 1 holds 0, the
+    # constant-0 sequence's lambda_ls limit, but {0} is lambda_li-closed, so
+    # its complement is O_li-open; dually for O_li
+    ("O_ls", "<=", "O_s", "general"),
+    ("O_li", "<=", "O_s", "general"),
+    ("O_lsi", "<=", "O_s", "general"),
+    ("O_ls", "<", "O_lsi", "general"),
+    ("O_li", "<", "O_lsi", "general"),
+    # star fixes every law at this scale
+    ("lambda_ls_star", "=", "lambda_ls", "finite"),
+    ("lambda_li_star", "=", "lambda_li", "finite"),
+    ("lambda_s_star", "=", "lambda_s", "finite"),
+    # the abstract's special cases
+    ("lim_O_lsi", "=", "lambda_s", "omega2"),
+    ("O_lsi", "=", "O_s", "maharam"),
 )
 
-# (a, b, c): the pointwise meet of a and b is c.  Checked before REQUIRED; a
-# failure names the least class on which the meet and c differ.
-MEET_IDENTITIES = (
-    ("lambda_ls", "lambda_li", "lambda_s"),
-    ("lambda_ls_star", "lambda_li_star", "lambda_s_star"),
-    ("lim_O_ls", "lim_O_li", "lim_O_lsi"),
-)
+Row = tuple[str, str, str, str]
+Payload = Union[Convergence, Topology]
+
+
+def rows_named(*texts: str) -> tuple[Row, ...]:
+    """The rows of ``RELATIONS`` that read ``"lhs rel rhs"``, in the order given."""
+    by_text = {" ".join(row[:3]): row for row in RELATIONS}
+    return tuple(by_text[text] for text in texts)
 
 
 @dataclass(frozen=True)
 class DiagramNode:
     name: str
     kind: str  # "convergence" | "topology"
-    payload: Union[Convergence, Topology]
+    payload: Payload
     size: int  # limit_count() of a convergence, open_count() of a topology
 
 
@@ -121,32 +144,71 @@ class DiagramReport:
     collapse: dict[str, int] = field(default_factory=dict)
 
 
-def _conv_leq_witness(a: Convergence, b: Convergence) -> Optional[str]:
-    """First class (in mask order) where a's limit set escapes b's."""
-    mask = first_escape(a, b)
-    return None if mask is None else f"class {InfClass(mask, a.carrier.n)!r}"
+def escape(a: Payload, b: Payload) -> Optional[int]:
+    """The first witness, in mask order, that a is not below b: a class of
+    convergences, an open of topologies; None when a <= b."""
+    return first_escape(a, b) if isinstance(a, Convergence) else first_open_not_in(a, b)
 
 
-def _topo_subset_witness(a: Topology, b: Topology) -> Optional[str]:
-    """First open (in mask order) of a that is not open in b."""
-    o = first_open_not_in(a, b)
-    if o is None:
+def witness_text(payload: Payload, mask: int) -> str:
+    """An ``escape`` mask of the payload's kind as the diagram prints it."""
+    n = payload.carrier.n
+    if isinstance(payload, Convergence):
+        return f"class {InfClass(mask, n)!r}"
+    return "open {" + ",".join(repr(Element(v, n)) for v in iter_bits(mask)) + "}"
+
+
+def first_violation(
+    rows: tuple[Row, ...], nodes: dict, known: Optional[dict] = None
+) -> Optional[tuple[Row, Optional[int]]]:
+    """The first of ``rows`` that ``nodes`` violate, with its raw witness mask,
+    or None.  A "<=" or "<" row is broken by the first escape of lhs from rhs
+    (none for a "<" row that is not strict), an "=" row by the least escape
+    either way.  ``known[a, b]`` is node a's escape from node b where it is
+    computed already; the rest, meets included, are computed here."""
+    known = known or {}
+    for row in rows:
+        lhs, rel, rhs, _ = row
+        if (lhs, rhs) in known:
+            up, down = known[lhs, rhs], known[rhs, lhs]
+        else:
+            left, _, right = lhs.partition(" & ")
+            a, b = meet_conv(nodes[left], nodes[right]) if right else nodes[left], nodes[rhs]
+            if rel == "=" and a == b:
+                continue
+            up, down = escape(a, b), escape(b, a)
+        if rel == "=" and (up is not None or down is not None):
+            return row, min(w for w in (up, down) if w is not None)
+        if rel != "=" and (up is not None or (rel == "<" and down is None)):
+            return row, up
+    return None
+
+
+def violation(
+    rows: tuple[Row, ...], nodes: dict, known: Optional[dict] = None, where: str = ""
+) -> Optional[RelationViolation]:
+    """``first_violation`` as a RelationViolation naming the row, then
+    ``where``, with its witness in the diagram's text; None when all hold."""
+    found = first_violation(rows, nodes, known)
+    if found is None:
         return None
-    return "open {" + ",".join(repr(Element(v, a.carrier.n)) for v in iter_bits(o)) + "}"
+    (lhs, rel, rhs, _), mask = found
+    witness = None if mask is None else witness_text(nodes[rhs], mask)
+    return RelationViolation(f"{lhs} {rel} {rhs} fails{where}", witness)
 
 
-# kind, node names, relation label, witness that a is not below b, size
+# kind, its plural, node names, relation label, size
 KINDS = (
-    ("convergence", CONVERGENCE_NODES, "<=", _conv_leq_witness, methodcaller("limit_count")),
-    ("topology", TOPOLOGY_NODES, "subset", _topo_subset_witness, methodcaller("open_count")),
+    ("convergence", "convergences", CONVERGENCE_NODES, "<=", methodcaller("limit_count")),
+    ("topology", "topologies", TOPOLOGY_NODES, "subset", methodcaller("open_count")),
 )
 
 
-def figure_nodes(carrier: Carrier) -> dict[str, Union[Convergence, Topology]]:
+def figure_nodes(carrier: Carrier) -> dict[str, Payload]:
     """Every diagram node on the carrier, by name: the three laws and their
     stars, their sequential topologies and the join O_lsi, and the limit
     operator of each topology."""
-    nodes: dict[str, Union[Convergence, Topology]] = {
+    nodes: dict[str, Payload] = {
         "lambda_ls": lambda_ls(carrier),
         "lambda_li": lambda_li(carrier),
         "lambda_s": lambda_s(carrier),
@@ -161,106 +223,57 @@ def figure_nodes(carrier: Carrier) -> dict[str, Union[Convergence, Topology]]:
 
 
 def build_figure1(carrier: Carrier) -> DiagramReport:
-    """Compute all diagram nodes on the carrier and verify the asserted
-    relations, raising RelationViolation (with a witness) on any failure."""
+    """Compute all diagram nodes on the carrier and check every row of
+    ``RELATIONS``, raising RelationViolation (with a witness) on a failure."""
     payloads = figure_nodes(carrier)
     report = DiagramReport(carrier=carrier)
-    escape: dict[tuple[str, str], Optional[str]] = {}
-    for kind, names, rel, witness, count in KINDS:
-        groups: dict[Union[Convergence, Topology], list[str]] = {}
+    known: dict[tuple[str, str], Optional[int]] = {}
+    for kind, plural, names, rel, count in KINDS:
+        groups: dict[Payload, list[str]] = {}
         for name in names:
             groups.setdefault(payloads[name], []).append(name)
         report.equality_classes[kind] = classes = list(groups.values())
+        report.collapse[plural] = len(classes)
         size: dict[str, int] = {}
         for payload, g in groups.items():  # equal payloads have equal sizes
             size.update(dict.fromkeys(g, count(payload)))
         report.nodes += [DiagramNode(name, kind, payloads[name], size[name]) for name in names]
         # one witness per ordered pair of classes, read by every pair of their names
+        shown: dict[tuple[str, str], Optional[str]] = {}
         for g, h in product(classes, repeat=2):
-            w = None if g is h else witness(payloads[g[0]], payloads[h[0]])
-            escape.update(((a, b), w) for a in g for b in h if a != b)
+            w = None if g is h else escape(payloads[g[0]], payloads[h[0]])
+            pairs = [(a, b) for a in g for b in h if a != b]
+            known.update(dict.fromkeys(pairs, w))
+            shown.update(dict.fromkeys(pairs, None if w is None else witness_text(payloads[g[0]], w)))
         report.relations += [
-            Relation(a, b, rel, escape[b, a] is not None, escape[b, a])
+            Relation(a, b, rel, known[b, a] is not None, shown[b, a])
             for a, b in permutations(names, 2)
-            if escape[a, b] is None
+            if known[a, b] is None
         ]
 
-    for a, b, c in MEET_IDENTITIES:
-        meet = meet_conv(payloads[a], payloads[b])
-        if meet != payloads[c]:
-            witness = InfClass(first_difference(meet, payloads[c]), carrier.n)
-            raise RelationViolation(f"{a} & {b} = {c} fails", f"class {witness!r}")
-    for a, rel, b in REQUIRED:
-        up, down = escape[a, b], escape[b, a]
-        if up is not None or (rel == "<" and down is None) or (rel == "=" and down is not None):
-            raise RelationViolation(f"{a} {rel} {b} fails", up or (down if rel == "=" else None))
-
-    # The finite-scale collapse and its round trip.  A finite topology is fixed
-    # by its limit operator, so with lim_O_lsi = lim_O_s this fails only when a
-    # limit operator disagrees with the topology it was built from.
-    same_limits = payloads["lim_O_lsi"] == payloads["lim_O_s"]
-    if same_limits and is_sequential(payloads["O_lsi"]) and payloads["O_lsi"] != payloads["O_s"]:
-        raise RelationViolation(
-            "sequential O_lsi with matching limits must equal O_s", escape["O_s", "O_lsi"]
-        )
-
-    report.collapse = {
-        "convergences": len(report.equality_classes["convergence"]),
-        "topologies": len(report.equality_classes["topology"]),
-    }
+    failed = violation(RELATIONS, payloads, known)
+    if failed is not None:
+        raise failed
     return report
 
 
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["carrier", "nodes", "relations", "collapse"],
-    "additionalProperties": False,
-    "properties": {
-        "carrier": {
-            "type": "object",
-            "required": ["atoms"],
-            "additionalProperties": False,
-            "properties": {"atoms": {"type": "integer", "minimum": 1}},
-        },
-        "nodes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "kind", "size"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string"},
-                    "kind": {"type": "string", "enum": ["convergence", "topology"]},
-                    "size": {"type": "integer", "minimum": 0},
-                },
-            },
-        },
-        "relations": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["lhs", "rhs", "rel", "strict", "witness"],
-                "additionalProperties": False,
-                "properties": {
-                    "lhs": {"type": "string"},
-                    "rhs": {"type": "string"},
-                    "rel": {"type": "string", "enum": ["<=", "subset"]},
-                    "strict": {"type": "boolean"},
-                    "witness": {"type": ["string", "null"]},
-                },
-            },
-        },
-        "collapse": {
-            "type": "object",
-            "required": ["convergences", "topologies"],
-            "additionalProperties": False,
-            "properties": {
-                "convergences": {"type": "integer", "minimum": 1},
-                "topologies": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
+def _record(**properties: dict) -> dict:
+    """The schema of an object with exactly these properties, all required."""
+    return {"type": "object", "required": list(properties), "additionalProperties": False, "properties": properties}
+
+
+_STRING, _COUNT = {"type": "string"}, {"type": "integer", "minimum": 1}
+REPORT_SCHEMA = _record(
+    carrier=_record(atoms=_COUNT),
+    nodes={"type": "array", "items": _record(
+        name=_STRING, kind={"enum": ["convergence", "topology"]}, size={"type": "integer", "minimum": 0},
+    )},
+    relations={"type": "array", "items": _record(
+        lhs=_STRING, rhs=_STRING, rel={"enum": ["<=", "subset"]}, strict={"type": "boolean"},
+        witness={"type": ["string", "null"]},
+    )},
+    collapse=_record(convergences=_COUNT, topologies=_COUNT),
+)
 
 
 def _hasse_edges(groups: list[list[str]], below: set[tuple[str, str]]) -> list[tuple[int, int]]:
@@ -325,10 +338,9 @@ def _emit_json(report: DiagramReport) -> str:
 def _emit_dot(report: DiagramReport) -> str:
     below = {(r.lhs, r.rhs) for r in report.relations}
     lines = ["digraph diagram {", "  rankdir=BT;"]
-    for kind in ("convergence", "topology"):
+    for kind, plural, *_ in KINDS:
         groups = report.equality_classes[kind]
         lines.append(f"  subgraph cluster_{kind} {{")
-        plural = "convergences" if kind == "convergence" else "topologies"
         lines.append(f'    label="{plural} on P({report.carrier.n})";')
         for i, g in enumerate(groups):
             lines.append(f'    {kind}_{i} [label="{" = ".join(g)}"];')
@@ -352,7 +364,7 @@ def _emit_table(report: DiagramReport) -> str:
             lines.append(f"  {r.lhs} {r.rel} {r.rhs} (strict){w}")
     lines.append("")
     lines.append("equality classes:")
-    for kind in ("convergence", "topology"):
+    for kind, *_ in KINDS:
         for g in report.equality_classes[kind]:
             lines.append("  " + " = ".join(g))
     lines.append("")

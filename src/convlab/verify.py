@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .algebra import Carrier
-from .convergence import Convergence, check_hbar, first_difference, hbar_witness, meet_conv
+from .convergence import Convergence, check_hbar, hbar_witness
 from .cube import FCSeq, candidate_limits, check_T1235a, fc_limsup, lim_alexandrov, lim_cantor
-from .report import figure_nodes
-from .seqclass import InfClass, representative
+from .report import figure_nodes, rows_named, violation
+from .seqclass import InfClass
 from .submeasure import Submeasure, metric_topology, validate_submeasure
 from .topology import (
     Topology,
@@ -37,14 +37,14 @@ class VerifyContext:
     submeasure: Optional[Submeasure] = None
     _nodes: dict[int, dict] = field(default_factory=dict, init=False, repr=False)
 
-    def node(self, name: str, n: int):
-        """The diagram node ``name`` on P(n), from one ``figure_nodes`` build per n."""
+    def nodes(self, n: int) -> dict:
+        """The diagram nodes on P(n), by name, from one ``figure_nodes`` build per n."""
         if n not in self._nodes:
             self._nodes[n] = figure_nodes(Carrier(n))
-        return self._nodes[n][name]
+        return self._nodes[n]
 
     def carrier(self, n: int) -> Carrier:
-        return self.node("lambda_ls", n).carrier
+        return self.nodes(n)["lambda_ls"].carrier
 
     def scales(self) -> range:
         return range(1, self.atoms + 1)
@@ -94,85 +94,74 @@ def brute_downsets(n: int) -> int:
     return extend(0, 0)
 
 
-def _crit_pointwise_meet(ctx: VerifyContext):
-    for n in ctx.scales():
-        if meet_conv(ctx.node("lambda_ls", n), ctx.node("lambda_li", n)) != ctx.node("lambda_s", n):
-            return False, f"pointwise meet mismatch at n={n}"
-    return True, f"all classes, {ctx.covered()}"
+def _rows_hold(passed: str, *texts: str, also: Callable[[VerifyContext, int], Optional[str]] = lambda ctx, n: None):
+    """A criterion checking, at each n, the rows of ``report.RELATIONS`` that
+    read ``texts`` (its ``rows``), then ``also``; it details the first failure."""
+    rows = rows_named(*texts)
+
+    def criterion(ctx: VerifyContext) -> tuple[bool, str]:
+        for n in ctx.scales():
+            failed = violation(rows, ctx.nodes(n), where=f" at n={n}")
+            detail = str(failed) if failed is not None else also(ctx, n)
+            if detail is not None:
+                return False, detail
+        return True, f"{passed}, {ctx.covered()}"
+
+    criterion.rows = rows
+    return criterion
 
 
-def _crit_star_fixed(ctx: VerifyContext):
-    for n in ctx.scales():
-        for law in ("ls", "li", "s"):
-            if ctx.node(f"lambda_{law}_star", n) != ctx.node(f"lambda_{law}", n):
-                return False, f"star(lambda_{law}) != lambda_{law} at n={n}"
-        ls, li, s = (ctx.node(f"lambda_{law}_star", n) for law in ("ls", "li", "s"))
-        if s != meet_conv(ls, li):
-            return False, f"star meet identity fails at n={n}"
-    return True, f"star fixes all three convergences, {ctx.covered()}"
+_crit_pointwise_meet = _rows_hold("all classes", "lambda_ls & lambda_li = lambda_s")
+_crit_star_fixed = _rows_hold(
+    "star fixes all three convergences",
+    "lambda_ls_star = lambda_ls", "lambda_li_star = lambda_li", "lambda_s_star = lambda_s",
+    "lambda_ls_star & lambda_li_star = lambda_s_star",
+)
 
 
 def _crit_open_counts(ctx: VerifyContext):
     expected = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
     for n in ctx.scales():
-        got = ctx.node("O_ls", n).open_count()
+        got = ctx.nodes(n)["O_ls"].open_count()
         independent = brute_downsets(n)
         if got != expected[n] or independent != expected[n]:
             return False, f"n={n}: opens={got}, brute={independent}, expected={expected[n]}"
-        if ctx.node("O_s", n).open_count() != 1 << (1 << n):
+        if ctx.nodes(n)["O_s"].open_count() != 1 << (1 << n):
             return False, f"n={n}: O_s is not discrete"
     return True, f"down-set counts and discreteness match, {ctx.covered()}"
 
 
 def _crit_closed_char(ctx: VerifyContext):
     for n in ctx.scales():
-        if not check_closed_char(ctx.node("O_ls", n), "up"):
+        if not check_closed_char(ctx.nodes(n)["O_ls"], "up"):
             return False, f"left closed sets != up-sets at n={n}"
-        if not check_closed_char(ctx.node("O_li", n), "down"):
+        if not check_closed_char(ctx.nodes(n)["O_li"], "down"):
             return False, f"right closed sets != down-sets at n={n}"
     return True, f"closed sets match the order characterization, {ctx.covered()} (chain clause finite-trivial)"
 
 
-def _crit_join_collapse(ctx: VerifyContext):
-    for n in ctx.scales():
-        o_lsi, o_s = ctx.node("O_lsi", n), ctx.node("O_s", n)
-        if o_lsi != o_s:
-            return False, f"join != O_s at n={n}"
-        if metric_topology(Submeasure.counting(ctx.carrier(n))) != o_s:
-            return False, f"metric topology != O_s at n={n}"
-        if ctx.node("lim_O_lsi", n) != ctx.node("lambda_s", n):
-            return False, f"lim of join != lambda_s at n={n}"
-    return True, f"join, metric and discrete topologies coincide, {ctx.covered()}"
+def _metric_mismatch(ctx: VerifyContext, n: int) -> Optional[str]:
+    """Says so when the counting measure's metric topology on P(n) is not O_s."""
+    if metric_topology(Submeasure.counting(ctx.carrier(n))) != ctx.nodes(n)["O_s"]:
+        return f"metric topology != O_s at n={n}"
+    return None
 
 
-def _crit_limit_intersection(ctx: VerifyContext):
-    for n in ctx.scales():
-        both = meet_conv(ctx.node("lim_O_ls", n), ctx.node("lim_O_li", n))
-        cls = first_difference(both, ctx.node("lim_O_lsi", n))
-        if cls is not None:
-            return False, f"intersection law fails at n={n} for {representative(InfClass(cls, n))}"
-    return True, f"all classes, {ctx.covered()}"
-
-
-def _crit_strictness(ctx: VerifyContext):
-    for n in ctx.scales():
-        car = ctx.carrier(n)
-        zero_class = InfClass(1, n)
-        if car.top not in ctx.node("lambda_ls", n)(zero_class):
-            return False, f"top not a left-limit of the constant-0 sequence at n={n}"
-        if car.top in ctx.node("lambda_s", n)(zero_class):
-            return False, f"top wrongly a two-sided limit at n={n}"
-        for law in ("ls", "li"):
-            if ctx.node("O_lsi", n) <= ctx.node(f"O_{law}", n):
-                return False, f"O_{law} not strictly below the join at n={n}"
-    return True, f"witness classes and witness opens found, {ctx.covered()}"
+_crit_join_collapse = _rows_hold(
+    "join, metric and discrete topologies coincide", "O_lsi = O_s", "lim_O_lsi = lambda_s", also=_metric_mismatch
+)
+_crit_limit_intersection = _rows_hold("all classes", "lim_O_ls & lim_O_li = lim_O_lsi")
+# lambda_s < lambda_ls is witnessed by the constant-0 class
+_crit_strictness = _rows_hold(
+    "witness classes and witness opens found", "lambda_s < lambda_ls", "O_ls < O_lsi", "O_li < O_lsi"
+)
 
 
 def _crit_homeo_and_props(ctx: VerifyContext):
     for n in ctx.scales():
-        if not complement_homeomorphism_check(ctx.node("O_ls", n), ctx.node("O_li", n)):
+        if not complement_homeomorphism_check(ctx.nodes(n)["O_ls"], ctx.nodes(n)["O_li"]):
             return False, f"complement map is not a homeomorphism at n={n}"
-        props = space_properties(ctx.node("O_ls", n))
+        props = space_properties(ctx.nodes(n)["O_ls"])
         if not (props.t0 and props.connected and props.compact):
             return False, f"space properties fail at n={n}: {props}"
     return True, f"homeomorphic, T0, connected, compact, {ctx.covered()}"
@@ -189,8 +178,8 @@ def _crit_galois(ctx: VerifyContext):
     for n in ctx.scales():
         car = ctx.carrier(n)
         m = car.size
-        convs = [ctx.node(f"lambda_{law}", n) for law in ("ls", "li", "s")]
-        topos = [ctx.node(f"O_{law}", n) for law in ("ls", "li", "s", "lsi")]
+        convs = [ctx.nodes(n)[f"lambda_{law}"] for law in ("ls", "li", "s")]
+        topos = [ctx.nodes(n)[f"O_{law}"] for law in ("ls", "li", "s", "lsi")]
         # random (L1) columns: O_lam reads only lam's columns, and lim_O must have
         # no exceptions, so lam <= lim_O is decided on singletons and exceptions of
         # lam would change neither side.  Stacked, guard i is set when o_i is not
@@ -249,7 +238,7 @@ def _crit_submeasures(ctx: VerifyContext):
         rep = validate_submeasure(loaded)
         if not rep.is_submeasure():
             return False, f"loaded table is not a submeasure: {rep}"
-        if rep.strictly_positive and metric_topology(loaded) != ctx.node("O_s", loaded.carrier.n):
+        if rep.strictly_positive and metric_topology(loaded) != ctx.nodes(loaded.carrier.n)["O_s"]:
             return False, "loaded strictly positive submeasure does not induce O_s"
     loaded_n = f", loaded table n={loaded.carrier.n}" if loaded is not None else ""
     return True, f"axioms and triangle inequality, {ctx.covered()}{loaded_n}"

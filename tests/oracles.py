@@ -26,7 +26,7 @@ from typing import Iterable
 from convlab.algebra import Carrier, CarrierMismatchError, Element, EPSeq, complement, iter_bits
 from convlab.convergence import Convergence, sos_union
 from convlab.cube import FCSeq
-from convlab.report import KINDS
+from convlab.report import KINDS, escape
 from convlab.seqclass import InfClass
 from convlab.submeasure import Submeasure
 from convlab.topology import Topology, generate
@@ -370,11 +370,11 @@ def triangle_holds(mu: Submeasure) -> bool:
 
 def pairwise_escapes(payloads: dict) -> dict[tuple[str, str], object]:
     """The diagram's order with one witness call per ordered pair of distinct
-    node names of a kind: escape[a, b] is the witness that a is not below b,
-    or None when it is."""
+    node names of a kind: escape[a, b] is the witness mask that a is not
+    below b, or None when it is."""
     return {
-        (a, b): witness(payloads[a], payloads[b])
-        for _, names, _, witness, _ in KINDS
+        (a, b): escape(payloads[a], payloads[b])
+        for _, _, names, _, _ in KINDS
         for a in names
         for b in names
         if a != b

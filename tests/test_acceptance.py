@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from convlab import report, topology, verify
 from convlab.algebra import Carrier
 from convlab.convergence import Convergence, meet_conv
-from convlab.report import figure_nodes
-from convlab.seqclass import InfClass, representative
+from convlab.report import figure_nodes, first_violation, rows_named
+from convlab.seqclass import InfClass
 from convlab.submeasure import Submeasure, ValidationReport
 from convlab.topology import Topology, discrete, lim_of_topology_as_convergence, lim_topo, synthesize_O_lambda
 from convlab.verify import (
@@ -23,7 +23,11 @@ from convlab.verify import (
     CriterionResult,
     VerifyContext,
     _crit_galois,
+    _crit_join_collapse,
     _crit_limit_intersection,
+    _crit_pointwise_meet,
+    _crit_star_fixed,
+    _crit_strictness,
     _crit_submeasures,
     run_all,
 )
@@ -98,7 +102,8 @@ class TestLimitIntersectionLaw:
         ctx = VerifyContext(atoms=2, seed=0, samples=50)
         passed, detail = _crit_limit_intersection(ctx)
         assert not passed
-        assert detail.startswith("intersection law fails at n=2 for EPSeq(preperiod=(")
+        # the constant-{} class: lim_O_ls gives it every point, the meet only {}
+        assert detail == "lim_O_ls & lim_O_li = lim_O_lsi fails at n=2 (witness: class InfClass({}))"
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_law_on_sampled_sequences(self, n):
@@ -129,13 +134,80 @@ class TestLimitIntersectionLaw:
         ctx = VerifyContext(atoms=4)
         passed, detail = _crit_limit_intersection(ctx)
         carrier = ctx.carrier(4)
-        lsi = table_of(ctx.node("lim_O_lsi", 4))
-        both = table_of(meet_conv(ctx.node("lim_O_ls", 4), ctx.node("lim_O_li", 4)))
+        lsi = table_of(ctx.nodes(4)["lim_O_lsi"])
+        both = table_of(meet_conv(ctx.nodes(4)["lim_O_ls"], ctx.nodes(4)["lim_O_li"]))
         failing = [c for c in range(1, 1 << carrier.size) if lsi[c] != both[c]]
         assert all(c >> grown & 1 or (emptied is not None and c >> emptied & 1) for c in failing)
         assert failing[0] == 1 << least
         assert not passed
-        assert detail == f"intersection law fails at n=4 for {representative(InfClass(1 << least, carrier.n))}"
+        witness = InfClass(1 << least, carrier.n)
+        assert detail == f"lim_O_ls & lim_O_li = lim_O_lsi fails at n=4 (witness: class {witness!r})"
+
+
+def tamper_nodes(monkeypatch, at: int, **replace):
+    """figure_nodes, as verify reads it, with node ``name`` on P(at) replaced
+    by the node ``replace[name]`` names."""
+    def tampered(carrier):
+        nodes = figure_nodes(carrier)
+        if carrier.n == at:
+            nodes.update({name: nodes[other] for name, other in replace.items()})
+        return nodes
+
+    monkeypatch.setattr(verify, "figure_nodes", tampered)
+
+
+class TestRowCriteria:
+    """Criteria 1, 2, 5, 6 and 7 check rows of report.RELATIONS: one tampered
+    node at n = 3 fails the first row that reads it, named with its witness."""
+
+    @pytest.mark.parametrize(
+        "criterion, replace, detail",
+        [
+            (
+                _crit_pointwise_meet,
+                {"lambda_s": "lambda_ls"},
+                "lambda_ls & lambda_li = lambda_s fails at n=3 (witness: class InfClass({}))",
+            ),
+            (
+                _crit_star_fixed,
+                {"lambda_li_star": "lambda_s"},
+                "lambda_li_star = lambda_li fails at n=3 (witness: class InfClass({0}))",
+            ),
+            (_crit_join_collapse, {"O_lsi": "O_ls"}, "O_lsi = O_s fails at n=3 (witness: open {{0}})"),
+            (
+                _crit_limit_intersection,
+                {"lim_O_lsi": "lim_O_ls"},
+                "lim_O_ls & lim_O_li = lim_O_lsi fails at n=3 (witness: class InfClass({}))",
+            ),
+            (_crit_strictness, {"O_lsi": "O_li"}, "O_ls < O_lsi fails at n=3 (witness: open {{}})"),
+        ],
+        ids=["pointwise-meet", "star-fixed", "join-collapse", "limit-intersection", "strictness"],
+    )
+    def test_tampered_node_names_row_n_and_witness(self, monkeypatch, criterion, replace, detail):
+        tamper_nodes(monkeypatch, 3, **replace)
+        assert criterion(VerifyContext(atoms=4)) == (False, detail)
+
+    def test_metric_topology_is_checked_after_the_rows(self, monkeypatch):
+        monkeypatch.setattr(verify, "metric_topology", lambda mu: figure_nodes(mu.carrier)["O_ls"])
+        assert _crit_join_collapse(VerifyContext(atoms=2)) == (False, "metric topology != O_s at n=1")
+
+    def test_strictness_without_a_witness(self, monkeypatch):
+        tamper_nodes(monkeypatch, 2, lambda_ls="lambda_s")
+        assert _crit_strictness(VerifyContext(atoms=2)) == (False, "lambda_s < lambda_ls fails at n=2")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_strictness_witness_is_the_constant_zero_class(self, n):
+        # the row lambda_s < lambda_ls is strict where lambda_ls <= lambda_s
+        # fails: on the class of the constant-0 sequence, where the top is a
+        # lambda_ls limit and no lambda_s limit
+        (row,) = rows_named("lambda_s < lambda_ls")
+        assert row in _crit_strictness.rows
+        ctx = VerifyContext(atoms=n)
+        lhs, _, rhs, source = row
+        _, mask = first_violation(((rhs, "<=", lhs, source),), ctx.nodes(n))
+        zero, top = InfClass(1, n), ctx.carrier(n).top
+        assert InfClass(mask, n) == zero
+        assert top in ctx.nodes(n)["lambda_ls"](zero) and top not in ctx.nodes(n)["lambda_s"](zero)
 
 
 class TestAdjunction:

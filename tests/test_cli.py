@@ -5,8 +5,10 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
+from convlab import report
 from convlab.algebra import Carrier, EPSeq
 from convlab.cli import SeqParseError, main, parse_seq_literal
+from convlab.report import figure_nodes
 
 from oracles import format_seq_literal
 from test_acceptance import crash_synthesis
@@ -232,6 +234,23 @@ class TestDiagram:
         result = runner.invoke(main, ["diagram", "--format", "yaml"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "dot"])
+    def test_violated_row_exits_one(self, runner, monkeypatch, fmt):
+        # O_lsi replaced by O_li, its limits left honest: {{}} is open in
+        # O_ls but not in O_li, so O_ls < O_lsi is the first row to fail
+        def tampered(carrier):
+            nodes = figure_nodes(carrier)
+            nodes["O_lsi"] = nodes["O_li"]
+            return nodes
+
+        monkeypatch.setattr(report, "figure_nodes", tampered)
+        result = runner.invoke(main, ["diagram", "--atoms", "2", "--format", fmt])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == "relation violated: O_ls < O_lsi fails (witness: open {{}})\n"
+        assert "Traceback" not in result.output
+
 
 class TestVerify:
     def test_small_scale_passes(self, runner):
@@ -253,6 +272,14 @@ class TestVerify:
         assert result.exit_code == 0, result.output
         cube = next(l for l in result.output.splitlines() if "coordinatewise cube limits" in l)
         assert cube.endswith(f"PASS  coordinatewise cube limits: {detail}the cube has no atom count)")
+
+    # random.Random(-2) draws what random.Random(2) draws
+    @pytest.mark.parametrize("seed", ["-2", "-1"])
+    def test_negative_seed_rejected(self, runner, seed):
+        result = runner.invoke(main, ["verify", "--atoms", "1", "--seed", seed])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"--seed must be >= 0, got {seed}" in result.output
 
     def test_zero_samples_rejected(self, runner):
         result = runner.invoke(main, ["verify", "--atoms", "2", "--samples", "0"])

@@ -21,6 +21,7 @@ from convlab.report import (
     build_figure1,
     emit,
     figure_nodes,
+    witness_text,
 )
 from convlab.topology import (
     Topology,
@@ -110,13 +111,13 @@ def order_from_pairs(payloads):
     name joins the first class whose first name it is equal to."""
     escape = pairwise_escapes(payloads)
     relations, classes = [], {}
-    for kind, names, rel, _, _ in KINDS:
-        relations += [
-            Relation(a, b, rel, escape[b, a] is not None, escape[b, a])
-            for a in names
-            for b in names
-            if a != b and escape[a, b] is None
-        ]
+    for kind, _, names, rel, _ in KINDS:
+        for a in names:
+            for b in names:
+                if a != b and escape[a, b] is None:
+                    w = escape[b, a]
+                    text = None if w is None else witness_text(payloads[b], w)
+                    relations.append(Relation(a, b, rel, w is not None, text))
         groups = []
         for name in names:
             same = [g for g in groups if escape[g[0], name] is None and escape[name, g[0]] is None]
@@ -322,7 +323,8 @@ class TestViolationPath:
 
     def test_collapse_round_trip_checked(self, monkeypatch):
         # O_li replaced by the topology whose only proper open is the top point:
-        # every inclusion holds, limits stay honest, yet the join is not O_s
+        # every inclusion holds, limits stay honest, yet the join is not O_s,
+        # which only the last row, the Maharam case, reads
         carrier = Carrier(2)
         o_ls = synthesize_O_lambda(lambda_ls(carrier))
         o_li = synthesize_O_lambda(lambda_li(carrier))
@@ -336,7 +338,7 @@ class TestViolationPath:
         honest_limits(
             monkeypatch, {coarse: o_li, join_topologies(o_ls, coarse): join_topologies(o_ls, o_li)}
         )
-        with pytest.raises(RelationViolation, match="sequential O_lsi with matching limits must equal O_s") as err:
+        with pytest.raises(RelationViolation, match=r"^O_lsi = O_s fails") as err:
             build_figure1(carrier)
         assert err.value.witness == "open {{0}}"
 
