@@ -79,8 +79,8 @@ def parse_seq_literal(text: str, carrier: Carrier) -> EPSeq:
     return EPSeq(tuple(pre), tuple(per))
 
 
-# `verify` holds all its cube samples in memory at once: about 205 bytes each, by
-# tracemalloc over 100,000 `random_fcseq` samples
+# `verify` holds all its cube samples in memory at once: about 41 bytes each at
+# peak, by tracemalloc over criterion 10 at 100,000 samples
 MAX_SAMPLES = 100_000
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")

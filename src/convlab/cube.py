@@ -13,6 +13,8 @@ value, since the int holds all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, or_
 from typing import Callable, Iterable, Optional
 
 from .algebra import canonical_period, iter_bits
@@ -124,29 +126,86 @@ def lim_cantor(x: FCSeq) -> Optional[int]:
     return limsup if fc_liminf(x) == limsup else None
 
 
-def candidate_limits(x: FCSeq, rng) -> list[int]:
-    """A candidate pool for predicate sweeps: six structured candidates derived
-    from the sequence, then eight seeded random finite/cofinite sets, each one
-    draw masked to the window (the support plus the generic coordinate just
-    beyond it, which stands for all later ones) and one bit for its sign."""
-    li, ls = fc_liminf(x), fc_limsup(x)
-    pool = [li, ls, ~li, ~ls, FC_EMPTY, FC_FULL]
-    window = x.support | 1 << x.support.bit_length()
-    for _ in range(8):
-        bits = rng.getrandbits(window.bit_length()) & window
-        pool.append(~bits if rng.getrandbits(1) else bits)
-    return pool
+class CubeSample:
+    """Sequences packed as ``Carrier.escapes`` stacks relations: sequence i is
+    field i of ``width + 1`` bits, a set's window bits (coordinates below
+    ``width - 1``, then a generic one for all later ones) under a guard bit.
+    ``slots[j]`` holds the j-th period values, a shorter period repeating its
+    first; no cube limit reads a preperiod or the order.  A limit is the guard
+    mask of the sequences converging to their field of the candidate stack a."""
+
+    def __init__(self, width: int, count: int, slots: tuple[int, ...]):
+        self.width, self.slots = width, slots
+        self.limsup, self.liminf = reduce(or_, slots), reduce(and_, slots)
+        ones = ((1 << (width + 1) * count) - 1) // ((1 << width + 1) - 1)
+        self.data, self.guards = ones * ((1 << width) - 1), ones << width
+
+    @classmethod
+    def draw(cls, rng, count: int) -> CubeSample:
+        """Periods of length 1 + e, e two fair bits per field, whose values are
+        9 fair window bits each: coordinates 0..7 and the sign."""
+        ones = ((1 << 10 * count) - 1) // 1023
+        e, first, *more = (rng.getrandbits(10 * count) & ones * m for m in (3, 511, 511, 511, 511))
+        reach = ((r & ones) * 511 for r in (e | e >> 1, e >> 1, e & e >> 1))  # e >= 1, 2, 3
+        return cls(9, count, (first, *(v & k | first & ~k for v, k in zip(more, reach))))
+
+    @classmethod
+    def of(cls, seqs: list[FCSeq], width: int) -> CubeSample:
+        """The periods of ``seqs``, each support below coordinate ``width - 1``."""
+        if any(fc_support(v) >> width - 1 for x in seqs for v in x.period):
+            raise ValueError("a support reaches the generic coordinate")
+        k, mask = max(len(x.period) for x in seqs), (1 << width) - 1
+        cols = [x.period + x.period[:1] * (k - len(x.period)) for x in seqs]
+        slots = (sum((c[j] & mask) << i * (width + 1) for i, c in enumerate(cols)) for j in range(k))
+        return cls(width, len(seqs), tuple(slots))
+
+    def at(self, a: int, i: int) -> int:
+        """The finite or cofinite set in field i of the stack a."""
+        v = a >> i * (self.width + 1) & (1 << self.width) - 1
+        return v - (v >> self.width - 1 << self.width)
+
+    def sequence(self, i: int) -> FCSeq:
+        """Sequence i, its period the distinct slot values in slot order."""
+        return FCSeq((), tuple(dict.fromkeys(self.at(v, i) for v in self.slots)))
+
+    def zero(self, x: int) -> int:
+        """The guard bits of the fields where x has no window bit."""
+        return ((x & self.data) + self.data) & self.guards ^ self.guards
+
+    def alexandrov(self, a: int) -> int:
+        """``lim_alexandrov``: no period value leaves a."""
+        return reduce(and_, (self.zero(v & ~a) for v in self.slots))
+
+    def dual(self, a: int) -> int:
+        """``lim_alexandrov_dual``: every period value holds a."""
+        return reduce(and_, (self.zero(a & ~v) for v in self.slots))
+
+    def cantor(self) -> int:
+        """``lim_cantor``: the guards of the sequences with a limit, which is limsup."""
+        return self.zero(self.limsup ^ self.liminf)
+
+    def candidates(self, rng) -> list[int]:
+        """liminf, limsup, their complements, empty, full, 8 of fair window bits."""
+        li, ls, bits = self.liminf, self.limsup, self.guards.bit_length()
+        return [li, ls, li ^ self.data, ls ^ self.data, 0, self.data] + [rng.getrandbits(bits) & self.data for _ in range(8)]
 
 
-def check_T1235a(sample: list[FCSeq], pools: list[list[int]]) -> bool:
-    """The conjunction of the two half-open cube predicates characterizes
-    exactly the discrete-cube limit, over each sequence's candidate pool
-    (``pools[i]`` for ``sample[i]``)."""
-    for x, pool in zip(sample, pools, strict=True):
-        alex = lim_alexandrov(x)
-        dual = lim_alexandrov_dual(x)
-        cantor = lim_cantor(x)
-        for a in pool:
-            if (alex(a) and dual(a)) != (cantor == a):
-                return False
-    return True
+def check_T1235a(sample: CubeSample, candidates: list[int]) -> Optional[tuple[str, int, int]]:
+    """On every field and candidate stack: the Alexandrov limits are the sets
+    holding limsup, the dual ones those inside liminf, both hold exactly at the
+    discrete-cube limit, which exists iff every period value is the first.
+    The first failure as (rule, field, candidate set), or None."""
+    zero, ls, li, (first, *rest) = sample.zero, sample.limsup, sample.liminf, sample.slots
+    exists, unique = sample.cantor(), reduce(and_, (zero(v ^ first) for v in rest), sample.guards)
+    for a in candidates:
+        alex, dual = sample.alexandrov(a), sample.dual(a)
+        for rule, got, want in (
+            ("limsup", alex, zero(ls & ~a)),
+            ("liminf", dual, zero(a & ~li)),
+            ("conjunction", alex & dual, exists & zero(a ^ ls)),
+            ("unique-value", exists, unique),
+        ):
+            if diff := got ^ want:
+                i = (diff & -diff).bit_length() // (sample.width + 1) - 1
+                return rule, i, sample.at(a, i)
+    return None

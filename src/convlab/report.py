@@ -68,10 +68,11 @@ TOPOLOGY_NODES = ("O_ls", "O_li", "O_s", "O_lsi")
 # Boolean algebra, "omega2" in (omega,2)-distributive and "maharam" in Maharam
 # algebras (every P(n) is both), "finite" on every P(n) but not in the paper.
 RELATIONS = (
-    # the abstract's identity; the other two hold at this scale
+    # the abstract's identity; the star meet holds at this scale
     ("lambda_ls & lambda_li", "=", "lambda_s", "general"),
     ("lambda_ls_star & lambda_li_star", "=", "lambda_s_star", "finite"),
-    ("lim_O_ls & lim_O_li", "=", "lim_O_lsi", "finite"),
+    # the sets U1 & U2 are a base of a join, so a sequence converges in it iff in each
+    ("lim_O_ls & lim_O_li", "=", "lim_O_lsi", "general"),
     # the constant-0 class has every point as a lambda_ls limit but only 0 as
     # a lambda_s limit, dually the constant-1 class; star is monotone and
     # leaves a constant class's limits alone
@@ -79,8 +80,8 @@ RELATIONS = (
     ("lambda_s", "<", "lambda_li", "general"),
     ("lambda_s_star", "<", "lambda_ls_star", "general"),
     ("lambda_s_star", "<", "lambda_li_star", "general"),
-    ("lim_O_lsi", "<", "lim_O_ls", "finite"),
-    ("lim_O_lsi", "<", "lim_O_li", "finite"),
+    ("lim_O_lsi", "<", "lim_O_ls", "general"),  # constant 0 converges to 1 in O_ls, not in O_lsi: ~{0} is open
+    ("lim_O_lsi", "<", "lim_O_li", "general"),  # constant 1 converges to 0 in O_li, not in O_lsi: ~{1} is open
     # star extends
     ("lambda_ls", "<=", "lambda_ls_star", "general"),
     ("lambda_li", "<=", "lambda_li_star", "general"),

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from .algebra import Carrier
 from .convergence import Convergence, check_hbar, hbar_witness
-from .cube import FCSeq, candidate_limits, check_T1235a, fc_limsup, lim_alexandrov, lim_cantor
+from .cube import CubeSample, check_T1235a, fc_repr
 from .report import figure_nodes, rows_named, violation
 from .seqclass import InfClass
 from .submeasure import Submeasure, metric_topology, validate_submeasure
@@ -60,19 +60,6 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-
-
-def random_fcseq(rng: random.Random) -> FCSeq:
-    """A seeded sequence whose sets have supports inside coordinates 0..7:
-    each set is one 8-bit draw plus a sign bit, so every coordinate is a fair
-    coin, chosen so that one draw makes the whole set."""
-    def rand_set() -> int:
-        bits = rng.getrandbits(8)
-        return ~bits if rng.getrandbits(1) else bits
-
-    pre = tuple(rand_set() for _ in range(rng.randrange(0, 3)))
-    per = tuple(rand_set() for _ in range(rng.randrange(1, 4)))
-    return FCSeq(pre, per)
 
 
 def brute_downsets(n: int) -> int:
@@ -198,24 +185,11 @@ def _crit_galois(ctx: VerifyContext):
 
 
 def _crit_cube(ctx: VerifyContext):
-    rng = random.Random(ctx.seed + 2)
-    sample = [random_fcseq(rng) for _ in range(ctx.samples)]
-    cand_rng = random.Random(ctx.seed + 3)
-    pools = [candidate_limits(x, cand_rng) for x in sample]
-    for x, pool in zip(sample, pools):
-        alex = lim_alexandrov(x)
-        ls = fc_limsup(x)
-        for a in pool:
-            if alex(a) != (a | ls == a):
-                return False, f"coordinatewise limit disagrees with limsup rule for {x}"
-        cantor = lim_cantor(x)
-        vals = set(x.period)
-        expect = next(iter(vals)) if len(vals) == 1 else None
-        if cantor != expect:
-            return False, f"discrete-cube limit disagrees with the unique-value rule for {x}"
-    if not check_T1235a(sample, pools):
-        return False, "predicate conjunction does not characterize the discrete limit"
-    return True, f"{len(sample)} sequence{'s' if len(sample) != 1 else ''} (the cube has no atom count)"
+    sample = CubeSample.draw(random.Random(ctx.seed + 2), ctx.samples)
+    if failed := check_T1235a(sample, sample.candidates(random.Random(ctx.seed + 3))):
+        rule, i, a = failed
+        return False, f"{rule} rule fails for {sample.sequence(i)} at candidate {fc_repr(a)}"
+    return True, f"{ctx.samples} sequence{'s' if ctx.samples != 1 else ''} (the cube has no atom count)"
 
 
 def _crit_submeasures(ctx: VerifyContext):

@@ -11,8 +11,10 @@ against ``report.build_figure1``'s pairs of equality classes, element-set
 views of topologies and submeasures, relations transposed, closed and
 checked one bit per step against the packed lanes of ``Carrier`` and
 ``Topology``, the triangle inequality over triples against ``verify``'s
-pairs of masks, random convergences with exceptions, and the entries of
-eventually periodic sequences read one index at a time.
+pairs of masks, random convergences with exceptions, the entries of
+eventually periodic sequences read one index at a time, and one seeded
+``FCSeq`` at a time with its own pool of candidate limits, against the
+packed ``cube.CubeSample``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable
 
 from convlab.algebra import Carrier, CarrierMismatchError, Element, EPSeq, complement, iter_bits
 from convlab.convergence import Convergence, sos_union
-from convlab.cube import FCSeq
+from convlab.cube import FC_EMPTY, FC_FULL, FCSeq, fc_liminf, fc_limsup
 from convlab.report import KINDS, escape
 from convlab.seqclass import InfClass
 from convlab.submeasure import Submeasure
@@ -379,3 +381,30 @@ def pairwise_escapes(payloads: dict) -> dict[tuple[str, str], object]:
         for b in names
         if a != b
     }
+
+
+def random_fcseq(rng: random.Random) -> FCSeq:
+    """A seeded sequence whose sets have supports inside coordinates 0..7:
+    each set is one 8-bit draw plus a sign bit, so every coordinate is a fair
+    coin, chosen so that one draw makes the whole set."""
+    def rand_set() -> int:
+        bits = rng.getrandbits(8)
+        return ~bits if rng.getrandbits(1) else bits
+
+    pre = tuple(rand_set() for _ in range(rng.randrange(0, 3)))
+    per = tuple(rand_set() for _ in range(rng.randrange(1, 4)))
+    return FCSeq(pre, per)
+
+
+def candidate_limits(x: FCSeq, rng) -> list[int]:
+    """A candidate pool for predicate sweeps: six structured candidates derived
+    from the sequence, then eight seeded random finite/cofinite sets, each one
+    draw masked to the window (the support plus the generic coordinate just
+    beyond it, which stands for all later ones) and one bit for its sign."""
+    li, ls = fc_liminf(x), fc_limsup(x)
+    pool = [li, ls, ~li, ~ls, FC_EMPTY, FC_FULL]
+    window = x.support | 1 << x.support.bit_length()
+    for _ in range(8):
+        bits = rng.getrandbits(window.bit_length()) & window
+        pool.append(~bits if rng.getrandbits(1) else bits)
+    return pool

@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,8 @@ from convlab.algebra import canonical_period
 from convlab.cube import (
     FC_EMPTY,
     FC_FULL,
+    CubeSample,
     FCSeq,
-    candidate_limits,
     check_T1235a,
     fc_cofinite,
     fc_finite,
@@ -23,9 +24,9 @@ from convlab.cube import (
     lim_alexandrov_dual,
     lim_cantor,
 )
-from convlab.verify import random_fcseq
+from convlab.cli import main
 
-from oracles import value_at
+from oracles import candidate_limits, random_fcseq, value_at
 from test_algebra import rotation_oracle
 
 # Every support the tests build lies below this coordinate, so it stands for
@@ -206,8 +207,8 @@ class TestCubeLimits:
                 assert dual(a) == (a & li == a)
 
     def test_half_open_predicates_do_not_read_limsup_or_liminf(self, monkeypatch):
-        # criterion 10 compares lim_alexandrov with the limsup rule, so the
-        # predicates must reach their verdicts without it
+        # the predicates define what the packed laws are checked against, next
+        # to the limsup and liminf rules, so they must not read those limits
         def refuse(x):
             raise AssertionError("half-open predicate read a tail limit")
 
@@ -226,9 +227,8 @@ class TestCubeLimits:
 
     def test_conjunction_characterizes_discrete_limit(self):
         rng = random.Random(107)
-        sample = [random_fcseq(rng) for _ in range(500)]
-        cand_rng = random.Random(109)
-        assert check_T1235a(sample, [candidate_limits(x, cand_rng) for x in sample])
+        sample = CubeSample.of([random_fcseq(rng) for _ in range(500)], 9)
+        assert check_T1235a(sample, sample.candidates(random.Random(109))) is None
 
 
 class TestBitPredicatesAgainstOracles:
@@ -242,6 +242,164 @@ class TestBitPredicatesAgainstOracles:
             assert alex(a) == oracle_alexandrov(x, a)
             assert dual(a) == oracle_alexandrov_dual(x, a)
         assert lim_cantor(x) == oracle_cantor(x)
+
+
+# Packed samples the tests build: supports up to coordinate 14, the generic
+# coordinate at 15.
+WIDTH = 16
+
+
+def stack(sets, width: int = WIDTH) -> int:
+    """One finite or cofinite set per field, packed as a candidate stack."""
+    return CubeSample.of([FCSeq((), (a,)) for a in sets], width).slots[0]
+
+
+def guard(mask: int, i: int, width: int) -> bool:
+    return bool(mask >> i * (width + 1) + width & 1)
+
+
+class TestPackedSample:
+    """CubeSample's guard masks against the per-FCSeq predicates."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(fcseqs, fcsets(14)), min_size=1, max_size=8))
+    def test_packed_laws_match_the_predicates(self, pairs):
+        # fcseqs reach coordinate 8 and the candidates coordinate 14, past
+        # the sequences' window
+        seqs = [x for x, _ in pairs]
+        sample, a = CubeSample.of(seqs, WIDTH), stack([c for _, c in pairs])
+        alex, dual, cantor = sample.alexandrov(a), sample.dual(a), sample.cantor()
+        for i, (x, c) in enumerate(pairs):
+            assert guard(alex, i, WIDTH) == lim_alexandrov(x)(c)
+            assert guard(dual, i, WIDTH) == lim_alexandrov_dual(x)(c)
+            assert guard(cantor, i, WIDTH) == (lim_cantor(x) is not None)
+            assert sample.at(sample.limsup, i) == fc_limsup(x)
+            assert sample.at(sample.liminf, i) == fc_liminf(x)
+            assert set(sample.sequence(i).period) == set(x.period)
+        assert check_T1235a(sample, [a] + sample.candidates(random.Random(len(pairs)))) is None
+
+    def test_drawn_fields_match_the_predicates(self):
+        sample = CubeSample.draw(random.Random(19), 2000)
+        candidates = sample.candidates(random.Random(23))
+        alex = [sample.alexandrov(a) for a in candidates]
+        dual = [sample.dual(a) for a in candidates]
+        cantor = sample.cantor()
+        for i in range(2000):
+            x = sample.sequence(i)
+            assert x.preperiod == ()
+            for a, alex_a, dual_a in zip(candidates, alex, dual):
+                c = sample.at(a, i)
+                assert guard(alex_a, i, 9) == lim_alexandrov(x)(c)
+                assert guard(dual_a, i, 9) == lim_alexandrov_dual(x)(c)
+                assert guard(alex_a & dual_a, i, 9) == (lim_cantor(x) == c)
+            assert guard(cantor, i, 9) == (lim_cantor(x) is not None)
+        assert check_T1235a(sample, candidates) is None
+
+    def test_of_keeps_every_period_value_set(self):
+        rng = random.Random(29)
+        seqs = [random_fcseq(rng) for _ in range(300)]
+        sample = CubeSample.of(seqs, 9)
+        assert len(sample.slots) == max(len(x.period) for x in seqs)
+        for i, x in enumerate(seqs):
+            assert set(sample.sequence(i).period) == set(x.period)
+            assert {sample.at(v, i) for v in sample.slots} == set(x.period)
+
+    def test_of_rejects_a_support_on_the_generic_coordinate(self):
+        CubeSample.of([FCSeq((), (fc_finite([7]),))], 9)
+        for a in (fc_finite([8]), fc_cofinite([8])):
+            with pytest.raises(ValueError):
+                CubeSample.of([FCSeq((), (FC_EMPTY, a))], 9)
+
+    def test_half_open_laws_do_not_read_limsup_or_liminf(self):
+        # check_T1235a compares these laws with the limsup and liminf rules
+        sample = CubeSample.of([FCSeq((), (fc_finite([0]), fc_cofinite([1])))], 9)
+        del sample.limsup, sample.liminf
+        assert sample.alexandrov(stack([FC_FULL], 9)) and not sample.alexandrov(stack([fc_finite([0])], 9))
+        assert sample.dual(stack([fc_finite([0])], 9)) and not sample.dual(stack([fc_finite([2])], 9))
+
+
+class TestPackedDraws:
+    """What CubeSample.draw may hold, whatever the seeded streams are."""
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        return CubeSample.draw(random.Random(31), 2000)
+
+    def test_coordinates_0_to_7_are_fair_coins(self, sample):
+        for v in sample.slots:
+            assert v & sample.guards == 0
+            for i in range(8):
+                share = sum(sample.at(v, f) >> i & 1 for f in range(2000)) / 2000
+                assert 0.45 < share < 0.55
+
+    def test_generic_bit_set_exactly_on_cofinite_sets(self, sample):
+        signs = set()
+        for v in sample.slots:
+            for f in range(2000):
+                a = sample.at(v, f)
+                assert fc_support(a) >> 8 == 0
+                assert (a < 0) == bool(v >> f * 10 + 8 & 1)
+                signs.add(a < 0)
+        assert signs == {True, False}
+
+    def test_every_length_1_to_4_occurs(self, sample):
+        # a slot past the period repeats the first value, so a field's length
+        # is one more than its last slot that differs from the first (rarely
+        # less, where a drawn value repeats the first by chance)
+        first = sample.slots[0]
+        lengths = [
+            1 + max((j for j, v in enumerate(sample.slots) if sample.at(v, f) != sample.at(first, f)), default=0)
+            for f in range(2000)
+        ]
+        assert len(sample.slots) == 4
+        for n in range(1, 5):
+            assert 0.2 < lengths.count(n) / 2000 < 0.3
+
+    # sha256 of criterion 10's slots and candidate stacks at verify seeds
+    # 0..4 and 1,000 samples, captured from the packed draws: a seed keeps
+    # checking the same sequences and candidates
+    DIGESTS = [
+        "026f830a3e219797a2816e3d8e76a01247d7cd23483c8d90459a2a9204dd5a67",
+        "dd4000bb7c685d6d6ddc33cd6118ce727203d63651c1a4aeff1a6c7be3d38ae2",
+        "793f6b8c09dedada7f7ea055e1ff1c8c37345bfccad988716d3221363bf0d1f8",
+        "79fb7c38e47d7ca43239178815cfdaf1118aa2b29aba17bfdac8698225d3965c",
+        "990c15457e94f9a04e00bcc4aeae4ddc537c95e64b607aedc9372173fc6f1363",
+    ]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_draws_unchanged(self, seed):
+        sample = CubeSample.draw(random.Random(seed + 2), 1000)
+        stacks = sample.slots + tuple(sample.candidates(random.Random(seed + 3)))
+        digest = hashlib.sha256(",".join(map(hex, stacks)).encode()).hexdigest()
+        assert digest == self.DIGESTS[seed]
+
+
+class TestCriterionFailure:
+    """Criterion 10 with one packed law tampered: the rule it breaks, the
+    sequence and the candidate are named, and verify exits 1."""
+
+    @pytest.mark.parametrize("law, rule", [("alexandrov", "limsup"), ("dual", "liminf"), ("cantor", "conjunction")])
+    def test_tampered_law_is_named_with_a_witness(self, monkeypatch, law, rule):
+        # every law tampered to "no sequence converges"
+        honest = CubeSample.draw(random.Random(2), 1000)
+        candidates = honest.candidates(random.Random(3))
+        monkeypatch.setattr(CubeSample, law, lambda self, *a: 0)
+        got, i, a = check_T1235a(honest, candidates)
+        assert got == rule
+        x = honest.sequence(i)
+        # the honest predicate converges where the tampered law said no
+        if law == "alexandrov":
+            assert lim_alexandrov(x)(a)
+        elif law == "dual":
+            assert lim_alexandrov_dual(x)(a)
+        else:
+            assert lim_cantor(x) == a
+        result = CliRunner().invoke(main, ["verify", "--atoms", "1", "--samples", "1000"])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        line = next(l for l in result.output.splitlines() if "coordinatewise cube limits" in l)
+        assert line == f"[10/12] FAIL  coordinatewise cube limits: {rule} rule fails for {x!r} at candidate {fc_repr(a)}"
 
 
 class TestDraws:
@@ -279,10 +437,10 @@ class TestDraws:
 
 
 class TestPinnedStreams:
-    # reprs of random_fcseq and the first nine candidate_limits (six
-    # structured, three random) for seeds 0..4, captured from the
+    # reprs of the oracles' random_fcseq and the first nine candidate_limits
+    # (six structured, three random) for seeds 0..4, captured from the
     # implementation that draws each random set with one getrandbits call
-    # plus one sign bit: a seed keeps checking the same sequences and
+    # plus one sign bit: a seed keeps drawing the same sequences and
     # candidates
     PINNED = [
         (

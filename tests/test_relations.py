@@ -60,7 +60,8 @@ class TestTable:
         assert source["O_ls < O_lsi"] == source["O_li < O_lsi"] == "general"
         assert source["lim_O_lsi = lambda_s"] == "omega2"
         assert source["O_lsi = O_s"] == "maharam"
-        assert source["lim_O_ls & lim_O_li = lim_O_lsi"] == "finite"
+        # a sequence converges in a join of topologies iff it converges in each
+        assert source["lim_O_ls & lim_O_li = lim_O_lsi"] == "general"
         assert RELATIONS[-1][:3] == ("O_lsi", "=", "O_s")
 
     def test_rows_named_reads_the_table(self):
