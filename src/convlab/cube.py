@@ -12,7 +12,7 @@ value, since the int holds all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 from typing import Callable, Iterable, Optional
@@ -55,21 +55,16 @@ def _tuple_repr(sets: tuple[int, ...]) -> str:
 @dataclass(frozen=True, repr=False, slots=True)
 class FCSeq:
     """Eventually periodic sequence of finite/cofinite sets, the period at its
-    least rotation as ints; ``support`` is the union of its entries' supports."""
+    least rotation as ints."""
 
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
-    support: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.period:
             raise ValueError("period must be nonempty")
         object.__setattr__(self, "preperiod", tuple(self.preperiod))
         object.__setattr__(self, "period", canonical_period(tuple(self.period), int))
-        support = 0
-        for v in self.preperiod + self.period:
-            support |= fc_support(v)
-        object.__setattr__(self, "support", support)
 
     def __repr__(self) -> str:
         return f"FCSeq(preperiod={_tuple_repr(self.preperiod)}, period={_tuple_repr(self.period)})"

@@ -2,9 +2,8 @@
 carrier, their order relations with strictness witnesses, and emit DOT, JSON,
 or a text table.
 
-``figure_nodes`` is the one builder of the nodes, by name: ``build_figure1``,
-``verify.VerifyContext`` and ``submeasure.check_halfball_opens`` read them
-from it.
+``figure_nodes`` is the one builder of the nodes, by name: ``build_figure1``
+and ``verify.VerifyContext`` read them from it.
 
 The order is decided once per ordered pair of equality classes: each kind's
 nodes are grouped by payload, a witness that one class is not below another

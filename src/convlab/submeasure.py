@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .algebra import Carrier, CarrierMismatchError, Element
-from .report import figure_nodes
-from .topology import Topology, generate
+from .convergence import lambda_li, lambda_ls
+from .topology import Topology, synthesize_O_lambda
 
 
 # a mask and a value, as an integer or a fraction of integers, in ASCII digits
@@ -145,10 +145,10 @@ def validate_submeasure(mu: Submeasure) -> ValidationReport:
     return ValidationReport(zero_on_bottom, monotone, subadditive, strictly_positive, continuous=zero_on_bottom)
 
 
-def ball(mu: Submeasure, a: Element, r: Fraction) -> frozenset[Element]:
-    return frozenset(
-        x for x in mu.carrier.elements if mu.distance(x, a) < r
-    )
+def ball(mu: Submeasure, a: Element, r: Fraction) -> int:
+    """The mask of the points at distance below r from a."""
+    mu._check_carrier(a)
+    return sum(1 << x for x in range(mu.carrier.size) if mu.values[x ^ a.mask] < r)
 
 
 def metric_topology(mu: Submeasure) -> Topology:
@@ -158,7 +158,8 @@ def metric_topology(mu: Submeasure) -> Topology:
     By the triangle inequality a ball holding a holds every point at distance
     0 from a, and a ball around a narrower than the least positive distance
     holds nothing else, so the balls generate the partition of the carrier
-    into zero-distance classes.
+    into zero-distance classes: each point's class is its minimal
+    neighbourhood.
     """
     report = validate_submeasure(mu)
     if not report.is_submeasure():
@@ -169,11 +170,8 @@ def metric_topology(mu: Submeasure) -> Topology:
             "pseudo-metric",
             stacklevel=2,
         )
-    car = mu.carrier
-    m = car.size
-    return generate(
-        car, [sum(1 << x for x in range(m) if mu.values[a ^ x] == 0) for a in range(m)]
-    )
+    m = mu.carrier.size
+    return Topology(mu.carrier, [sum(1 << x for x in range(m) if mu.values[a ^ x] == 0) for a in range(m)])
 
 
 @dataclass(frozen=True)
@@ -187,19 +185,13 @@ def check_halfball_opens(mu: Submeasure, a: Element, r: Fraction) -> HalfBallRep
     """The two half-balls around a of radius r/2 are open in the left/right
     sequential topologies and squeeze between a and the full ball."""
     mu._check_carrier(a)
-    car = mu.carrier
+    car, v, c = mu.carrier, mu.values, a.mask
     half = Fraction(r) / 2
-    o1 = frozenset(
-        x for x in car.elements if mu.values[x.mask & ~a.mask] < half
-    )
-    o2 = frozenset(
-        x for x in car.elements if mu.values[a.mask & ~x.mask] < half
-    )
-    nodes = figure_nodes(car)
+    o1 = sum(1 << x for x in range(car.size) if v[x & ~c] < half)
+    o2 = sum(1 << x for x in range(car.size) if v[c & ~x] < half)
     inter = o1 & o2
-    b = ball(mu, a, Fraction(r))
     return HalfBallReport(
-        o1_open_in_left=nodes["O_ls"].is_open(o1),
-        o2_open_in_right=nodes["O_li"].is_open(o2),
-        sandwich=(a in inter) and inter <= b,
+        o1_open_in_left=synthesize_O_lambda(lambda_ls(car)).is_open_mask(o1),
+        o2_open_in_right=synthesize_O_lambda(lambda_li(car)).is_open_mask(o2),
+        sandwich=inter >> c & 1 == 1 and inter & ~ball(mu, a, r) == 0,
     )

@@ -67,10 +67,11 @@ class Topology:
         return tuple(self.carrier.unpack(self.carrier.transpose(self._lanes)))
 
     def is_open_mask(self, mask: int) -> bool:
+        """Whether the subset ``mask`` is open; raises ``ValueError`` unless
+        0 <= mask < 2^(2^n)."""
+        if not 0 <= mask <= self.full:
+            raise ValueError(f"mask {mask} is not a subset of P({self.carrier.n})")
         return all(self._mins[p] & ~mask == 0 for p in iter_bits(mask))
-
-    def is_open(self, subset: Iterable[Element]) -> bool:
-        return self.is_open_mask(self.carrier.subset_mask(subset))
 
     def validate(self) -> bool:
         """One mask per point, each inside the carrier, forming a preorder: the

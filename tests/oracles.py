@@ -22,12 +22,13 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from operator import and_, or_
 from typing import Iterable
 
 from convlab.algebra import Carrier, CarrierMismatchError, Element, EPSeq, complement, iter_bits
 from convlab.convergence import Convergence, sos_union
-from convlab.cube import FC_EMPTY, FC_FULL, FCSeq, fc_liminf, fc_limsup
+from convlab.cube import FC_EMPTY, FC_FULL, FCSeq, fc_liminf, fc_limsup, fc_support
 from convlab.report import KINDS, escape
 from convlab.seqclass import InfClass
 from convlab.submeasure import Submeasure
@@ -370,6 +371,49 @@ def triangle_holds(mu: Submeasure) -> bool:
     )
 
 
+def integer_submeasures(carrier: Carrier, top: int) -> list[Submeasure]:
+    """Every submeasure on the carrier with integer values in 0..top, by the
+    axioms: 0 on the bottom, monotone and subadditive."""
+    m = carrier.size
+    return [
+        Submeasure(carrier, map(Fraction, v))
+        for v in ((0, *rest) for rest in product(range(top + 1), repeat=m - 1))
+        if all(v[a] <= v[a | b] and v[a | b] <= v[a] + v[b] for a in range(m) for b in range(m))
+    ]
+
+
+def radii(mu: Submeasure) -> list[Fraction]:
+    """Every positive value of mu, each value doubled, and 1/3."""
+    positive = {v for v in mu.values if v > 0}
+    return sorted(positive | {2 * v for v in positive} | {Fraction(1, 3)})
+
+
+def halfball_oracle(mu: Submeasure, a: int, r: Fraction) -> tuple[tuple[bool, bool, bool], int]:
+    """The half-ball step by definition, on the points 0..m-1 as atom masks:
+    the three flags of ``HalfBallReport`` and the mask of the r-ball
+    {x : mu(x ^ a) < r}.  O_ls's opens are the down-sets of inclusion and
+    O_li's the up-sets (the closed-set characterization), so o1 must be a
+    down-set and o2 an up-set."""
+    v, points = mu.values, range(mu.carrier.size)
+    o1 = {x for x in points if v[x & ~a] < Fraction(r) / 2}
+    o2 = {x for x in points if v[a & ~x] < Fraction(r) / 2}
+    ball = {x for x in points if v[x ^ a] < r}
+    down = all(y in o1 for x in o1 for y in points if y & ~x == 0)
+    up = all(y in o2 for x in o2 for y in points if x & ~y == 0)
+    return (down, up, a in o1 & o2 and o1 & o2 <= ball), sum(1 << x for x in ball)
+
+
+def metric_neighbourhoods(mu: Submeasure) -> list[int]:
+    """Each point's minimal neighbourhood in the topology generated by every
+    ball {x : d(x, c) < r} with r > 0: the intersection of the balls that hold
+    the point.  Those balls are the sets {x : d(x, c) <= t}, one per centre c
+    and value t of mu."""
+    v, points = mu.values, range(mu.carrier.size)
+    balls = [sum(1 << x for x in points if v[x ^ c] <= t) for c in points for t in set(v)]
+    full = (1 << len(v)) - 1
+    return [functools.reduce(and_, (b for b in balls if b >> p & 1), full) for p in points]
+
+
 def pairwise_escapes(payloads: dict) -> dict[tuple[str, str], object]:
     """The diagram's order with one witness call per ordered pair of distinct
     node names of a kind: escape[a, b] is the witness mask that a is not
@@ -396,6 +440,11 @@ def random_fcseq(rng: random.Random) -> FCSeq:
     return FCSeq(pre, per)
 
 
+def fcseq_support(x: FCSeq) -> int:
+    """The union of the supports of x's entries."""
+    return functools.reduce(or_, map(fc_support, x.preperiod + x.period), 0)
+
+
 def candidate_limits(x: FCSeq, rng) -> list[int]:
     """A candidate pool for predicate sweeps: six structured candidates derived
     from the sequence, then eight seeded random finite/cofinite sets, each one
@@ -403,7 +452,8 @@ def candidate_limits(x: FCSeq, rng) -> list[int]:
     beyond it, which stands for all later ones) and one bit for its sign."""
     li, ls = fc_liminf(x), fc_limsup(x)
     pool = [li, ls, ~li, ~ls, FC_EMPTY, FC_FULL]
-    window = x.support | 1 << x.support.bit_length()
+    support = fcseq_support(x)
+    window = support | 1 << support.bit_length()
     for _ in range(8):
         bits = rng.getrandbits(window.bit_length()) & window
         pool.append(~bits if rng.getrandbits(1) else bits)

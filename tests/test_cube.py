@@ -26,7 +26,7 @@ from convlab.cube import (
 )
 from convlab.cli import main
 
-from oracles import candidate_limits, random_fcseq, value_at
+from oracles import candidate_limits, fcseq_support, random_fcseq, value_at
 from test_algebra import rotation_oracle
 
 # Every support the tests build lies below this coordinate, so it stands for
@@ -412,14 +412,15 @@ class TestDraws:
         held, cleared, signs, generic = 0, 0, set(), set()
         for _ in range(2000):
             x = random_fcseq(seqs)
-            window = x.support | 1 << x.support.bit_length()
+            generic_bit = fcseq_support(x).bit_length()
+            window = fcseq_support(x) | 1 << generic_bit
             for a in candidate_limits(x, cands)[6:]:
                 support = fc_support(a)
                 assert support & ~window == 0
                 held |= support
                 cleared |= window & ~support
                 signs.add(a < 0)
-                generic.add(support >> x.support.bit_length() & 1)
+                generic.add(support >> generic_bit & 1)
         assert held == cleared == (1 << 9) - 1
         assert signs == generic == {0, 1}
 

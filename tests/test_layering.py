@@ -1,0 +1,55 @@
+"""The kernel modules never import the diagram builder, the checker or the CLI.
+
+Imports are read from each module's source with ``ast``, so an import inside
+a function counts as well as one at the top.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import convlab
+
+KERNEL = ("algebra", "seqclass", "convergence", "topology", "cube", "submeasure")
+UPPER = {"report", "verify", "cli"}
+
+
+def convlab_imports(source: str) -> set[str]:
+    """The convlab modules that a convlab module's source imports, relative
+    (``from .report import x``, ``from . import report``) or absolute
+    (``import convlab.report``, ``from convlab import report``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("convlab."))
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if not node.level and parts[0] != "convlab":
+                continue
+            if not node.level:
+                parts = parts[1:]
+            found.update([parts[0]] if parts and parts[0] else [a.name for a in node.names])
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, modules",
+    [
+        ("from .report import figure_nodes", {"report"}),
+        ("from . import verify", {"verify"}),
+        ("import convlab.cli", {"cli"}),
+        ("from convlab.report import KINDS", {"report"}),
+        ("from convlab import report", {"report"}),
+        ("def f():\n    from .cli import main", {"cli"}),
+        ("from .algebra import Carrier\nimport re\nfrom fractions import Fraction", {"algebra"}),
+    ],
+)
+def test_every_import_form_is_read(source, modules):
+    assert convlab_imports(source) == modules
+
+
+@pytest.mark.parametrize("name", KERNEL)
+def test_kernel_imports_no_upper_layer(name):
+    source = (Path(convlab.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
+    assert convlab_imports(source) & UPPER == set()

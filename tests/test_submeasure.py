@@ -1,3 +1,5 @@
+import warnings
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -13,9 +15,29 @@ from convlab.submeasure import (
     metric_topology,
     validate_submeasure,
 )
-from convlab.topology import discrete, synthesize_O_lambda
+from convlab.topology import discrete, generate, synthesize_O_lambda
 
-from oracles import antidiscrete, open_masks, zero_submeasure
+from oracles import (
+    antidiscrete,
+    halfball_oracle,
+    integer_submeasures,
+    metric_neighbourhoods,
+    open_masks,
+    radii,
+    zero_submeasure,
+)
+
+# The counting and truncated measures at n = 1..3, and every integer
+# submeasure with values 0..3 on P(2).
+STANDARD = {
+    f"{law.__name__}-n{n}": law(Carrier(n))
+    for n in (1, 2, 3)
+    for law in (Submeasure.counting, Submeasure.truncated_cardinality)
+}
+CENSUS = integer_submeasures(Carrier(2), 3)
+MEASURES = [pytest.param(mu, id=name) for name, mu in STANDARD.items()] + [
+    pytest.param(mu, id=f"integer-{'-'.join(map(str, mu.values))}") for mu in CENSUS
+]
 
 
 class TestValidation:
@@ -76,7 +98,7 @@ class TestMetricTopology:
     def test_small_balls_are_singletons(self, p2):
         mu = Submeasure.counting(p2)
         for a in p2.elements:
-            assert ball(mu, a, Fraction(1, 4)) == frozenset({a})
+            assert ball(mu, a, Fraction(1, 4)) == 1 << a.mask
 
     def test_triangle_inequality(self, p3):
         mu = Submeasure.counting(p3)
@@ -131,6 +153,69 @@ class TestHalfBalls:
                 assert report.o1_open_in_left
                 assert report.o2_open_in_right
                 assert report.sandwich
+
+
+class TestAgainstTheOracle:
+    """The half-ball step, the balls and the metric topology against their
+    definitions in ``oracles``, for every point and every radius of
+    ``oracles.radii``."""
+
+    def test_integer_census_on_p2(self):
+        assert len(CENSUS) == 20
+        assert all(validate_submeasure(mu).is_submeasure() for mu in CENSUS)
+        assert sum(validate_submeasure(mu).strictly_positive for mu in CENSUS) == 13
+
+    def test_counting_and_truncated_cases(self):
+        assert sum(mu.carrier.size * len(radii(mu)) for mu in STANDARD.values()) == 104
+
+    @staticmethod
+    def oracle_flags(mu):
+        """The oracle's flags at every point and radius, once the report and
+        the ball have matched them."""
+        seen = []
+        for a in mu.carrier.elements:
+            for r in radii(mu):
+                flags, ball_mask = halfball_oracle(mu, a.mask, r)
+                assert astuple(check_halfball_opens(mu, a, r)) == flags
+                assert ball(mu, a, r) == ball_mask
+                seen.append(flags)
+        return seen
+
+    @pytest.mark.parametrize("mu", MEASURES)
+    def test_halfballs_and_balls(self, mu):
+        # o1 is a down-set by monotonicity, o2 an up-set, and the
+        # intersection lies in the ball by subadditivity
+        assert set(self.oracle_flags(mu)) == {(True, True, True)}
+        v = mu.values
+        for a in range(mu.carrier.size):
+            for r in radii(mu):
+                for x in range(mu.carrier.size):
+                    if v[x & ~a] < r / 2 and v[a & ~x] < r / 2:
+                        assert v[x ^ a] <= v[x & ~a] + v[a & ~x] < r
+
+    # Without monotonicity o1 need not be a down-set, and without
+    # subadditivity the half-balls' intersection can leave the ball: the
+    # report must still follow the definitions, flag by flag.
+    @pytest.mark.parametrize(
+        "values, failing", [((0, 2, 2, 1), 0), ((0, 1, 1, 5), 2)], ids=["not-monotone", "not-subadditive"]
+    )
+    def test_tables_that_are_not_submeasures(self, p2, values, failing):
+        flags = self.oracle_flags(Submeasure(p2, map(Fraction, values)))
+        assert not all(f[failing] for f in flags)
+
+    @pytest.mark.parametrize(
+        "mu",
+        MEASURES + [pytest.param(zero_submeasure(Carrier(n)), id=f"zero-n{n}") for n in (1, 2, 3)],
+    )
+    def test_metric_topology(self, mu):
+        m = mu.carrier.size
+        classes = [sum(1 << x for x in range(m) if mu.values[a ^ x] == 0) for a in range(m)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            topo = metric_topology(mu)
+        assert bool(caught) == (not validate_submeasure(mu).strictly_positive)
+        assert topo == generate(mu.carrier, classes)
+        assert list(topo.min_neighborhoods) == metric_neighbourhoods(mu)
 
 
 class TestForeignElements:

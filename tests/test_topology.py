@@ -329,6 +329,12 @@ class TestTopologyType:
         with pytest.raises(ValueError, match="reflexive and transitive"):
             Topology(p1, mins)
 
+    # the two masks P(1)'s tuple lookup used to fail on with an IndexError
+    @pytest.mark.parametrize("mask", [1 << 7, -1], ids=["bit7", "negative"])
+    def test_open_test_rejects_masks_outside_the_carrier(self, p1, mask):
+        with pytest.raises(ValueError, match="not a subset of P\\(1\\)"):
+            discrete(p1).is_open_mask(mask)
+
     def test_open_families_in_canonical_order(self, p1):
         topo = discrete(p1)
         masks = [p1.subset_mask(f) for f in open_families(topo)]
