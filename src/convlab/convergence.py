@@ -98,6 +98,14 @@ class Convergence:
         self.lim1 = tuple(lim1)
         self.exceptions = tuple(merged.items())
 
+    @classmethod
+    def _from_lanes(cls, carrier: Carrier, lanes: int, name: str = "") -> "Convergence":
+        """The convergence without exceptions whose columns are packed in
+        ``lanes``, an int below 2^(4^n), which it keeps instead of packing them again."""
+        lam = cls(carrier, carrier.unpack(lanes), name=name)
+        lam._lanes = lanes
+        return lam
+
     @cached_property
     def _lanes(self) -> int:
         """``lim1`` packed into lanes on first use, which no point query makes."""
@@ -218,8 +226,10 @@ def leq_conv(a: Convergence, b: Convergence) -> bool:
 
 
 def check_L1(lam: Convergence) -> bool:
-    """Constant sequences converge to their value."""
-    return all(col >> a & 1 for a, col in enumerate(lam.lim1))
+    """Constant sequences converge to their value: every column holds its own
+    point, so the packed lanes hold their diagonal."""
+    diagonal = lam.carrier.lane_diagonal
+    return lam._lanes & diagonal == diagonal
 
 
 def check_L2(lam: Convergence) -> bool:

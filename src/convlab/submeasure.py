@@ -1,15 +1,20 @@
 """Submeasures on a finite Boolean algebra and their metric topologies.
 
-All arithmetic is exact (fractions): ball membership at boundary radii must
-not depend on floating-point rounding.
+All arithmetic is exact: ball membership at boundary radii and
+subadditivity with equality must not depend on floating-point rounding.
+A table holds its values as fractions, and the axioms, the triangle
+inequality and the zero distances are checked on the values times their
+least common denominator, integers in the same order with the same sums.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .algebra import Carrier, CarrierMismatchError, Element
@@ -56,6 +61,13 @@ class Submeasure:
             )
         if any(v < 0 for v in self.values):
             raise SubmeasureTableError("submeasure values must be nonnegative")
+
+    @cached_property
+    def _scaled(self) -> tuple[int, ...]:
+        """The values times their least common denominator, made on first read:
+        a positive factor keeps every comparison and sum exact."""
+        d = math.lcm(*(v.denominator for v in self.values))
+        return tuple(v.numerator * (d // v.denominator) for v in self.values)
 
     def _check_carrier(self, *elems: Element) -> None:
         if any(e.width != self.carrier.n for e in elems):
@@ -132,14 +144,15 @@ class Submeasure:
 
 
 def validate_submeasure(mu: Submeasure) -> ValidationReport:
-    """Exhaustive check of the submeasure axioms over the finite carrier."""
-    car = mu.carrier
-    m = car.size
-    v = mu.values
+    """Exhaustive check of the submeasure axioms over the finite carrier, on
+    the scaled integer table.  Monotone is tested on each point and one atom
+    more, which chains to every pair a <= b; subadditive on pairs a < b, since
+    the test is symmetric and holds for a = b when no value is negative."""
+    v, m = mu._scaled, mu.carrier.size
     zero_on_bottom = v[0] == 0
-    monotone = all(v[a] <= v[b] for a in range(m) for b in range(m) if a & b == a)
-    subadditive = all(v[a | b] <= v[a] + v[b] for a in range(m) for b in range(m))
-    strictly_positive = all(v[a] > 0 for a in range(1, m))
+    monotone = all(v[a] <= v[a | 1 << i] for i in range(mu.carrier.n) for a in range(m))
+    subadditive = all(v[a | b] <= va + v[b] for a, va in enumerate(v) for b in range(a + 1, m))
+    strictly_positive = 0 not in v[1:]
     # decreasing chains stabilize at their meet, so continuity along chains
     # with meet 0 is exactly vanishing at 0
     return ValidationReport(zero_on_bottom, monotone, subadditive, strictly_positive, continuous=zero_on_bottom)
@@ -158,8 +171,8 @@ def metric_topology(mu: Submeasure) -> Topology:
     By the triangle inequality a ball holding a holds every point at distance
     0 from a, and a ball around a narrower than the least positive distance
     holds nothing else, so the balls generate the partition of the carrier
-    into zero-distance classes: each point's class is its minimal
-    neighbourhood.
+    into zero-distance classes: each point's class, {a ^ z : mu(z) = 0}, is
+    its minimal neighbourhood.
     """
     report = validate_submeasure(mu)
     if not report.is_submeasure():
@@ -170,8 +183,9 @@ def metric_topology(mu: Submeasure) -> Topology:
             "pseudo-metric",
             stacklevel=2,
         )
-    m = mu.carrier.size
-    return Topology(mu.carrier, [sum(1 << x for x in range(m) if mu.values[a ^ x] == 0) for a in range(m)])
+    m, v = mu.carrier.size, mu._scaled
+    zero = [z for z in range(m) if v[z] == 0]
+    return Topology(mu.carrier, [sum(1 << (a ^ z) for z in zero) for a in range(m)])
 
 
 @dataclass(frozen=True)

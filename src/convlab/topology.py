@@ -3,7 +3,7 @@
 Every finite topology is the Alexandrov topology of its specialization
 preorder, so it is stored as the minimal open neighbourhood N(p) of each
 point p, as carrier-subset bit-masks, and ``Topology(carrier, mins)`` is its
-only constructor.  It packs the relation into the carrier's lanes at
+only public constructor.  It packs the relation into the carrier's lanes at
 construction, so the preorder check, the reflexive-transitive closure and the
 transpose are each a few big-int steps, and it makes the point closures on
 first read.  The opens are exactly the unions of minimal neighbourhoods; they
@@ -51,6 +51,16 @@ class Topology:
             raise ValueError("minimal neighbourhoods must be reflexive and transitive")
         self._count: Optional[int] = None
 
+    @classmethod
+    def _from_lanes(cls, carrier: Carrier, lanes: int) -> "Topology":
+        """The topology whose neighbourhoods are packed in ``lanes``, an int
+        below 2^(4^n): checked as ``Topology(carrier, mins)`` checks them, on
+        these lanes instead of a fresh pack of their unpacked rows."""
+        topo = cls.__new__(cls)
+        topo._lanes = lanes
+        topo.__init__(carrier, carrier.unpack(lanes))
+        return topo
+
     @property
     def min_neighborhoods(self) -> tuple[int, ...]:
         """Smallest open set around each point (finite spaces always have one)."""
@@ -58,13 +68,19 @@ class Topology:
 
     @cached_property
     def _lanes(self) -> int:
-        """The neighbourhoods packed into 2^n-bit lanes, made by ``validate``."""
+        """The neighbourhoods packed into 2^n-bit lanes, made by ``validate``
+        unless ``_from_lanes`` handed them in."""
         return self.carrier.pack(self._mins)
+
+    @cached_property
+    def _closure_lanes(self) -> int:
+        """The point closures packed: the transpose of the neighbourhoods."""
+        return self.carrier.transpose(self._lanes)
 
     @cached_property
     def point_closures(self) -> tuple[int, ...]:
         """The closure of point p, {q : p in N(q)}, made on first read."""
-        return tuple(self.carrier.unpack(self.carrier.transpose(self._lanes)))
+        return tuple(self.carrier.unpack(self._closure_lanes))
 
     def is_open_mask(self, mask: int) -> bool:
         """Whether the subset ``mask`` is open; raises ``ValueError`` unless
@@ -167,7 +183,7 @@ def synthesize_O_lambda(lam: Convergence) -> Topology:
     if not check_L1(lam):
         raise ClosureAxiomError("sequential topology requires a convergence satisfying (L1)")
     carrier = lam.carrier
-    return Topology(carrier, carrier.unpack(carrier.transpose(_transitive_closure(carrier, lam._lanes))))
+    return Topology._from_lanes(carrier, carrier.transpose(_transitive_closure(carrier, lam._lanes)))
 
 
 def lim_topo(o: Topology, x: EPSeq) -> frozenset[Element]:
@@ -192,9 +208,10 @@ def lim_of_topology_as_convergence(o: Topology) -> Convergence:
     """The adjoint direction: classes to their sets of topological limits.
 
     a is a limit of S exactly when S lies inside N(a), so the result is
-    the convergence with lim1[s] = {a : s in N(a)} and no exceptions.
+    the convergence with lim1[s] = {a : s in N(a)} and no exceptions, whose
+    packed columns are the transposed neighbourhoods.
     """
-    return Convergence(o.carrier, lim1=o.point_closures, name="lim_O")
+    return Convergence._from_lanes(o.carrier, o._closure_lanes, name="lim_O")
 
 
 def is_sequential(o: Topology) -> bool:

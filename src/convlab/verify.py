@@ -155,23 +155,28 @@ def _crit_homeo_and_props(ctx: VerifyContext):
 
 
 def _random_topology(carrier: Carrier, rng: random.Random) -> Topology:
+    """The topology generated by 1..4 uniform subsets, one ``getrandbits`` each."""
     k = rng.randrange(1, 5)
-    subbase = [rng.randrange(1 << carrier.size) for _ in range(k)]
-    return generate(carrier, subbase)
+    return generate(carrier, [rng.getrandbits(carrier.size) for _ in range(k)])
+
+
+def _random_columns(carrier: Carrier, rng: random.Random) -> Convergence:
+    """Uniform (L1) columns, no exceptions: one ``getrandbits`` for the whole
+    packed relation, its diagonal then set, so each other bit is a fair coin."""
+    return Convergence._from_lanes(carrier, rng.getrandbits(carrier.size**2) | carrier.lane_diagonal)
 
 
 def _crit_galois(ctx: VerifyContext):
     rng = random.Random(ctx.seed + 1)
     for n in ctx.scales():
         car = ctx.carrier(n)
-        m = car.size
         convs = [ctx.nodes(n)[f"lambda_{law}"] for law in ("ls", "li", "s")]
         topos = [ctx.nodes(n)[f"O_{law}"] for law in ("ls", "li", "s", "lsi")]
         # random (L1) columns: O_lam reads only lam's columns, and lim_O must have
         # no exceptions, so lam <= lim_O is decided on singletons and exceptions of
         # lam would change neither side.  Stacked, guard i is set when o_i is not
         # inside O_lam (O_lam's lanes escape o_i's) and when lam is not below lim_o_i.
-        convs += [Convergence(car, lim1=[rng.randrange(1 << m) | 1 << a for a in range(m)]) for _ in range(50)]
+        convs += [_random_columns(car, rng) for _ in range(50)]
         topos += [_random_topology(car, rng) for _ in range(50)]
         lims = [lim_of_topology_as_convergence(o) for o in topos]
         if any(lim_o.exceptions for lim_o in lims):
@@ -204,7 +209,7 @@ def _crit_submeasures(ctx: VerifyContext):
             return False, f"truncated submeasure fails an axiom at n={n}"
         # d(a, c) <= d(a, b) + d(b, c) with x = a ^ b and y = b ^ c: every
         # triple gives a pair of masks, and every pair arises from a triple
-        v = mu.values
+        v = mu._scaled
         if any(v[x ^ y] > v[x] + v[y] for x in range(car.size) for y in range(car.size)):
             return False, f"triangle inequality fails at n={n}"
     loaded = ctx.submeasure

@@ -388,6 +388,29 @@ def radii(mu: Submeasure) -> list[Fraction]:
     return sorted(positive | {2 * v for v in positive} | {Fraction(1, 3)})
 
 
+def submeasure_axioms(values: list[Fraction]) -> tuple[bool, bool, bool, bool, bool]:
+    """The five flags of ``ValidationReport`` for a table indexed by atom
+    mask, by definition on the fractions: zero on the bottom, monotone on
+    every pair a <= b, subadditive on every pair, positive off the bottom,
+    and continuous, which on a finite carrier is zero on the bottom, where
+    every decreasing chain with meet 0 ends."""
+    v, points = values, range(len(values))
+    zero = v[0] == 0
+    monotone = all(v[a] <= v[b] for a in points for b in points if a & ~b == 0)
+    subadditive = all(v[a | b] <= v[a] + v[b] for a in points for b in points)
+    positive = all(v[a] > 0 for a in points if a)
+    return zero, monotone, subadditive, positive, zero
+
+
+def halfball_sets(mu: Submeasure, a: int, r: Fraction) -> tuple[set[int], set[int]]:
+    """The half-balls around a, o1 = {x : mu(x - a) < r/2} and
+    o2 = {x : mu(a - x) < r/2}, as sets of atom masks."""
+    v, points = mu.values, range(mu.carrier.size)
+    o1 = {x for x in points if v[x & ~a] < Fraction(r) / 2}
+    o2 = {x for x in points if v[a & ~x] < Fraction(r) / 2}
+    return o1, o2
+
+
 def halfball_oracle(mu: Submeasure, a: int, r: Fraction) -> tuple[tuple[bool, bool, bool], int]:
     """The half-ball step by definition, on the points 0..m-1 as atom masks:
     the three flags of ``HalfBallReport`` and the mask of the r-ball
@@ -395,8 +418,7 @@ def halfball_oracle(mu: Submeasure, a: int, r: Fraction) -> tuple[tuple[bool, bo
     O_li's the up-sets (the closed-set characterization), so o1 must be a
     down-set and o2 an up-set."""
     v, points = mu.values, range(mu.carrier.size)
-    o1 = {x for x in points if v[x & ~a] < Fraction(r) / 2}
-    o2 = {x for x in points if v[a & ~x] < Fraction(r) / 2}
+    o1, o2 = halfball_sets(mu, a, r)
     ball = {x for x in points if v[x ^ a] < r}
     down = all(y in o1 for x in o1 for y in points if y & ~x == 0)
     up = all(y in o2 for x in o2 for y in points if x & ~y == 0)

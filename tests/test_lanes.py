@@ -5,15 +5,21 @@
 lane popcounts of ``Convergence.limit_count`` are each compared with a loop
 over single bits (``tests/oracles.py``) at n = 1..5, and the stacked
 ``Carrier.escapes`` with the pairwise ``Topology.__le__`` and ``leq_conv``.
+Lanes handed on instead of packed again, and criterion 9's packed draws, are
+compared with a fresh pack of their rows.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convlab import verify
 from convlab.algebra import Carrier
-from convlab.convergence import Convergence, leq_conv
-from convlab.topology import Topology, generate, synthesize_O_lambda
+from convlab.convergence import Convergence, check_L1, leq_conv
+from convlab.topology import Topology, generate, lim_of_topology_as_convergence, synthesize_O_lambda
+from convlab.verify import _random_columns, _random_topology
 
 from oracles import is_preorder, table_of, transpose_rows, warshall_rows
 
@@ -219,3 +225,79 @@ def test_escapes_against_per_relation_oracle(n, k, rng, kind):
         "one bit": 1 << rng.randrange(width),
     }[kind]
     assert carrier.escapes(rows)(x) == guard_bits(carrier, [x & ~r != 0 for r in rows])
+
+
+class TestHandedLanes:
+    """Criterion 9's draws are fair coins; synthesis and limit operators keep
+    the lanes they computed, and the random columns the lanes they were
+    drawn as."""
+
+    def test_columns_hold_the_diagonal_and_fair_coins(self):
+        carrier = CARRIERS[2]
+        rng = random.Random(37)
+        draws = [_random_columns(carrier, rng) for _ in range(2000)]
+        assert all(check_L1(lam) and not lam.exceptions for lam in draws)
+        for p in range(carrier.size):
+            for q in range(carrier.size):
+                share = sum(lam.lim1[p] >> q & 1 for lam in draws) / 2000
+                if p == q:
+                    assert share == 1
+                else:
+                    assert 0.45 < share < 0.55
+
+    def test_subbase_sets_are_fair_coins(self, monkeypatch):
+        subbases = []
+        monkeypatch.setattr(verify, "generate", lambda carrier, subbase: subbases.append(subbase))
+        rng = random.Random(41)
+        for _ in range(2000):
+            _random_topology(CARRIERS[2], rng)
+        for k in range(1, 5):
+            assert 0.2 < sum(len(subbase) == k for subbase in subbases) / 2000 < 0.3
+        masks = [mask for subbase in subbases for mask in subbase]
+        assert all(0 <= mask < 16 for mask in masks)
+        for q in range(4):
+            assert 0.45 < sum(mask >> q & 1 for mask in masks) / len(masks) < 0.55
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_handed_lanes_match_a_fresh_pack(self, n):
+        carrier = CARRIERS[n]
+        rng = random.Random(43 + n)
+        for _ in range(30):
+            lam = _random_columns(carrier, rng)
+            assert lam._lanes == carrier.pack(lam.lim1)
+            for o in (synthesize_O_lambda(lam), _random_topology(carrier, rng)):
+                assert o._lanes == carrier.pack(o.min_neighborhoods)
+                lim = lim_of_topology_as_convergence(o)
+                assert lim.lim1 == o.point_closures
+                assert lim._lanes == carrier.pack(lim.lim1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_handed_lanes_are_checked_as_a_preorder(self, n):
+        # row 0 reaches 1 and row 1 reaches 2, but row 0 does not reach 2;
+        # and a relation without its diagonal
+        carrier = CARRIERS[n]
+        rows = [1 << p for p in range(carrier.size)]
+        rows[0] |= 1 << 1
+        rows[1] |= 1 << 2
+        for lanes in (carrier.pack(rows), carrier.lane_diagonal ^ 1):
+            with pytest.raises(ValueError, match="reflexive and transitive"):
+                Topology._from_lanes(carrier, lanes)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_check_L1_reads_every_column(self, n):
+        carrier = CARRIERS[n]
+        rng = random.Random(47 + n)
+        for _ in range(30):
+            lam = _random_columns(carrier, rng)
+            assert check_L1(lam)
+            # each column in turn without its own bit
+            for p in range(carrier.size):
+                cut = [col & ~(1 << p) if s == p else col for s, col in enumerate(lam.lim1)]
+                assert not check_L1(Convergence(carrier, lim1=cut))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations(max_atoms=4))
+def test_check_L1_against_the_columns(relation):
+    carrier, rows = relation
+    assert check_L1(Convergence(carrier, lim1=rows)) == all(row >> p & 1 for p, row in enumerate(rows))
