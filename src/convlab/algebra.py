@@ -1,7 +1,7 @@
 """Finite Boolean algebra carrier P(n) and eventually periodic sequences.
 
 Elements are bit-masks over atom indices, so meet/join/complement are integer
-operations; a carrier makes its up/down tables and ``Element``s on first read.
+operations; a carrier makes its packed order tables and ``Element``s on first read.
 """
 
 from __future__ import annotations
@@ -77,13 +77,13 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 class Carrier:
-    """The algebra P(n), whose tables are each built on their own on first read:
-    ``up_masks[p]`` = {q >= p}, the AND of the columns of p's atoms (atom i's is
-    1^(2^i) 0^(2^i) repeated), and ``down_masks[p]`` = {q <= p}, of the other
-    columns' complements, in O(2^n · n); the 2^n ``elements`` in ascending mask
-    order, each made and kept when any accessor first asks for it.  A relation
-    on the points, row p a mask, packs into one int whose bit p·2^n + q holds
-    "q in row p": ``pack``, ``unpack``, and ``transpose`` in n big-int steps."""
+    """The algebra P(n).  A relation on the points, row p a mask, packs into
+    one int whose bit p·2^n + q holds "q in row p": ``pack``, ``unpack``, and
+    ``transpose`` in n big-int steps.  The order is held so, each table built
+    on its own on first read: ``up_lanes``, row p = {q >= p}, and
+    ``down_lanes``, row p = {q <= p}.  Their rows ``up_masks`` and
+    ``down_masks``, and the 2^n ``elements`` in ascending mask order, are made
+    on first read, each ``Element`` when any accessor first asks for it."""
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_ATOMS:
@@ -156,18 +156,31 @@ class Carrier:
         return escaped
 
     @cached_property
+    def up_lanes(self) -> int:
+        """Lane 0 is every point; step i copies lanes 0..2^i - 1 up 2^i lanes,
+        ANDed with atom i's column, so lane p is the AND of its atoms' columns."""
+        m, lanes = self.size, (1 << self.size) - 1
+        for i, col in enumerate(self._columns()):
+            lanes |= lanes << (m << i) & col * self.lane_ones
+        return lanes
+
+    @cached_property
+    def down_lanes(self) -> int:
+        """The top lane is every point; step i copies the top 2^i lanes down
+        2^i lanes, ANDed with the complement of atom i's column."""
+        m, full = self.size, (1 << self.size) - 1
+        lanes = full << (m - 1) * m
+        for i, col in enumerate(self._columns()):
+            lanes |= lanes >> (m << i) & (full ^ col) * self.lane_ones
+        return lanes
+
+    @cached_property
     def up_masks(self) -> tuple[int, ...]:
-        col, up = self._columns(), [(1 << self.size) - 1] * self.size
-        for p in range(1, self.size):  # p & (p - 1) drops p's lowest atom
-            up[p] = up[p & (p - 1)] & col[(p & -p).bit_length() - 1]
-        return tuple(up)
+        return tuple(self.unpack(self.up_lanes))
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
-        col, down = self._columns(), [(1 << self.size) - 1] * self.size
-        for p in range(self.size - 2, -1, -1):  # p | (p + 1) adds p's lowest missing atom
-            down[p] = down[p | (p + 1)] & ~col[(~p & (p + 1)).bit_length() - 1]
-        return tuple(down)
+        return tuple(self.unpack(self.down_lanes))
 
     @property
     def bottom(self) -> Element:

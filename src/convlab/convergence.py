@@ -3,8 +3,8 @@
 A convergence maps infinite-occurrence classes to sets of candidate limits;
 both are bit-masks over the carrier enumeration.  Every convergence here
 satisfies (L2), subsequences inherit limits, and has one form: its singleton
-column ``lim1[s]`` = lam({s}) and a list of exceptions (E, A), each a class E
-of two or more points with a limit mask A.  Then
+columns ``lim1[s]`` = lam({s}), held packed and unpacked only when read, and
+exceptions (E, A), each a class E of two or more points with a limit mask A.
 
     lam(S) = AND of lim1[s] over s in S, AND of A over exceptions E inside S.
 
@@ -73,43 +73,43 @@ class Convergence:
     """
 
     def __init__(
-        self,
-        carrier: Carrier,
-        lim1: Sequence[int],
-        exceptions: Iterable[tuple[int, int]] = (),
-        name: str = "",
+        self, carrier: Carrier, lim1: Sequence[int], exceptions: Iterable[tuple[int, int]] = (), name: str = ""
     ):
-        size = carrier.size
-        full = (1 << size) - 1
-        if len(lim1) != size:
-            raise ValueError(f"expected {size} singleton limits, got {len(lim1)}")
-        exceptions = tuple((e, a) for e, a in exceptions)
+        if len(lim1) != carrier.size:
+            raise ValueError(f"expected {carrier.size} singleton limits, got {len(lim1)}")
+        if not 0 <= min(lim1) <= max(lim1) < 1 << carrier.size:
+            raise ValueError(f"limit masks must lie in 0..2^{carrier.size} - 1")
+        self._hold(carrier, carrier.pack(lim1), exceptions, name)
+
+    @classmethod
+    def _from_lanes(
+        cls, carrier: Carrier, lanes: int, exceptions: Iterable[tuple[int, int]] = (), name: str = ""
+    ) -> "Convergence":
+        """The convergence with ``lanes``, an int below 2^(4^n), as its packed columns."""
+        lam = cls.__new__(cls)
+        lam._hold(carrier, lanes, exceptions, name)
+        return lam
+
+    def _hold(self, carrier: Carrier, lanes: int, exceptions: Iterable[tuple[int, int]], name: str) -> None:
+        """Keep the packed columns, and merge and range-check the exceptions."""
+        size, full = carrier.size, (1 << carrier.size) - 1
         merged: dict[int, int] = {}
         for e, a in exceptions:
             if not 0 <= e <= full or e & (e - 1) == 0:
                 raise ValueError(f"exception class {e} must hold two or more of P({carrier.n})'s {size} points")
+            if not 0 <= a <= full:
+                raise ValueError(f"limit masks must lie in 0..2^{size} - 1")
             merged[e] = merged.get(e, full) & a
-        limits = [*lim1, *(a for _, a in exceptions)]
-        if limits and not 0 <= min(limits) <= max(limits) <= full:
-            raise ValueError(f"limit masks must lie in 0..2^{size} - 1")
         self.carrier = carrier
         self.name = name
         self._full = full
-        self.lim1 = tuple(lim1)
+        self._lanes = lanes
         self.exceptions = tuple(merged.items())
 
-    @classmethod
-    def _from_lanes(cls, carrier: Carrier, lanes: int, name: str = "") -> "Convergence":
-        """The convergence without exceptions whose columns are packed in
-        ``lanes``, an int below 2^(4^n), which it keeps instead of packing them again."""
-        lam = cls(carrier, carrier.unpack(lanes), name=name)
-        lam._lanes = lanes
-        return lam
-
     @cached_property
-    def _lanes(self) -> int:
-        """``lim1`` packed into lanes on first use, which no point query makes."""
-        return self.carrier.pack(self.lim1)
+    def lim1(self) -> tuple[int, ...]:
+        """The singleton columns, unpacked from the lanes on first read."""
+        return tuple(self.carrier.unpack(self._lanes))
 
     def limit_mask(self, mask: int) -> int:
         # the full limit mask is also the largest class mask
@@ -118,9 +118,9 @@ class Convergence:
             raise ValueError(f"class mask {mask} is not a set of P({self.carrier.n})'s points")
         if not mask:
             return 0
-        lim1 = self.lim1
+        lanes, m = self._lanes, self.carrier.size
         for s in iter_bits(mask):
-            out &= lim1[s]
+            out &= lanes >> s * m
         for e, a in self.exceptions:
             if e & ~mask == 0:
                 out &= a
@@ -135,17 +135,17 @@ class Convergence:
         a.  ``_avoiding`` counts those subsets of P_a, in time that grows
         with how the classes of F_a overlap.
         """
-        lanes, ones, lim1 = self._lanes, self.carrier.lane_ones, self.lim1
+        lanes, ones, m = self._lanes, self.carrier.lane_ones, self.carrier.size
         cuts: dict[int, list[int]] = {}
         for e, lim in self.exceptions:
             inside = self._full
             for s in iter_bits(e):
-                inside &= lim1[s]
+                inside &= lanes >> s * m
             for a in iter_bits(inside & ~lim):
                 cuts.setdefault(a, []).append(e)
-        total = sum((1 << (lanes >> a & ones).bit_count()) - 1 for a in range(self.carrier.size))
+        total = sum((1 << (lanes >> a & ones).bit_count()) - 1 for a in range(m))
         for a, classes in cuts.items():
-            points = sum(1 << s for s, col in enumerate(lim1) if col >> a & 1)  # P_a
+            points = sum(1 << s for s in range(m) if lanes >> s * m + a & 1)  # P_a
             total += _avoiding(points, frozenset(classes), {}) - (1 << points.bit_count())
         return total
 
@@ -159,14 +159,14 @@ class Convergence:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Convergence):
             return NotImplemented
-        if self.carrier != other.carrier or self.lim1 != other.lim1:
+        if self.carrier != other.carrier or self._lanes != other._lanes:
             return False
         if not (self.exceptions or other.exceptions):
             return True
         return first_escape(self, other) is None and first_escape(other, self) is None
 
     def __hash__(self) -> int:
-        return hash((self.carrier, self.lim1))
+        return hash((self.carrier, self._lanes))
 
     def __repr__(self) -> str:
         return f"Convergence({self.name or 'anonymous'}, P({self.carrier.n}))"
@@ -175,20 +175,18 @@ class Convergence:
 def lambda_ls(carrier: Carrier) -> Convergence:
     """Limits are everything above the limsup: upset of the join of the class,
     that is, the intersection of the upsets of its members."""
-    return Convergence(carrier, lim1=carrier.up_masks, name="lambda_ls")
+    return Convergence._from_lanes(carrier, carrier.up_lanes, name="lambda_ls")
 
 
 def lambda_li(carrier: Carrier) -> Convergence:
     """Limits are everything below the liminf: downset of the meet of the
     class, that is, the intersection of the downsets of its members."""
-    return Convergence(carrier, lim1=carrier.down_masks, name="lambda_li")
+    return Convergence._from_lanes(carrier, carrier.down_lanes, name="lambda_li")
 
 
 def lambda_s(carrier: Carrier) -> Convergence:
     """The unique limit when liminf and limsup coincide, no limit otherwise."""
-    return Convergence(
-        carrier, lim1=[1 << s for s in range(carrier.size)], name="lambda_s"
-    )
+    return Convergence._from_lanes(carrier, carrier.lane_diagonal, name="lambda_s")
 
 
 def meet_conv(a: Convergence, b: Convergence) -> Convergence:
@@ -196,8 +194,7 @@ def meet_conv(a: Convergence, b: Convergence) -> Convergence:
     exceptions of both kept, one per class."""
     check_same_carrier(a, b)
     name = f"({a.name} & {b.name})" if a.name and b.name else ""
-    lim1 = [x & y for x, y in zip(a.lim1, b.lim1)]
-    return Convergence(a.carrier, lim1=lim1, exceptions=a.exceptions + b.exceptions, name=name)
+    return Convergence._from_lanes(a.carrier, a._lanes & b._lanes, a.exceptions + b.exceptions, name)
 
 
 def first_escape(a: Convergence, b: Convergence) -> Optional[int]:
@@ -242,24 +239,24 @@ def check_L2(lam: Convergence) -> bool:
     return True
 
 
-def star(lam: Convergence, warn: bool = True) -> Convergence:
+def star(lam: Convergence) -> Convergence:
     """Least extension closed under (L1)-(L3).
 
     On classes the double subsequence quantifier becomes: intersect over
     nonempty S' of S, the union over nonempty S'' of S' of lam(S'').  Under
     (L2) the inner union is the union of lam({s}) over s in S', so the result
-    is lam's singleton column without exceptions.  It warns when lam
+    is lam's singleton columns without exceptions.  It warns when lam
     violates (L1).
     """
-    if warn and not check_L1(lam):
+    if not check_L1(lam):
         warnings.warn("star-closure applied to a convergence violating (L1)", stacklevel=2)
-    return Convergence(lam.carrier, lim1=lam.lim1, name=f"star({lam.name})")
+    return Convergence._from_lanes(lam.carrier, lam._lanes, name=f"star({lam.name})")
 
 
 def check_L3(lam: Convergence) -> bool:
     """The Urysohn condition: if every subsequence has a further subsequence
     converging to a, then a is already a limit of the original sequence."""
-    return leq_conv(star(lam, warn=False), lam)
+    return leq_conv(Convergence._from_lanes(lam.carrier, lam._lanes), lam)
 
 
 def is_hausdorff(lam: Convergence) -> bool:

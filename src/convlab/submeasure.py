@@ -9,6 +9,7 @@ least common denominator, integers in the same order with the same sums.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 import warnings
@@ -24,6 +25,8 @@ from .topology import Topology, synthesize_O_lambda
 
 # a mask and a value, as an integer or a fraction of integers, in ASCII digits
 _LINE = re.compile(r"([+-]?[0-9]+)\s+([+-]?[0-9]+(?:/[0-9]+)?)", re.ASCII)
+# far above a P(5) table of 32 short lines; an endless file stops here, not at memory's end
+_MAX_TABLE_BYTES = 1 << 20
 
 
 class SubmeasureTableError(ValueError):
@@ -103,12 +106,15 @@ class Submeasure:
         """
         values: dict[int, Fraction] = {}
         seen_at: dict[int, int] = {}
+        with open(path, "rb") as fh:
+            data = fh.read(_MAX_TABLE_BYTES + 1)
+        if len(data) > _MAX_TABLE_BYTES:
+            raise SubmeasureTableError(f"{path}: longer than {_MAX_TABLE_BYTES} bytes")
         try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.readlines()
+            text = data.decode("utf-8")
         except UnicodeDecodeError:
             raise SubmeasureTableError(f"{path}: not a UTF-8 text file") from None
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -2,15 +2,15 @@
 
 Every finite topology is the Alexandrov topology of its specialization
 preorder, so it is stored as the minimal open neighbourhood N(p) of each
-point p, as carrier-subset bit-masks, and ``Topology(carrier, mins)`` is its
-only public constructor.  It packs the relation into the carrier's lanes at
-construction, so the preorder check, the reflexive-transitive closure and the
-transpose are each a few big-int steps, and it makes the point closures on
-first read.  The opens are exactly the unions of minimal neighbourhoods; they
-are counted and tested one mask at a time, never listed.
-Synthesis of the sequential topology of a convergence, topological limits,
-joins, and the space properties needed for the diagram reports all work on
-the neighbourhood array.
+point p, packed: N(p) is lane p of one int.  ``Topology(carrier, mins)``, a
+carrier-subset bit-mask per point, is its only public constructor and packs
+them once.  The preorder check, the closure, the transpose, joins and order
+tests are each a few big-int steps on the lanes, and ``min_neighborhoods``
+and ``point_closures`` are unpacked only when read.  The opens are exactly
+the unions of minimal neighbourhoods; they are counted and tested one mask at
+a time, never listed.  Synthesis of the sequential topology of a convergence,
+topological limits, joins, and the space properties needed for the diagram
+reports all work on the neighbourhood lanes.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ def _transitive_closure(carrier: Carrier, lanes: int) -> int:
     return lanes
 
 
+_NOT_A_PREORDER = "minimal neighbourhoods must be reflexive and transitive"
+
+
 class Topology:
     """A finite topology, held as the minimal neighbourhood of every point.
 
@@ -43,60 +46,43 @@ class Topology:
     """
 
     def __init__(self, carrier: Carrier, mins: Iterable[int]):
-        self.carrier = carrier
-        self.full = (1 << carrier.size) - 1
-        self._mins = tuple(mins)
-        # packs the neighbourhoods once their length and range pass
-        if not self.validate():
-            raise ValueError("minimal neighbourhoods must be reflexive and transitive")
-        self._count: Optional[int] = None
+        mins = tuple(mins)
+        if len(mins) != carrier.size or not 0 <= min(mins) <= max(mins) < 1 << carrier.size:
+            raise ValueError(_NOT_A_PREORDER)
+        self._hold(carrier, carrier.pack(mins))
 
     @classmethod
     def _from_lanes(cls, carrier: Carrier, lanes: int) -> "Topology":
-        """The topology whose neighbourhoods are packed in ``lanes``, an int
-        below 2^(4^n): checked as ``Topology(carrier, mins)`` checks them, on
-        these lanes instead of a fresh pack of their unpacked rows."""
+        """The topology with ``lanes``, an int below 2^(4^n), as its packed neighbourhoods."""
         topo = cls.__new__(cls)
-        topo._lanes = lanes
-        topo.__init__(carrier, carrier.unpack(lanes))
+        topo._hold(carrier, lanes)
         return topo
 
-    @property
+    def _hold(self, carrier: Carrier, lanes: int) -> None:
+        """Keep the lanes once they form a preorder: they hold their diagonal, and closing them adds nothing."""
+        if lanes & carrier.lane_diagonal != carrier.lane_diagonal or _transitive_closure(carrier, lanes) != lanes:
+            raise ValueError(_NOT_A_PREORDER)
+        self.carrier = carrier
+        self.full = (1 << carrier.size) - 1
+        self._lanes = lanes
+        self._count: Optional[int] = None
+
+    @cached_property
     def min_neighborhoods(self) -> tuple[int, ...]:
-        """Smallest open set around each point (finite spaces always have one)."""
-        return self._mins
-
-    @cached_property
-    def _lanes(self) -> int:
-        """The neighbourhoods packed into 2^n-bit lanes, made by ``validate``
-        unless ``_from_lanes`` handed them in."""
-        return self.carrier.pack(self._mins)
-
-    @cached_property
-    def _closure_lanes(self) -> int:
-        """The point closures packed: the transpose of the neighbourhoods."""
-        return self.carrier.transpose(self._lanes)
+        """Smallest open set around each point (finite spaces always have one), unpacked on first read."""
+        return tuple(self.carrier.unpack(self._lanes))
 
     @cached_property
     def point_closures(self) -> tuple[int, ...]:
-        """The closure of point p, {q : p in N(q)}, made on first read."""
-        return tuple(self.carrier.unpack(self._closure_lanes))
+        """The closure of point p, {q : p in N(q)}, unpacked on first read."""
+        return tuple(self.carrier.unpack(self.carrier.transpose(self._lanes)))
 
     def is_open_mask(self, mask: int) -> bool:
         """Whether the subset ``mask`` is open; raises ``ValueError`` unless
         0 <= mask < 2^(2^n)."""
         if not 0 <= mask <= self.full:
             raise ValueError(f"mask {mask} is not a subset of P({self.carrier.n})")
-        return all(self._mins[p] & ~mask == 0 for p in iter_bits(mask))
-
-    def validate(self) -> bool:
-        """One mask per point, each inside the carrier, forming a preorder: the
-        packed lanes hold their diagonal, and their transitive closure adds nothing."""
-        mins, carrier = self._mins, self.carrier
-        if len(mins) != carrier.size or not 0 <= min(mins) <= max(mins) <= self.full:
-            return False
-        lanes, diagonal = self._lanes, carrier.lane_diagonal
-        return lanes & diagonal == diagonal and _transitive_closure(carrier, lanes) == lanes
+        return all(self.min_neighborhoods[p] & ~mask == 0 for p in iter_bits(mask))
 
     def __le__(self, other: "Topology") -> bool:
         """Every open of self is open in other: N_other(p) inside N_self(p)."""
@@ -108,17 +94,17 @@ class Topology:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Topology):
             return NotImplemented
-        return self.carrier == other.carrier and self._mins == other._mins
+        return self.carrier == other.carrier and self._lanes == other._lanes
 
     def __hash__(self) -> int:
-        return hash((self.carrier, self._mins))
+        return hash((self.carrier, self._lanes))
 
     def open_count(self) -> int:
         """Number of open sets, counted as down-sets of the preorder
         q <= p iff q in N(p): those avoiding a point p avoid its closure,
         those containing p contain N(p)."""
         if self._count is None:
-            mins, closures = self._mins, self.point_closures
+            mins, closures = self.min_neighborhoods, self.point_closures
             memo = {0: 1}
 
             def count(rest: int) -> int:
@@ -149,7 +135,7 @@ def first_open_not_in(a: Topology, b: Topology) -> Optional[int]:
 
 
 def discrete(carrier: Carrier) -> Topology:
-    return Topology(carrier, [1 << p for p in range(carrier.size)])
+    return Topology._from_lanes(carrier, carrier.lane_diagonal)
 
 
 def generate(carrier: Carrier, subbase: Iterable[int]) -> Topology:
@@ -199,9 +185,7 @@ def lim_topo(o: Topology, x: EPSeq) -> frozenset[Element]:
 def join_topologies(o1: Topology, o2: Topology) -> Topology:
     """Minimal topology containing both: N(p) = N1(p) & N2(p)."""
     check_same_carrier(o1, o2)
-    return Topology(
-        o1.carrier, [a & b for a, b in zip(o1.min_neighborhoods, o2.min_neighborhoods)]
-    )
+    return Topology._from_lanes(o1.carrier, o1._lanes & o2._lanes)
 
 
 def lim_of_topology_as_convergence(o: Topology) -> Convergence:
@@ -211,7 +195,7 @@ def lim_of_topology_as_convergence(o: Topology) -> Convergence:
     the convergence with lim1[s] = {a : s in N(a)} and no exceptions, whose
     packed columns are the transposed neighbourhoods.
     """
-    return Convergence._from_lanes(o.carrier, o._closure_lanes, name="lim_O")
+    return Convergence._from_lanes(o.carrier, o.carrier.transpose(o._lanes), name="lim_O")
 
 
 def is_sequential(o: Topology) -> bool:
@@ -228,9 +212,7 @@ def check_closed_char(o: Topology, direction: str = "up") -> bool:
     carrier decreasing chains stabilize, so the chain clause is finite-trivial
     and only the family equality is checked.
     """
-    carrier = o.carrier
-    expected = carrier.down_masks if direction == "up" else carrier.up_masks
-    return o.min_neighborhoods == expected
+    return o._lanes == (o.carrier.down_lanes if direction == "up" else o.carrier.up_lanes)
 
 
 def complement_homeomorphism_check(o_ls: Topology, o_li: Topology) -> bool:

@@ -294,6 +294,49 @@ class TestCrashingCriterion:
         assert results[-1].index == 12
 
 
+def order_lanes(carrier, up, steps):
+    """``Carrier.up_lanes`` (up) or ``down_lanes`` rebuilt by the doubling
+    steps (i, column) given, so a test can drop or alter one."""
+    m, full = carrier.size, (1 << carrier.size) - 1
+    lanes = full if up else full << (m - 1) * m
+    for i, col in steps:
+        if up:
+            lanes |= lanes << (m << i) & col * carrier.lane_ones
+        else:
+            lanes |= lanes >> (m << i) & (full ^ col) * carrier.lane_ones
+    return lanes
+
+
+class TestBrokenCarrierOrder:
+    """Each criterion but the cube's reads the order through the laws, so a
+    packed up or down table built wrong fails it: lambda_ls or lambda_li
+    then loses part of its diagonal, and synthesis refuses it."""
+
+    @pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+    def test_rebuild_matches_the_carrier(self, up):
+        for n in range(1, 6):
+            carrier = Carrier(n)
+            table = carrier.up_lanes if up else carrier.down_lanes
+            assert order_lanes(carrier, up, enumerate(carrier._columns())) == table
+
+    @pytest.mark.parametrize(
+        "attribute, up, mutant",
+        [
+            ("up_lanes", True, lambda cols: list(enumerate(cols))[:-1]),
+            # the same column at n = 1, where there is only one
+            ("down_lanes", False, lambda cols: [(i, cols[-1] if i == 0 else col) for i, col in enumerate(cols)]),
+        ],
+        ids=["up-last-step-dropped", "down-step-0-reads-the-last-column"],
+    )
+    def test_mutant_fails_verify(self, monkeypatch, attribute, up, mutant):
+        monkeypatch.setattr(Carrier, attribute, property(lambda c: order_lanes(c, up, mutant(c._columns()))))
+        with pytest.warns(UserWarning, match=r"violating \(L1\)"):
+            results = run_all(VerifyContext(atoms=3))
+        failed = [r.name for r in results if not r.passed]
+        assert failed == [name for name, _ in CRITERIA if name != "coordinatewise cube limits"]
+        assert results[0].detail == "ClosureAxiomError: sequential topology requires a convergence satisfying (L1)"
+
+
 # every axiom passes, so criterion 11 fails, if at all, on the triangle inequality
 PASSING = ValidationReport(*[True] * 5)
 

@@ -9,6 +9,7 @@ from convlab import report
 from convlab.algebra import Carrier, EPSeq
 from convlab.cli import SeqParseError, main, parse_seq_literal
 from convlab.report import figure_nodes
+from convlab.submeasure import _MAX_TABLE_BYTES
 
 from oracles import format_seq_literal
 from test_acceptance import crash_synthesis
@@ -363,6 +364,19 @@ class TestVerify:
         )
         assert result.exit_code == 2
         assert message in result.output
+
+    # a valid table padded by a comment to the cap and one byte past it
+    @pytest.mark.parametrize("over, code", [(0, 0), (1, 2)], ids=["at-cap", "one-byte-over"])
+    def test_submeasure_file_longer_than_the_cap(self, runner, tmp_path, over, code):
+        table = b"0 0\n1 1/2\n2 1/2\n3 1\n#"
+        path = tmp_path / "mu.txt"
+        path.write_bytes(table + b"x" * (_MAX_TABLE_BYTES - len(table) + over))
+        result = runner.invoke(
+            main, ["verify", "--atoms", "2", "--samples", "20", "--submeasure", str(path)]
+        )
+        assert result.exit_code == code, result.output
+        assert "Traceback" not in result.output
+        assert (f"mu.txt: longer than {_MAX_TABLE_BYTES} bytes" in result.output) == bool(over)
 
     def test_submeasure_file_at_five_atoms(self, runner, tmp_path):
         path = tmp_path / "mu.txt"

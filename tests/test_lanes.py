@@ -6,7 +6,8 @@ lane popcounts of ``Convergence.limit_count`` are each compared with a loop
 over single bits (``tests/oracles.py``) at n = 1..5, and the stacked
 ``Carrier.escapes`` with the pairwise ``Topology.__le__`` and ``leq_conv``.
 Lanes handed on instead of packed again, and criterion 9's packed draws, are
-compared with a fresh pack of their rows.
+compared with a fresh pack of their rows, and the laws and the operations on
+them are checked to neither pack nor unpack.
 """
 
 import random
@@ -17,8 +18,23 @@ from hypothesis import strategies as st
 
 from convlab import verify
 from convlab.algebra import Carrier
-from convlab.convergence import Convergence, check_L1, leq_conv
-from convlab.topology import Topology, generate, lim_of_topology_as_convergence, synthesize_O_lambda
+from convlab.convergence import (
+    Convergence,
+    check_L1,
+    lambda_li,
+    lambda_ls,
+    lambda_s,
+    leq_conv,
+    meet_conv,
+    star,
+)
+from convlab.topology import (
+    Topology,
+    generate,
+    join_topologies,
+    lim_of_topology_as_convergence,
+    synthesize_O_lambda,
+)
 from convlab.verify import _random_columns, _random_topology
 
 from oracles import is_preorder, table_of, transpose_rows, warshall_rows
@@ -301,3 +317,41 @@ class TestHandedLanes:
 def test_check_L1_against_the_columns(relation):
     carrier, rows = relation
     assert check_L1(Convergence(carrier, lim1=rows)) == all(row >> p & 1 for p, row in enumerate(rows))
+
+
+class TestStoredForm:
+    """Every relation on the points is held once, as lanes: the laws and the
+    operations on them hand lanes on, and rows are unpacked only when read."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_lane_operations_neither_pack_nor_unpack(self, n, monkeypatch):
+        carrier = Carrier(n)
+        carrier.transpose(0)  # Carrier._swaps packs its masks once per carrier
+        calls = []
+        for name in ("pack", "unpack"):
+            original = getattr(Carrier, name)
+            monkeypatch.setattr(Carrier, name, lambda self, x, f=original, name=name: calls.append(name) or f(self, x))
+        ls, li, s = lambda_ls(carrier), lambda_li(carrier), lambda_s(carrier)
+        assert [star(lam) for lam in (ls, li, s)] == [ls, li, s]
+        assert meet_conv(ls, li) == s
+        o_ls, o_li, o_s = (synthesize_O_lambda(lam) for lam in (ls, li, s))
+        assert join_topologies(o_ls, o_li) == o_s
+        assert lim_of_topology_as_convergence(o_s) == s
+        assert check_L1(_random_columns(carrier, random.Random(n)))
+        # the class {0, top} has the limsup top and the liminf 0
+        top = carrier.size - 1
+        assert (ls.limit_mask(1 | 1 << top), li.limit_mask(1 | 1 << top)) == (1 << top, 1)
+        assert calls == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(relations())
+    def test_rows_and_lanes_build_equal_relations(self, relation):
+        carrier, rows = relation
+        mins = warshall_rows(reflexive(rows))
+        pairs = [
+            (Convergence(carrier, lim1=rows), Convergence._from_lanes(carrier, carrier.pack(rows))),
+            (Topology(carrier, mins), Topology._from_lanes(carrier, carrier.pack(mins))),
+        ]
+        for built, handed in pairs:
+            assert built == handed
+            assert hash(built) == hash(handed)

@@ -35,6 +35,7 @@ from oracles import (
     downset,
     from_table,
     generate_from_elements,
+    is_preorder,
     open_families,
     open_masks,
     random_l12_convergence,
@@ -75,7 +76,7 @@ class TestGenerate:
         rng = random.Random(41)
         for _ in range(50):
             topo = _random_topology(p2, rng)
-            assert topo.validate()
+            assert is_preorder(p2, list(topo.min_neighborhoods))
 
 
 class TestSynthesis:
