@@ -6,11 +6,14 @@ operations; a carrier makes its packed order tables and ``Element``s on first re
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_ATOMS = 5
+# bit 0 of each lane, lane 0, the diagonal and Carrier._swaps, copied into every field of a stack
+StackMasks = namedtuple("StackMasks", "ones lane0 diagonal swaps")
 
 
 class CarrierMismatchError(ValueError):
@@ -79,7 +82,9 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Carrier:
     """The algebra P(n).  A relation on the points, row p a mask, packs into
     one int whose bit p·2^n + q holds "q in row p": ``pack``, ``unpack``, and
-    ``transpose`` in n big-int steps.  The order is held so, each table built
+    ``transpose`` in n big-int steps, also on a stack of k relations, which
+    holds relation i in bits 4^n·i onward (``stack``, ``unstack``).  The
+    order is held so, each table built
     on its own on first read: ``up_lanes``, row p = {q >= p}, and
     ``down_lanes``, row p = {q <= p}.  Their rows ``up_masks`` and
     ``down_masks``, and the 2^n ``elements`` in ascending mask order, are made
@@ -91,6 +96,7 @@ class Carrier:
         self.n = n
         self.size = 1 << n
         self._made: dict[int, Element] = {}
+        self._stacks: dict[int, StackMasks] = {}
 
     def _element(self, mask: int) -> Element:
         return self._made.get(mask) or self._made.setdefault(mask, Element(mask, self.n))
@@ -119,6 +125,20 @@ class Carrier:
         return [(j * (m - 1), self.pack([0 if p & j else col for p in range(m)]))
                 for j, col in zip((1 << i for i in range(self.n)), self._columns())]
 
+    def stacked(self, k: int) -> StackMasks:
+        """The masks of a stack of k relations, made once per k."""
+        if k not in self._stacks:
+            fields = ((1 << self.size**2 * k) - 1) // ((1 << self.size**2) - 1)  # bit 0 of each field
+            lane0, swaps = ((1 << self.size) - 1) * fields, [(shift, mask * fields) for shift, mask in self._swaps]
+            self._stacks[k] = StackMasks(self.lane_ones * fields, lane0, self.lane_diagonal * fields, swaps)
+        return self._stacks[k]
+
+    def stack(self, relations: Sequence[int]) -> int:
+        return sum(lanes << i * self.size**2 for i, lanes in enumerate(relations))
+
+    def unstack(self, stack: int, k: int) -> list[int]:
+        return [stack >> i * self.size**2 & (1 << self.size**2) - 1 for i in range(k)]
+
     def pack(self, rows: Sequence[int]) -> int:
         """Row p in lane p; each row must lie in 0..2^(2^n) - 1."""
         lanes = 0
@@ -129,9 +149,10 @@ class Carrier:
     def unpack(self, lanes: int) -> list[int]:
         return [lanes >> p * self.size & (1 << self.size) - 1 for p in range(self.size)]
 
-    def transpose(self, lanes: int) -> int:
-        """Row q becomes {p : q in row p}: per atom, one delta swap of the blocks."""
-        for shift, mask in self._swaps:
+    def transpose(self, lanes: int, k: int = 1) -> int:
+        """Row q becomes {p : q in row p} in each of k stacked relations: per
+        atom, one delta swap of the blocks."""
+        for shift, mask in self._swaps if k == 1 else self.stacked(k).swaps:
             moved = (lanes ^ lanes >> shift) & mask
             lanes ^= moved | moved << shift
         return lanes

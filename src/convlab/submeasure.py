@@ -18,9 +18,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .algebra import Carrier, CarrierMismatchError, Element
+from .algebra import Carrier, CarrierMismatchError, Element, check_same_carrier
 from .convergence import lambda_li, lambda_ls
-from .topology import Topology, synthesize_O_lambda
+from .topology import Topology, _synthesized
 
 
 # a mask and a value, as an integer or a fraction of integers, in ASCII digits
@@ -201,17 +201,30 @@ class HalfBallReport:
     sandwich: bool
 
 
-def check_halfball_opens(mu: Submeasure, a: Element, r: Fraction) -> HalfBallReport:
-    """The two half-balls around a of radius r/2 are open in the left/right
-    sequential topologies and squeeze between a and the full ball."""
-    mu._check_carrier(a)
-    car, v, c = mu.carrier, mu.values, a.mask
+def halfball_opens(mu: Submeasure, c: int, r: Fraction, o_ls: Topology, o_li: Topology) -> HalfBallReport:
+    """``check_halfball_opens`` around the point with mask c, in the given
+    O_ls and O_li, so that a caller checking many points synthesizes them once."""
+    car, v = mu.carrier, mu.values
+    check_same_carrier(mu, o_ls)
+    check_same_carrier(mu, o_li)
+    if not 0 <= c < car.size:
+        raise ValueError(f"point mask {c} is not a point of P({car.n})")
     half = Fraction(r) / 2
     o1 = sum(1 << x for x in range(car.size) if v[x & ~c] < half)
     o2 = sum(1 << x for x in range(car.size) if v[c & ~x] < half)
     inter = o1 & o2
     return HalfBallReport(
-        o1_open_in_left=synthesize_O_lambda(lambda_ls(car)).is_open_mask(o1),
-        o2_open_in_right=synthesize_O_lambda(lambda_li(car)).is_open_mask(o2),
-        sandwich=inter >> c & 1 == 1 and inter & ~ball(mu, a, r) == 0,
+        o1_open_in_left=o_ls.is_open_mask(o1),
+        o2_open_in_right=o_li.is_open_mask(o2),
+        sandwich=inter >> c & 1 == 1 and inter & ~ball(mu, car.elements[c], r) == 0,
     )
+
+
+def check_halfball_opens(mu: Submeasure, a: Element, r: Fraction) -> HalfBallReport:
+    """The two half-balls around a of radius r/2 are open in the left/right
+    sequential topologies, synthesized as one stack, and squeeze between a
+    and the full ball."""
+    mu._check_carrier(a)
+    car = mu.carrier
+    stack = _synthesized(car, car.stack([lambda_ls(car)._lanes, lambda_li(car)._lanes]), 2)
+    return halfball_opens(mu, a.mask, r, *(Topology._from_lanes(car, f, checked=True) for f in car.unstack(stack, 2)))

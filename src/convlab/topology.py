@@ -10,29 +10,80 @@ and ``point_closures`` are unpacked only when read.  The opens are exactly
 the unions of minimal neighbourhoods; they are counted and tested one mask at
 a time, never listed.  Synthesis of the sequential topology of a convergence,
 topological limits, joins, and the space properties needed for the diagram
-reports all work on the neighbourhood lanes.
+reports all work on the neighbourhood lanes.  Closure, the preorder check,
+synthesis (``_synthesized``) and generation (``_generated``) take a stack of
+k relations and run once for all k; one relation is a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .algebra import Carrier, Element, EPSeq, check_same_carrier, iter_bits
-from .convergence import ClosureAxiomError, Convergence, check_L1
+from .convergence import ClosureAxiomError, Convergence
 from .seqclass import inf_class
 
 
-def _transitive_closure(carrier: Carrier, lanes: int) -> int:
-    """Warshall's algorithm, packed: step k adds row k to every row holding k."""
-    ones, full, m = carrier.lane_ones, (1 << carrier.size) - 1, carrier.size
-    for k in range(m):
-        lanes |= (lanes >> k & ones) * (lanes >> k * m & full)
-    return lanes
+def _transitive_closure(carrier: Carrier, stack: int, k: int = 1) -> int:
+    """Warshall's algorithm on each of k stacked relations: step p adds row p
+    to every row holding p.  One relation multiplies its holders by row p.  A
+    stack ANDs its holders, widened to full lanes, with row p of each field
+    copied into all its lanes by n doubling shifts, cheaper than a product."""
+    m, full, ones = carrier.size, (1 << carrier.size) - 1, carrier.lane_ones
+    if k == 1:
+        for p in range(m):
+            stack |= (stack >> p & ones) * (stack >> p * m & full)
+        return stack
+    masks = carrier.stacked(k)
+    for p in range(m):
+        row = stack >> p * m & masks.lane0
+        for i in range(carrier.n):
+            row |= row << (m << i)
+        stack |= (stack >> p & masks.ones) * full & row
+    return stack
 
 
 _NOT_A_PREORDER = "minimal neighbourhoods must be reflexive and transitive"
+
+
+def _preorders(carrier: Carrier, stack: int, k: int = 1) -> int:
+    """The stack, once each of its k relations holds its diagonal and closing it adds nothing."""
+    diagonal = carrier.lane_diagonal if k == 1 else carrier.stacked(k).diagonal
+    if stack & diagonal != diagonal or _transitive_closure(carrier, stack, k) != stack:
+        raise ValueError(_NOT_A_PREORDER)
+    return stack
+
+
+def _synthesized(carrier: Carrier, stack: int, k: int = 1, name: str = "") -> int:
+    """O_lam's neighbourhood lanes for k stacked column lanes, checked a
+    preorder (see ``synthesize_O_lambda``).  Without (L1) the first field so
+    (or ``name``) is refused, with its first column lacking its own point."""
+    if missing := (carrier.lane_diagonal if k == 1 else carrier.stacked(k).diagonal) & ~stack:
+        field, bit = divmod((missing & -missing).bit_length() - 1, carrier.size**2)
+        p, who = bit // carrier.size, name or f"field {field} of a {k}-field stack"
+        raise ClosureAxiomError(
+            f"sequential topology requires a convergence satisfying (L1): column {p} of {who} on P({carrier.n}) "
+            f"lacks the point {p}"
+        )
+    return _preorders(carrier, carrier.transpose(_transitive_closure(carrier, stack, k), k), k)
+
+
+def _generated(carrier: Carrier, subbases: Sequence[Sequence[int]]) -> int:
+    """The neighbourhood lanes of the topology each subbase generates, stacked
+    and checked a preorder.  A set U gives lane p U if p is in U, else the
+    carrier: U in every lane OR the complement of its transpose.  Layer j
+    ANDs in every subbase's j-th set, or the carrier, which is neutral."""
+    k, full = len(subbases), (1 << carrier.size) - 1
+    stack = (1 << carrier.size**2 * k) - 1
+    for j in range(max(map(len, subbases), default=0)):
+        masks = [subbase[j] if j < len(subbase) else full for subbase in subbases]
+        if not all(0 <= mask <= full for mask in masks):
+            raise ValueError(f"open masks must lie in 0..{full}")
+        layer = carrier.stack([mask * carrier.lane_ones for mask in masks])
+        stack &= layer | ~carrier.transpose(layer, k)
+    return _preorders(carrier, stack, k)
 
 
 class Topology:
@@ -49,19 +100,17 @@ class Topology:
         mins = tuple(mins)
         if len(mins) != carrier.size or not 0 <= min(mins) <= max(mins) < 1 << carrier.size:
             raise ValueError(_NOT_A_PREORDER)
-        self._hold(carrier, carrier.pack(mins))
+        self._hold(carrier, _preorders(carrier, carrier.pack(mins)))
 
     @classmethod
-    def _from_lanes(cls, carrier: Carrier, lanes: int) -> "Topology":
-        """The topology with ``lanes``, an int below 2^(4^n), as its packed neighbourhoods."""
+    def _from_lanes(cls, carrier: Carrier, lanes: int, checked: bool = False) -> "Topology":
+        """The topology with ``lanes``, an int below 2^(4^n), as its packed
+        neighbourhoods, checked a preorder unless a stacked helper has."""
         topo = cls.__new__(cls)
-        topo._hold(carrier, lanes)
+        topo._hold(carrier, lanes if checked else _preorders(carrier, lanes))
         return topo
 
     def _hold(self, carrier: Carrier, lanes: int) -> None:
-        """Keep the lanes once they form a preorder: they hold their diagonal, and closing them adds nothing."""
-        if lanes & carrier.lane_diagonal != carrier.lane_diagonal or _transitive_closure(carrier, lanes) != lanes:
-            raise ValueError(_NOT_A_PREORDER)
         self.carrier = carrier
         self.full = (1 << carrier.size) - 1
         self._lanes = lanes
@@ -143,17 +192,9 @@ def generate(carrier: Carrier, subbase: Iterable[int]) -> Topology:
 
     Each point's minimal neighborhood is the intersection of the subbase sets
     containing it, or the carrier where none does; the opens are exactly the
-    unions of minimal neighborhoods.  Each mask's range is checked before its
-    bits are walked: ``iter_bits`` never ends on a negative mask.
+    unions of minimal neighborhoods.  Each mask's range is checked.
     """
-    full = (1 << carrier.size) - 1
-    mins = [full] * carrier.size
-    for mask in subbase:
-        if not 0 <= mask <= full:
-            raise ValueError(f"open masks must lie in 0..{full}")
-        for p in iter_bits(mask):
-            mins[p] &= mask
-    return Topology(carrier, mins)
+    return Topology._from_lanes(carrier, _generated(carrier, [list(subbase)]), checked=True)
 
 
 def synthesize_O_lambda(lam: Convergence) -> Topology:
@@ -164,12 +205,10 @@ def synthesize_O_lambda(lam: Convergence) -> Topology:
     closed sets are those closed under the transitive closure of the
     singleton relation a -> lam({a}), and N(q) is the set of points whose
     transitive closure reaches q: the transpose of that closure.  Every
-    convergence satisfies (L2); (L1) is checked.
+    convergence satisfies (L2); (L1) is checked, and a refusal names lam.
     """
-    if not check_L1(lam):
-        raise ClosureAxiomError("sequential topology requires a convergence satisfying (L1)")
-    carrier = lam.carrier
-    return Topology._from_lanes(carrier, carrier.transpose(_transitive_closure(carrier, lam._lanes)))
+    lanes = _synthesized(lam.carrier, lam._lanes, 1, lam.name or "a convergence")
+    return Topology._from_lanes(lam.carrier, lanes, checked=True)
 
 
 def lim_topo(o: Topology, x: EPSeq) -> frozenset[Element]:

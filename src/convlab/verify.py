@@ -13,16 +13,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .algebra import Carrier
-from .convergence import Convergence, check_hbar, hbar_witness
+from .convergence import check_hbar, hbar_witness
 from .cube import CubeSample, check_T1235a, fc_repr
 from .report import figure_nodes, rows_named, violation
 from .seqclass import InfClass
 from .submeasure import Submeasure, metric_topology, validate_submeasure
 from .topology import (
-    Topology,
+    _generated,
+    _synthesized,
     check_closed_char,
     complement_homeomorphism_check,
-    generate,
     lim_of_topology_as_convergence,
     space_properties,
     synthesize_O_lambda,
@@ -154,16 +154,14 @@ def _crit_homeo_and_props(ctx: VerifyContext):
     return True, f"homeomorphic, T0, connected, compact, {ctx.covered()}"
 
 
-def _random_topology(carrier: Carrier, rng: random.Random) -> Topology:
-    """The topology generated by 1..4 uniform subsets, one ``getrandbits`` each."""
-    k = rng.randrange(1, 5)
-    return generate(carrier, [rng.getrandbits(carrier.size) for _ in range(k)])
-
-
-def _random_columns(carrier: Carrier, rng: random.Random) -> Convergence:
-    """Uniform (L1) columns, no exceptions: one ``getrandbits`` for the whole
-    packed relation, its diagonal then set, so each other bit is a fair coin."""
-    return Convergence._from_lanes(carrier, rng.getrandbits(carrier.size**2) | carrier.lane_diagonal)
+def _random_draws(carrier: Carrier, rng: random.Random, k: int) -> tuple[list[int], int]:
+    """The lanes of k uniform (L1) relations, then the k topologies each
+    generated by 1..4 uniform subsets, as one stack.  Relation i is one
+    ``getrandbits(4^n)`` with its diagonal then set, so each other bit is a
+    fair coin; subbase i is a ``randrange(1, 5)`` and that many ``getrandbits(2^n)``."""
+    relations = [rng.getrandbits(carrier.size**2) | carrier.lane_diagonal for _ in range(k)]
+    subbases = [[rng.getrandbits(carrier.size) for _ in range(rng.randrange(1, 5))] for _ in range(k)]
+    return relations, _generated(carrier, subbases)
 
 
 def _crit_galois(ctx: VerifyContext):
@@ -172,20 +170,21 @@ def _crit_galois(ctx: VerifyContext):
         car = ctx.carrier(n)
         convs = [ctx.nodes(n)[f"lambda_{law}"] for law in ("ls", "li", "s")]
         topos = [ctx.nodes(n)[f"O_{law}"] for law in ("ls", "li", "s", "lsi")]
+        lims = [lim_of_topology_as_convergence(o) for o in topos]
+        if any(lim_o.exceptions for lim_o in lims):
+            return False, f"lim_O has exceptions at n={n}"
         # random (L1) columns: O_lam reads only lam's columns, and lim_O must have
         # no exceptions, so lam <= lim_O is decided on singletons and exceptions of
         # lam would change neither side.  Stacked, guard i is set when o_i is not
         # inside O_lam (O_lam's lanes escape o_i's) and when lam is not below lim_o_i.
-        convs += [_random_columns(car, rng) for _ in range(50)]
-        topos += [_random_topology(car, rng) for _ in range(50)]
-        lims = [lim_of_topology_as_convergence(o) for o in topos]
-        if any(lim_o.exceptions for lim_o in lims):
-            return False, f"lim_O has exceptions at n={n}"
-        opens_escaped = car.escapes([o._lanes for o in topos])
-        limits_escaped = car.escapes([lim_o._lanes for lim_o in lims])
-        for lam in convs:
-            if opens_escaped(synthesize_O_lambda(lam)._lanes) != limits_escaped(lam._lanes):
-                return False, f"adjunction fails at n={n}"
+        k = 50
+        relations, generated = _random_draws(car, rng, k)
+        opens_escaped = car.escapes([o._lanes for o in topos] + car.unstack(generated, k))
+        limits_escaped = car.escapes([lim_o._lanes for lim_o in lims] + car.unstack(car.transpose(generated, k), k))
+        pairs = [(synthesize_O_lambda(lam)._lanes, lam._lanes) for lam in convs]
+        pairs += zip(car.unstack(_synthesized(car, car.stack(relations), k), k), relations)
+        if any(opens_escaped(o_lam) != limits_escaped(lam) for o_lam, lam in pairs):
+            return False, f"adjunction fails at n={n}"
     return True, f"no counterexamples over built-in and random pairs, {ctx.covered()}"
 
 

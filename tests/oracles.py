@@ -11,8 +11,9 @@ against ``report.build_figure1``'s pairs of equality classes, element-set
 views of topologies and submeasures, relations transposed, closed and
 checked one bit per step against the packed lanes of ``Carrier`` and
 ``Topology``, the triangle inequality over triples against ``verify``'s
-pairs of masks, random convergences with exceptions, the entries of
-eventually periodic sequences read one index at a time, and one seeded
+pairs of masks, random convergences with exceptions, criterion 9's random
+relations and topologies drawn one at a time against ``verify``'s stacks,
+the entries of eventually periodic sequences read one index at a time, and one seeded
 ``FCSeq`` at a time with its own pool of candidate limits, against the
 packed ``cube.CubeSample``.
 """
@@ -298,6 +299,14 @@ def warshall_rows(rows: Iterable[int]) -> list[int]:
     return reach
 
 
+def generated_rows(carrier: Carrier, subbase: Iterable[int]) -> list[int]:
+    """The minimal neighbourhoods of the topology a subbase generates, one
+    point at a time: the AND of the subbase sets holding the point, or the
+    carrier where none does."""
+    sets, full = list(subbase), (1 << carrier.size) - 1
+    return [functools.reduce(and_, (u for u in sets if u >> p & 1), full) for p in range(carrier.size)]
+
+
 def is_preorder(carrier: Carrier, mins: list[int]) -> bool:
     """One mask per point, each inside the carrier; every point lies in its
     own, and q in N(p) implies N(q) inside N(p).  Each mask's range is
@@ -311,6 +320,20 @@ def is_preorder(carrier: Carrier, mins: list[int]) -> bool:
         and all(mins[q] & ~nb == 0 for q in iter_bits(nb))
         for p, nb in enumerate(mins)
     )
+
+
+def random_columns(carrier: Carrier, rng: random.Random) -> Convergence:
+    """Uniform (L1) columns, no exceptions: one ``getrandbits`` for the whole
+    packed relation, its diagonal then set, so each other bit is a fair coin;
+    one of ``verify._random_draws``'s relations."""
+    return Convergence._from_lanes(carrier, rng.getrandbits(carrier.size**2) | carrier.lane_diagonal)
+
+
+def random_topology(carrier: Carrier, rng: random.Random) -> Topology:
+    """The topology generated by 1..4 uniform subsets, one ``getrandbits``
+    each; one field of ``verify._random_draws``'s stack of topologies."""
+    k = rng.randrange(1, 5)
+    return generate(carrier, [rng.getrandbits(carrier.size) for _ in range(k)])
 
 
 def antidiscrete(carrier: Carrier) -> Topology:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convlab import report, topology, verify
+from convlab import topology, verify
 from convlab.algebra import Carrier
 from convlab.convergence import Convergence, meet_conv
 from convlab.report import figure_nodes, first_violation, rows_named
@@ -258,17 +258,19 @@ class TestAdjunction:
         assert _crit_galois(VerifyContext(atoms=4)) == (False, "lim_O has exceptions at n=4")
 
 
-def synthesis_without_closure(lam):
-    """synthesize_O_lambda with the transitive closure left out: N(q) is
-    {p : q in lim1[p]}, which is not a preorder for most columns at n >= 2."""
-    carrier = lam.carrier
-    return Topology(carrier, transpose_rows(lam.lim1, carrier.size))
+def synthesis_without_closure(carrier, stack, k=1, name=""):
+    """``topology._synthesized`` with the transitive closure left out: in each
+    field N(q) is {p : q in lim1[p]}, which is not a preorder for most
+    columns at n >= 2."""
+    fields = carrier.unstack(stack, k)
+    return carrier.stack([Topology(carrier, transpose_rows(carrier.unpack(f), carrier.size))._lanes for f in fields])
 
 
 def crash_synthesis(monkeypatch):
-    """Bind the mutant wherever convlab looks synthesis up."""
-    for module in (topology, report, verify):
-        monkeypatch.setattr(module, "synthesize_O_lambda", synthesis_without_closure)
+    """Bind the mutant wherever convlab looks the stacked synthesis up; every
+    synthesis, one relation or a stack, runs through it."""
+    for module in (topology, verify):
+        monkeypatch.setattr(module, "_synthesized", synthesis_without_closure)
 
 
 class TestCrashingCriterion:
@@ -320,21 +322,29 @@ class TestBrokenCarrierOrder:
             assert order_lanes(carrier, up, enumerate(carrier._columns())) == table
 
     @pytest.mark.parametrize(
-        "attribute, up, mutant",
+        "attribute, up, mutant, witness",
         [
-            ("up_lanes", True, lambda cols: list(enumerate(cols))[:-1]),
-            # the same column at n = 1, where there is only one
-            ("down_lanes", False, lambda cols: [(i, cols[-1] if i == 0 else col) for i, col in enumerate(cols)]),
+            # at n = 1 no step runs, so lane 1 stays empty
+            ("up_lanes", True, lambda cols: list(enumerate(cols))[:-1], "column 1 of lambda_ls on P(1) lacks the point 1"),
+            # the same column at n = 1, where there is only one; at n = 2
+            # lane 2 is the top lane less the points with atom 1
+            (
+                "down_lanes", False, lambda cols: [(i, cols[-1] if i == 0 else col) for i, col in enumerate(cols)],
+                "column 2 of lambda_li on P(2) lacks the point 2",
+            ),
         ],
         ids=["up-last-step-dropped", "down-step-0-reads-the-last-column"],
     )
-    def test_mutant_fails_verify(self, monkeypatch, attribute, up, mutant):
+    def test_mutant_fails_verify(self, monkeypatch, attribute, up, mutant, witness):
         monkeypatch.setattr(Carrier, attribute, property(lambda c: order_lanes(c, up, mutant(c._columns()))))
         with pytest.warns(UserWarning, match=r"violating \(L1\)"):
             results = run_all(VerifyContext(atoms=3))
         failed = [r.name for r in results if not r.passed]
         assert failed == [name for name, _ in CRITERIA if name != "coordinatewise cube limits"]
-        assert results[0].detail == "ClosureAxiomError: sequential topology requires a convergence satisfying (L1)"
+        # the refusal names the broken law and its first point outside its own column
+        assert results[0].detail == (
+            f"ClosureAxiomError: sequential topology requires a convergence satisfying (L1): {witness}"
+        )
 
 
 # every axiom passes, so criterion 11 fails, if at all, on the triangle inequality

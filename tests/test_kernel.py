@@ -37,9 +37,16 @@ from convlab.topology import (
     lim_of_topology_as_convergence,
     synthesize_O_lambda,
 )
-from convlab.verify import _random_topology
 
-from oracles import from_table, open_masks, random_l12_convergence, star_table, table_of, topology_from_opens
+from oracles import (
+    from_table,
+    open_masks,
+    random_l12_convergence,
+    random_topology,
+    star_table,
+    table_of,
+    topology_from_opens,
+)
 
 
 def table_escape(a, b):
@@ -184,7 +191,7 @@ def test_sparse_form_against_tables(n, data):
 def test_random_topologies(n, seed):
     carrier = Carrier(n)
     rng = random.Random(seed)
-    o1, o2 = _random_topology(carrier, rng), _random_topology(carrier, rng)
+    o1, o2 = random_topology(carrier, rng), random_topology(carrier, rng)
     for o in (o1, o2):
         assert o.open_count() == len(open_masks(o))
         assert table_of(lim_of_topology_as_convergence(o)) == lim_table(o)
@@ -259,7 +266,7 @@ class TestPackedLanes:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_random_topologies_against_lanes(self, p5, seed):
         rng = random.Random(seed)
-        o1, o2 = _random_topology(p5, rng), _random_topology(p5, rng)
+        o1, o2 = random_topology(p5, rng), random_topology(p5, rng)
         joined = join_topologies(o1, o2)
         for x in (o1, o2, joined):
             for y in (o1, o2, joined):

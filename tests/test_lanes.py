@@ -5,7 +5,10 @@
 lane popcounts of ``Convergence.limit_count`` are each compared with a loop
 over single bits (``tests/oracles.py``) at n = 1..5, and the stacked
 ``Carrier.escapes`` with the pairwise ``Topology.__le__`` and ``leq_conv``.
-Lanes handed on instead of packed again, and criterion 9's packed draws, are
+Stacks of k relations are closed, transposed, checked, synthesized and
+generated at once, and compared field by field with the same operations on
+one relation at a time; criterion 9's stacks are compared with its draws
+made one object at a time.  Lanes handed on instead of packed again are
 compared with a fresh pack of their rows, and the laws and the operations on
 them are checked to neither pack nor unpack.
 """
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from convlab import verify
 from convlab.algebra import Carrier
 from convlab.convergence import (
+    ClosureAxiomError,
     Convergence,
     check_L1,
     lambda_li,
@@ -30,14 +34,18 @@ from convlab.convergence import (
 )
 from convlab.topology import (
     Topology,
+    _generated,
+    _preorders,
+    _synthesized,
+    _transitive_closure,
     generate,
     join_topologies,
     lim_of_topology_as_convergence,
     synthesize_O_lambda,
 )
-from convlab.verify import _random_columns, _random_topology
 
-from oracles import is_preorder, table_of, transpose_rows, warshall_rows
+import oracles
+from oracles import generated_rows, is_preorder, random_columns, random_topology, table_of, transpose_rows, warshall_rows
 
 CARRIERS = {n: Carrier(n) for n in range(1, 6)}
 
@@ -244,14 +252,14 @@ def test_escapes_against_per_relation_oracle(n, k, rng, kind):
 
 
 class TestHandedLanes:
-    """Criterion 9's draws are fair coins; synthesis and limit operators keep
-    the lanes they computed, and the random columns the lanes they were
-    drawn as."""
+    """Criterion 9's draws, made one object at a time (its stacks equal them,
+    ``TestStacks``), are fair coins; synthesis and limit operators keep the
+    lanes they computed, and the random columns the lanes they were drawn as."""
 
     def test_columns_hold_the_diagonal_and_fair_coins(self):
         carrier = CARRIERS[2]
         rng = random.Random(37)
-        draws = [_random_columns(carrier, rng) for _ in range(2000)]
+        draws = [random_columns(carrier, rng) for _ in range(2000)]
         assert all(check_L1(lam) and not lam.exceptions for lam in draws)
         for p in range(carrier.size):
             for q in range(carrier.size):
@@ -263,10 +271,10 @@ class TestHandedLanes:
 
     def test_subbase_sets_are_fair_coins(self, monkeypatch):
         subbases = []
-        monkeypatch.setattr(verify, "generate", lambda carrier, subbase: subbases.append(subbase))
+        monkeypatch.setattr(oracles, "generate", lambda carrier, subbase: subbases.append(subbase))
         rng = random.Random(41)
         for _ in range(2000):
-            _random_topology(CARRIERS[2], rng)
+            random_topology(CARRIERS[2], rng)
         for k in range(1, 5):
             assert 0.2 < sum(len(subbase) == k for subbase in subbases) / 2000 < 0.3
         masks = [mask for subbase in subbases for mask in subbase]
@@ -279,9 +287,9 @@ class TestHandedLanes:
         carrier = CARRIERS[n]
         rng = random.Random(43 + n)
         for _ in range(30):
-            lam = _random_columns(carrier, rng)
+            lam = random_columns(carrier, rng)
             assert lam._lanes == carrier.pack(lam.lim1)
-            for o in (synthesize_O_lambda(lam), _random_topology(carrier, rng)):
+            for o in (synthesize_O_lambda(lam), random_topology(carrier, rng)):
                 assert o._lanes == carrier.pack(o.min_neighborhoods)
                 lim = lim_of_topology_as_convergence(o)
                 assert lim.lim1 == o.point_closures
@@ -304,7 +312,7 @@ class TestHandedLanes:
         carrier = CARRIERS[n]
         rng = random.Random(47 + n)
         for _ in range(30):
-            lam = _random_columns(carrier, rng)
+            lam = random_columns(carrier, rng)
             assert check_L1(lam)
             # each column in turn without its own bit
             for p in range(carrier.size):
@@ -337,7 +345,7 @@ class TestStoredForm:
         o_ls, o_li, o_s = (synthesize_O_lambda(lam) for lam in (ls, li, s))
         assert join_topologies(o_ls, o_li) == o_s
         assert lim_of_topology_as_convergence(o_s) == s
-        assert check_L1(_random_columns(carrier, random.Random(n)))
+        assert check_L1(random_columns(carrier, random.Random(n)))
         # the class {0, top} has the limsup top and the liminf 0
         top = carrier.size - 1
         assert (ls.limit_mask(1 | 1 << top), li.limit_mask(1 | 1 << top)) == (1 << top, 1)
@@ -355,3 +363,109 @@ class TestStoredForm:
         for built, handed in pairs:
             assert built == handed
             assert hash(built) == hash(handed)
+
+
+@st.composite
+def stacks(draw, max_fields=60):
+    """A carrier on n = 1..4 atoms and 1..max_fields relations on its
+    points: empty, random, or random with the diagonal set."""
+    carrier = CARRIERS[draw(st.integers(1, 4))]
+    relation = st.integers(0, (1 << carrier.size**2) - 1)
+    field = st.one_of(st.just(0), relation, relation.map(lambda x: x | carrier.lane_diagonal))
+    return carrier, draw(st.lists(field, min_size=1, max_size=max_fields))
+
+
+class TestStacks:
+    """A stack of k relations, relation i in field i, against the same
+    operation on each relation alone, and on its rows by the oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacks())
+    def test_closure_and_transpose_field_by_field(self, case):
+        carrier, fields = case
+        k, stack, m = len(fields), carrier.stack(fields), carrier.size
+        assert carrier.unstack(stack, k) == fields
+        closed = carrier.unstack(_transitive_closure(carrier, stack, k), k)
+        assert closed == [_transitive_closure(carrier, f) for f in fields]
+        assert closed == [carrier.pack(warshall_rows(carrier.unpack(f))) for f in fields]
+        transposed = carrier.unstack(carrier.transpose(stack, k), k)
+        assert transposed == [carrier.transpose(f) for f in fields]
+        assert transposed == [carrier.pack(transpose_rows(carrier.unpack(f), m)) for f in fields]
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacks(), st.data())
+    def test_preorder_check_field_by_field(self, case, data):
+        # each field as drawn, or closed with its diagonal set: a preorder
+        carrier, fields = case
+        fields = [
+            _transitive_closure(carrier, f | carrier.lane_diagonal) if data.draw(st.booleans()) else f
+            for f in fields
+        ]
+        stack = carrier.stack(fields)
+        if all(is_preorder(carrier, carrier.unpack(f)) for f in fields):
+            assert _preorders(carrier, stack, len(fields)) == stack
+        else:
+            with pytest.raises(ValueError, match="reflexive and transitive"):
+                _preorders(carrier, stack, len(fields))
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacks(), st.booleans())
+    def test_synthesis_field_by_field(self, case, reflexive_all):
+        carrier, fields = case
+        if reflexive_all:
+            fields = [f | carrier.lane_diagonal for f in fields]
+        k, stack = len(fields), carrier.stack(fields)
+        lams = [Convergence._from_lanes(carrier, f) for f in fields]
+        failing = [i for i, lam in enumerate(lams) if not check_L1(lam)]
+        if not failing:
+            assert carrier.unstack(_synthesized(carrier, stack, k), k) == [synthesize_O_lambda(lam)._lanes for lam in lams]
+            return
+        # the refusal names the first field without (L1) and its first point
+        # outside its own column, as the one-field refusal names the point
+        i = failing[0]
+        p = next(p for p, col in enumerate(lams[i].lim1) if not col >> p & 1)
+        lacks = f"column {p} of %s on P({carrier.n}) lacks the point {p}"
+        with pytest.raises(ClosureAxiomError) as stacked:
+            _synthesized(carrier, stack, k)
+        assert str(stacked.value).endswith(": " + lacks % f"field {i} of a {k}-field stack")
+        with pytest.raises(ClosureAxiomError) as alone:
+            synthesize_O_lambda(lams[i])
+        assert str(alone.value).endswith(": " + lacks % "a convergence")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(CARRIERS[n]),
+            st.lists(st.lists(st.integers(0, (1 << (1 << n)) - 1), max_size=5), min_size=1, max_size=60),
+        )
+    ))
+    def test_generation_field_by_field(self, case):
+        # subbases of 0..5 sets, so some fields take no layer at all
+        carrier, subbases = case
+        k = len(subbases)
+        stack = _generated(carrier, subbases)
+        generated = carrier.unstack(stack, k)
+        assert generated == [generate(carrier, s)._lanes for s in subbases]
+        assert generated == [carrier.pack(generated_rows(carrier, s)) for s in subbases]
+        lims = carrier.unstack(carrier.transpose(stack, k), k)
+        assert lims == [lim_of_topology_as_convergence(generate(carrier, s))._lanes for s in subbases]
+
+    @pytest.mark.parametrize("mask", [1 << 5, -1])
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_generation_checks_every_mask(self, mask, field):
+        # P(1) has two points; bit 5 lies outside them, and -1 has every bit set
+        subbases = [[1], [2, 3], [0]]
+        subbases[field] = subbases[field] + [mask]
+        with pytest.raises(ValueError, match=r"open masks must lie in 0\.\.3"):
+            _generated(CARRIERS[1], subbases)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_criterion_9_stacks_are_the_drawn_objects(self, seed):
+        # criterion 9 draws at n = 1..4 from one generator seeded seed + 1
+        stacked, alone = random.Random(seed + 1), random.Random(seed + 1)
+        for n in range(1, 5):
+            carrier = CARRIERS[n]
+            relations, topologies = verify._random_draws(carrier, stacked, 50)
+            assert relations == [random_columns(carrier, alone)._lanes for _ in range(50)]
+            assert carrier.unstack(topologies, 50) == [random_topology(carrier, alone)._lanes for _ in range(50)]
+            assert stacked.getstate() == alone.getstate()

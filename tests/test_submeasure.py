@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convlab.algebra import Carrier, CarrierMismatchError
-from convlab.convergence import lambda_s
+from convlab import submeasure
+from convlab.convergence import lambda_li, lambda_ls, lambda_s
 from convlab.submeasure import (
     HalfBallReport,
     Submeasure,
@@ -15,6 +16,7 @@ from convlab.submeasure import (
     ValidationReport,
     ball,
     check_halfball_opens,
+    halfball_opens,
     metric_topology,
     validate_submeasure,
 )
@@ -191,6 +193,37 @@ class TestHalfBalls:
                 assert report.o1_open_in_left
                 assert report.o2_open_in_right
                 assert report.sandwich
+
+    def test_given_topologies_match_the_wrapper(self, p3):
+        mu = Submeasure.truncated_cardinality(p3)
+        o_ls, o_li = synthesize_O_lambda(lambda_ls(p3)), synthesize_O_lambda(lambda_li(p3))
+        for a in p3.elements:
+            for r in radii(mu):
+                assert halfball_opens(mu, a.mask, r, o_ls, o_li) == check_halfball_opens(mu, a, r)
+
+    def test_given_topologies_are_the_ones_read(self, p2):
+        # around {0} at radius 1 the half-balls are {0, 1} and {1, 3}: open
+        # in the discrete topology, not in the antidiscrete one
+        mu, c = Submeasure.counting(p2), 1
+        assert halfball_opens(mu, c, Fraction(1), discrete(p2), discrete(p2)) == HalfBallReport(True, True, True)
+        assert halfball_opens(mu, c, Fraction(1), antidiscrete(p2), antidiscrete(p2)) == HalfBallReport(False, False, True)
+
+    def test_wrapper_synthesizes_one_stack_of_two(self, p2, monkeypatch):
+        calls = []
+        real = submeasure._synthesized
+        monkeypatch.setattr(submeasure, "_synthesized", lambda *args: calls.append(args[2:]) or real(*args))
+        assert check_halfball_opens(Submeasure.counting(p2), p2.bottom, Fraction(1)) == HalfBallReport(True, True, True)
+        assert calls == [(2,)]
+
+    @pytest.mark.parametrize("c", [-1, 4])
+    def test_point_mask_outside_the_carrier(self, p2, c):
+        o = discrete(p2)
+        with pytest.raises(ValueError, match=f"point mask {c} is not a point of P\\(2\\)"):
+            halfball_opens(Submeasure.counting(p2), c, Fraction(1), o, o)
+
+    def test_topology_on_another_carrier(self, p2):
+        with pytest.raises(CarrierMismatchError):
+            halfball_opens(Submeasure.counting(p2), 0, Fraction(1), discrete(p2), discrete(Carrier(3)))
 
 
 class TestAgainstTheOracle:

@@ -27,7 +27,7 @@ from convlab.topology import (
     space_properties,
     synthesize_O_lambda,
 )
-from convlab.verify import _random_topology, brute_downsets
+from convlab.verify import brute_downsets
 
 from oracles import (
     all_classes,
@@ -39,6 +39,7 @@ from oracles import (
     open_families,
     open_masks,
     random_l12_convergence,
+    random_topology,
     sequential_closure,
     topology_from_opens,
     upset,
@@ -75,7 +76,7 @@ class TestGenerate:
     def test_result_is_a_topology(self, p2):
         rng = random.Random(41)
         for _ in range(50):
-            topo = _random_topology(p2, rng)
+            topo = random_topology(p2, rng)
             assert is_preorder(p2, list(topo.min_neighborhoods))
 
 
@@ -167,7 +168,7 @@ class TestLimits:
         carrier = Carrier(n)
         rng = random.Random(61 + n)
         for _ in range(30):
-            topo = _random_topology(carrier, rng)
+            topo = random_topology(carrier, rng)
             for _ in range(10):
                 x = random_epseq(carrier, rng)
                 smask = carrier.subset_mask(set(x.period))
@@ -197,8 +198,8 @@ class TestJoin:
     def test_join_contains_both(self, p2):
         rng = random.Random(53)
         for _ in range(20):
-            o1 = _random_topology(p2, rng)
-            o2 = _random_topology(p2, rng)
+            o1 = random_topology(p2, rng)
+            o2 = random_topology(p2, rng)
             joined = join_topologies(o1, o2)
             assert open_masks(o1) <= open_masks(joined)
             assert open_masks(o2) <= open_masks(joined)
@@ -234,7 +235,7 @@ class TestAdjunction:
         carrier = Carrier(n)
         rng = random.Random(61 + n)
         for _ in range(30):
-            assert is_sequential(_random_topology(carrier, rng))
+            assert is_sequential(random_topology(carrier, rng))
 
     def test_downset_topology_sequential(self, p3):
         assert is_sequential(synthesize_O_lambda(lambda_ls(p3)))
@@ -250,7 +251,7 @@ class TestAdjunction:
             discrete(carrier),
             antidiscrete(carrier),
         ]
-        topos += [_random_topology(carrier, rng) for _ in range(50)]
+        topos += [random_topology(carrier, rng) for _ in range(50)]
         for lam in convs:
             f_lam = synthesize_O_lambda(lam)
             for o in topos:
@@ -268,7 +269,7 @@ class TestAdjunction:
                         open_masks(synthesize_O_lambda(l2))
                         <= open_masks(synthesize_O_lambda(l1))
                     )
-        topos = [_random_topology(p2, rng) for _ in range(20)]
+        topos = [random_topology(p2, rng) for _ in range(20)]
         for o1 in topos:
             for o2 in topos:
                 if open_masks(o1) <= open_masks(o2):
