@@ -12,8 +12,8 @@ from functools import cached_property, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_ATOMS = 5
-# bit 0 of each lane, lane 0, the diagonal and Carrier._swaps, copied into every field of a stack
-StackMasks = namedtuple("StackMasks", "ones lane0 diagonal swaps")
+# in every field of a stack: bit 0 of each lane, lane 0, the diagonal, Carrier._swaps, the data bits and the guard
+StackMasks = namedtuple("StackMasks", "ones lane0 diagonal swaps data guards")
 
 
 class CarrierMismatchError(ValueError):
@@ -83,12 +83,12 @@ class Carrier:
     """The algebra P(n).  A relation on the points, row p a mask, packs into
     one int whose bit p·2^n + q holds "q in row p": ``pack``, ``unpack``, and
     ``transpose`` in n big-int steps, also on a stack of k relations, which
-    holds relation i in bits 4^n·i onward (``stack``, ``unstack``).  The
-    order is held so, each table built
-    on its own on first read: ``up_lanes``, row p = {q >= p}, and
-    ``down_lanes``, row p = {q <= p}.  Their rows ``up_masks`` and
-    ``down_masks``, and the 2^n ``elements`` in ascending mask order, are made
-    on first read, each ``Element`` when any accessor first asks for it."""
+    holds relation i in field i, 4^n data bits under a guard bit that every
+    stack operation leaves 0 (``stacked``, ``stack``, ``unstack``).  The order
+    is held so, each table built on its own on first read: ``up_lanes``, row
+    p = {q >= p}, and ``down_lanes``, row p = {q <= p}.  Their rows ``up_masks``
+    and ``down_masks``, and the 2^n ``elements`` in ascending mask order, are
+    made on first read, each ``Element`` when any accessor first asks for it."""
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_ATOMS:
@@ -126,18 +126,23 @@ class Carrier:
                 for j, col in zip((1 << i for i in range(self.n)), self._columns())]
 
     def stacked(self, k: int) -> StackMasks:
-        """The masks of a stack of k relations, made once per k."""
-        if k not in self._stacks:
-            fields = ((1 << self.size**2 * k) - 1) // ((1 << self.size**2) - 1)  # bit 0 of each field
-            lane0, swaps = ((1 << self.size) - 1) * fields, [(shift, mask * fields) for shift, mask in self._swaps]
-            self._stacks[k] = StackMasks(self.lane_ones * fields, lane0, self.lane_diagonal * fields, swaps)
-        return self._stacks[k]
+        """The masks of a stack of k relations, made once per k: field i starts
+        at bit (4^n + 1)·i, its 4^n data bits under a guard bit."""
+        if (masks := self._stacks.get(k)) is None:
+            w = self.size**2
+            fields = ((1 << (w + 1) * k) - 1) // ((2 << w) - 1)  # bit 0 of each field
+            ones, lane0, diagonal = self.lane_ones * fields, (fields << self.size) - fields, self.lane_diagonal * fields
+            swaps, guards = [(shift, mask * fields) for shift, mask in self._swaps], fields << w
+            masks = self._stacks[k] = StackMasks(ones, lane0, diagonal, swaps, guards - fields, guards)
+        return masks
 
     def stack(self, relations: Sequence[int]) -> int:
-        return sum(lanes << i * self.size**2 for i, lanes in enumerate(relations))
+        stride = self.stacked(1).guards.bit_length()  # one field's data and the guard on top
+        return sum(lanes << i * stride for i, lanes in enumerate(relations))
 
     def unstack(self, stack: int, k: int) -> list[int]:
-        return [stack >> i * self.size**2 & (1 << self.size**2) - 1 for i in range(k)]
+        stride, data = self.stacked(1).guards.bit_length(), self.stacked(1).data
+        return [stack >> i * stride & data for i in range(k)]
 
     def pack(self, rows: Sequence[int]) -> int:
         """Row p in lane p; each row must lie in 0..2^(2^n) - 1."""
@@ -152,27 +157,23 @@ class Carrier:
     def transpose(self, lanes: int, k: int = 1) -> int:
         """Row q becomes {p : q in row p} in each of k stacked relations: per
         atom, one delta swap of the blocks."""
-        for shift, mask in self._swaps if k == 1 else self.stacked(k).swaps:
+        for shift, mask in self.stacked(k).swaps:
             moved = (lanes ^ lanes >> shift) & mask
             lanes ^= moved | moved << shift
         return lanes
 
-    def escapes(self, relations: Sequence[int]) -> Callable[[int], int]:
-        """The test mapping a packed relation x to the guard bits of the relations
-        r with x & ~r != 0.  Relation i fills field i, 4^n data bits under a guard
-        bit; x copied into every field, less r, carries into its guard iff nonzero.
-        x is copied by doubling shifts, which may fill fields past the last: the
-        guard mask drops them, and a carry never runs down into a lower field."""
-        width = self.size**2
-        rep = ((1 << (width + 1) * len(relations)) - 1) // ((2 << width) - 1)
-        low, guards = rep * ((1 << width) - 1), rep << width
-        outside = ~sum(row << i * (width + 1) for i, row in enumerate(relations))
-        shifts = [(width + 1) << i for i in range((len(relations) - 1).bit_length())]
+    def escapes(self, stack: int, k: int) -> Callable[[int], int]:
+        """The test mapping a packed relation x to the guard bits of the fields r
+        of a k-field stack with x & ~r != 0: x copied into every field, less r,
+        carries into its guard iff nonzero.  Doubling shifts copy x, maybe past
+        the last field, which the guard mask drops; no carry runs down a field."""
+        masks, outside = self.stacked(k), ~stack
+        shifts = [self.stacked(1).guards.bit_length() << i for i in range((k - 1).bit_length())]
 
         def escaped(x: int) -> int:
             for s in shifts:
                 x |= x << s
-            return ((x & outside) + low) & guards
+            return ((x & outside) + masks.data) & masks.guards
 
         return escaped
 

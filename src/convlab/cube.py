@@ -122,7 +122,7 @@ def lim_cantor(x: FCSeq) -> Optional[int]:
 
 
 class CubeSample:
-    """Sequences packed as ``Carrier.escapes`` stacks relations: sequence i is
+    """Sequences packed as ``Carrier.stack`` holds relations: sequence i is
     field i of ``width + 1`` bits, a set's window bits (coordinates below
     ``width - 1``, then a generic one for all later ones) under a guard bit.
     ``slots[j]`` holds the j-th period values, a shorter period repeating its

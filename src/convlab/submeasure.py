@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .algebra import Carrier, CarrierMismatchError, Element, check_same_carrier
 from .convergence import lambda_li, lambda_ls
-from .topology import Topology, _synthesized
+from .topology import Topology, synthesize_O_lambda
 
 
 # a mask and a value, as an integer or a fraction of integers, in ASCII digits
@@ -222,9 +222,7 @@ def halfball_opens(mu: Submeasure, c: int, r: Fraction, o_ls: Topology, o_li: To
 
 def check_halfball_opens(mu: Submeasure, a: Element, r: Fraction) -> HalfBallReport:
     """The two half-balls around a of radius r/2 are open in the left/right
-    sequential topologies, synthesized as one stack, and squeeze between a
-    and the full ball."""
+    sequential topologies and squeeze between a and the full ball."""
     mu._check_carrier(a)
-    car = mu.carrier
-    stack = _synthesized(car, car.stack([lambda_ls(car)._lanes, lambda_li(car)._lanes]), 2)
-    return halfball_opens(mu, a.mask, r, *(Topology._from_lanes(car, f, checked=True) for f in car.unstack(stack, 2)))
+    o_ls, o_li = (synthesize_O_lambda(law(mu.carrier)) for law in (lambda_ls, lambda_li))
+    return halfball_opens(mu, a.mask, r, o_ls, o_li)

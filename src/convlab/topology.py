@@ -28,9 +28,10 @@ from .seqclass import inf_class
 
 def _transitive_closure(carrier: Carrier, stack: int, k: int = 1) -> int:
     """Warshall's algorithm on each of k stacked relations: step p adds row p
-    to every row holding p.  One relation multiplies its holders by row p.  A
-    stack ANDs its holders, widened to full lanes, with row p of each field
-    copied into all its lanes by n doubling shifts, cheaper than a product."""
+    to every row holding p.  A stack ANDs its holders, widened to full lanes,
+    with row p of each field copied into all its lanes by n doubling shifts,
+    cheaper than a product.  One relation, the diagram's case, multiplies its
+    holders by row p: three times faster than the shifts at n = 4 and 5."""
     m, full, ones = carrier.size, (1 << carrier.size) - 1, carrier.lane_ones
     if k == 1:
         for p in range(m):
@@ -50,7 +51,7 @@ _NOT_A_PREORDER = "minimal neighbourhoods must be reflexive and transitive"
 
 def _preorders(carrier: Carrier, stack: int, k: int = 1) -> int:
     """The stack, once each of its k relations holds its diagonal and closing it adds nothing."""
-    diagonal = carrier.lane_diagonal if k == 1 else carrier.stacked(k).diagonal
+    diagonal = carrier.stacked(k).diagonal
     if stack & diagonal != diagonal or _transitive_closure(carrier, stack, k) != stack:
         raise ValueError(_NOT_A_PREORDER)
     return stack
@@ -60,9 +61,9 @@ def _synthesized(carrier: Carrier, stack: int, k: int = 1, name: str = "") -> in
     """O_lam's neighbourhood lanes for k stacked column lanes, checked a
     preorder (see ``synthesize_O_lambda``).  Without (L1) the first field so
     (or ``name``) is refused, with its first column lacking its own point."""
-    if missing := (carrier.lane_diagonal if k == 1 else carrier.stacked(k).diagonal) & ~stack:
-        field, bit = divmod((missing & -missing).bit_length() - 1, carrier.size**2)
-        p, who = bit // carrier.size, name or f"field {field} of a {k}-field stack"
+    if missing := carrier.stacked(k).diagonal & ~stack:
+        field, lacking = next((i, f) for i, f in enumerate(carrier.unstack(missing, k)) if f)
+        p, who = ((lacking & -lacking).bit_length() - 1) // carrier.size, name or f"field {field} of a {k}-field stack"
         raise ClosureAxiomError(
             f"sequential topology requires a convergence satisfying (L1): column {p} of {who} on P({carrier.n}) "
             f"lacks the point {p}"
@@ -76,7 +77,7 @@ def _generated(carrier: Carrier, subbases: Sequence[Sequence[int]]) -> int:
     carrier: U in every lane OR the complement of its transpose.  Layer j
     ANDs in every subbase's j-th set, or the carrier, which is neutral."""
     k, full = len(subbases), (1 << carrier.size) - 1
-    stack = (1 << carrier.size**2 * k) - 1
+    stack = carrier.stacked(k).data
     for j in range(max(map(len, subbases), default=0)):
         masks = [subbase[j] if j < len(subbase) else full for subbase in subbases]
         if not all(0 <= mask <= full for mask in masks):

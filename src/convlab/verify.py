@@ -173,14 +173,14 @@ def _crit_galois(ctx: VerifyContext):
         lims = [lim_of_topology_as_convergence(o) for o in topos]
         if any(lim_o.exceptions for lim_o in lims):
             return False, f"lim_O has exceptions at n={n}"
-        # random (L1) columns: O_lam reads only lam's columns, and lim_O must have
-        # no exceptions, so lam <= lim_O is decided on singletons and exceptions of
-        # lam would change neither side.  Stacked, guard i is set when o_i is not
-        # inside O_lam (O_lam's lanes escape o_i's) and when lam is not below lim_o_i.
+        # random (L1) columns: O_lam reads only lam's columns and lim_O has no
+        # exceptions, so exceptions of lam would change neither side.  The generated
+        # stack goes last, as fields 4..53; guard i is set when o_i is not inside
+        # O_lam (the opens' stack) and when lam is not below lim_o_i (the limits').
         k = 50
         relations, generated = _random_draws(car, rng, k)
-        opens_escaped = car.escapes([o._lanes for o in topos] + car.unstack(generated, k))
-        limits_escaped = car.escapes([lim_o._lanes for lim_o in lims] + car.unstack(car.transpose(generated, k), k))
+        opens_escaped = car.escapes(car.stack([o._lanes for o in topos] + [generated]), k + 4)
+        limits_escaped = car.escapes(car.stack([lim_o._lanes for lim_o in lims] + [car.transpose(generated, k)]), k + 4)
         pairs = [(synthesize_O_lambda(lam)._lanes, lam._lanes) for lam in convs]
         pairs += zip(car.unstack(_synthesized(car, car.stack(relations), k), k), relations)
         if any(opens_escaped(o_lam) != limits_escaped(lam) for o_lam, lam in pairs):

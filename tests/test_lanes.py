@@ -7,10 +7,10 @@ over single bits (``tests/oracles.py``) at n = 1..5, and the stacked
 ``Carrier.escapes`` with the pairwise ``Topology.__le__`` and ``leq_conv``.
 Stacks of k relations are closed, transposed, checked, synthesized and
 generated at once, and compared field by field with the same operations on
-one relation at a time; criterion 9's stacks are compared with its draws
-made one object at a time.  Lanes handed on instead of packed again are
-compared with a fresh pack of their rows, and the laws and the operations on
-them are checked to neither pack nor unpack.
+one relation at a time, none setting a field's guard bit; criterion 9's
+stacks are compared with its draws made one object at a time. Lanes handed
+on instead of packed again are compared with a fresh pack of their rows, and
+the laws and the operations on them are checked to neither pack nor unpack.
 """
 
 import random
@@ -178,6 +178,11 @@ def guard_bits(carrier, flags):
     return sum(1 << i * width + width - 1 for i, flag in enumerate(flags) if flag)
 
 
+def escapes(carrier, rows):
+    """``Carrier.escapes`` on the stack of ``rows``."""
+    return carrier.escapes(carrier.stack(rows), len(rows))
+
+
 @st.composite
 def escape_cases(draw):
     """A carrier, one to eight random topologies, one to eight random (L1)
@@ -204,9 +209,9 @@ def escape_cases(draw):
 @given(escape_cases())
 def test_escapes_against_pairwise_order_tests(case):
     carrier, topos, o, convs, lam = case
-    opens_escaped = carrier.escapes([t._lanes for t in topos])
+    opens_escaped = escapes(carrier, [t._lanes for t in topos])
     assert opens_escaped(o._lanes) == guard_bits(carrier, [not t <= o for t in topos])
-    limits_escaped = carrier.escapes([c._lanes for c in convs])
+    limits_escaped = escapes(carrier, [c._lanes for c in convs])
     assert limits_escaped(lam._lanes) == guard_bits(carrier, [not leq_conv(lam, c) for c in convs])
 
 
@@ -215,18 +220,18 @@ def test_escapes_edge_rows(n):
     carrier = CARRIERS[n]
     full, top = (1 << carrier.size**2) - 1, 1 << carrier.size**2 - 1
     # a stack of one row
-    assert carrier.escapes([full])(full) == 0
-    assert carrier.escapes([0])(1) == guard_bits(carrier, [True])
+    assert escapes(carrier, [full])(full) == 0
+    assert escapes(carrier, [0])(1) == guard_bits(carrier, [True])
     # failing only in the top data bit: the carry reaches this field's guard
     # and no further
-    assert carrier.escapes([full ^ top, full, full])(full) == guard_bits(carrier, [True, False, False])
-    assert carrier.escapes([full, full ^ top])(top) == guard_bits(carrier, [False, True])
+    assert escapes(carrier, [full ^ top, full, full])(full) == guard_bits(carrier, [True, False, False])
+    assert escapes(carrier, [full, full ^ top])(top) == guard_bits(carrier, [False, True])
     # failing only in bit 0 of the first field
-    assert carrier.escapes([full ^ 1, full])(1) == guard_bits(carrier, [True, False])
+    assert escapes(carrier, [full ^ 1, full])(1) == guard_bits(carrier, [True, False])
     # x escaping every row, and the empty relation escaping none
     rows = [full ^ 1, full ^ top, 0, full ^ 1 << carrier.size]
-    assert carrier.escapes(rows)(full) == guard_bits(carrier, [True] * len(rows))
-    assert carrier.escapes(rows)(0) == 0
+    assert escapes(carrier, rows)(full) == guard_bits(carrier, [True] * len(rows))
+    assert escapes(carrier, rows)(0) == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -248,7 +253,7 @@ def test_escapes_against_per_relation_oracle(n, k, rng, kind):
         "row": rows[rng.randrange(k)],
         "one bit": 1 << rng.randrange(width),
     }[kind]
-    assert carrier.escapes(rows)(x) == guard_bits(carrier, [x & ~r != 0 for r in rows])
+    assert escapes(carrier, rows)(x) == guard_bits(carrier, [x & ~r != 0 for r in rows])
 
 
 class TestHandedLanes:
@@ -391,6 +396,37 @@ class TestStacks:
         transposed = carrier.unstack(carrier.transpose(stack, k), k)
         assert transposed == [carrier.transpose(f) for f in fields]
         assert transposed == [carrier.pack(transpose_rows(carrier.unpack(f), m)) for f in fields]
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacks(), st.integers(0, 60))
+    def test_layout(self, case, cut):
+        # field i starts at bit (4^n + 1)·i, under its guard bit; a stack
+        # given as the last entry carries on as the fields after it
+        carrier, fields = case
+        k, full = len(fields), (1 << carrier.size**2) - 1
+        assert carrier.stacked(k).guards == guard_bits(carrier, [True] * k)
+        assert carrier.stacked(k).data == sum(full << i * (carrier.size**2 + 1) for i in range(k))
+        head, tail = fields[:cut], fields[cut:]
+        assert carrier.stack(head + [carrier.stack(tail)]) == carrier.stack(fields)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacks(), st.data())
+    def test_every_operation_leaves_the_guard_bits_0(self, case, data):
+        # the escape test's carry sets a guard bit that no stack operation set
+        carrier, fields = case
+        k, width = len(fields), carrier.size**2 + 1
+        reflexive = [f | carrier.lane_diagonal for f in fields]
+        sets = st.lists(st.integers(0, (1 << carrier.size) - 1), max_size=5)
+        results = {
+            "closure": _transitive_closure(carrier, carrier.stack(fields), k),
+            "transpose": carrier.transpose(carrier.stack(fields), k),
+            "preorders": _preorders(carrier, carrier.stack([_transitive_closure(carrier, f) for f in reflexive]), k),
+            "synthesis": _synthesized(carrier, carrier.stack(reflexive), k),
+            "generation": _generated(carrier, data.draw(st.lists(sets, min_size=k, max_size=k))),
+        }
+        for name, stack in results.items():
+            assert stack & guard_bits(carrier, [True] * k) == 0, name
+            assert stack >> width * k == 0, name
 
     @settings(max_examples=150, deadline=None)
     @given(stacks(), st.data())

@@ -1,4 +1,5 @@
-"""The kernel modules never import the diagram builder, the checker or the CLI.
+"""The kernel modules never import the diagram builder, the checker or the CLI,
+and none but ``topology`` imports a private name of ``topology``.
 
 Imports are read from each module's source with ``ast``, so an import inside
 a function counts as well as one at the top.
@@ -33,6 +34,16 @@ def convlab_imports(source: str) -> set[str]:
     return found
 
 
+def private_names_from(source: str, module: str) -> set[str]:
+    """The underscore names a convlab module's source imports from the convlab
+    module ``module``, relative (``from .topology import _x``) or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == (module if node.level else f"convlab.{module}"):
+            found.update(a.name for a in node.names if a.name.startswith("_"))
+    return found
+
+
 @pytest.mark.parametrize(
     "source, modules",
     [
@@ -53,3 +64,21 @@ def test_every_import_form_is_read(source, modules):
 def test_kernel_imports_no_upper_layer(name):
     source = (Path(convlab.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
     assert convlab_imports(source) & UPPER == set()
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("from .topology import Topology, _synthesized", {"_synthesized"}),
+        ("def f():\n    from convlab.topology import _generated", {"_generated"}),
+        ("from .topology import synthesize_O_lambda\nfrom .algebra import _x", set()),
+    ],
+)
+def test_every_private_import_is_read(source, names):
+    assert private_names_from(source, "topology") == names
+
+
+@pytest.mark.parametrize("name", [m for m in KERNEL if m != "topology"])
+def test_kernel_imports_no_private_name_of_topology(name):
+    source = (Path(convlab.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
+    assert private_names_from(source, "topology") == set()

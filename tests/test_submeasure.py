@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convlab.algebra import Carrier, CarrierMismatchError
-from convlab import submeasure
 from convlab.convergence import lambda_li, lambda_ls, lambda_s
+from convlab.report import figure_nodes
 from convlab.submeasure import (
     HalfBallReport,
     Submeasure,
@@ -208,12 +208,13 @@ class TestHalfBalls:
         assert halfball_opens(mu, c, Fraction(1), discrete(p2), discrete(p2)) == HalfBallReport(True, True, True)
         assert halfball_opens(mu, c, Fraction(1), antidiscrete(p2), antidiscrete(p2)) == HalfBallReport(False, False, True)
 
-    def test_wrapper_synthesizes_one_stack_of_two(self, p2, monkeypatch):
-        calls = []
-        real = submeasure._synthesized
-        monkeypatch.setattr(submeasure, "_synthesized", lambda *args: calls.append(args[2:]) or real(*args))
-        assert check_halfball_opens(Submeasure.counting(p2), p2.bottom, Fraction(1)) == HalfBallReport(True, True, True)
-        assert calls == [(2,)]
+    @pytest.mark.parametrize("mu", [pytest.param(mu, id=name) for name, mu in STANDARD.items()])
+    def test_wrapper_matches_the_diagram_topologies(self, mu):
+        # the wrapper synthesizes O_ls and O_li itself; the diagram builds them on its own
+        nodes = figure_nodes(mu.carrier)
+        for a in mu.carrier.elements:
+            for r in radii(mu):
+                assert check_halfball_opens(mu, a, r) == halfball_opens(mu, a.mask, r, nodes["O_ls"], nodes["O_li"])
 
     @pytest.mark.parametrize("c", [-1, 4])
     def test_point_mask_outside_the_carrier(self, p2, c):
