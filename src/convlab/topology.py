@@ -10,16 +10,17 @@ and ``point_closures`` are unpacked only when read.  The opens are exactly
 the unions of minimal neighbourhoods; they are counted and tested one mask at
 a time, never listed.  Synthesis of the sequential topology of a convergence,
 topological limits, joins, and the space properties needed for the diagram
-reports all work on the neighbourhood lanes.  Closure, the preorder check,
-synthesis (``_synthesized``) and generation (``_generated``) take a stack of
-k relations and run once for all k; one relation is a stack of one.
+reports all work on the neighbourhood lanes.  Closure, the preorder check
+and synthesis (``_synthesized``) take a stack of k relations and run once for
+all k; one relation is a stack of one.  ``generate`` ANDs in one subbase set
+at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .algebra import Carrier, Element, EPSeq, check_same_carrier, iter_bits
 from .convergence import ClosureAxiomError, Convergence
@@ -69,22 +70,6 @@ def _synthesized(carrier: Carrier, stack: int, k: int = 1, name: str = "") -> in
             f"lacks the point {p}"
         )
     return _preorders(carrier, carrier.transpose(_transitive_closure(carrier, stack, k), k), k)
-
-
-def _generated(carrier: Carrier, subbases: Sequence[Sequence[int]]) -> int:
-    """The neighbourhood lanes of the topology each subbase generates, stacked
-    and checked a preorder.  A set U gives lane p U if p is in U, else the
-    carrier: U in every lane OR the complement of its transpose.  Layer j
-    ANDs in every subbase's j-th set, or the carrier, which is neutral."""
-    k, full = len(subbases), (1 << carrier.size) - 1
-    stack = carrier.stacked(k).data
-    for j in range(max(map(len, subbases), default=0)):
-        masks = [subbase[j] if j < len(subbase) else full for subbase in subbases]
-        if not all(0 <= mask <= full for mask in masks):
-            raise ValueError(f"open masks must lie in 0..{full}")
-        layer = carrier.stack([mask * carrier.lane_ones for mask in masks])
-        stack &= layer | ~carrier.transpose(layer, k)
-    return _preorders(carrier, stack, k)
 
 
 class Topology:
@@ -193,9 +178,18 @@ def generate(carrier: Carrier, subbase: Iterable[int]) -> Topology:
 
     Each point's minimal neighborhood is the intersection of the subbase sets
     containing it, or the carrier where none does; the opens are exactly the
-    unions of minimal neighborhoods.  Each mask's range is checked.
+    unions of minimal neighborhoods.  A set U gives lane p U if p is in U,
+    else the carrier: U in every lane OR the complement of its transpose.
+    Each mask's range is checked.
     """
-    return Topology._from_lanes(carrier, _generated(carrier, [list(subbase)]), checked=True)
+    full = (1 << carrier.size) - 1
+    lanes = (1 << carrier.size**2) - 1
+    for mask in subbase:
+        if not 0 <= mask <= full:
+            raise ValueError(f"open masks must lie in 0..{full}")
+        layer = mask * carrier.lane_ones
+        lanes &= layer | ~carrier.transpose(layer)
+    return Topology._from_lanes(carrier, lanes)
 
 
 def synthesize_O_lambda(lam: Convergence) -> Topology:

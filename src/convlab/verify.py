@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 from typing import Callable, Optional
 
 from .algebra import Carrier
@@ -18,15 +20,7 @@ from .cube import CubeSample, check_T1235a, fc_repr
 from .report import figure_nodes, rows_named, violation
 from .seqclass import InfClass
 from .submeasure import Submeasure, metric_topology, validate_submeasure
-from .topology import (
-    _generated,
-    _synthesized,
-    check_closed_char,
-    complement_homeomorphism_check,
-    lim_of_topology_as_convergence,
-    space_properties,
-    synthesize_O_lambda,
-)
+from .topology import _synthesized, check_closed_char, complement_homeomorphism_check, space_properties
 
 
 @dataclass
@@ -154,35 +148,35 @@ def _crit_homeo_and_props(ctx: VerifyContext):
     return True, f"homeomorphic, T0, connected, compact, {ctx.covered()}"
 
 
-def _random_draws(carrier: Carrier, rng: random.Random, k: int) -> tuple[list[int], int]:
-    """The lanes of k uniform (L1) relations, then the k topologies each
-    generated by 1..4 uniform subsets, as one stack.  Relation i is one
-    ``getrandbits(4^n)`` with its diagonal then set, so each other bit is a
-    fair coin; subbase i is a ``randrange(1, 5)`` and that many ``getrandbits(2^n)``."""
-    relations = [rng.getrandbits(carrier.size**2) | carrier.lane_diagonal for _ in range(k)]
-    subbases = [[rng.getrandbits(carrier.size) for _ in range(rng.randrange(1, 5))] for _ in range(k)]
-    return relations, _generated(carrier, subbases)
+def _random_draws(carrier: Carrier, rng: random.Random, k: int) -> list[int]:
+    """The lanes of k sparse (L1) relations.  Relation i is the AND of n
+    ``getrandbits(4^n)``, its diagonal then set, so each other bit is set with
+    probability 2^-n, about one per row: sparse enough that their closures,
+    and so their O_lam, differ."""
+    w = carrier.size**2
+    return [reduce(and_, (rng.getrandbits(w) for _ in range(carrier.n))) | carrier.lane_diagonal for _ in range(k)]
 
 
 def _crit_galois(ctx: VerifyContext):
     rng = random.Random(ctx.seed + 1)
     for n in ctx.scales():
-        car = ctx.carrier(n)
-        convs = [ctx.nodes(n)[f"lambda_{law}"] for law in ("ls", "li", "s")]
-        topos = [ctx.nodes(n)[f"O_{law}"] for law in ("ls", "li", "s", "lsi")]
-        lims = [lim_of_topology_as_convergence(o) for o in topos]
+        car, nodes = ctx.carrier(n), ctx.nodes(n)
+        topos = [nodes[f"O_{law}"] for law in ("ls", "li", "s", "lsi")]
+        lims = [nodes[f"lim_O_{law}"] for law in ("ls", "li", "s", "lsi")]
         if any(lim_o.exceptions for lim_o in lims):
             return False, f"lim_O has exceptions at n={n}"
         # random (L1) columns: O_lam reads only lam's columns and lim_O has no
-        # exceptions, so exceptions of lam would change neither side.  The generated
-        # stack goes last, as fields 4..53; guard i is set when o_i is not inside
-        # O_lam (the opens' stack) and when lam is not below lim_o_i (the limits').
+        # exceptions, so exceptions of lam would change neither side.  Their
+        # O_lam are the random topologies too, fields 4..53 after the diagram's;
+        # guard i is set when o_i is not inside O_lam (the opens' stack) and
+        # when lam is not below lim_o_i (the limits').
         k = 50
-        relations, generated = _random_draws(car, rng, k)
-        opens_escaped = car.escapes(car.stack([o._lanes for o in topos] + [generated]), k + 4)
-        limits_escaped = car.escapes(car.stack([lim_o._lanes for lim_o in lims] + [car.transpose(generated, k)]), k + 4)
-        pairs = [(synthesize_O_lambda(lam)._lanes, lam._lanes) for lam in convs]
-        pairs += zip(car.unstack(_synthesized(car, car.stack(relations), k), k), relations)
+        relations = _random_draws(car, rng, k)
+        o_lams = _synthesized(car, car.stack(relations), k)
+        opens_escaped = car.escapes(car.stack([o._lanes for o in topos] + [o_lams]), k + 4)
+        limits_escaped = car.escapes(car.stack([lim_o._lanes for lim_o in lims] + [car.transpose(o_lams, k)]), k + 4)
+        pairs = [(o._lanes, nodes[f"lambda_{law}"]._lanes) for o, law in zip(topos, ("ls", "li", "s"))]
+        pairs += zip(car.unstack(o_lams, k), relations)
         if any(opens_escaped(o_lam) != limits_escaped(lam) for o_lam, lam in pairs):
             return False, f"adjunction fails at n={n}"
     return True, f"no counterexamples over built-in and random pairs, {ctx.covered()}"

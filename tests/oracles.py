@@ -324,14 +324,22 @@ def is_preorder(carrier: Carrier, mins: list[int]) -> bool:
 
 def random_columns(carrier: Carrier, rng: random.Random) -> Convergence:
     """Uniform (L1) columns, no exceptions: one ``getrandbits`` for the whole
-    packed relation, its diagonal then set, so each other bit is a fair coin;
-    one of ``verify._random_draws``'s relations."""
+    packed relation, its diagonal then set, so each other bit is a fair coin."""
     return Convergence._from_lanes(carrier, rng.getrandbits(carrier.size**2) | carrier.lane_diagonal)
 
 
+def sparse_columns(carrier: Carrier, rng: random.Random) -> Convergence:
+    """Sparse (L1) columns, no exceptions: the AND of n ``getrandbits`` for
+    the whole packed relation, its diagonal then set, so each other bit is set
+    with probability 2^-n; one of ``verify._random_draws``'s relations."""
+    lanes = (1 << carrier.size**2) - 1
+    for _ in range(carrier.n):
+        lanes &= rng.getrandbits(carrier.size**2)
+    return Convergence._from_lanes(carrier, lanes | carrier.lane_diagonal)
+
+
 def random_topology(carrier: Carrier, rng: random.Random) -> Topology:
-    """The topology generated by 1..4 uniform subsets, one ``getrandbits``
-    each; one field of ``verify._random_draws``'s stack of topologies."""
+    """The topology generated by 1..4 uniform subsets, one ``getrandbits`` each."""
     k = rng.randrange(1, 5)
     return generate(carrier, [rng.getrandbits(carrier.size) for _ in range(k)])
 

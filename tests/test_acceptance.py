@@ -17,7 +17,7 @@ from convlab.convergence import Convergence, meet_conv
 from convlab.report import figure_nodes, first_violation, rows_named
 from convlab.seqclass import InfClass
 from convlab.submeasure import Submeasure, ValidationReport
-from convlab.topology import Topology, discrete, lim_of_topology_as_convergence, lim_topo, synthesize_O_lambda
+from convlab.topology import Topology, discrete, lim_topo
 from convlab.verify import (
     CRITERIA,
     CriterionResult,
@@ -211,37 +211,46 @@ class TestRowCriteria:
 
 
 class TestAdjunction:
+    @staticmethod
+    def tamper(monkeypatch, **change):
+        """figure_nodes, as verify reads it, with node ``name`` on P(4)
+        replaced by ``change[name]`` of it; every other node is left alone."""
+        def tampered(carrier):
+            nodes = figure_nodes(carrier)
+            if carrier.n == 4:
+                nodes.update({name: f(nodes[name]) for name, f in change.items()})
+            return nodes
+
+        monkeypatch.setattr(verify, "figure_nodes", tampered)
+
+    @staticmethod
+    def record_syntheses(monkeypatch, change=lambda carrier, fields: fields):
+        """Criterion 9's stacked synthesis, its fields passed through
+        ``change``; returns the fields it handed on, by n."""
+        made = {}
+
+        def recorded(carrier, stack, k=1, name=""):
+            made[carrier.n] = change(carrier, carrier.unstack(topology._synthesized(carrier, stack, k, name), k))
+            return carrier.stack(made[carrier.n])
+
+        monkeypatch.setattr(verify, "_synthesized", recorded)
+        return made
+
     def test_tampered_synthesis_fails_at_four_atoms(self, monkeypatch):
-        # O_lam replaced by the discrete topology at n = 4 only: every O lies
-        # inside it, yet lambda_ls is not below the limits of O_s
-        monkeypatch.setattr(
-            verify,
-            "synthesize_O_lambda",
-            lambda lam: discrete(lam.carrier) if lam.carrier.n == 4 else synthesize_O_lambda(lam),
-        )
+        # the laws' O_lam replaced by the discrete topology at n = 4 only:
+        # every O lies inside it, yet lambda_ls is not below the limits of O_s
+        self.tamper(monkeypatch, **dict.fromkeys(("O_ls", "O_li", "O_s"), lambda o: discrete(o.carrier)))
         assert _crit_galois(VerifyContext(atoms=3)) == (
             True, "no counterexamples over built-in and random pairs, n=1..3",
         )
         assert _crit_galois(VerifyContext(atoms=4)) == (False, "adjunction fails at n=4")
 
-    @staticmethod
-    def tamper_lim_O_ls(monkeypatch, change):
-        """lim_{O_ls} at n = 4 replaced by ``change`` of it; every other limit
-        operator is left alone."""
-        def tampered(o):
-            lim = lim_of_topology_as_convergence(o)
-            if o.carrier.n == 4 and o.min_neighborhoods == o.carrier.down_masks:
-                return change(lim)
-            return lim
-
-        monkeypatch.setattr(verify, "lim_of_topology_as_convergence", tampered)
-
     def test_tampered_limit_operator_fails_at_four_atoms(self, monkeypatch):
         # the limit 15 of the singleton {0} dropped: lambda_ls is no longer
         # below lim_{O_ls}, yet O_ls still lies inside O_{lambda_ls}; 15 != 0,
         # so the operator stays (L1)
-        self.tamper_lim_O_ls(
-            monkeypatch, lambda lim: Convergence(lim.carrier, lim1=[lim.lim1[0] & ~(1 << 15), *lim.lim1[1:]])
+        self.tamper(
+            monkeypatch, lim_O_ls=lambda lim: Convergence(lim.carrier, lim1=[lim.lim1[0] & ~(1 << 15), *lim.lim1[1:]])
         )
         assert _crit_galois(VerifyContext(atoms=3)) == (
             True, "no counterexamples over built-in and random pairs, n=1..3",
@@ -252,10 +261,29 @@ class TestAdjunction:
         # the class {0, 15} loses every limit: lambda_ls is no longer below
         # lim_{O_ls}, though the singleton columns, which the stacked test
         # reads, are unchanged
-        self.tamper_lim_O_ls(
-            monkeypatch, lambda lim: Convergence(lim.carrier, lim1=lim.lim1, exceptions=[(1 | 1 << 15, 0)])
+        self.tamper(
+            monkeypatch, lim_O_ls=lambda lim: Convergence(lim.carrier, lim1=lim.lim1, exceptions=[(1 | 1 << 15, 0)])
         )
         assert _crit_galois(VerifyContext(atoms=4)) == (False, "lim_O has exceptions at n=4")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_topologies_are_distinct(self, monkeypatch, seed):
+        # the random relations are sparse, so their closures, the random
+        # topologies the laws are tested against, are not all the antidiscrete one
+        made = self.record_syntheses(monkeypatch)
+        assert _crit_galois(VerifyContext(atoms=4, seed=seed))[0]
+        assert [len(set(made[n])) >= 45 for n in (3, 4)] == [True, True]
+
+    def test_swapped_random_topologies_fail(self, monkeypatch):
+        # fields 0 and 1 of the stacked synthesis swapped from n = 3 on: each
+        # relation is tested against the other's O_lam
+        def swap(carrier, fields):
+            if carrier.n >= 3:
+                fields[0], fields[1] = fields[1], fields[0]
+            return fields
+
+        self.record_syntheses(monkeypatch, swap)
+        assert _crit_galois(VerifyContext(atoms=4)) == (False, "adjunction fails at n=3")
 
 
 def synthesis_without_closure(carrier, stack, k=1, name=""):

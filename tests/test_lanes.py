@@ -5,12 +5,13 @@
 lane popcounts of ``Convergence.limit_count`` are each compared with a loop
 over single bits (``tests/oracles.py``) at n = 1..5, and the stacked
 ``Carrier.escapes`` with the pairwise ``Topology.__le__`` and ``leq_conv``.
-Stacks of k relations are closed, transposed, checked, synthesized and
-generated at once, and compared field by field with the same operations on
-one relation at a time, none setting a field's guard bit; criterion 9's
-stacks are compared with its draws made one object at a time. Lanes handed
-on instead of packed again are compared with a fresh pack of their rows, and
-the laws and the operations on them are checked to neither pack nor unpack.
+Stacks of k relations are closed, transposed, checked and synthesized at
+once, and compared field by field with the same operations on one relation
+at a time, none setting a field's guard bit; criterion 9's draw is compared
+with its relations drawn one at a time, and ``generate`` with the subbase
+oracle. Lanes handed on instead of packed again are compared with a fresh
+pack of their rows, and the laws and the operations on them are checked to
+neither pack nor unpack.
 """
 
 import random
@@ -34,7 +35,6 @@ from convlab.convergence import (
 )
 from convlab.topology import (
     Topology,
-    _generated,
     _preorders,
     _synthesized,
     _transitive_closure,
@@ -45,7 +45,16 @@ from convlab.topology import (
 )
 
 import oracles
-from oracles import generated_rows, is_preorder, random_columns, random_topology, table_of, transpose_rows, warshall_rows
+from oracles import (
+    generated_rows,
+    is_preorder,
+    random_columns,
+    random_topology,
+    sparse_columns,
+    table_of,
+    transpose_rows,
+    warshall_rows,
+)
 
 CARRIERS = {n: Carrier(n) for n in range(1, 6)}
 
@@ -257,14 +266,18 @@ def test_escapes_against_per_relation_oracle(n, k, rng, kind):
 
 
 class TestHandedLanes:
-    """Criterion 9's draws, made one object at a time (its stacks equal them,
-    ``TestStacks``), are fair coins; synthesis and limit operators keep the
-    lanes they computed, and the random columns the lanes they were drawn as."""
+    """The random columns hold their diagonal, each other bit drawn with its
+    share: a fair coin, or 2^-n for criterion 9's draw (made one relation at
+    a time, which its draw equals, ``TestStacks``).  Synthesis and limit
+    operators keep the lanes they computed, and the random columns the lanes
+    they were drawn as."""
 
-    def test_columns_hold_the_diagonal_and_fair_coins(self):
-        carrier = CARRIERS[2]
-        rng = random.Random(37)
-        draws = [random_columns(carrier, rng) for _ in range(2000)]
+    @staticmethod
+    def assert_shares(draw, low, high):
+        """2,000 draws on P(2) from ``draw``: each an (L1) relation without
+        exceptions, each bit q of column p != q set in a share within (low, high)."""
+        carrier, rng = CARRIERS[2], random.Random(37)
+        draws = [draw(carrier, rng) for _ in range(2000)]
         assert all(check_L1(lam) and not lam.exceptions for lam in draws)
         for p in range(carrier.size):
             for q in range(carrier.size):
@@ -272,7 +285,14 @@ class TestHandedLanes:
                 if p == q:
                     assert share == 1
                 else:
-                    assert 0.45 < share < 0.55
+                    assert low < share < high
+
+    def test_columns_hold_the_diagonal_and_fair_coins(self):
+        self.assert_shares(random_columns, 0.45, 0.55)
+
+    def test_sparse_columns_hold_the_diagonal_and_one_bit_in_four(self):
+        # at n = 2 each other bit is the AND of two fair coins
+        self.assert_shares(sparse_columns, 0.2, 0.3)
 
     def test_subbase_sets_are_fair_coins(self, monkeypatch):
         subbases = []
@@ -382,7 +402,9 @@ def stacks(draw, max_fields=60):
 
 class TestStacks:
     """A stack of k relations, relation i in field i, against the same
-    operation on each relation alone, and on its rows by the oracles."""
+    operation on each relation alone, and on its rows by the oracles.
+    ``generate`` takes one subbase and is checked against the oracle per
+    subbase; criterion 9's draw against its relations drawn one at a time."""
 
     @settings(max_examples=150, deadline=None)
     @given(stacks())
@@ -410,19 +432,17 @@ class TestStacks:
         assert carrier.stack(head + [carrier.stack(tail)]) == carrier.stack(fields)
 
     @settings(max_examples=150, deadline=None)
-    @given(stacks(), st.data())
-    def test_every_operation_leaves_the_guard_bits_0(self, case, data):
+    @given(stacks())
+    def test_every_operation_leaves_the_guard_bits_0(self, case):
         # the escape test's carry sets a guard bit that no stack operation set
         carrier, fields = case
         k, width = len(fields), carrier.size**2 + 1
         reflexive = [f | carrier.lane_diagonal for f in fields]
-        sets = st.lists(st.integers(0, (1 << carrier.size) - 1), max_size=5)
         results = {
             "closure": _transitive_closure(carrier, carrier.stack(fields), k),
             "transpose": carrier.transpose(carrier.stack(fields), k),
             "preorders": _preorders(carrier, carrier.stack([_transitive_closure(carrier, f) for f in reflexive]), k),
             "synthesis": _synthesized(carrier, carrier.stack(reflexive), k),
-            "generation": _generated(carrier, data.draw(st.lists(sets, min_size=k, max_size=k))),
         }
         for name, stack in results.items():
             assert stack & guard_bits(carrier, [True] * k) == 0, name
@@ -475,25 +495,23 @@ class TestStacks:
             st.lists(st.lists(st.integers(0, (1 << (1 << n)) - 1), max_size=5), min_size=1, max_size=60),
         )
     ))
-    def test_generation_field_by_field(self, case):
-        # subbases of 0..5 sets, so some fields take no layer at all
+    def test_generation_per_subbase(self, case):
+        # subbases of 0..5 sets, so some generate the antidiscrete topology
         carrier, subbases = case
-        k = len(subbases)
-        stack = _generated(carrier, subbases)
-        generated = carrier.unstack(stack, k)
-        assert generated == [generate(carrier, s)._lanes for s in subbases]
-        assert generated == [carrier.pack(generated_rows(carrier, s)) for s in subbases]
-        lims = carrier.unstack(carrier.transpose(stack, k), k)
-        assert lims == [lim_of_topology_as_convergence(generate(carrier, s))._lanes for s in subbases]
+        for s in subbases:
+            rows, topo = generated_rows(carrier, s), generate(carrier, s)
+            assert topo._lanes == carrier.pack(rows)
+            assert lim_of_topology_as_convergence(topo)._lanes == carrier.pack(transpose_rows(rows, carrier.size))
 
     @pytest.mark.parametrize("mask", [1 << 5, -1])
-    @pytest.mark.parametrize("field", [0, 1, 2])
-    def test_generation_checks_every_mask(self, mask, field):
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_generation_checks_every_mask(self, mask, index):
         # P(1) has two points; bit 5 lies outside them, and -1 has every bit set
         subbases = [[1], [2, 3], [0]]
-        subbases[field] = subbases[field] + [mask]
+        subbases[index] = subbases[index] + [mask]
         with pytest.raises(ValueError, match=r"open masks must lie in 0\.\.3"):
-            _generated(CARRIERS[1], subbases)
+            for subbase in subbases:
+                generate(CARRIERS[1], subbase)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_criterion_9_stacks_are_the_drawn_objects(self, seed):
@@ -501,7 +519,6 @@ class TestStacks:
         stacked, alone = random.Random(seed + 1), random.Random(seed + 1)
         for n in range(1, 5):
             carrier = CARRIERS[n]
-            relations, topologies = verify._random_draws(carrier, stacked, 50)
-            assert relations == [random_columns(carrier, alone)._lanes for _ in range(50)]
-            assert carrier.unstack(topologies, 50) == [random_topology(carrier, alone)._lanes for _ in range(50)]
+            relations = verify._random_draws(carrier, stacked, 50)
+            assert relations == [sparse_columns(carrier, alone)._lanes for _ in range(50)]
             assert stacked.getstate() == alone.getstate()

@@ -1,5 +1,7 @@
 """The kernel modules never import the diagram builder, the checker or the CLI,
-and none but ``topology`` imports a private name of ``topology``.
+and none but ``topology`` imports a private name of ``topology``.  The checker
+builds no diagram node itself: ``report.figure_nodes`` is the one builder of
+the nodes it reads.
 
 Imports are read from each module's source with ``ast``, so an import inside
 a function counts as well as one at the top.
@@ -34,14 +36,19 @@ def convlab_imports(source: str) -> set[str]:
     return found
 
 
-def private_names_from(source: str, module: str) -> set[str]:
-    """The underscore names a convlab module's source imports from the convlab
-    module ``module``, relative (``from .topology import _x``) or absolute."""
+def names_from(source: str, module: str) -> set[str]:
+    """The names a convlab module's source imports from the convlab module
+    ``module``, relative (``from .topology import x``) or absolute."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.module == (module if node.level else f"convlab.{module}"):
-            found.update(a.name for a in node.names if a.name.startswith("_"))
+            found.update(a.name for a in node.names)
     return found
+
+
+def private_names_from(source: str, module: str) -> set[str]:
+    """The underscore names among ``names_from(source, module)``."""
+    return {name for name in names_from(source, module) if name.startswith("_")}
 
 
 @pytest.mark.parametrize(
@@ -82,3 +89,11 @@ def test_every_private_import_is_read(source, names):
 def test_kernel_imports_no_private_name_of_topology(name):
     source = (Path(convlab.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
     assert private_names_from(source, "topology") == set()
+
+
+def test_verify_builds_no_diagram_node():
+    # the laws' O_lam and the limit operators verify reads come from
+    # figure_nodes, and it draws no topology from a subbase
+    source = (Path(convlab.__file__).parent / "verify.py").read_text(encoding="utf-8")
+    built = {"synthesize_O_lambda", "lim_of_topology_as_convergence", "_generated"}
+    assert names_from(source, "topology") & built == set()
