@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import cache
 
 import click
 
@@ -22,11 +23,54 @@ class SeqParseError(ValueError):
         self.position = position
 
 
+@cache
+def _grammar(n: int) -> re.Pattern:
+    """The literals over P(n): groups 1 and 2 are the preperiod and period
+    items.  An atom is one ASCII digit below n after any leading zeros."""
+    assert 1 <= n <= 10, "an atom index below n must be one digit"
+    atom = f"0*[0-{n - 1}]"
+    element = rf"\{{(?:{atom}(?:,{atom})*)?\}}"
+    items = f"{element}(?:,{element})*"
+    return re.compile(rf"\[({items})?;({items})\]")
+
+
+# an atom's value is its last digit, so no int() call reads a digit run
+_ATOM_BIT = {str(i): 1 << i for i in range(10)}
+
+
+def _elements(items: str | None, carrier: Carrier) -> tuple:
+    """The elements of items the grammar matched, ``{..},{..}`` or None."""
+    if not items:
+        return ()
+    elements = []
+    for atoms in items[1:-1].split("},{"):
+        mask = 0
+        if atoms:
+            for atom in atoms.split(","):
+                mask |= _ATOM_BIT[atom[-1]]
+        elements.append(carrier._element(mask))
+    return tuple(elements)
+
+
 def parse_seq_literal(text: str, carrier: Carrier) -> EPSeq:
     """Parse ``[pre1,pre2;per1,per2]`` with elements as ``{i,j}`` atom lists.
 
-    Exactly one ``,`` separates neighbouring items, and none follows the last.
+    An atom is an index below n in ASCII digits, leading zeros allowed, and
+    a repeated atom counts once.  The literal holds no whitespace, exactly one
+    ``,`` separates neighbouring items and none follows the last, and the
+    period is nonempty.  A literal that breaks any of this raises
+    ``SeqParseError`` naming the position of the fault.
     """
+    match = _grammar(carrier.n).fullmatch(text)
+    if match is None:
+        return _walk(text, carrier)
+    pre, per = match.groups()
+    return EPSeq(_elements(pre, carrier), _elements(per, carrier))
+
+
+def _walk(text: str, carrier: Carrier) -> EPSeq:
+    """``parse_seq_literal`` one character at a time: it reads any literal
+    the grammar accepts alike, and finds where a refused one goes wrong."""
     pos, end = 0, len(text)
 
     def expect(ch: str) -> None:

@@ -219,6 +219,13 @@ class TestEPSeqCanonicalization:
         assert canonical_period(period, lambda e: e.mask) == expected
         assert EPSeq((), period).period == expected
 
+    # two keys in long blocks: rotations that agree on long prefixes, where
+    # the least-rotation search skips starts
+    @given(block=st.lists(st.integers(0, 1), min_size=1, max_size=40), repeat=st.integers(1, 3))
+    def test_long_blocks_match_rotation_oracle(self, block, repeat):
+        period = tuple(block) * repeat
+        assert canonical_period(period, int) == rotation_oracle(period, int)
+
     def test_repeated_period_collapses(self, p2):
         a, b = p2.element([0]), p2.element([1])
         assert EPSeq((), (a, b, a, b)).period == (a, b)

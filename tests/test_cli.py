@@ -1,13 +1,15 @@
 import json
+import re
+import time
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlab import report
 from convlab.algebra import Carrier, EPSeq
-from convlab.cli import SeqParseError, main, parse_seq_literal
+from convlab.cli import SeqParseError, _grammar, _walk, main, parse_seq_literal
 from convlab.report import figure_nodes
 from convlab.submeasure import _MAX_TABLE_BYTES
 
@@ -97,6 +99,102 @@ class TestFormatSeqLiteral:
     def test_round_trip(self, case):
         carrier, x = case
         assert parse_seq_literal(format_seq_literal(x), carrier) == x
+
+
+@st.composite
+def spelled_literals(draw):
+    """A sequence over P(n), n = 1..5, and a literal for it: each element's
+    atoms in random order, with repeats and leading zeros."""
+    carrier, x = draw(epseqs())
+
+    def respell(element: re.Match) -> str:
+        atoms = element.group(1).split(",") if element.group(1) else []
+        atoms += draw(st.lists(st.sampled_from(atoms), max_size=2)) if atoms else []
+        atoms = draw(st.permutations(atoms))
+        return "{" + ",".join("0" * draw(st.integers(0, 3)) + a for a in atoms) + "}"
+
+    return carrier, x, re.sub(r"\{([0-9,]*)\}", respell, format_seq_literal(x))
+
+
+def mutated(draw, text: str) -> str:
+    """text with one character inserted, deleted or replaced."""
+    char = draw(st.sampled_from("[]{};,0123456789"))
+    kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if kind == "insert":
+        i = draw(st.integers(0, len(text)))
+        return text[:i] + char + text[i:]
+    i = draw(st.integers(0, len(text) - 1))
+    return text[:i] + ("" if kind == "delete" else char) + text[i + 1 :]
+
+
+def outcome(parse, text: str, carrier: Carrier):
+    """The parsed sequence, or a refusal's message and position."""
+    try:
+        return parse(text, carrier)
+    except SeqParseError as exc:
+        return str(exc), exc.position
+
+
+class TestGrammarAgreesWithWalker:
+    """The compiled grammar accepts exactly the literals the character walker
+    accepts, and both read them alike; a refusal is the walker's."""
+
+    def agree(self, text: str, carrier: Carrier):
+        walked = outcome(_walk, text, carrier)
+        assert outcome(parse_seq_literal, text, carrier) == walked
+        assert (_grammar(carrier.n).fullmatch(text) is not None) == isinstance(walked, EPSeq)
+        return walked
+
+    @settings(max_examples=400, deadline=None)
+    @given(spelled_literals(), st.data())
+    def test_spelled_and_one_character_off(self, case, data):
+        carrier, x, text = case
+        assert self.agree(text, carrier) == x
+        self.agree(mutated(data.draw, text), carrier)
+
+
+class TestPathologicalLiterals:
+    """Long literals parse or refuse in well under a second, with the
+    walker's position on a refusal, and never reach int() on a digit run."""
+
+    P5 = Carrier(5)
+    ZEROS = "[;{" + "0" * 100_000 + "}]"
+    ATOMS = "[;{" + ",".join(str(i % 5) for i in range(50_000)) + "}]"
+    # no shorter block repeats to make this period, so all its 10,000
+    # rotations are candidates for the least
+    PERIOD = "[;" + ",".join("{" + str(i * i % 7 % 5) + "}" for i in range(10_000)) + "]"
+
+    def parse_quickly(self, text: str):
+        start = time.perf_counter()
+        try:
+            return parse_seq_literal(text, self.P5)
+        finally:
+            assert time.perf_counter() - start < 1
+
+    def test_long_zero_run(self):
+        assert self.parse_quickly(self.ZEROS).period == (self.P5.element([0]),)
+
+    def test_many_atoms(self):
+        assert self.parse_quickly(self.ATOMS).period == (self.P5.top,)
+
+    def test_long_period(self):
+        x = self.parse_quickly(self.PERIOD)
+        assert len(x.period) == 10_000
+        assert {e.mask for e in x.period} == {1 << (i * i % 7 % 5) for i in range(10_000)}
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            (ZEROS[:-2] + "5}]", 3),
+            (ATOMS[:-2] + ",5}]", len(ATOMS) - 1),
+            (PERIOD[:-1] + ",{5}]", len(PERIOD) + 1),
+        ],
+        ids=["zeros", "atoms", "period"],
+    )
+    def test_out_of_range_at_the_end(self, text, position):
+        with pytest.raises(SeqParseError) as exc:
+            self.parse_quickly(text)
+        assert str(exc.value) == f"atom index out of range for P(5) at position {position}"
 
 
 class TestConverge:
