@@ -30,16 +30,28 @@ from .convergence import (
     star,
 )
 from .seqclass import InfClass, inf_class, representative, subsequence_classes
-from .topology import (
-    Topology,
-    generate,
-    is_sequential,
-    join_topologies,
-    lim_of_topology_as_convergence,
-    lim_topo,
-    space_properties,
-    synthesize_O_lambda,
-)
+
+# read from the topology module on first use, so that importing convlab, as
+# every CLI process does, does not load the topology layer
+_TOPOLOGY_NAMES = {
+    "Topology",
+    "generate",
+    "is_sequential",
+    "join_topologies",
+    "lim_of_topology_as_convergence",
+    "lim_topo",
+    "space_properties",
+    "synthesize_O_lambda",
+}
+
+
+def __getattr__(name: str):
+    if name in _TOPOLOGY_NAMES:
+        from . import topology
+
+        return getattr(topology, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Carrier",

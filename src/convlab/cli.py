@@ -1,5 +1,14 @@
 """Command-line front end: diagram builds, single-sequence limit queries, and
-the full verification suite."""
+the full verification suite.
+
+Each subcommand imports its own layer inside its body: ``diagram`` the
+diagram builder, ``verify`` the checker and the submeasure reader.  A process
+then loads and compiles only what its subcommand runs, so ``converge`` and
+every ``--help`` load no more than ``algebra``, ``convergence`` and
+``seqclass``.  ``parse_seq_literal``, ``lambda_ls``, ``lambda_li``,
+``lambda_s`` and ``inf_class`` stay module attributes: the benchmark's
+query-mix calls them through this module, and its tracer rebinds them here.
+"""
 
 from __future__ import annotations
 
@@ -11,10 +20,7 @@ import click
 
 from .algebra import MAX_ATOMS, Carrier, EPSeq
 from .convergence import lambda_li, lambda_ls, lambda_s
-from .report import RelationViolation, build_figure1, emit
 from .seqclass import inf_class
-from .submeasure import Submeasure, SubmeasureTableError
-from .verify import VerifyContext, format_results, run_all
 
 
 class SeqParseError(ValueError):
@@ -169,6 +175,8 @@ def main() -> None:
 )
 def diagram(atoms: int, fmt: str) -> None:
     """Build the convergence/topology diagram and verify its relations."""
+    from .report import RelationViolation, build_figure1, emit
+
     carrier = _carrier(atoms)
     try:
         report = build_figure1(carrier)
@@ -216,6 +224,9 @@ def converge(atoms: int, seq: str, law: str) -> None:
 )
 def verify(atoms: int, seed: int, samples: int, submeasure_path) -> None:
     """Run every verification criterion at the requested scale."""
+    from .submeasure import Submeasure, SubmeasureTableError
+    from .verify import VerifyContext, format_results, run_all
+
     carrier = _carrier(atoms)
     if not 1 <= samples <= MAX_SAMPLES:
         raise click.UsageError(f"--samples must be in 1..{MAX_SAMPLES}, got {samples}")

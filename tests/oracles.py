@@ -13,9 +13,12 @@ checked one bit per step against the packed lanes of ``Carrier`` and
 ``Topology``, the triangle inequality over triples against ``verify``'s
 pairs of masks, random convergences with exceptions, criterion 9's random
 relations and topologies drawn one at a time against ``verify``'s stacks,
-the entries of eventually periodic sequences read one index at a time, and one seeded
+the entries of eventually periodic sequences read one index at a time, one seeded
 ``FCSeq`` at a time with its own pool of candidate limits, against the
-packed ``cube.CubeSample``.
+packed ``cube.CubeSample``, the preorders on a few points counted over every
+reflexive relation, and the diagram's nodes on P(1) as literal tables with
+their products and powers, against ``report.figure_nodes`` and
+``topology.synthesize_O_lambda`` on P(n).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from operator import and_, or_
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from convlab.algebra import Carrier, CarrierMismatchError, Element, EPSeq, complement, iter_bits
 from convlab.convergence import Convergence, sos_union
@@ -297,6 +300,79 @@ def warshall_rows(rows: Iterable[int]) -> list[int]:
             if reach[i] & bit:
                 reach[i] |= row
     return reach
+
+
+def reflexive_relations(points: int) -> Iterator[list[int]]:
+    """Every reflexive relation on ``points`` points, one row mask per point,
+    its off-diagonal pairs taken as the bits of a counter."""
+    pairs = [(p, q) for p in range(points) for q in range(points) if p != q]
+    for bits in range(1 << len(pairs)):
+        rows = [1 << p for p in range(points)]
+        for i, (p, q) in enumerate(pairs):
+            if bits >> i & 1:
+                rows[p] |= 1 << q
+        yield rows
+
+
+def preorder_census(points: int) -> tuple[int, int]:
+    """The preorders and the partial orders on ``points`` points: the
+    reflexive relations with r in row p whenever q is in row p and r in
+    row q, and those of them where q in row p and p in row q only for p = q."""
+    preorders = orders = 0
+    span = range(points)
+    for rows in reflexive_relations(points):
+        related = [(p, q) for p in span for q in span if rows[p] >> q & 1]
+        if all(rows[p] >> r & 1 for p, q in related for r in span if rows[q] >> r & 1):
+            preorders += 1
+            orders += all(p == q or not rows[q] >> p & 1 for p, q in related)
+    return preorders, orders
+
+
+# -- the product law ---------------------------------------------------------
+#
+# A point of P(a + b) is p = p1 | p2 << a with p1 in P(a) and p2 in P(b), so
+# P(n) is the n-fold product of P(1).  The product R (x) S of relations has q
+# in row p iff q1 is in row p1 of R and q2 in row p2 of S.
+
+# Every diagram node on P(1), whose points are 0 (the bottom) and 1 (the
+# top), as a 2 x 2 table: entry [p][q] is 1 iff q is in row p, a limit of the
+# constant sequence p for a convergence, a point of N(p) for a topology.
+# lambda_ls's limits lie above the limsup, lambda_li's below the liminf and
+# lambda_s's are both; star leaves each alone.  O_ls is the Sierpinski space
+# whose opens are the down-sets, O_li its dual, and O_s and their join O_lsi
+# are discrete.  Each limit operator is its law.
+_LS, _LI, _S = ((1, 1), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (0, 1))
+P1_NODES = {
+    "lambda_ls": _LS,
+    "lambda_li": _LI,
+    "lambda_s": _S,
+    "lambda_ls_star": _LS,
+    "lambda_li_star": _LI,
+    "lambda_s_star": _S,
+    "O_ls": ((1, 0), (1, 1)),
+    "O_li": ((1, 1), (0, 1)),
+    "O_s": _S,
+    "O_lsi": _S,
+    "lim_O_ls": _LS,
+    "lim_O_li": _LI,
+    "lim_O_s": _S,
+    "lim_O_lsi": _S,
+}
+
+
+def product_rows(r: list[int], s: list[int]) -> list[int]:
+    """R (x) S, for R on len(r) points and S on len(s), one row per point."""
+    width = len(r).bit_length() - 1
+    return [sum(row1 << (q2 << width) for q2 in range(len(s)) if row2 >> q2 & 1) for row2 in s for row1 in r]
+
+
+def power_rows(table: tuple[tuple[int, int], ...], n: int) -> list[int]:
+    """The n-fold (x)-power of a 2 x 2 table, one row per point of P(n)."""
+    rows = [row[0] | row[1] << 1 for row in table]
+    power = rows
+    for _ in range(n - 1):
+        power = product_rows(power, rows)
+    return power
 
 
 def generated_rows(carrier: Carrier, subbase: Iterable[int]) -> list[int]:

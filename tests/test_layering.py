@@ -5,14 +5,22 @@ the nodes it reads.
 
 Imports are read from each module's source with ``ast``, so an import inside
 a function counts as well as one at the top.
+
+Each CLI subcommand, run in a fresh interpreter, loads only its own layer:
+``converge`` and every ``--help`` no more than the CLI and the kernel below
+the limit laws.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import convlab
+from convlab import cli, convergence, seqclass
 
 KERNEL = ("algebra", "seqclass", "convergence", "topology", "cube", "submeasure")
 UPPER = {"report", "verify", "cli"}
@@ -97,3 +105,65 @@ def test_verify_builds_no_diagram_node():
     source = (Path(convlab.__file__).parent / "verify.py").read_text(encoding="utf-8")
     built = {"synthesize_O_lambda", "lim_of_topology_as_convergence", "_generated"}
     assert names_from(source, "topology") & built == set()
+
+
+# Runs the CLI with the arguments given, then prints its exit code and the
+# convlab modules the process loaded, without the package prefix, as the
+# last line of stdout.
+PROBE = """
+import sys
+from convlab.cli import main
+code = None
+try:
+    main(sys.argv[1:], prog_name="convlab")
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(m.removeprefix("convlab.") for m in sys.modules if m.split(".")[0] == "convlab"))
+"""
+
+SOURCES = Path(convlab.__file__).parent
+QUERY = {"convlab", "algebra", "convergence", "seqclass", "cli"}
+EVERY_MODULE = {"convlab"} | {path.stem for path in SOURCES.glob("*.py")} - {"__init__"}
+
+
+def loaded_modules(*args: str) -> set[str]:
+    """The convlab modules a fresh ``convlab *args`` loads; it must exit 0."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SOURCES.parent), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", PROBE, *args], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    code, *modules = done.stdout.splitlines()[-1].split()
+    assert code == "0", done.stdout + done.stderr
+    return set(modules)
+
+
+@pytest.mark.parametrize(
+    "args, modules",
+    [
+        (["converge", "--atoms", "2", "--seq", "[;{0}]"], QUERY),
+        (["--help"], QUERY),
+        (["converge", "--help"], QUERY),
+        (["diagram", "--help"], QUERY),
+        (["verify", "--help"], QUERY),
+        (["diagram", "--atoms", "2"], QUERY | {"topology", "report"}),
+        (["verify", "--atoms", "1"], EVERY_MODULE),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_subcommand_loads_its_layer(args, modules):
+    assert loaded_modules(*args) == modules
+
+
+@pytest.mark.parametrize(
+    "name, owner",
+    [
+        ("parse_seq_literal", cli),
+        ("lambda_ls", convergence),
+        ("lambda_li", convergence),
+        ("lambda_s", convergence),
+        ("inf_class", seqclass),
+    ],
+)
+def test_query_names_stay_on_cli(name, owner):
+    # the benchmark's query-mix calls these through convlab.cli, and its
+    # tracer rebinds them there
+    assert getattr(cli, name) is getattr(owner, name)

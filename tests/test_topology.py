@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from convlab import topology
 from convlab.algebra import Carrier, EPSeq
 from convlab.convergence import (
     ClosureAxiomError,
@@ -38,8 +39,10 @@ from oracles import (
     is_preorder,
     open_families,
     open_masks,
+    preorder_census,
     random_l12_convergence,
     random_topology,
+    reflexive_relations,
     sequential_closure,
     topology_from_opens,
     upset,
@@ -277,6 +280,47 @@ class TestAdjunction:
                         lim_of_topology_as_convergence(o2),
                         lim_of_topology_as_convergence(o1),
                     )
+
+
+def census(n: int) -> tuple[int, int, int]:
+    """Over every reflexive relation on P(n)'s points, each taken as the
+    columns of a convergence lam: the distinct O_lam, the T0 ones among them,
+    and the lam that lim_{O_lam} gives back."""
+    carrier = Carrier(n)
+    topologies, fixed = set(), 0
+    for rows in reflexive_relations(carrier.size):
+        lam = Convergence(carrier, lim1=rows)
+        o_lam = synthesize_O_lambda(lam)
+        topologies.add(o_lam)
+        fixed += lim_of_topology_as_convergence(o_lam) == lam
+    return len(topologies), sum(space_properties(o).t0 for o in topologies), fixed
+
+
+class TestCensus:
+    """lam -> O_lam maps the reflexive relations on P(n)'s m = 2^n points onto
+    the topologies on m points, and lim_{O_lam} is lam's transitive closure,
+    so its fixed points are the preorders.  At m = 4 there are 355 topologies
+    (OEIS A000798), 219 of them T0 (A001035, the partial orders)."""
+
+    @pytest.mark.parametrize("n, counts", [(1, (4, 3, 4)), (2, (355, 219, 355))])
+    def test_every_reflexive_relation(self, n, counts):
+        preorders, orders = preorder_census(1 << n)
+        assert census(n) == (preorders, orders, preorders) == counts
+
+    def test_closure_skipping_its_last_pivot_fails(self, monkeypatch):
+        # passes all 12 verify criteria: the preorder check reruns the same
+        # closure, and the adjunction holds for any relation between lam and
+        # its closure
+        def skip_last_pivot(carrier, stack, k=1):
+            assert k == 1
+            m, full, ones = carrier.size, (1 << carrier.size) - 1, carrier.lane_ones
+            for p in range(m - 1):
+                stack |= (stack >> p & ones) * (stack >> p * m & full)
+            return stack
+
+        monkeypatch.setattr(topology, "_transitive_closure", skip_last_pivot)
+        # it gives 632 distinct O_lam, 379 of them T0
+        assert census(2) != (355, 219, 355)
 
 
 class TestCharacterizations:
