@@ -5,14 +5,9 @@ naturals."""
 from .algebra import (
     Carrier,
     CarrierMismatchError,
-    Element,
     EPSeq,
-    complement,
-    join,
-    leq,
     liminf,
     limsup,
-    meet,
 )
 from .convergence import (
     ClosureAxiomError,
@@ -59,30 +54,25 @@ __all__ = [
     "ClosureAxiomError",
     "Convergence",
     "EPSeq",
-    "Element",
     "InfClass",
     "Topology",
     "check_L1",
     "check_L2",
     "check_L3",
     "check_hbar",
-    "complement",
     "generate",
     "inf_class",
     "is_hausdorff",
     "is_sequential",
-    "join",
     "join_topologies",
     "lambda_li",
     "lambda_ls",
     "lambda_s",
-    "leq",
     "leq_conv",
     "lim_of_topology_as_convergence",
     "lim_topo",
     "liminf",
     "limsup",
-    "meet",
     "meet_conv",
     "representative",
     "space_properties",

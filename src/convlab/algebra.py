@@ -1,7 +1,9 @@
 """Finite Boolean algebra carrier P(n) and eventually periodic sequences.
 
-Elements are bit-masks over atom indices, so meet/join/complement are integer
-operations; a carrier makes its packed order tables and ``Element``s on first read.
+A point of P(n) is a set of atom indices packed into an int mask, so meet,
+join and complement are ``&``, ``|`` and ``^`` from the parser to the printer;
+a carrier makes its packed order tables on first read.  ``Element`` is only
+what a limit query returns.
 """
 
 from __future__ import annotations
@@ -9,7 +11,8 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import and_, or_
+from typing import Callable, Iterator, Sequence
 
 MAX_ATOMS = 5
 # in every field of a stack: bit 0 of each lane, lane 0, the diagonal, Carrier._swaps, the data bits and the guard
@@ -26,49 +29,20 @@ def check_same_carrier(a, b) -> None:
         raise CarrierMismatchError("operands live on different carriers")
 
 
+def atom_set(mask: int) -> str:
+    """The atoms of ``mask`` as ``{i,j,...}``, ascending."""
+    return "{" + ",".join(map(str, iter_bits(mask))) + "}"
+
+
 @dataclass(frozen=True)
 class Element:
-    """One element of P(n): a set of atom indices packed into ``mask``."""
+    """A limit of a limit query: the point of P(width) with atom set ``mask``."""
 
     mask: int
     width: int
 
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError("element width must be at least 1")
-        if not 0 <= self.mask < (1 << self.width):
-            raise ValueError(f"mask {self.mask} out of range for width {self.width}")
-
-    @property
-    def atoms(self) -> frozenset[int]:
-        return frozenset(i for i in range(self.width) if self.mask >> i & 1)
-
     def __repr__(self) -> str:
-        return "{" + ",".join(str(i) for i in sorted(self.atoms)) + "}"
-
-
-def _check_same(a: Element, b: Element) -> None:
-    if a.width != b.width:
-        raise CarrierMismatchError(f"widths differ: {a.width} vs {b.width}")
-
-
-def meet(a: Element, b: Element) -> Element:
-    _check_same(a, b)
-    return Element(a.mask & b.mask, a.width)
-
-
-def join(a: Element, b: Element) -> Element:
-    _check_same(a, b)
-    return Element(a.mask | b.mask, a.width)
-
-
-def complement(a: Element) -> Element:
-    return Element(a.mask ^ ((1 << a.width) - 1), a.width)
-
-
-def leq(a: Element, b: Element) -> bool:
-    _check_same(a, b)
-    return a.mask & b.mask == a.mask
+        return atom_set(self.mask)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -86,24 +60,15 @@ class Carrier:
     holds relation i in field i, 4^n data bits under a guard bit that every
     stack operation leaves 0 (``stacked``, ``stack``, ``unstack``).  The order
     is held so, each table built on its own on first read: ``up_lanes``, row
-    p = {q >= p}, and ``down_lanes``, row p = {q <= p}.  Their rows ``up_masks``
-    and ``down_masks``, and the 2^n ``elements`` in ascending mask order, are
-    made on first read, each ``Element`` when any accessor first asks for it."""
+    p = {q >= p}, and ``down_lanes``, row p = {q <= p}.  Their rows
+    ``up_masks`` and ``down_masks`` are made on first read."""
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_ATOMS:
             raise ValueError(f"atom count must be in 1..{MAX_ATOMS}, got {n}")
         self.n = n
         self.size = 1 << n
-        self._made: dict[int, Element] = {}
         self._stacks: dict[int, StackMasks] = {}
-
-    def _element(self, mask: int) -> Element:
-        return self._made.get(mask) or self._made.setdefault(mask, Element(mask, self.n))
-
-    @cached_property
-    def elements(self) -> tuple[Element, ...]:
-        return tuple(map(self._element, range(self.size)))
 
     def _columns(self) -> list[int]:
         full = (1 << self.size) - 1
@@ -204,37 +169,12 @@ class Carrier:
     def down_masks(self) -> tuple[int, ...]:
         return tuple(self.unpack(self.down_lanes))
 
-    @property
-    def bottom(self) -> Element:
-        return self._element(0)
-
-    @property
-    def top(self) -> Element:
-        return self._element(self.size - 1)
-
-    def element(self, atoms: Iterable[int]) -> Element:
-        mask = 0
-        for i in atoms:
-            if not 0 <= i < self.n:
-                raise ValueError(f"atom index {i} out of range for P({self.n})")
-            mask |= 1 << i
-        return self._element(mask)
-
-    def subset_mask(self, elems: Iterable[Element]) -> int:
-        """Pack a set of elements into a carrier-subset bit-mask."""
-        mask = 0
-        for e in elems:
-            if e.width != self.n:
-                raise CarrierMismatchError(f"element width {e.width} != {self.n}")
-            mask |= 1 << e.mask
-        return mask
-
     def subset_from_mask(self, mask: int) -> frozenset[Element]:
         """Unpack a carrier-subset bit-mask, one step per set bit; raises
         ``ValueError`` unless 0 <= mask < 2^(2^n)."""
         if not 0 <= mask < 1 << self.size:
             raise ValueError(f"mask {mask} is not a subset of P({self.n})")
-        return frozenset(map(self._element, iter_bits(mask)))
+        return frozenset(Element(p, self.n) for p in iter_bits(mask))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Carrier) and other.n == self.n
@@ -246,13 +186,13 @@ class Carrier:
         return f"Carrier(P({self.n}))"
 
 
-def canonical_period(period: tuple, key: Callable) -> tuple:
-    """The shortest repeating block of period, rotated so that the tuple of
-    its entries' keys is least.  Each entry's key is computed once, and the
-    least rotation of a block of d entries is found in fewer than 3d steps."""
+def canonical_period(period: tuple[int, ...]) -> tuple[int, ...]:
+    """The shortest repeating block of period, rotated to its least rotation
+    as a tuple; the least rotation of a block of d entries is found in fewer
+    than 3d steps."""
     n = len(period)
     d = next(d for d in range(1, n + 1) if n % d == 0 and period == period[:d] * (n // d))
-    keys = tuple(key(e) for e in period[:d]) * 2
+    keys = period[:d] * 2
     # rotation i leads; every start below j but i is beaten, since a start
     # that loses after k equal keys takes the k starts after it with it
     i, j, k = 0, 1, 0
@@ -271,37 +211,37 @@ def canonical_period(period: tuple, key: Callable) -> tuple:
 
 @dataclass(frozen=True)
 class EPSeq:
-    """Eventually periodic sequence: finite preperiod then a repeating period.
+    """Eventually periodic sequence of points of P(width), each a mask: a
+    finite preperiod, then a repeating period.
 
-    The period is stored in canonical form: shortest repeating block, rotated
-    to its lexicographically least rotation.  Canonicalization preserves the
-    set of infinitely occurring values, which is all any consumer depends on.
+    Every entry must lie in 0..2^width - 1.  The period is stored in canonical
+    form: shortest repeating block, rotated to its least rotation.
+    Canonicalization preserves the set of infinitely occurring values, which
+    is all any consumer depends on.
     """
 
-    preperiod: tuple[Element, ...]
-    period: tuple[Element, ...]
+    preperiod: tuple[int, ...]
+    period: tuple[int, ...]
+    width: int
 
     def __post_init__(self) -> None:
         if not self.period:
             raise ValueError("period must be nonempty")
-        width = self.period[0].width
-        for e in self.preperiod + self.period:
-            if e.width != width:
-                raise CarrierMismatchError("mixed-width entries in sequence")
-        canon = canonical_period(tuple(self.period), lambda e: e.mask)
-        object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        object.__setattr__(self, "period", canon)
-
-    @property
-    def width(self) -> int:
-        return self.period[0].width
+        if self.width < 1:
+            raise ValueError("sequence width must be at least 1")
+        pre, per = tuple(self.preperiod), tuple(self.period)
+        for mask in (min(pre + per), max(pre + per)):
+            if not 0 <= mask < 1 << self.width:
+                raise ValueError(f"mask {mask} out of range for width {self.width}")
+        object.__setattr__(self, "preperiod", pre)
+        object.__setattr__(self, "period", canonical_period(per))
 
 
-def liminf(x: EPSeq) -> Element:
-    """Largest element below all but finitely many entries: meet of the period."""
-    return reduce(meet, set(x.period))
+def liminf(x: EPSeq) -> int:
+    """Largest point below all but finitely many entries: meet of the period."""
+    return reduce(and_, x.period)
 
 
-def limsup(x: EPSeq) -> Element:
-    """Smallest element above infinitely many entries: join of the period."""
-    return reduce(join, set(x.period))
+def limsup(x: EPSeq) -> int:
+    """Smallest point above infinitely many entries: join of the period."""
+    return reduce(or_, x.period)

@@ -18,7 +18,7 @@ from functools import cache
 
 import click
 
-from .algebra import MAX_ATOMS, Carrier, EPSeq
+from .algebra import MAX_ATOMS, Carrier, EPSeq, atom_set, iter_bits
 from .convergence import lambda_li, lambda_ls, lambda_s
 from .seqclass import inf_class
 
@@ -35,8 +35,8 @@ def _grammar(n: int) -> re.Pattern:
     items.  An atom is one ASCII digit below n after any leading zeros."""
     assert 1 <= n <= 10, "an atom index below n must be one digit"
     atom = f"0*[0-{n - 1}]"
-    element = rf"\{{(?:{atom}(?:,{atom})*)?\}}"
-    items = f"{element}(?:,{element})*"
+    point = rf"\{{(?:{atom}(?:,{atom})*)?\}}"
+    items = f"{point}(?:,{point})*"
     return re.compile(rf"\[({items})?;({items})\]")
 
 
@@ -44,22 +44,22 @@ def _grammar(n: int) -> re.Pattern:
 _ATOM_BIT = {str(i): 1 << i for i in range(10)}
 
 
-def _elements(items: str | None, carrier: Carrier) -> tuple:
-    """The elements of items the grammar matched, ``{..},{..}`` or None."""
+def _masks(items: str | None) -> tuple[int, ...]:
+    """The point masks of items the grammar matched, ``{..},{..}`` or None."""
     if not items:
         return ()
-    elements = []
+    points = []
     for atoms in items[1:-1].split("},{"):
         mask = 0
         if atoms:
             for atom in atoms.split(","):
                 mask |= _ATOM_BIT[atom[-1]]
-        elements.append(carrier._element(mask))
-    return tuple(elements)
+        points.append(mask)
+    return tuple(points)
 
 
 def parse_seq_literal(text: str, carrier: Carrier) -> EPSeq:
-    """Parse ``[pre1,pre2;per1,per2]`` with elements as ``{i,j}`` atom lists.
+    """Parse ``[pre1,pre2;per1,per2]`` with points as ``{i,j}`` atom lists.
 
     An atom is an index below n in ASCII digits, leading zeros allowed, and
     a repeated atom counts once.  The literal holds no whitespace, exactly one
@@ -71,7 +71,7 @@ def parse_seq_literal(text: str, carrier: Carrier) -> EPSeq:
     if match is None:
         return _walk(text, carrier)
     pre, per = match.groups()
-    return EPSeq(_elements(pre, carrier), _elements(per, carrier))
+    return EPSeq(_masks(pre), _masks(per), carrier.n)
 
 
 def _walk(text: str, carrier: Carrier) -> EPSeq:
@@ -111,22 +111,22 @@ def _walk(text: str, carrier: Carrier) -> EPSeq:
             raise SeqParseError(f"atom index out of range for P({carrier.n})", start)
         return int(digits)
 
-    def parse_element():
+    def parse_point() -> int:
         expect("{")
         atoms = parse_items(parse_atom)
         expect("}")
-        return carrier.element(atoms)
+        return sum(1 << i for i in set(atoms))
 
     expect("[")
-    pre = parse_items(parse_element)
+    pre = parse_items(parse_point)
     expect(";")
-    per = parse_items(parse_element)
+    per = parse_items(parse_point)
     expect("]")
     if pos != end:
         raise SeqParseError("trailing input", pos)
     if not per:
         raise SeqParseError("period must be nonempty", pos - 1)
-    return EPSeq(tuple(pre), tuple(per))
+    return EPSeq(tuple(pre), tuple(per), carrier.n)
 
 
 # `verify` holds all its cube samples in memory at once: about 41 bytes each at
@@ -198,9 +198,9 @@ def converge(atoms: int, seq: str, law: str) -> None:
     except SeqParseError as exc:
         raise click.UsageError(f"bad sequence literal: {exc}")
     builders = {"ls": lambda_ls, "li": lambda_li, "s": lambda_s}
-    limits = builders[law](carrier)(inf_class(x))
-    for e in sorted(limits, key=lambda e: e.mask):
-        click.echo(f"mask={e.mask} atoms={e!r}")
+    limits = builders[law](carrier).limit_mask(inf_class(x).mask)
+    for p in iter_bits(limits):
+        click.echo(f"mask={p} atoms={atom_set(p)}")
     if not limits:
         click.echo("(no limits)")
 

@@ -17,7 +17,7 @@ from functools import reduce
 from operator import and_, or_
 from typing import Callable, Iterable, Optional
 
-from .algebra import canonical_period, iter_bits
+from .algebra import atom_set, canonical_period
 
 FC_EMPTY = 0
 FC_FULL = -1
@@ -43,8 +43,7 @@ def fc_support(a: int) -> int:
 
 def fc_repr(a: int) -> str:
     """``{1,4}`` for a finite set, ``~{1,4}`` for the cofinite set omitting 1 and 4."""
-    inner = ",".join(map(str, iter_bits(fc_support(a))))
-    return f"~{{{inner}}}" if a < 0 else f"{{{inner}}}"
+    return ("~" if a < 0 else "") + atom_set(fc_support(a))
 
 
 def _tuple_repr(sets: tuple[int, ...]) -> str:
@@ -64,7 +63,7 @@ class FCSeq:
         if not self.period:
             raise ValueError("period must be nonempty")
         object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        object.__setattr__(self, "period", canonical_period(tuple(self.period), int))
+        object.__setattr__(self, "period", canonical_period(tuple(self.period)))
 
     def __repr__(self) -> str:
         return f"FCSeq(preperiod={_tuple_repr(self.preperiod)}, period={_tuple_repr(self.period)})"

@@ -26,7 +26,7 @@ from itertools import permutations, product
 from operator import methodcaller
 from typing import Optional, Union
 
-from .algebra import Carrier, Element, iter_bits
+from .algebra import Carrier, atom_set, iter_bits
 from .convergence import Convergence, first_escape, lambda_li, lambda_ls, lambda_s, meet_conv, star
 from .seqclass import InfClass
 from .topology import (
@@ -152,10 +152,9 @@ def escape(a: Payload, b: Payload) -> Optional[int]:
 
 def witness_text(payload: Payload, mask: int) -> str:
     """An ``escape`` mask of the payload's kind as the diagram prints it."""
-    n = payload.carrier.n
     if isinstance(payload, Convergence):
-        return f"class {InfClass(mask, n)!r}"
-    return "open {" + ",".join(repr(Element(v, n)) for v in iter_bits(mask)) + "}"
+        return f"class {InfClass(mask, payload.carrier.n)!r}"
+    return "open {" + ",".join(map(atom_set, iter_bits(mask))) + "}"
 
 
 def first_violation(

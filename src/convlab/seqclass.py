@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, EPSeq, iter_bits
+from .algebra import EPSeq, atom_set, iter_bits
 
 
 @dataclass(frozen=True)
 class InfClass:
     """The nonempty set of points of P(width) that a sequence visits
-    infinitely often: bit p of ``mask`` holds the element with mask p."""
+    infinitely often: bit p of ``mask`` holds the point p."""
 
     mask: int
     width: int
@@ -27,24 +27,15 @@ class InfClass:
         if self.width < 1 or self.mask <= 0 or self.mask.bit_length() > 1 << self.width:
             raise ValueError(f"class mask {self.mask} is empty or not a subset of P({self.width})")
 
-    @property
-    def values(self) -> frozenset[Element]:
-        return frozenset(_points(self))
-
     def __repr__(self) -> str:
-        return "InfClass(" + ",".join(map(repr, _points(self))) + ")"
-
-
-def _points(s: InfClass) -> tuple[Element, ...]:
-    """The elements of s in ascending mask order."""
-    return tuple(Element(p, s.width) for p in iter_bits(s.mask))
+        return "InfClass(" + ",".join(map(atom_set, iter_bits(self.mask))) + ")"
 
 
 def inf_class(x: EPSeq) -> InfClass:
     """Quotient map: the distinct period values of the canonical form."""
     mask = 0
-    for e in x.period:
-        mask |= 1 << e.mask
+    for p in x.period:
+        mask |= 1 << p
     return InfClass(mask, x.width)
 
 
@@ -58,5 +49,5 @@ def subsequence_classes(s: InfClass) -> frozenset[InfClass]:
 
 
 def representative(s: InfClass) -> EPSeq:
-    """Section of the quotient map: empty preperiod, values in mask order."""
-    return EPSeq((), _points(s))
+    """Section of the quotient map: empty preperiod, the points in ascending order."""
+    return EPSeq((), tuple(iter_bits(s.mask)), s.width)

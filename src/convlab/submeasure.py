@@ -18,9 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .algebra import Carrier, CarrierMismatchError, Element, check_same_carrier
-from .convergence import lambda_li, lambda_ls
-from .topology import Topology, synthesize_O_lambda
+from .algebra import Carrier, check_same_carrier
+from .topology import Topology
 
 
 # a mask and a value, as an integer or a fraction of integers, in ASCII digits
@@ -71,19 +70,6 @@ class Submeasure:
         a positive factor keeps every comparison and sum exact."""
         d = math.lcm(*(v.denominator for v in self.values))
         return tuple(v.numerator * (d // v.denominator) for v in self.values)
-
-    def _check_carrier(self, *elems: Element) -> None:
-        if any(e.width != self.carrier.n for e in elems):
-            raise CarrierMismatchError(f"element of another carrier fed to submeasure on P({self.carrier.n})")
-
-    def __call__(self, a: Element) -> Fraction:
-        self._check_carrier(a)
-        return self.values[a.mask]
-
-    def distance(self, a: Element, b: Element) -> Fraction:
-        """mu of the symmetric difference; a pseudo-metric in general."""
-        self._check_carrier(a, b)
-        return self.values[a.mask ^ b.mask]
 
     @classmethod
     def counting(cls, carrier: Carrier) -> "Submeasure":
@@ -164,10 +150,11 @@ def validate_submeasure(mu: Submeasure) -> ValidationReport:
     return ValidationReport(zero_on_bottom, monotone, subadditive, strictly_positive, continuous=zero_on_bottom)
 
 
-def ball(mu: Submeasure, a: Element, r: Fraction) -> int:
-    """The mask of the points at distance below r from a."""
-    mu._check_carrier(a)
-    return sum(1 << x for x in range(mu.carrier.size) if mu.values[x ^ a.mask] < r)
+def ball(mu: Submeasure, c: int, r: Fraction) -> int:
+    """The mask of the points x at distance mu(x ^ c) below r from the point c."""
+    if not 0 <= c < mu.carrier.size:
+        raise ValueError(f"point mask {c} is not a point of P({mu.carrier.n})")
+    return sum(1 << x for x in range(mu.carrier.size) if mu.values[x ^ c] < r)
 
 
 def metric_topology(mu: Submeasure) -> Topology:
@@ -202,13 +189,13 @@ class HalfBallReport:
 
 
 def halfball_opens(mu: Submeasure, c: int, r: Fraction, o_ls: Topology, o_li: Topology) -> HalfBallReport:
-    """``check_halfball_opens`` around the point with mask c, in the given
-    O_ls and O_li, so that a caller checking many points synthesizes them once."""
+    """The two half-balls around the point c of radius r/2 are open in the
+    given left and right sequential topologies, O_ls and O_li, and squeeze
+    between c and the full ball."""
     car, v = mu.carrier, mu.values
     check_same_carrier(mu, o_ls)
     check_same_carrier(mu, o_li)
-    if not 0 <= c < car.size:
-        raise ValueError(f"point mask {c} is not a point of P({car.n})")
+    disk = ball(mu, c, r)
     half = Fraction(r) / 2
     o1 = sum(1 << x for x in range(car.size) if v[x & ~c] < half)
     o2 = sum(1 << x for x in range(car.size) if v[c & ~x] < half)
@@ -216,13 +203,5 @@ def halfball_opens(mu: Submeasure, c: int, r: Fraction, o_ls: Topology, o_li: To
     return HalfBallReport(
         o1_open_in_left=o_ls.is_open_mask(o1),
         o2_open_in_right=o_li.is_open_mask(o2),
-        sandwich=inter >> c & 1 == 1 and inter & ~ball(mu, car.elements[c], r) == 0,
+        sandwich=inter >> c & 1 == 1 and inter & ~disk == 0,
     )
-
-
-def check_halfball_opens(mu: Submeasure, a: Element, r: Fraction) -> HalfBallReport:
-    """The two half-balls around a of radius r/2 are open in the left/right
-    sequential topologies and squeeze between a and the full ball."""
-    mu._check_carrier(a)
-    o_ls, o_li = (synthesize_O_lambda(law(mu.carrier)) for law in (lambda_ls, lambda_li))
-    return halfball_opens(mu, a.mask, r, o_ls, o_li)

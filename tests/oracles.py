@@ -1,14 +1,14 @@
 """Reference implementations that only the tests call.
 
-Each is a direct, element-by-element construction that the tests compare the
+Each is a direct, point-by-point construction that the tests compare the
 library's bit-mask code against: up/down sets against ``Carrier.up_masks`` and
 ``down_masks``, honest subsequences against the class reduction in
 ``convlab.seqclass``, subclasses, least singletons and reprs built from a
-class's set of elements against the bits of ``InfClass.mask``, full class tables against a convergence's singleton
+class's set of points against the bits of ``InfClass.mask``, full class tables against a convergence's singleton
 column and exceptions, listed opens against the minimal neighbourhoods a
 ``Topology`` holds, the diagram's order decided pair by pair of node names
-against ``report.build_figure1``'s pairs of equality classes, element-set
-views of topologies and submeasures, relations transposed, closed and
+against ``report.build_figure1``'s pairs of equality classes, point-set
+views of topologies, relations transposed, closed and
 checked one bit per step against the packed lanes of ``Carrier`` and
 ``Topology``, the triangle inequality over triples against ``verify``'s
 pairs of masks, random convergences with exceptions, criterion 9's random
@@ -30,7 +30,7 @@ from itertools import combinations, product
 from operator import and_, or_
 from typing import Iterable, Iterator
 
-from convlab.algebra import Carrier, CarrierMismatchError, Element, EPSeq, complement, iter_bits
+from convlab.algebra import Carrier, EPSeq, iter_bits
 from convlab.convergence import Convergence, sos_union
 from convlab.cube import FC_EMPTY, FC_FULL, FCSeq, fc_liminf, fc_limsup, fc_support
 from convlab.report import KINDS, escape
@@ -39,37 +39,26 @@ from convlab.submeasure import Submeasure
 from convlab.topology import Topology, generate
 
 
-def _width(elems: list[Element]) -> int:
-    width = elems[0].width
-    if any(e.width != width for e in elems):
-        raise CarrierMismatchError("mixed-width elements")
-    return width
+def upset(width: int, points: Iterable[int]) -> frozenset[int]:
+    """All points of P(width) whose atoms hold those of some member of ``points``."""
+    pts = list(points)
+    return frozenset(m for m in range(1 << width) if any(p & m == p for p in pts))
 
 
-def upset(elements: Iterable[Element]) -> frozenset[Element]:
-    """All carrier elements lying above some member of ``elements``."""
-    elems = list(elements)
-    if not elems:
-        return frozenset()
-    width = _width(elems)
-    return frozenset(
-        Element(m, width)
-        for m in range(1 << width)
-        if any(e.mask & m == e.mask for e in elems)
-    )
+def downset(width: int, points: Iterable[int]) -> frozenset[int]:
+    """All points of P(width) whose atoms lie in those of some member of ``points``."""
+    pts = list(points)
+    return frozenset(m for m in range(1 << width) if any(p & m == m for p in pts))
 
 
-def downset(elements: Iterable[Element]) -> frozenset[Element]:
-    """All carrier elements lying below some member of ``elements``."""
-    elems = list(elements)
-    if not elems:
-        return frozenset()
-    width = _width(elems)
-    return frozenset(
-        Element(m, width)
-        for m in range(1 << width)
-        if any(e.mask & m == m for e in elems)
-    )
+def points(limits) -> frozenset[int]:
+    """The point masks of a limit query's result."""
+    return frozenset(e.mask for e in limits)
+
+
+def atoms_text(point: int) -> str:
+    """``{i,j}``: the atoms of a point, ascending, one bit test per index."""
+    return "{" + ",".join(str(i) for i in range(point.bit_length()) if point >> i & 1) + "}"
 
 
 def value_at(x: EPSeq | FCSeq, i: int):
@@ -79,21 +68,19 @@ def value_at(x: EPSeq | FCSeq, i: int):
     return x.period[(i - len(x.preperiod)) % len(x.period)]
 
 
-def prefix(x: EPSeq, length: int) -> list[Element]:
+def prefix(x: EPSeq, length: int) -> list[int]:
     """The first ``length`` entries of x."""
     return [value_at(x, i) for i in range(length)]
 
 
 def format_seq_literal(x: EPSeq) -> str:
-    """Inverse of ``cli.parse_seq_literal``: ``[pre;per]`` with ``{i,j}`` elements."""
-    return "[{};{}]".format(*(",".join(map(repr, part)) for part in (x.preperiod, x.period)))
+    """Inverse of ``cli.parse_seq_literal``: ``[pre;per]`` with ``{i,j}`` points."""
+    return "[{};{}]".format(*(",".join(map(atoms_text, part)) for part in (x.preperiod, x.period)))
 
 
 def pointwise_complement(x: EPSeq) -> EPSeq:
-    return EPSeq(
-        tuple(complement(e) for e in x.preperiod),
-        tuple(complement(e) for e in x.period),
-    )
+    full = (1 << x.width) - 1
+    return EPSeq(tuple(p ^ full for p in x.preperiod), tuple(p ^ full for p in x.period), x.width)
 
 
 # -- concrete subsequence constructors -------------------------------------
@@ -107,9 +94,9 @@ def drop_prefix(x: EPSeq, k: int) -> EPSeq:
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k <= len(x.preperiod):
-        return EPSeq(x.preperiod[k:], x.period)
+        return EPSeq(x.preperiod[k:], x.period, x.width)
     off = (k - len(x.preperiod)) % len(x.period)
-    return EPSeq((), x.period[off:] + x.period[:off])
+    return EPSeq((), x.period[off:] + x.period[:off], x.width)
 
 
 def stride(x: EPSeq, k: int) -> EPSeq:
@@ -121,20 +108,20 @@ def stride(x: EPSeq, k: int) -> EPSeq:
     new_pre = tuple(value_at(x, j * k) for j in range(q))
     p = len(x.period)
     new_per = tuple(value_at(x, (q + j) * k) for j in range(p))
-    return EPSeq(new_pre, new_per)
+    return EPSeq(new_pre, new_per, x.width)
 
 
-def select_values(x: EPSeq, values: frozenset[Element]) -> EPSeq:
+def select_values(x: EPSeq, values: frozenset[int]) -> EPSeq:
     """The subsequence of entries lying in ``values``.
 
     Realizes any target subclass: for S' a nonempty subset of inf_class(x),
-    select_values(x, S'.values) is an honest subsequence with class S'.
+    select_values(x, the points of S') is an honest subsequence with class S'.
     """
     if not values & set(x.period):
         raise ValueError("values must meet the period, or the selection is finite")
     new_pre = tuple(e for e in x.preperiod if e in values)
     new_per = tuple(e for e in x.period if e in values)
-    return EPSeq(new_pre, new_per)
+    return EPSeq(new_pre, new_per, x.width)
 
 
 def all_classes(carrier: Carrier):
@@ -143,30 +130,31 @@ def all_classes(carrier: Carrier):
         yield InfClass(mask, carrier.n)
 
 
-# -- classes as sets of elements ---------------------------------------------
+# -- classes as sets of points -----------------------------------------------
 #
-# The class operations built from the set of elements a sequence visits
-# infinitely often, by sorting and combining elements instead of walking the
+# The class operations built from the set of points a sequence visits
+# infinitely often, by sorting and combining points instead of walking the
 # bits of ``InfClass.mask``.
 
-def _by_mask(values: Iterable[Element]) -> list[Element]:
-    return sorted(values, key=lambda e: e.mask)
+def class_points(s: InfClass) -> frozenset[int]:
+    """The points of a class, one bit test per point of the carrier."""
+    return frozenset(p for p in range(1 << s.width) if s.mask >> p & 1)
 
 
-def subclasses_of(values: frozenset[Element]) -> frozenset[frozenset[Element]]:
+def subclasses_of(values: frozenset[int]) -> frozenset[frozenset[int]]:
     """Every nonempty subset of values, one combination size at a time."""
-    vals = _by_mask(values)
+    vals = sorted(values)
     return frozenset(frozenset(c) for k in range(1, len(vals) + 1) for c in combinations(vals, k))
 
 
-def least_singleton(values: frozenset[Element]) -> frozenset[Element]:
-    """The singleton of the element with the least mask."""
-    return frozenset([min(values, key=lambda e: e.mask)])
+def least_singleton(values: frozenset[int]) -> frozenset[int]:
+    """The singleton of the least point."""
+    return frozenset([min(values)])
 
 
-def class_repr(values: frozenset[Element]) -> str:
-    """``InfClass(...)`` listing the elements in ascending mask order."""
-    return "InfClass(" + ",".join(repr(e) for e in _by_mask(values)) + ")"
+def class_repr(values: frozenset[int]) -> str:
+    """``InfClass(...)`` listing the points in ascending order."""
+    return "InfClass(" + ",".join(map(atoms_text, sorted(values))) + ")"
 
 
 # -- full class tables ------------------------------------------------------
@@ -425,13 +413,13 @@ def antidiscrete(carrier: Carrier) -> Topology:
     return Topology(carrier, [full] * carrier.size)
 
 
-def generate_from_elements(carrier: Carrier, subbase: Iterable[Iterable[Element]]) -> Topology:
-    return generate(carrier, [carrier.subset_mask(s) for s in subbase])
+def generate_from_points(carrier: Carrier, subbase: Iterable[Iterable[int]]) -> Topology:
+    return generate(carrier, [sum(1 << p for p in set(s)) for s in subbase])
 
 
-def open_families(topo: Topology) -> list[frozenset[Element]]:
-    """Opens as element sets, in canonical (ascending mask) order."""
-    return [topo.carrier.subset_from_mask(o) for o in sorted(open_masks(topo))]
+def open_families(topo: Topology) -> list[frozenset[int]]:
+    """Opens as point sets, in canonical (ascending mask) order."""
+    return [frozenset(iter_bits(o)) for o in sorted(open_masks(topo))]
 
 
 @functools.cache
@@ -468,14 +456,9 @@ def zero_submeasure(carrier: Carrier) -> Submeasure:
 
 
 def triangle_holds(mu: Submeasure) -> bool:
-    """d(a, c) <= d(a, b) + d(b, c) for every triple of elements."""
-    elems = mu.carrier.elements
-    return all(
-        mu.distance(a, c) <= mu.distance(a, b) + mu.distance(b, c)
-        for a in elems
-        for b in elems
-        for c in elems
-    )
+    """d(a, c) <= d(a, b) + d(b, c) for every triple of points, d(a, b) = mu(a ^ b)."""
+    v, pts = mu.values, range(mu.carrier.size)
+    return all(v[a ^ c] <= v[a ^ b] + v[b ^ c] for a in pts for b in pts for c in pts)
 
 
 def integer_submeasures(carrier: Carrier, top: int) -> list[Submeasure]:

@@ -32,7 +32,7 @@ from convlab.verify import (
     run_all,
 )
 
-from oracles import table_of, transpose_rows, triangle_holds
+from oracles import points, table_of, transpose_rows, triangle_holds
 from test_algebra import random_epseq
 
 
@@ -88,7 +88,7 @@ class TestLimitIntersectionLaw:
         words = []
         for _ in range(20):
             x = random_epseq(carrier, rng)
-            words.append("".join("%x" % e.mask for e in x.preperiod) + "/" + "".join("%x" % e.mask for e in x.period))
+            words.append("".join("%x" % p for p in x.preperiod) + "/" + "".join("%x" % p for p in x.period))
         assert " ".join(words) == self.PINNED[seed, n]
 
     def test_failure_names_a_sequence(self, monkeypatch):
@@ -205,9 +205,9 @@ class TestRowCriteria:
         ctx = VerifyContext(atoms=n)
         lhs, _, rhs, source = row
         _, mask = first_violation(((rhs, "<=", lhs, source),), ctx.nodes(n))
-        zero, top = InfClass(1, n), ctx.carrier(n).top
+        zero, top = InfClass(1, n), (1 << n) - 1
         assert InfClass(mask, n) == zero
-        assert top in ctx.nodes(n)["lambda_ls"](zero) and top not in ctx.nodes(n)["lambda_s"](zero)
+        assert top in points(ctx.nodes(n)["lambda_ls"](zero)) and top not in points(ctx.nodes(n)["lambda_s"](zero))
 
 
 class TestAdjunction:

@@ -2,69 +2,64 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 from functools import reduce
+from operator import and_, or_
 
 import pytest
 
-from convlab.algebra import (
-    Carrier,
-    CarrierMismatchError,
-    Element,
-    EPSeq,
-    canonical_period,
-    complement,
-    join,
-    leq,
-    liminf,
-    limsup,
-    meet,
-)
+from convlab.algebra import Carrier, EPSeq, atom_set, canonical_period, iter_bits, liminf, limsup
 
-from oracles import downset, pointwise_complement, prefix, upset, value_at
+from oracles import atoms_text, downset, pointwise_complement, prefix, upset, value_at
 
 
-def tail_liminf(x: EPSeq) -> Element:
+def tail_liminf(x: EPSeq) -> int:
     """Oracle: evaluate join over k of (meet of a full tail window at k)."""
     window = len(x.preperiod) + len(x.period)
     tails = []
     for k in range(window + 1):
         vals = [value_at(x, i) for i in range(k, k + window)]
-        tails.append(reduce(meet, vals))
-    return reduce(join, tails)
+        tails.append(reduce(and_, vals))
+    return reduce(or_, tails)
 
 
-def tail_limsup(x: EPSeq) -> Element:
+def tail_limsup(x: EPSeq) -> int:
     window = len(x.preperiod) + len(x.period)
     tails = []
     for k in range(window + 1):
         vals = [value_at(x, i) for i in range(k, k + window)]
-        tails.append(reduce(join, vals))
-    return reduce(meet, tails)
+        tails.append(reduce(or_, vals))
+    return reduce(and_, tails)
 
 
 def random_epseq(carrier, rng):
-    pre = tuple(carrier.elements[rng.randrange(carrier.size)] for _ in range(rng.randrange(0, 4)))
-    per = tuple(carrier.elements[rng.randrange(carrier.size)] for _ in range(rng.randrange(1, 5)))
-    return EPSeq(pre, per)
+    pre = tuple(rng.randrange(carrier.size) for _ in range(rng.randrange(0, 4)))
+    per = tuple(rng.randrange(carrier.size) for _ in range(rng.randrange(1, 5)))
+    return EPSeq(pre, per, carrier.n)
+
+
+def atoms(point: int) -> set[int]:
+    return {i for i in range(point.bit_length()) if point >> i & 1}
 
 
 class TestLatticeOps:
     def test_meet_disjoint_atoms(self, p2):
-        assert meet(p2.element([0]), p2.element([1])) == p2.bottom
+        # the common lower bounds of the atoms {0} and {1} in the order table are the bottom's
+        assert p2.down_masks[0b01] & p2.down_masks[0b10] == p2.down_masks[0] == 1
 
     def test_join_atoms(self, p2):
-        assert join(p2.element([0]), p2.element([1])) == p2.top
-
-    def test_complement_bottom_is_top(self, p2):
-        assert complement(p2.bottom) == p2.top
+        # the common upper bounds of the atoms {0} and {1} are the top's
+        assert p2.up_masks[0b01] & p2.up_masks[0b10] == p2.up_masks[0b11] == 1 << 0b11
 
     def test_leq_is_subset_order(self, p3):
-        for a in p3.elements:
-            for b in p3.elements:
-                assert leq(a, b) == (a.atoms <= b.atoms)
+        # q lies above p in the order tables iff p's atoms are among q's
+        for p in range(p3.size):
+            for q in range(p3.size):
+                below = atoms(p) <= atoms(q)
+                assert (p3.up_masks[p] >> q & 1 == 1) == below == (p3.down_masks[q] >> p & 1 == 1)
 
     def test_mixed_carrier_rejected(self, p2, p3):
-        with pytest.raises(CarrierMismatchError):
-            meet(p2.top, p3.top)
+        # the top of P(3) is no point of P(2)
+        with pytest.raises(ValueError, match="mask 7 out of range for width 2"):
+            EPSeq((), (0, p3.size - 1), p2.n)
 
     def test_trivial_algebra_rejected(self):
         with pytest.raises(ValueError):
@@ -77,27 +72,26 @@ class TestLatticeOps:
 
 class TestUpDownSets:
     def test_upset_of_bottom_is_everything(self, p2):
-        assert upset([p2.bottom]) == frozenset(p2.elements)
+        assert upset(2, [0]) == frozenset(range(p2.size))
 
     def test_upset_of_atoms(self, p2):
-        got = upset([p2.element([0]), p2.element([1])])
-        assert got == frozenset({p2.element([0]), p2.element([1]), p2.top})
+        assert upset(2, [0b01, 0b10]) == frozenset({0b01, 0b10, 0b11})
 
     def test_downset_of_top_is_everything(self, p3):
-        assert downset([p3.top]) == frozenset(p3.elements)
+        assert downset(3, [0b111]) == frozenset(range(p3.size))
 
     def test_empty_input(self):
-        assert upset([]) == frozenset()
-        assert downset([]) == frozenset()
+        assert upset(2, []) == frozenset()
+        assert downset(2, []) == frozenset()
 
     def test_monotone_and_idempotent(self, p2):
         rng = random.Random(5)
         for _ in range(50):
-            a = {p2.elements[rng.randrange(p2.size)] for _ in range(rng.randrange(0, 4))}
-            b = a | {p2.elements[rng.randrange(p2.size)]}
-            assert upset(a) <= upset(b)
-            assert upset(upset(a)) == upset(a)
-            assert downset(downset(a)) == downset(a)
+            a = {rng.randrange(p2.size) for _ in range(rng.randrange(0, 4))}
+            b = a | {rng.randrange(p2.size)}
+            assert upset(2, a) <= upset(2, b)
+            assert upset(2, upset(2, a)) == upset(2, a)
+            assert downset(2, downset(2, a)) == downset(2, a)
 
 
 class TestCarrierTables:
@@ -125,21 +119,12 @@ class TestCarrierTables:
         assert carrier.down_masks == down
         assert carrier.up_masks == up
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_elements_are_made_once(self, n):
-        carrier = Carrier(n)
-        assert carrier.bottom is carrier.elements[0]
-        assert carrier.top is carrier.element(range(n)) is carrier.elements[-1]
-        assert carrier.elements is carrier.elements
-        assert all(e.mask == m and e.width == n for m, e in enumerate(carrier.elements))
-        assert Carrier(n).bottom is not carrier.bottom
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_tables_match_upset_and_downset(self, n):
         carrier = Carrier(n)
-        for e in carrier.elements:
-            assert carrier.subset_from_mask(carrier.up_masks[e.mask]) == upset([e])
-            assert carrier.subset_from_mask(carrier.down_masks[e.mask]) == downset([e])
+        for p in range(carrier.size):
+            assert frozenset(iter_bits(carrier.up_masks[p])) == upset(n, [p])
+            assert frozenset(iter_bits(carrier.down_masks[p])) == downset(n, [p])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_subset_masks_outside_the_carrier_rejected(self, n):
@@ -148,30 +133,31 @@ class TestCarrierTables:
         for mask in (-1, 1 << carrier.size):
             with pytest.raises(ValueError, match=rf"mask {mask} is not a subset of P\({n}\)"):
                 carrier.subset_from_mask(mask)
-        assert carrier.subset_from_mask((1 << carrier.size) - 1) == frozenset(carrier.elements)
+        everything = carrier.subset_from_mask((1 << carrier.size) - 1)
+        assert sorted((e.mask, e.width) for e in everything) == [(p, n) for p in range(carrier.size)]
 
 
 class TestLimInfSup:
     def test_alternating_atoms(self, p2):
-        x = EPSeq((), (p2.element([0]), p2.element([1])))
-        assert liminf(x) == p2.bottom
-        assert limsup(x) == p2.top
+        x = EPSeq((), (0b01, 0b10), p2.n)
+        assert liminf(x) == 0
+        assert limsup(x) == 0b11
 
     def test_constant(self, p3):
-        for a in p3.elements:
-            x = EPSeq((), (a,))
+        for a in range(p3.size):
+            x = EPSeq((), (a,), p3.n)
             assert liminf(x) == a == limsup(x)
 
     def test_preperiod_drops_out(self, p2):
-        x = EPSeq((p2.top,), (p2.element([0]),))
-        assert liminf(x) == p2.element([0])
-        assert limsup(x) == p2.element([0])
+        x = EPSeq((0b11,), (0b01,), p2.n)
+        assert liminf(x) == 0b01
+        assert limsup(x) == 0b01
 
     def test_liminf_below_limsup(self, p3):
         rng = random.Random(7)
         for _ in range(200):
             x = random_epseq(p3, rng)
-            assert leq(liminf(x), limsup(x))
+            assert atoms(liminf(x)) <= atoms(limsup(x))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_tail_oracle_agreement(self, n):
@@ -186,8 +172,8 @@ class TestLimInfSup:
         rng = random.Random(11)
         for _ in range(200):
             x = random_epseq(p3, rng)
-            noise = tuple(p3.elements[rng.randrange(p3.size)] for _ in range(3))
-            y = EPSeq(noise + x.preperiod, x.period)
+            noise = tuple(rng.randrange(p3.size) for _ in range(3))
+            y = EPSeq(noise + x.preperiod, x.period, p3.n)
             assert liminf(y) == liminf(x)
             assert limsup(y) == limsup(x)
 
@@ -195,88 +181,88 @@ class TestLimInfSup:
         rng = random.Random(13)
         for _ in range(200):
             x = random_epseq(p3, rng)
-            assert liminf(x) == complement(limsup(pointwise_complement(x)))
+            assert liminf(x) == limsup(pointwise_complement(x)) ^ 0b111
 
 
-def rotation_oracle(period, key):
+def rotation_oracle(period):
     """Oracle for canonical_period: the shortest repeating block, then the
-    least of its rotations, each rotation's keys rebuilt."""
+    least of its rotations."""
     n = len(period)
     d = min(d for d in range(1, n + 1) if n % d == 0 and period == period[:d] * (n // d))
     block = period[:d]
-    rotations = [block[i:] + block[:i] for i in range(d)]
-    return min(rotations, key=lambda r: tuple(key(e) for e in r))
+    return min(block[i:] + block[:i] for i in range(d))
 
 
 class TestEPSeqCanonicalization:
-    @given(
-        block=st.lists(st.integers(0, 3).map(lambda m: Element(m, 2)), min_size=1, max_size=5),
-        repeat=st.integers(1, 3),
-    )
+    @given(block=st.lists(st.integers(0, 3), min_size=1, max_size=5), repeat=st.integers(1, 3))
     def test_matches_rotation_oracle(self, block, repeat):
         period = tuple(block) * repeat
-        expected = rotation_oracle(period, lambda e: e.mask)
-        assert canonical_period(period, lambda e: e.mask) == expected
-        assert EPSeq((), period).period == expected
+        expected = rotation_oracle(period)
+        assert canonical_period(period) == expected
+        assert EPSeq((), period, 2).period == expected
 
     # two keys in long blocks: rotations that agree on long prefixes, where
     # the least-rotation search skips starts
     @given(block=st.lists(st.integers(0, 1), min_size=1, max_size=40), repeat=st.integers(1, 3))
     def test_long_blocks_match_rotation_oracle(self, block, repeat):
         period = tuple(block) * repeat
-        assert canonical_period(period, int) == rotation_oracle(period, int)
+        assert canonical_period(period) == rotation_oracle(period)
 
     def test_repeated_period_collapses(self, p2):
-        a, b = p2.element([0]), p2.element([1])
-        assert EPSeq((), (a, b, a, b)).period == (a, b)
+        a, b = 0b01, 0b10
+        assert EPSeq((), (a, b, a, b), p2.n).period == (a, b)
 
     def test_rotation_normalized(self, p2):
-        a, b = p2.element([0]), p2.element([1])
-        assert EPSeq((), (b, a)) == EPSeq((), (a, b))
+        a, b = 0b01, 0b10
+        assert EPSeq((), (b, a), p2.n) == EPSeq((), (a, b), p2.n)
 
     def test_empty_period_rejected(self, p2):
         with pytest.raises(ValueError):
-            EPSeq((p2.top,), ())
+            EPSeq((0b11,), (), p2.n)
 
     def test_value_at(self, p2):
-        a, b = p2.element([0]), p2.element([1])
-        x = EPSeq((p2.top,), (a, b))
-        assert prefix(x, 5) == [p2.top, a, b, a, b]
+        a, b, top = 0b01, 0b10, 0b11
+        x = EPSeq((top,), (a, b), p2.n)
+        assert prefix(x, 5) == [top, a, b, a, b]
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_width_below_one_rejected(self, width):
+        with pytest.raises(ValueError, match="width must be at least 1"):
+            EPSeq((), (0,), width)
+
+    @pytest.mark.parametrize("entry", [-1, 4])
+    def test_entry_outside_the_carrier_rejected(self, p2, entry):
+        with pytest.raises(ValueError, match=f"mask {entry} out of range for width 2"):
+            EPSeq((entry,), (0,), p2.n)
+        with pytest.raises(ValueError, match=f"mask {entry} out of range for width 2"):
+            EPSeq((), (0, entry), p2.n)
+
+
+class TestAtomSet:
+    """The one formatter of a point's atoms, against a bit test per index."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_bit_tests(self, n):
+        assert [atom_set(p) for p in range(1 << n)] == [atoms_text(p) for p in range(1 << n)]
 
 
 class TestLatticeProperties:
     """Randomized law checks driven by hypothesis over P(3)."""
 
-    carrier = Carrier(3)
-    elements = st.integers(min_value=0, max_value=7).map(
-        lambda m: Element(m, 3)
-    )
-
-    @given(a=elements, b=elements)
-    def test_absorption(self, a, b):
-        assert join(a, meet(a, b)) == a
-        assert meet(a, join(a, b)) == a
-
-    @given(a=elements, b=elements, c=elements)
-    def test_distributivity(self, a, b, c):
-        assert meet(a, join(b, c)) == join(meet(a, b), meet(a, c))
-
-    @given(a=elements, b=elements)
-    def test_de_morgan(self, a, b):
-        assert complement(meet(a, b)) == join(complement(a), complement(b))
+    points = st.integers(min_value=0, max_value=7)
 
     @given(
-        pre=st.lists(elements, max_size=4).map(tuple),
-        per=st.lists(elements, min_size=1, max_size=4).map(tuple),
+        pre=st.lists(points, max_size=4).map(tuple),
+        per=st.lists(points, min_size=1, max_size=4).map(tuple),
         extra=st.integers(min_value=1, max_value=3),
     )
     def test_period_repetition_invisible(self, pre, per, extra):
-        assert EPSeq(pre, per) == EPSeq(pre, per * extra)
+        assert EPSeq(pre, per, 3) == EPSeq(pre, per * extra, 3)
 
     @given(
-        per=st.lists(elements, min_size=1, max_size=4).map(tuple),
+        per=st.lists(points, min_size=1, max_size=4).map(tuple),
         shift=st.integers(min_value=0, max_value=3),
     )
     def test_rotation_invisible(self, per, shift):
         shift %= len(per)
-        assert EPSeq((), per) == EPSeq((), per[shift:] + per[:shift])
+        assert EPSeq((), per, 3) == EPSeq((), per[shift:] + per[:shift], 3)

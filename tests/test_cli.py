@@ -26,18 +26,19 @@ class TestSeqLiteral:
     def test_basic(self):
         p2 = Carrier(2)
         x = parse_seq_literal("[{0,1};{0},{1}]", p2)
-        assert x.preperiod == (p2.element([0, 1]),)
-        assert set(x.period) == {p2.element([0]), p2.element([1])}
+        assert x.preperiod == (0b11,)
+        assert set(x.period) == {0b01, 0b10}
+        assert x.width == 2
 
     def test_empty_preperiod(self):
         p2 = Carrier(2)
         x = parse_seq_literal("[;{0}]", p2)
         assert x.preperiod == ()
-        assert x.period == (p2.element([0]),)
+        assert x.period == (0b01,)
 
     def test_empty_braces_are_bottom(self):
         p2 = Carrier(2)
-        assert parse_seq_literal("[;{}]", p2).period == (p2.bottom,)
+        assert parse_seq_literal("[;{}]", p2).period == (0,)
 
     @pytest.mark.parametrize(
         "bad",
@@ -81,18 +82,16 @@ class TestSeqLiteral:
 @st.composite
 def epseqs(draw):
     carrier = Carrier(draw(st.integers(min_value=1, max_value=5)))
-    elems = st.integers(min_value=0, max_value=carrier.size - 1).map(
-        lambda m: carrier.elements[m]
-    )
-    pre = draw(st.lists(elems, max_size=4))
-    per = draw(st.lists(elems, min_size=1, max_size=4))
-    return carrier, EPSeq(tuple(pre), tuple(per))
+    points = st.integers(min_value=0, max_value=carrier.size - 1)
+    pre = draw(st.lists(points, max_size=4))
+    per = draw(st.lists(points, min_size=1, max_size=4))
+    return carrier, EPSeq(tuple(pre), tuple(per), carrier.n)
 
 
 class TestFormatSeqLiteral:
     def test_format(self):
         p3 = Carrier(3)
-        x = EPSeq((p3.top,), (p3.element([0]), p3.bottom))
+        x = EPSeq((0b111,), (0b001, 0), p3.n)
         assert format_seq_literal(x) == "[{0,1,2};{},{0}]"
 
     @given(epseqs())
@@ -103,12 +102,12 @@ class TestFormatSeqLiteral:
 
 @st.composite
 def spelled_literals(draw):
-    """A sequence over P(n), n = 1..5, and a literal for it: each element's
+    """A sequence over P(n), n = 1..5, and a literal for it: each point's
     atoms in random order, with repeats and leading zeros."""
     carrier, x = draw(epseqs())
 
-    def respell(element: re.Match) -> str:
-        atoms = element.group(1).split(",") if element.group(1) else []
+    def respell(point: re.Match) -> str:
+        atoms = point.group(1).split(",") if point.group(1) else []
         atoms += draw(st.lists(st.sampled_from(atoms), max_size=2)) if atoms else []
         atoms = draw(st.permutations(atoms))
         return "{" + ",".join("0" * draw(st.integers(0, 3)) + a for a in atoms) + "}"
@@ -172,15 +171,15 @@ class TestPathologicalLiterals:
             assert time.perf_counter() - start < 1
 
     def test_long_zero_run(self):
-        assert self.parse_quickly(self.ZEROS).period == (self.P5.element([0]),)
+        assert self.parse_quickly(self.ZEROS).period == (0b1,)
 
     def test_many_atoms(self):
-        assert self.parse_quickly(self.ATOMS).period == (self.P5.top,)
+        assert self.parse_quickly(self.ATOMS).period == (0b11111,)
 
     def test_long_period(self):
         x = self.parse_quickly(self.PERIOD)
         assert len(x.period) == 10_000
-        assert {e.mask for e in x.period} == {1 << (i * i % 7 % 5) for i in range(10_000)}
+        assert set(x.period) == {1 << (i * i % 7 % 5) for i in range(10_000)}
 
     @pytest.mark.parametrize(
         "text, position",
@@ -255,8 +254,8 @@ class TestConverge:
 
     def test_leading_zeros_are_dropped(self):
         p5 = Carrier(5)
-        assert parse_seq_literal("[;{03}]", p5).period == (p5.element([3]),)
-        assert parse_seq_literal("[;{" + "0" * 5000 + "4}]", p5).period == (p5.element([4]),)
+        assert parse_seq_literal("[;{03}]", p5).period == (1 << 3,)
+        assert parse_seq_literal("[;{" + "0" * 5000 + "4}]", p5).period == (1 << 4,)
         with pytest.raises(SeqParseError, match="out of range"):
             parse_seq_literal("[;{05}]", p5)
 

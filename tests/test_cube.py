@@ -542,8 +542,8 @@ class TestFCSeqCanonicalization:
     @given(block=st.lists(fcsets(2), min_size=1, max_size=5), repeat=st.integers(1, 3))
     def test_matches_rotation_oracle(self, block, repeat):
         period = tuple(block) * repeat
-        expected = rotation_oracle(period, int)
-        assert canonical_period(period, int) == expected
+        expected = rotation_oracle(period)
+        assert canonical_period(period) == expected
         assert FCSeq((), period).period == expected
 
     def test_period_rotation_and_reduction(self):

@@ -1,5 +1,5 @@
-"""`convlab diagram` and `convlab verify` output is byte-identical to the
-committed goldens.
+"""`convlab diagram`, `convlab verify` and `convlab converge` output is
+byte-identical to the committed goldens.
 
 The diagram goldens for n = 1..4 in perfbench/goldens/ were captured on the
 seed commit; those for n = 5 in tests/goldens/ were captured before the
@@ -8,8 +8,9 @@ tests/goldens/ were captured before the suite read its nodes from the diagram
 builder, apart from line 6, captured again when the limit intersection law
 went from sampled sequences to all classes, and lines 9 and 11, captured again
 when the antitone adjunction and the triangle inequality went from n = 1..3 to
-every atom count. The tests read the goldens and
-never rewrite them.
+every atom count. The converge golden was captured before sequences held
+their points as masks: each ``$ converge ...`` line is followed by its output.
+The tests read the goldens and never rewrite them.
 """
 
 from pathlib import Path
@@ -43,3 +44,14 @@ def test_verify_matches_golden(args, name):
     result = CliRunner().invoke(main, ["verify", *args])
     assert result.exit_code == 0
     assert result.stdout_bytes == (ROOT / "tests" / "goldens" / name).read_bytes()
+
+
+def test_converge_matches_golden():
+    expected = (ROOT / "tests" / "goldens" / "converge.txt").read_bytes()
+    commands = [line[2:].split() for line in expected.decode().splitlines() if line.startswith("$ ")]
+    out = []
+    for args in commands:
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, args
+        out.append(b"$ " + " ".join(args).encode() + b"\n" + result.stdout_bytes)
+    assert b"".join(out) == expected

@@ -9,6 +9,10 @@ a function counts as well as one at the top.
 Each CLI subcommand, run in a fresh interpreter, loads only its own layer:
 ``converge`` and every ``--help`` no more than the CLI and the kernel below
 the limit laws.
+
+A point is an int mask everywhere: ``Element`` is named only where it is
+defined and where a limit query returns it, and no module defines or imports
+the deleted API of a second point type.
 """
 
 import ast
@@ -24,6 +28,7 @@ from convlab import cli, convergence, seqclass
 
 KERNEL = ("algebra", "seqclass", "convergence", "topology", "cube", "submeasure")
 UPPER = {"report", "verify", "cli"}
+SOURCES = Path(convlab.__file__).parent
 
 
 def convlab_imports(source: str) -> set[str]:
@@ -107,6 +112,110 @@ def test_verify_builds_no_diagram_node():
     assert names_from(source, "topology") & built == set()
 
 
+# The API of points as objects, deleted when points became masks: module
+# functions, and methods by class.
+DELETED_FUNCTIONS = {"meet", "join", "complement", "leq", "_check_same", "_points", "check_halfball_opens"}
+DELETED_METHODS = {
+    "Carrier": {"element", "_element", "elements", "bottom", "top", "subset_mask"},
+    "InfClass": {"values"},
+    "Submeasure": {"__call__", "distance", "_check_carrier"},
+}
+# module -> the functions that may name Element: None for the whole module
+ELEMENT_NAMERS = {"algebra": None, "convergence": {"__call__"}, "topology": {"lim_topo"}}
+
+
+def deleted_api(source: str) -> set[str]:
+    """The deleted names a module's source defines, as ``name`` or
+    ``Class.method``, or imports."""
+    tree, found = ast.parse(source), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in DELETED_FUNCTIONS:
+            found.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if item.name in DELETED_METHODS.get(node.name, ()):
+                        found.add(f"{node.name}.{item.name}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(a.name.split(".")[-1] for a in node.names if a.name.split(".")[-1] in DELETED_FUNCTIONS)
+    return found
+
+
+def element_namers(source: str) -> set[str]:
+    """The functions of a module's source whose bodies or signatures name
+    ``Element``, with ``"<import>"`` for an import of it and ``""`` for any
+    other name outside every function."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name == "Element":
+                found.add(scope)
+            if not isinstance(node, ast.ClassDef):
+                scope = node.name
+        named = (
+            isinstance(node, ast.Name) and node.id == "Element"
+            or isinstance(node, ast.Attribute) and node.attr == "Element"
+        )
+        if named:
+            found.add(scope)
+        if isinstance(node, ast.alias) and node.name.split(".")[-1] == "Element":
+            found.add("<import>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("from .algebra import meet, iter_bits", {"meet"}),
+        ("import convlab.algebra.join", {"join"}),
+        ("def f():\n    def complement(a):\n        pass", {"complement"}),
+        ("class Carrier:\n    @property\n    def top(self):\n        pass", {"Carrier.top"}),
+        ("class Submeasure:\n    def __call__(self, a):\n        pass", {"Submeasure.__call__"}),
+        ("class Convergence:\n    def __call__(self, s):\n        pass", set()),
+        ("class Carrier:\n    def subset_from_mask(self, m):\n        pass", set()),
+    ],
+)
+def test_every_deleted_definition_is_read(source, names):
+    assert deleted_api(source) == names
+
+
+@pytest.mark.parametrize(
+    "source, scopes",
+    [
+        ("from .algebra import Element", {"<import>"}),
+        ("def f():\n    from convlab.algebra import Element", {"<import>"}),
+        ("X = Element", {""}),
+        ("def f(x) -> frozenset[Element]:\n    pass", {"f"}),
+        ("class C:\n    def g(self):\n        return algebra.Element(0, 1)", {"g"}),
+        ("def h():\n    return Element\ndef k():\n    pass", {"h"}),
+        ("class Element:\n    pass", {""}),
+        ("x = 'Element'", set()),
+    ],
+)
+def test_every_element_use_is_read(source, scopes):
+    assert element_namers(source) == scopes
+
+
+@pytest.mark.parametrize("path", sorted(SOURCES.glob("*.py")), ids=lambda path: path.stem)
+def test_no_second_point_type(path):
+    assert deleted_api(path.read_text(encoding="utf-8")) == set()
+
+
+@pytest.mark.parametrize("path", sorted(SOURCES.glob("*.py")), ids=lambda path: path.stem)
+def test_element_only_where_a_limit_query_returns_it(path):
+    namers = element_namers(path.read_text(encoding="utf-8"))
+    if path.stem not in ELEMENT_NAMERS:
+        assert namers == set()
+    elif ELEMENT_NAMERS[path.stem] is not None:
+        assert namers <= ELEMENT_NAMERS[path.stem] | {"<import>"}
+        assert ELEMENT_NAMERS[path.stem] <= namers
+
+
 # Runs the CLI with the arguments given, then prints its exit code and the
 # convlab modules the process loaded, without the package prefix, as the
 # last line of stdout.
@@ -121,7 +230,6 @@ except SystemExit as exc:
 print(code, *sorted(m.removeprefix("convlab.") for m in sys.modules if m.split(".")[0] == "convlab"))
 """
 
-SOURCES = Path(convlab.__file__).parent
 QUERY = {"convlab", "algebra", "convergence", "seqclass", "cli"}
 EVERY_MODULE = {"convlab"} | {path.stem for path in SOURCES.glob("*.py")} - {"__init__"}
 

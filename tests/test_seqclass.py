@@ -9,6 +9,7 @@ from convlab.seqclass import InfClass, inf_class, representative, subsequence_cl
 
 from oracles import (
     all_classes,
+    class_points,
     class_repr,
     drop_prefix,
     least_singleton,
@@ -33,21 +34,21 @@ def _tail_of(y, sampled):
 
 class TestInfClass:
     def test_preperiod_excluded(self, p2):
-        x = EPSeq((p2.top,), (p2.element([0]), p2.element([1])))
-        assert inf_class(x).values == frozenset({p2.element([0]), p2.element([1])})
+        x = EPSeq((0b11,), (0b01, 0b10), p2.n)
+        assert class_points(inf_class(x)) == frozenset({0b01, 0b10})
 
     def test_constant(self, p2):
-        for a in p2.elements:
-            assert inf_class(EPSeq((), (a,))).values == frozenset({a})
+        for a in range(p2.size):
+            assert class_points(inf_class(EPSeq((), (a,), p2.n))) == frozenset({a})
 
     def test_repeats_in_period(self, p2):
-        a, b = p2.element([0]), p2.element([1])
-        x = EPSeq((), (a, a, b))
+        a, b = 0b01, 0b10
+        x = EPSeq((), (a, a, b), p2.n)
         # occurrence counting over three concatenated periods: both values
         # appear at least twice per window, nothing else appears at all
         window = list(x.period) * 3
         expected = {v for v in window if window.count(v) >= 2}
-        assert inf_class(x).values == frozenset(expected) == {a, b}
+        assert class_points(inf_class(x)) == frozenset(expected) == {a, b}
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError):
@@ -56,47 +57,46 @@ class TestInfClass:
 
 class TestSubsequenceClasses:
     def test_singleton(self, p2):
-        s = InfClass(1 << p2.top.mask, p2.n)
+        s = InfClass(1 << 0b11, p2.n)
         assert subsequence_classes(s) == frozenset({s})
 
     def test_pair_gives_three(self, p2):
-        s = InfClass(p2.subset_mask({p2.element([0]), p2.element([1])}), p2.n)
+        s = InfClass(1 << 0b01 | 1 << 0b10, p2.n)
         assert len(subsequence_classes(s)) == 3
 
     def test_triple_gives_seven(self, p3):
-        s = InfClass(p3.subset_mask({p3.element([0]), p3.element([1]), p3.element([2])}), p3.n)
+        s = InfClass(1 << 0b001 | 1 << 0b010 | 1 << 0b100, p3.n)
         assert len(subsequence_classes(s)) == 7
 
     def test_counts_match_powerset(self, p2):
         for s in all_classes(p2):
-            assert len(subsequence_classes(s)) == 2 ** len(s.values) - 1
+            assert len(subsequence_classes(s)) == 2 ** len(class_points(s)) - 1
 
 
 class TestRepresentative:
     def test_pair(self, p2):
-        a, b = p2.element([0]), p2.element([1])
-        s = InfClass(p2.subset_mask({a, b}), p2.n)
-        assert representative(s) == EPSeq((), (a, b))
+        a, b = 0b01, 0b10
+        s = InfClass(1 << a | 1 << b, p2.n)
+        assert representative(s) == EPSeq((), (a, b), p2.n)
 
     def test_constant(self, p2):
-        s = InfClass(1 << p2.top.mask, p2.n)
-        assert representative(s) == EPSeq((), (p2.top,))
+        s = InfClass(1 << 0b11, p2.n)
+        assert representative(s) == EPSeq((), (0b11,), p2.n)
 
     def test_round_trip(self, p3):
         rng = random.Random(17)
         for _ in range(100):
-            vals = frozenset(
-                p3.elements[rng.randrange(p3.size)]
-                for _ in range(rng.randrange(1, 5))
-            )
-            s = InfClass(p3.subset_mask(vals), p3.n)
+            vals = frozenset(rng.randrange(p3.size) for _ in range(rng.randrange(1, 5)))
+            s = InfClass(sum(1 << v for v in vals), p3.n)
             assert inf_class(representative(s)) == s
 
 
 class TestClassMasks:
     def test_round_trip(self, p2):
         for mask in range(1, 1 << p2.size):
-            assert p2.subset_mask(InfClass(mask, p2.n).values) == mask
+            s = InfClass(mask, p2.n)
+            assert set(representative(s).period) == class_points(s)
+            assert inf_class(representative(s)) == s
 
     def test_zero_rejected(self, p2):
         with pytest.raises(ValueError):
@@ -109,7 +109,7 @@ class TestClassMasks:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_mask_past_the_carrier_rejected(self, n):
         carrier = Carrier(n)
-        assert InfClass((1 << carrier.size) - 1, n).values == frozenset(carrier.elements)
+        assert representative(InfClass((1 << carrier.size) - 1, n)).period == tuple(range(carrier.size))
         with pytest.raises(ValueError, match=rf"not a subset of P\({n}\)"):
             InfClass(1 << carrier.size, n)
 
@@ -120,18 +120,18 @@ class TestClassMasks:
 
 
 class TestAgainstElementSets:
-    """The mask-backed class against the same operations on its elements."""
+    """The mask-backed class against the same operations on its set of points."""
 
     @settings(max_examples=200, deadline=None)
     @given(epseqs())
     def test_operations_match_element_sets(self, case):
         _, x = case
         s, period = inf_class(x), frozenset(x.period)
-        assert s.values == period
+        assert class_points(s) == period
         assert inf_class(representative(s)) == s
-        assert representative(s).period == tuple(sorted(period, key=lambda e: e.mask))
-        assert {c.values for c in subsequence_classes(s)} == subclasses_of(period)
-        assert hbar_witness(s).values == least_singleton(period)
+        assert representative(s).period == tuple(sorted(period))
+        assert {class_points(c) for c in subsequence_classes(s)} == subclasses_of(period)
+        assert class_points(hbar_witness(s)) == least_singleton(period)
         assert repr(s) == class_repr(period)
 
 
@@ -173,8 +173,8 @@ class TestConcreteSubsequences:
         for _ in range(100):
             x = random_epseq(p2, rng)
             for target in subsequence_classes(inf_class(x)):
-                y = select_values(x, target.values)
+                y = select_values(x, class_points(target))
                 assert inf_class(y) == target
                 # y really is a subsequence: its entries appear in x in order
-                picked = [v for v in prefix(x, 40) if v in target.values]
+                picked = [v for v in prefix(x, 40) if v in class_points(target)]
                 assert _tail_of(y, picked)
