@@ -9,18 +9,45 @@ what a limit query returns.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property, reduce
-from operator import and_, or_
-from typing import Callable, Iterator, Sequence
+from operator import and_, attrgetter, or_
 
 MAX_ATOMS = 5
 # in every field of a stack: bit 0 of each lane, lane 0, the diagonal, Carrier._swaps, the data bits and the guard
 StackMasks = namedtuple("StackMasks", "ones lane0 diagonal swaps data guards")
 
 
+class ConvlabError(ValueError):
+    """Input that convlab refuses: the command line exits 2 with ``prefix`` and the message."""
+
+    prefix = ""
+
+
 class CarrierMismatchError(ValueError):
     """Operands belong to Boolean algebras with different atom counts."""
+
+
+class Frozen:
+    """Base of the immutable slotted value types: an instance equals only an
+    instance of its own class with equal fields, hashes as the tuple of its
+    fields, and assigning or deleting a field raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = attrgetter(*cls.__slots__)  # an attrgetter binds no self: call self._fields(self)
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields(self) == other._fields(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def check_same_carrier(a, b) -> None:
@@ -34,12 +61,14 @@ def atom_set(mask: int) -> str:
     return "{" + ",".join(map(str, iter_bits(mask))) + "}"
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Frozen):
     """A limit of a limit query: the point of P(width) with atom set ``mask``."""
 
-    mask: int
-    width: int
+    __slots__ = ("mask", "width")
+
+    def __init__(self, mask: int, width: int):
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "width", width)
 
     def __repr__(self) -> str:
         return atom_set(self.mask)
@@ -209,8 +238,7 @@ def canonical_period(period: tuple[int, ...]) -> tuple[int, ...]:
     return period[i:d] + period[:i]
 
 
-@dataclass(frozen=True)
-class EPSeq:
+class EPSeq(Frozen):
     """Eventually periodic sequence of points of P(width), each a mask: a
     finite preperiod, then a repeating period.
 
@@ -220,21 +248,23 @@ class EPSeq:
     is all any consumer depends on.
     """
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-    width: int
+    __slots__ = ("preperiod", "period", "width")
 
-    def __post_init__(self) -> None:
-        if not self.period:
+    def __init__(self, preperiod: Sequence[int], period: Sequence[int], width: int):
+        if not period:
             raise ValueError("period must be nonempty")
-        if self.width < 1:
+        if width < 1:
             raise ValueError("sequence width must be at least 1")
-        pre, per = tuple(self.preperiod), tuple(self.period)
+        pre, per = tuple(preperiod), tuple(period)
         for mask in (min(pre + per), max(pre + per)):
-            if not 0 <= mask < 1 << self.width:
-                raise ValueError(f"mask {mask} out of range for width {self.width}")
+            if not 0 <= mask < 1 << width:
+                raise ValueError(f"mask {mask} out of range for width {width}")
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", canonical_period(per))
+        object.__setattr__(self, "width", width)
+
+    def __repr__(self) -> str:
+        return f"EPSeq(preperiod={self.preperiod!r}, period={self.period!r}, width={self.width!r})"
 
 
 def liminf(x: EPSeq) -> int:

@@ -1,5 +1,5 @@
 """Command-line front end: diagram builds, single-sequence limit queries, and
-the full verification suite.
+the full verification suite, on the standard library's ``argparse``.
 
 Each subcommand imports its own layer inside its body: ``diagram`` the
 diagram builder, ``verify`` the checker and the submeasure reader.  A process
@@ -12,18 +12,20 @@ query-mix calls them through this module, and its tracer rebinds them here.
 
 from __future__ import annotations
 
+import argparse
+import os
 import re
 import sys
 from functools import cache
 
-import click
-
-from .algebra import MAX_ATOMS, Carrier, EPSeq, atom_set, iter_bits
+from .algebra import MAX_ATOMS, Carrier, ConvlabError, EPSeq, atom_set, iter_bits
 from .convergence import lambda_li, lambda_ls, lambda_s
 from .seqclass import inf_class
 
 
-class SeqParseError(ValueError):
+class SeqParseError(ConvlabError):
+    prefix = "bad sequence literal: "
+
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
         self.position = position
@@ -136,44 +138,24 @@ MAX_SAMPLES = 100_000
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-class _AsciiInt(click.ParamType):
+def _ascii_int(value: str) -> int:
     """An optional sign, then ASCII digits: ``int()`` alone also takes other
     scripts' digits and ``_`` separators."""
-
-    name = "integer"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, int):
-            return value
-        if not _INTEGER.fullmatch(value):
-            self.fail(f"{value!r} is not an integer in ASCII digits", param, ctx)
-        try:
-            return int(value)
-        except ValueError:  # past the interpreter's limit on int() conversions
-            self.fail(f"an integer of {len(value)} characters is too long", param, ctx)
+    if not _INTEGER.fullmatch(value):
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer in ASCII digits")
+    try:
+        return int(value)
+    except ValueError:  # past the interpreter's limit on int() conversions
+        raise argparse.ArgumentTypeError(f"an integer of {len(value)} characters is too long") from None
 
 
 def _carrier(atoms: int) -> Carrier:
     if not 1 <= atoms <= MAX_ATOMS:
-        raise click.UsageError(f"--atoms must be in 1..{MAX_ATOMS}, got {atoms}")
+        raise ConvlabError(f"--atoms must be in 1..{MAX_ATOMS}, got {atoms}")
     return Carrier(atoms)
 
 
-@click.group()
-def main() -> None:
-    """Convergences, sequential topologies and submeasure metrics on P(n)."""
-
-
-@main.command()
-@click.option("--atoms", type=_AsciiInt(), default=3, show_default=True)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["dot", "json", "table"]),
-    default="table",
-    show_default=True,
-)
-def diagram(atoms: int, fmt: str) -> None:
+def diagram(atoms: int, fmt: str) -> int:
     """Build the convergence/topology diagram and verify its relations."""
     from .report import RelationViolation, build_figure1, emit
 
@@ -181,68 +163,90 @@ def diagram(atoms: int, fmt: str) -> None:
     try:
         report = build_figure1(carrier)
     except RelationViolation as exc:
-        click.echo(f"relation violated: {exc}", err=True)
-        sys.exit(1)
-    click.echo(emit(report, fmt), nl=False)
+        print(f"relation violated: {exc}", file=sys.stderr)
+        return 1
+    sys.stdout.write(emit(report, fmt))
+    return 0
 
 
-@main.command()
-@click.option("--atoms", type=_AsciiInt(), default=2, show_default=True)
-@click.option("--seq", required=True, help="sequence literal, e.g. '[{0,1};{0},{1}]'")
-@click.option("--law", type=click.Choice(["ls", "li", "s"]), default="ls", show_default=True)
-def converge(atoms: int, seq: str, law: str) -> None:
+def converge(atoms: int, seq: str, law: str) -> int:
     """Print the limit set of an eventually periodic sequence."""
     carrier = _carrier(atoms)
-    try:
-        x = parse_seq_literal(seq, carrier)
-    except SeqParseError as exc:
-        raise click.UsageError(f"bad sequence literal: {exc}")
+    x = parse_seq_literal(seq, carrier)
     builders = {"ls": lambda_ls, "li": lambda_li, "s": lambda_s}
     limits = builders[law](carrier).limit_mask(inf_class(x).mask)
     for p in iter_bits(limits):
-        click.echo(f"mask={p} atoms={atom_set(p)}")
+        print(f"mask={p} atoms={atom_set(p)}")
     if not limits:
-        click.echo("(no limits)")
+        print("(no limits)")
+    return 0
 
 
-@main.command()
-@click.option("--atoms", type=_AsciiInt(), default=3, show_default=True)
-@click.option("--seed", type=_AsciiInt(), default=0, show_default=True)
-@click.option(
-    "--samples",
-    type=_AsciiInt(),
-    default=1000,
-    show_default=True,
-    help="sequences the cube criterion (10) samples; the limit intersection law (6) checks every class",
-)
-@click.option(
-    "--submeasure",
-    "submeasure_path",
-    type=click.Path(exists=True, dir_okay=False),
-    default=None,
-    help="extra submeasure table to validate (lines: mask num/den)",
-)
-def verify(atoms: int, seed: int, samples: int, submeasure_path) -> None:
+def verify(atoms: int, seed: int, samples: int, submeasure: str | None) -> int:
     """Run every verification criterion at the requested scale."""
-    from .submeasure import Submeasure, SubmeasureTableError
+    from .submeasure import Submeasure
     from .verify import VerifyContext, format_results, run_all
 
     carrier = _carrier(atoms)
     if not 1 <= samples <= MAX_SAMPLES:
-        raise click.UsageError(f"--samples must be in 1..{MAX_SAMPLES}, got {samples}")
+        raise ConvlabError(f"--samples must be in 1..{MAX_SAMPLES}, got {samples}")
     # random.Random seeds with the absolute value, so -s would repeat s's draws
     if seed < 0:
-        raise click.UsageError(f"--seed must be >= 0, got {seed}")
-    submeasure = None
-    if submeasure_path is not None:
+        raise ConvlabError(f"--seed must be >= 0, got {seed}")
+    table = None if submeasure is None else Submeasure.from_file(submeasure, carrier)
+    results = run_all(VerifyContext(atoms=atoms, seed=seed, samples=samples, submeasure=table))
+    print(format_results(results))
+    return 0 if all(r.passed for r in results) else 1
+
+
+class _Parser(argparse.ArgumentParser):
+    """``argparse`` drops an ``OSError`` from writing help or a usage error,
+    so help into a closed stdout would exit 0: here the write raises."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run the subcommand that ``argv``, by default ``sys.argv[1:]``, names and
+    exit with its status: 0 or 1 by its result, 2 on a usage error, and 1 when
+    stdout is closed, each without a traceback."""
+    parser = _Parser(prog="convlab", allow_abbrev=False,
+                     description="Convergences, sequential topologies and submeasure metrics on P(n).")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    option = {}
+    for run, atoms in ((converge, 2), (diagram, 3), (verify, 3)):
+        command = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
+        command.set_defaults(run=run, command=command)
+        option[run] = command.add_argument
+        option[run]("--atoms", type=_ascii_int, default=atoms, help="atom count n of P(n) (default: %(default)s)")
+    option[converge]("--seq", required=True, help="sequence literal, e.g. '[{0,1};{0},{1}]' (required)")
+    option[converge]("--law", choices=["ls", "li", "s"], default="ls", help="limit law (default: %(default)s)")
+    option[diagram]("--format", dest="fmt", choices=["dot", "json", "table"], default="table",
+                    help="output format (default: %(default)s)")
+    option[verify]("--seed", type=_ascii_int, default=0, help="seed of the random draws (default: %(default)s)")
+    option[verify]("--samples", type=_ascii_int, default=1000, help="sequences the cube criterion (10) samples; "
+                   "the limit intersection law (6) checks every class (default: %(default)s)")
+    option[verify]("--submeasure", metavar="FILE", help="extra submeasure table to validate (lines: mask num/den)")
+    try:
         try:
-            submeasure = Submeasure.from_file(submeasure_path, carrier)
-        except SubmeasureTableError as exc:
-            raise click.UsageError(f"bad submeasure table: {exc}")
-    ctx = VerifyContext(atoms=atoms, seed=seed, samples=samples, submeasure=submeasure)
-    results = run_all(ctx)
-    click.echo(format_results(results))
-    sys.exit(0 if all(r.passed for r in results) else 1)
+            args, extra = parser.parse_known_args(argv)
+            args = vars(args)
+            run, command = args.pop("run"), args.pop("command")
+            if extra:  # reported under the subcommand's usage, not the top level's
+                command.error(f"unrecognized arguments: {' '.join(extra)}")
+            code = run(**args)
+        finally:
+            sys.stdout.flush()
+    except ConvlabError as exc:
+        command.error(exc.prefix + str(exc))
+    except BrokenPipeError:
+        # stdout is closed: point it at devnull, so that the flush at shutdown
+        # reports no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

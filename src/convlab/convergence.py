@@ -17,9 +17,9 @@ answer point queries at any size.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable, Optional, Sequence
 
 from .algebra import Carrier, CarrierMismatchError, Element, check_same_carrier, iter_bits
 from .seqclass import InfClass, subsequence_classes
@@ -197,7 +197,7 @@ def meet_conv(a: Convergence, b: Convergence) -> Convergence:
     return Convergence._from_lanes(a.carrier, a._lanes & b._lanes, a.exceptions + b.exceptions, name)
 
 
-def first_escape(a: Convergence, b: Convergence) -> Optional[int]:
+def first_escape(a: Convergence, b: Convergence) -> int | None:
     """Mask of the first class, in ascending mask order, on which a's limit
     set is not contained in b's; None when a <= b.
 

@@ -10,22 +10,20 @@ and the enumeration of every class, are test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import EPSeq, atom_set, iter_bits
+from .algebra import EPSeq, Frozen, atom_set, iter_bits
 
 
-@dataclass(frozen=True)
-class InfClass:
+class InfClass(Frozen):
     """The nonempty set of points of P(width) that a sequence visits
     infinitely often: bit p of ``mask`` holds the point p."""
 
-    mask: int
-    width: int
+    __slots__ = ("mask", "width")
 
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.mask <= 0 or self.mask.bit_length() > 1 << self.width:
-            raise ValueError(f"class mask {self.mask} is empty or not a subset of P({self.width})")
+    def __init__(self, mask: int, width: int):
+        if width < 1 or mask <= 0 or mask.bit_length() > 1 << width:
+            raise ValueError(f"class mask {mask} is empty or not a subset of P({width})")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "width", width)
 
     def __repr__(self) -> str:
         return "InfClass(" + ",".join(map(atom_set, iter_bits(self.mask))) + ")"

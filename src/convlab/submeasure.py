@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .algebra import Carrier, check_same_carrier
+from .algebra import Carrier, ConvlabError, check_same_carrier
 from .topology import Topology
 
 
@@ -28,8 +28,11 @@ _LINE = re.compile(r"([+-]?[0-9]+)\s+([+-]?[0-9]+(?:/[0-9]+)?)", re.ASCII)
 _MAX_TABLE_BYTES = 1 << 20
 
 
-class SubmeasureTableError(ValueError):
-    """The value table is malformed or does not cover the whole carrier."""
+class SubmeasureTableError(ConvlabError):
+    """The value table cannot be read, is malformed or does not cover the
+    whole carrier."""
+
+    prefix = "bad submeasure table: "
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,11 @@ class Submeasure:
         """
         values: dict[int, Fraction] = {}
         seen_at: dict[int, int] = {}
-        with open(path, "rb") as fh:
-            data = fh.read(_MAX_TABLE_BYTES + 1)
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read(_MAX_TABLE_BYTES + 1)
+        except OSError as exc:
+            raise SubmeasureTableError(f"{path}: {exc.strerror or exc}") from None
         if len(data) > _MAX_TABLE_BYTES:
             raise SubmeasureTableError(f"{path}: longer than {_MAX_TABLE_BYTES} bytes")
         try:

@@ -6,7 +6,8 @@ from operator import and_, or_
 
 import pytest
 
-from convlab.algebra import Carrier, EPSeq, atom_set, canonical_period, iter_bits, liminf, limsup
+from convlab.algebra import Carrier, Element, EPSeq, atom_set, canonical_period, iter_bits, liminf, limsup
+from convlab.seqclass import InfClass
 
 from oracles import atoms_text, downset, pointwise_complement, prefix, upset, value_at
 
@@ -236,6 +237,36 @@ class TestEPSeqCanonicalization:
             EPSeq((entry,), (0,), p2.n)
         with pytest.raises(ValueError, match=f"mask {entry} out of range for width 2"):
             EPSeq((), (0, entry), p2.n)
+
+
+class TestValueTypes:
+    """Element, EPSeq and InfClass are immutable values: equal only to their
+    own class with equal fields, hashed as the tuple of their fields, and
+    printed as before."""
+
+    VALUES = [
+        (Element(0b101, 3), (0b101, 3), "{0,2}"),
+        (
+            EPSeq(preperiod=[3], period=[2, 1, 2, 1], width=2),
+            ((3,), (1, 2), 2),
+            "EPSeq(preperiod=(3,), period=(1, 2), width=2)",
+        ),
+        (InfClass(0b110, 2), (0b110, 2), "InfClass({0},{1})"),
+    ]
+
+    @pytest.mark.parametrize("value, fields, text", VALUES, ids=["Element", "EPSeq", "InfClass"])
+    def test_value_semantics(self, value, fields, text):
+        assert value == type(value)(*fields) and hash(value) == hash(fields)
+        assert value != fields and repr(value) == text
+        for name in ("mask", "period", "width", "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            del value.width
+
+    def test_equal_fields_of_another_class_differ(self):
+        assert Element(3, 2) != InfClass(3, 2)
+        assert len({Element(3, 2), InfClass(3, 2)}) == 2
 
 
 class TestAtomSet:

@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +17,11 @@ from convlab.cli import SeqParseError, _grammar, _walk, main, parse_seq_literal
 from convlab.report import figure_nodes
 from convlab.submeasure import _MAX_TABLE_BYTES
 
+from cli_runner import CliRunner
 from oracles import format_seq_literal
 from test_acceptance import crash_synthesis
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture
@@ -541,3 +548,117 @@ class TestDiagramAtFiveAtoms:
     def test_collapse(self, runner):
         result = runner.invoke(main, ["diagram", "--atoms", "5"])
         assert "collapse: convergences=3 topologies=3" in result.output
+
+
+# Each subcommand's options and the default its help must name, None for an
+# option without one.
+HELP_DEFAULTS = {
+    "converge": {"--atoms": "2", "--seq": None, "--law": "ls"},
+    "diagram": {"--atoms": "3", "--format": "table"},
+    "verify": {"--atoms": "3", "--seed": "0", "--samples": "1000", "--submeasure": None},
+}
+
+
+def option_entries(help_text: str) -> dict[str, str]:
+    """Each option's entry in a help text, keyed by each of its spellings
+    (``-h, --help``): from the line it starts to the next option's line."""
+    entries, names = {}, []
+    for line in help_text.splitlines():
+        words = line.split()
+        if words and words[0].startswith("-"):
+            names = [w.rstrip(",") for w in takewhile(lambda w: w.startswith("-"), words)]
+            entries.update(dict.fromkeys(names, ""))
+        for name in names:
+            entries[name] += line + "\n"
+    return entries
+
+
+class TestUsageContract:
+    """Exit codes and help output that every port of the command line keeps:
+    0 and 1 by the result, 2 for a usage error, and never a traceback."""
+
+    def test_group_help_names_every_subcommand(self, runner):
+        result = runner.invoke(main, ["--help"])
+        assert result.exit_code == 0
+        assert "--help" in option_entries(result.output)
+        for name in HELP_DEFAULTS:
+            assert name in result.output
+
+    @pytest.mark.parametrize("command", sorted(HELP_DEFAULTS))
+    def test_subcommand_help_names_every_option_and_default(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        entries = option_entries(result.output)
+        assert "--help" in result.output
+        for option, default in HELP_DEFAULTS[command].items():
+            assert option in entries, result.output
+            if default is not None:
+                assert f"default: {default}" in entries[option], entries[option]
+
+    def test_no_arguments_is_usage_error(self, runner):
+        result = runner.invoke(main, [])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["converge", "--atom", "2", "--seq", "[;{0}]"],
+            ["verify", "--sample", "10"],
+            ["converge", "--atoms", "2", "--seq", "[;{0}]", "extra"],
+            ["diagram", "--atoms", "2", "extra"],
+            ["converge", "--atoms", "2"],
+            ["frobnicate"],
+        ],
+        ids=["atom-prefix", "sample-prefix", "converge-extra", "diagram-extra", "no-seq", "unknown-command"],
+    )
+    def test_malformed_call_is_usage_error(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+    def test_unknown_option_is_named_under_its_subcommand(self, runner):
+        result = runner.invoke(main, ["converge", "--atom", "2", "--seq", "[;{0}]"])
+        assert result.exit_code == 2
+        assert result.stderr.endswith("convlab converge: error: unrecognized arguments: --atom 2\n")
+
+    def test_submeasure_directory_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["verify", "--atoms", "1", "--submeasure", str(tmp_path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+    def test_repeated_option_last_wins(self, runner):
+        result = runner.invoke(main, ["converge", "--atoms", "5", "--atoms", "2", "--seq", "[;{0}]", "--law", "s"])
+        assert result.exit_code == 0
+        assert result.output == "mask=1 atoms={0}\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["converge", "--atoms", "2", "--seq", "[;{0}]"],
+            ["diagram", "--atoms", "5", "--format", "json"],
+            ["verify", "--atoms", "1", "--samples", "10"],
+            ["--help"],
+        ],
+        ids=["converge", "diagram", "verify", "help"],
+    )
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_one_without_traceback(self, args, buffered):
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe now fails with EPIPE
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "convlab.cli", *args],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr

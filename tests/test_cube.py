@@ -2,7 +2,6 @@ import hashlib
 import random
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +25,7 @@ from convlab.cube import (
 )
 from convlab.cli import main
 
+from cli_runner import CliRunner
 from oracles import candidate_limits, fcseq_support, random_fcseq, value_at
 from test_algebra import rotation_oracle
 

@@ -16,9 +16,10 @@ The tests read the goldens and never rewrite them.
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from convlab.cli import main
+
+from cli_runner import CliRunner
 
 ROOT = Path(__file__).resolve().parent.parent
 

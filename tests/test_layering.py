@@ -8,7 +8,8 @@ a function counts as well as one at the top.
 
 Each CLI subcommand, run in a fresh interpreter, loads only its own layer:
 ``converge`` and every ``--help`` no more than the CLI and the kernel below
-the limit laws.
+the limit laws, and none of ``dataclasses``, ``inspect`` and ``typing``.  No
+module imports ``click``: the CLI runs on the standard library alone.
 
 A point is an int mask everywhere: ``Element`` is named only where it is
 defined and where a limit query returns it, and no module defines or imports
@@ -19,6 +20,7 @@ import ast
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -216,49 +218,79 @@ def test_element_only_where_a_limit_query_returns_it(path):
         assert ELEMENT_NAMERS[path.stem] <= namers
 
 
-# Runs the CLI with the arguments given, then prints its exit code and the
-# convlab modules the process loaded, without the package prefix, as the
-# last line of stdout.
+def test_no_module_imports_click():
+    for path in SOURCES.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "click" for a in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level or (node.module or "").split(".")[0] != "click", path.name
+
+
+# Runs the CLI with the arguments after the first, then prints its exit code
+# and the convlab modules the process loaded, without the package prefix, and
+# then which of the comma-separated modules of the first argument it loaded,
+# as the last two lines of stdout.
 PROBE = """
 import sys
 from convlab.cli import main
 code = None
 try:
-    main(sys.argv[1:], prog_name="convlab")
+    main(sys.argv[2:])
 except SystemExit as exc:
     code = exc.code
 print(code, *sorted(m.removeprefix("convlab.") for m in sys.modules if m.split(".")[0] == "convlab"))
+print("loaded:", *sorted(m for m in sys.argv[1].split(",") if m in sys.modules))
 """
 
 QUERY = {"convlab", "algebra", "convergence", "seqclass", "cli"}
 EVERY_MODULE = {"convlab"} | {path.stem for path in SOURCES.glob("*.py")} - {"__init__"}
+# what the query path and every --help do without: click, and the standard
+# library modules that cost most to import
+HEAVY = ("click", "dataclasses", "inspect", "typing")
 
 
-def loaded_modules(*args: str) -> set[str]:
-    """The convlab modules a fresh ``convlab *args`` loads; it must exit 0."""
+@cache
+def loaded_modules(*args: str) -> tuple[set[str], set[str]]:
+    """The convlab modules and the modules of HEAVY that a fresh ``convlab
+    *args`` loads; it must exit 0.  The interpreter runs with ``-S``, so that
+    no site hook loads a module before convlab does."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SOURCES.parent), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", PROBE, *args], capture_output=True, text=True, env=env, timeout=60)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", PROBE, ",".join(HEAVY), *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
     assert done.returncode == 0, done.stderr
-    code, *modules = done.stdout.splitlines()[-1].split()
+    (code, *modules), (_, *heavy) = (line.split() for line in done.stdout.splitlines()[-2:])
     assert code == "0", done.stdout + done.stderr
-    return set(modules)
+    return set(modules), set(heavy)
+
+
+# converge and every --help: the runs that load no more than QUERY
+QUERY_RUNS = [
+    ["converge", "--atoms", "2", "--seq", "[;{0}]"],
+    ["--help"],
+    ["converge", "--help"],
+    ["diagram", "--help"],
+    ["verify", "--help"],
+]
 
 
 @pytest.mark.parametrize(
     "args, modules",
-    [
-        (["converge", "--atoms", "2", "--seq", "[;{0}]"], QUERY),
-        (["--help"], QUERY),
-        (["converge", "--help"], QUERY),
-        (["diagram", "--help"], QUERY),
-        (["verify", "--help"], QUERY),
+    [(args, QUERY) for args in QUERY_RUNS] + [
         (["diagram", "--atoms", "2"], QUERY | {"topology", "report"}),
         (["verify", "--atoms", "1"], EVERY_MODULE),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )
 def test_subcommand_loads_its_layer(args, modules):
-    assert loaded_modules(*args) == modules
+    assert loaded_modules(*args)[0] == modules
+
+
+@pytest.mark.parametrize("args", QUERY_RUNS, ids=" ".join)
+def test_query_path_loads_no_heavy_module(args):
+    assert loaded_modules(*args)[1] == set()
 
 
 @pytest.mark.parametrize(
