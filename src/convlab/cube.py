@@ -12,12 +12,11 @@ value, since the int holds all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from functools import reduce
 from operator import and_, or_
-from typing import Callable, Iterable, Optional
 
-from .algebra import atom_set, canonical_period
+from .algebra import Frozen, atom_set, canonical_period
 
 FC_EMPTY = 0
 FC_FULL = -1
@@ -51,19 +50,17 @@ def _tuple_repr(sets: tuple[int, ...]) -> str:
     return f"({inner},)" if len(sets) == 1 else f"({inner})"
 
 
-@dataclass(frozen=True, repr=False, slots=True)
-class FCSeq:
+class FCSeq(Frozen):
     """Eventually periodic sequence of finite/cofinite sets, the period at its
     least rotation as ints."""
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ("preperiod", "period")
 
-    def __post_init__(self) -> None:
-        if not self.period:
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        if not period:
             raise ValueError("period must be nonempty")
-        object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        object.__setattr__(self, "period", canonical_period(tuple(self.period)))
+        object.__setattr__(self, "preperiod", tuple(preperiod))
+        object.__setattr__(self, "period", canonical_period(tuple(period)))
 
     def __repr__(self) -> str:
         return f"FCSeq(preperiod={_tuple_repr(self.preperiod)}, period={_tuple_repr(self.period)})"
@@ -113,7 +110,7 @@ def lim_alexandrov_dual(x: FCSeq) -> Callable[[int], bool]:
     return converges
 
 
-def lim_cantor(x: FCSeq) -> Optional[int]:
+def lim_cantor(x: FCSeq) -> int | None:
     """Limit in the cube with discrete coordinates: every coordinate must be
     eventually constant; the limit is that coordinatewise value."""
     limsup = fc_limsup(x)
@@ -184,7 +181,7 @@ class CubeSample:
         return [li, ls, li ^ self.data, ls ^ self.data, 0, self.data] + [rng.getrandbits(bits) & self.data for _ in range(8)]
 
 
-def check_T1235a(sample: CubeSample, candidates: list[int]) -> Optional[tuple[str, int, int]]:
+def check_T1235a(sample: CubeSample, candidates: list[int]) -> tuple[str, int, int] | None:
     """On every field and candidate stack: the Alexandrov limits are the sets
     holding limsup, the dual ones those inside liminf, both hold exactly at the
     discrete-cube limit, which exists iff every period value is the first.

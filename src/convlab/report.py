@@ -21,10 +21,9 @@ each verify criterion names.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import permutations, product
 from operator import methodcaller
-from typing import Optional, Union
 
 from .algebra import Carrier, atom_set, iter_bits
 from .convergence import Convergence, first_escape, lambda_li, lambda_ls, lambda_s, meet_conv, star
@@ -41,7 +40,7 @@ from .topology import (
 class RelationViolation(RuntimeError):
     """A relation required by the theory failed on the computed payloads."""
 
-    def __init__(self, message: str, witness: Optional[str] = None):
+    def __init__(self, message: str, witness: str | None = None):
         super().__init__(message if witness is None else f"{message} (witness: {witness})")
         self.witness = witness
 
@@ -109,7 +108,7 @@ RELATIONS = (
 )
 
 Row = tuple[str, str, str, str]
-Payload = Union[Convergence, Topology]
+Payload = Convergence | Topology
 
 
 def rows_named(*texts: str) -> tuple[Row, ...]:
@@ -118,33 +117,15 @@ def rows_named(*texts: str) -> tuple[Row, ...]:
     return tuple(by_text[text] for text in texts)
 
 
-@dataclass(frozen=True)
-class DiagramNode:
-    name: str
-    kind: str  # "convergence" | "topology"
-    payload: Payload
-    size: int  # limit_count() of a convergence, open_count() of a topology
+# kind is "convergence" or "topology"; size is limit_count() of a convergence, open_count() of a topology
+DiagramNode = namedtuple("DiagramNode", "name kind payload size")
+# rel is "<=" or "subset"
+Relation = namedtuple("Relation", "lhs rhs rel strict witness", defaults=(None,))
+# equality_classes: kind -> lists of names; collapse: plural kind -> class count
+DiagramReport = namedtuple("DiagramReport", "carrier nodes relations equality_classes collapse")
 
 
-@dataclass(frozen=True)
-class Relation:
-    lhs: str
-    rhs: str
-    rel: str  # "<=" | "subset"
-    strict: bool
-    witness: Optional[str] = None
-
-
-@dataclass
-class DiagramReport:
-    carrier: Carrier
-    nodes: list[DiagramNode] = field(default_factory=list)
-    relations: list[Relation] = field(default_factory=list)
-    equality_classes: dict[str, list[list[str]]] = field(default_factory=dict)
-    collapse: dict[str, int] = field(default_factory=dict)
-
-
-def escape(a: Payload, b: Payload) -> Optional[int]:
+def escape(a: Payload, b: Payload) -> int | None:
     """The first witness, in mask order, that a is not below b: a class of
     convergences, an open of topologies; None when a <= b."""
     return first_escape(a, b) if isinstance(a, Convergence) else first_open_not_in(a, b)
@@ -158,8 +139,8 @@ def witness_text(payload: Payload, mask: int) -> str:
 
 
 def first_violation(
-    rows: tuple[Row, ...], nodes: dict, known: Optional[dict] = None
-) -> Optional[tuple[Row, Optional[int]]]:
+    rows: tuple[Row, ...], nodes: dict, known: dict | None = None
+) -> tuple[Row, int | None] | None:
     """The first of ``rows`` that ``nodes`` violate, with its raw witness mask,
     or None.  A "<=" or "<" row is broken by the first escape of lhs from rhs
     (none for a "<" row that is not strict), an "=" row by the least escape
@@ -184,8 +165,8 @@ def first_violation(
 
 
 def violation(
-    rows: tuple[Row, ...], nodes: dict, known: Optional[dict] = None, where: str = ""
-) -> Optional[RelationViolation]:
+    rows: tuple[Row, ...], nodes: dict, known: dict | None = None, where: str = ""
+) -> RelationViolation | None:
     """``first_violation`` as a RelationViolation naming the row, then
     ``where``, with its witness in the diagram's text; None when all hold."""
     found = first_violation(rows, nodes, known)
@@ -225,26 +206,26 @@ def build_figure1(carrier: Carrier) -> DiagramReport:
     """Compute all diagram nodes on the carrier and check every row of
     ``RELATIONS``, raising RelationViolation (with a witness) on a failure."""
     payloads = figure_nodes(carrier)
-    report = DiagramReport(carrier=carrier)
-    known: dict[tuple[str, str], Optional[int]] = {}
+    nodes, relations, equality_classes, collapse = [], [], {}, {}
+    known: dict[tuple[str, str], int | None] = {}
     for kind, plural, names, rel, count in KINDS:
         groups: dict[Payload, list[str]] = {}
         for name in names:
             groups.setdefault(payloads[name], []).append(name)
-        report.equality_classes[kind] = classes = list(groups.values())
-        report.collapse[plural] = len(classes)
+        equality_classes[kind] = classes = list(groups.values())
+        collapse[plural] = len(classes)
         size: dict[str, int] = {}
         for payload, g in groups.items():  # equal payloads have equal sizes
             size.update(dict.fromkeys(g, count(payload)))
-        report.nodes += [DiagramNode(name, kind, payloads[name], size[name]) for name in names]
+        nodes += [DiagramNode(name, kind, payloads[name], size[name]) for name in names]
         # one witness per ordered pair of classes, read by every pair of their names
-        shown: dict[tuple[str, str], Optional[str]] = {}
+        shown: dict[tuple[str, str], str | None] = {}
         for g, h in product(classes, repeat=2):
             w = None if g is h else escape(payloads[g[0]], payloads[h[0]])
             pairs = [(a, b) for a in g for b in h if a != b]
             known.update(dict.fromkeys(pairs, w))
             shown.update(dict.fromkeys(pairs, None if w is None else witness_text(payloads[g[0]], w)))
-        report.relations += [
+        relations += [
             Relation(a, b, rel, known[b, a] is not None, shown[b, a])
             for a, b in permutations(names, 2)
             if known[a, b] is None
@@ -253,7 +234,7 @@ def build_figure1(carrier: Carrier) -> DiagramReport:
     failed = violation(RELATIONS, payloads, known)
     if failed is not None:
         raise failed
-    return report
+    return DiagramReport(carrier, nodes, relations, equality_classes, collapse)
 
 
 def _record(**properties: dict) -> dict:
@@ -324,7 +305,7 @@ def _json_records(records: list[dict]) -> str:
 def _emit_json(report: DiagramReport) -> str:
     nodes = [{"name": n.name, "kind": n.kind, "size": n.size} for n in report.nodes]
     # a relation's fields are its json keys
-    relations = [vars(r) for r in report.relations]
+    relations = [r._asdict() for r in report.relations]
     return (
         '{\n  "carrier": ' + _json_object({"atoms": report.carrier.n})
         + ',\n  "collapse": ' + _json_object(report.collapse)

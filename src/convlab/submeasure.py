@@ -13,10 +13,10 @@ import io
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 from .algebra import Carrier, ConvlabError, check_same_carrier
 from .topology import Topology
@@ -35,20 +35,18 @@ class SubmeasureTableError(ConvlabError):
     prefix = "bad submeasure table: "
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(namedtuple(
+    "ValidationReport",
+    "zero_on_bottom monotone subadditive strictly_positive continuous continuous_note",
+    defaults=("finite-trivial",),
+)):
     """Outcome of the five submeasure axioms.
 
     ``continuous`` covers continuity along decreasing chains with meet 0; on a
     finite carrier such chains stabilize, so it reduces to vanishing at 0.
     """
 
-    zero_on_bottom: bool
-    monotone: bool
-    subadditive: bool
-    strictly_positive: bool
-    continuous: bool
-    continuous_note: str = "finite-trivial"
+    __slots__ = ()
 
     def is_submeasure(self) -> bool:
         return self.zero_on_bottom and self.monotone and self.subadditive
@@ -187,11 +185,7 @@ def metric_topology(mu: Submeasure) -> Topology:
     return Topology(mu.carrier, [sum(1 << (a ^ z) for z in zero) for a in range(m)])
 
 
-@dataclass(frozen=True)
-class HalfBallReport:
-    o1_open_in_left: bool
-    o2_open_in_right: bool
-    sandwich: bool
+HalfBallReport = namedtuple("HalfBallReport", "o1_open_in_left o2_open_in_right sandwich")
 
 
 def halfball_opens(mu: Submeasure, c: int, r: Fraction, o_ls: Topology, o_li: Topology) -> HalfBallReport:

@@ -18,9 +18,9 @@ at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable, Optional
 
 from .algebra import Carrier, Element, EPSeq, check_same_carrier, iter_bits
 from .convergence import ClosureAxiomError, Convergence
@@ -100,7 +100,7 @@ class Topology:
         self.carrier = carrier
         self.full = (1 << carrier.size) - 1
         self._lanes = lanes
-        self._count: Optional[int] = None
+        self._count: int | None = None
 
     @cached_property
     def min_neighborhoods(self) -> tuple[int, ...]:
@@ -155,7 +155,7 @@ class Topology:
         return f"Topology(P({self.carrier.n}), {self.open_count()} opens)"
 
 
-def first_open_not_in(a: Topology, b: Topology) -> Optional[int]:
+def first_open_not_in(a: Topology, b: Topology) -> int | None:
     """Smallest mask that is open in a and not in b; None when a <= b.
 
     Inclusion is decided first, on the neighbourhood arrays.  Otherwise the
@@ -259,12 +259,7 @@ def complement_homeomorphism_check(o_ls: Topology, o_li: Topology) -> bool:
     return int(f"{o_ls._lanes:0{width}b}"[::-1], 2) == o_li._lanes
 
 
-@dataclass(frozen=True)
-class SpaceProperties:
-    t0: bool
-    connected: bool
-    compact: bool
-    compact_note: str = "finite carrier"
+SpaceProperties = namedtuple("SpaceProperties", "t0 connected compact compact_note", defaults=("finite carrier",))
 
 
 def space_properties(o: Topology) -> SpaceProperties:

@@ -9,10 +9,10 @@ check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable
 from functools import reduce
 from operator import and_
-from typing import Callable, Optional
 
 from .algebra import Carrier
 from .convergence import check_hbar, hbar_witness
@@ -23,13 +23,10 @@ from .submeasure import Submeasure, metric_topology, validate_submeasure
 from .topology import _synthesized, check_closed_char, complement_homeomorphism_check, space_properties
 
 
-@dataclass
 class VerifyContext:
-    atoms: int
-    seed: int = 0
-    samples: int = 1000
-    submeasure: Optional[Submeasure] = None
-    _nodes: dict[int, dict] = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, atoms: int, seed: int = 0, samples: int = 1000, submeasure: Submeasure | None = None):
+        self.atoms, self.seed, self.samples, self.submeasure = atoms, seed, samples, submeasure
+        self._nodes: dict[int, dict] = {}
 
     def nodes(self, n: int) -> dict:
         """The diagram nodes on P(n), by name, from one ``figure_nodes`` build per n."""
@@ -48,12 +45,7 @@ class VerifyContext:
         return f"n=1..{self.atoms}"
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    index: int
-    name: str
-    passed: bool
-    detail: str
+CriterionResult = namedtuple("CriterionResult", "index name passed detail")
 
 
 def brute_downsets(n: int) -> int:
@@ -75,7 +67,7 @@ def brute_downsets(n: int) -> int:
     return extend(0, 0)
 
 
-def _rows_hold(passed: str, *texts: str, also: Callable[[VerifyContext, int], Optional[str]] = lambda ctx, n: None):
+def _rows_hold(passed: str, *texts: str, also: Callable[[VerifyContext, int], str | None] = lambda ctx, n: None):
     """A criterion checking, at each n, the rows of ``report.RELATIONS`` that
     read ``texts`` (its ``rows``), then ``also``; it details the first failure."""
     rows = rows_named(*texts)
@@ -121,7 +113,7 @@ def _crit_closed_char(ctx: VerifyContext):
     return True, f"closed sets match the order characterization, {ctx.covered()} (chain clause finite-trivial)"
 
 
-def _metric_mismatch(ctx: VerifyContext, n: int) -> Optional[str]:
+def _metric_mismatch(ctx: VerifyContext, n: int) -> str | None:
     """Says so when the counting measure's metric topology on P(n) is not O_s."""
     if metric_topology(Submeasure.counting(ctx.carrier(n))) != ctx.nodes(n)["O_s"]:
         return f"metric topology != O_s at n={n}"

@@ -138,6 +138,24 @@ class TestFCSetOps:
         with pytest.raises(AttributeError):
             x.period = ()
 
+    def test_value_semantics(self):
+        # as test_algebra's TestValueTypes checks EPSeq: the period canonical,
+        # equal and hashed by the tuple of fields, never equal to that tuple
+        a, b = fc_finite([0]), fc_finite([1])
+        x = FCSeq(preperiod=[fc_cofinite([1])], period=[b, a, b, a])
+        fields = ((fc_cofinite([1]),), (a, b))
+        assert x == FCSeq(*fields) and hash(x) == hash(fields)
+        assert x != fields and repr(x) == "FCSeq(preperiod=(~{1},), period=({0}, {1}))"
+        for name in ("preperiod", "period"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, ())
+        with pytest.raises(AttributeError):
+            del x.period
+
+    def test_no_new_attribute(self):
+        with pytest.raises(AttributeError):
+            FCSeq((), (fc_finite([1]),)).other = ()
+
 
 class TestLimInfSup:
     def test_alternating_singletons(self):

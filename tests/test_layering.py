@@ -8,8 +8,10 @@ a function counts as well as one at the top.
 
 Each CLI subcommand, run in a fresh interpreter, loads only its own layer:
 ``converge`` and every ``--help`` no more than the CLI and the kernel below
-the limit laws, and none of ``dataclasses``, ``inspect`` and ``typing``.  No
-module imports ``click``: the CLI runs on the standard library alone.
+the limit laws.  No run, ``diagram`` and ``verify`` included, loads any of
+``dataclasses``, ``inspect`` and ``typing``, and no module imports
+``dataclasses``, ``typing`` or ``click``: the records are namedtuples and
+``algebra.Frozen`` values, and the CLI runs on the standard library alone.
 
 A point is an int mask everywhere: ``Element`` is named only where it is
 defined and where a limit query returns it, and no module defines or imports
@@ -218,13 +220,30 @@ def test_element_only_where_a_limit_query_returns_it(path):
         assert ELEMENT_NAMERS[path.stem] <= namers
 
 
+def top_level_imports(source: str) -> set[str]:
+    """The top-level packages that a module's source imports absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add((node.module or "").split(".")[0])
+    return found
+
+
+def test_top_level_imports_reads_every_form():
+    source = "import os.path, typing as t\nfrom dataclasses import field\nfrom . import typing\nfrom .click import x\n"
+    assert top_level_imports(source) == {"os", "typing", "dataclasses"}
+
+
 def test_no_module_imports_click():
     for path in SOURCES.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                assert all(a.name.split(".")[0] != "click" for a in node.names), path.name
-            elif isinstance(node, ast.ImportFrom):
-                assert node.level or (node.module or "").split(".")[0] != "click", path.name
+        assert "click" not in top_level_imports(path.read_text(encoding="utf-8")), path.name
+
+
+@pytest.mark.parametrize("path", sorted(SOURCES.glob("*.py")), ids=lambda path: path.stem)
+def test_no_module_imports_dataclasses_or_typing(path):
+    assert top_level_imports(path.read_text(encoding="utf-8")) & {"dataclasses", "typing"} == set()
 
 
 # Runs the CLI with the arguments after the first, then prints its exit code
@@ -245,8 +264,8 @@ print("loaded:", *sorted(m for m in sys.argv[1].split(",") if m in sys.modules))
 
 QUERY = {"convlab", "algebra", "convergence", "seqclass", "cli"}
 EVERY_MODULE = {"convlab"} | {path.stem for path in SOURCES.glob("*.py")} - {"__init__"}
-# what the query path and every --help do without: click, and the standard
-# library modules that cost most to import
+# what every run does without: click, and the standard library modules that
+# cost most to import
 HEAVY = ("click", "dataclasses", "inspect", "typing")
 
 
@@ -288,7 +307,7 @@ def test_subcommand_loads_its_layer(args, modules):
     assert loaded_modules(*args)[0] == modules
 
 
-@pytest.mark.parametrize("args", QUERY_RUNS, ids=" ".join)
+@pytest.mark.parametrize("args", QUERY_RUNS + [["diagram", "--atoms", "2"], ["verify", "--atoms", "1"]], ids=" ".join)
 def test_query_path_loads_no_heavy_module(args):
     assert loaded_modules(*args)[1] == set()
 

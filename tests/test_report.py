@@ -23,7 +23,9 @@ from convlab.report import (
     figure_nodes,
     witness_text,
 )
+from convlab.submeasure import HalfBallReport, ValidationReport
 from convlab.topology import (
+    SpaceProperties,
     Topology,
     discrete,
     generate,
@@ -31,6 +33,7 @@ from convlab.topology import (
     lim_of_topology_as_convergence,
     synthesize_O_lambda,
 )
+from convlab.verify import CriterionResult
 
 from oracles import open_masks, pairwise_escapes
 
@@ -347,9 +350,12 @@ class TestViolationPath:
         assert "class X" in str(err)
         assert err.witness == "class X"
 
-    def test_report_is_plain_dataclass(self, report_p2):
+    def test_report_is_a_plain_record(self, report_p2):
         assert isinstance(report_p2, DiagramReport)
+        assert DiagramReport._fields == ("carrier", "nodes", "relations", "equality_classes", "collapse")
         assert all(isinstance(r, Relation) for r in report_p2.relations)
+        with pytest.raises(AttributeError):
+            report_p2.nodes = []
 
     def test_meet_identity_names_the_least_differing_class(self, monkeypatch):
         # lim_O_lsi on P(4) with point 5 = {0,2} gaining limit 3 and point
@@ -367,3 +373,45 @@ class TestViolationPath:
         with pytest.raises(RelationViolation, match=r"lim_O_ls & lim_O_li = lim_O_lsi fails") as err:
             build_figure1(Carrier(4))
         assert err.value.witness == "class InfClass({0,2})"
+
+
+class TestRecords:
+    """The records a user reads: fields by name in their order, defaults,
+    reprs as the details of criteria 8 and 11 print them, and no field that
+    can be assigned."""
+
+    RECORDS = [
+        (DiagramNode, "name kind payload size", ("lambda_s", "convergence", None, 3)),
+        (Relation, "lhs rhs rel strict witness", ("lambda_s", "lambda_ls", "<=", True, "class X")),
+        (CriterionResult, "index name passed detail", (1, "pointwise meet identity", True, "all classes")),
+        (SpaceProperties, "t0 connected compact compact_note", (True, False, True, "note")),
+        (
+            ValidationReport,
+            "zero_on_bottom monotone subadditive strictly_positive continuous continuous_note",
+            (True, False, True, False, True, "note"),
+        ),
+        (HalfBallReport, "o1_open_in_left o2_open_in_right sandwich", (True, False, True)),
+    ]
+
+    @pytest.mark.parametrize("cls, names, values", RECORDS, ids=[cls.__name__ for cls, *_ in RECORDS])
+    def test_fields_by_name(self, cls, names, values):
+        record = cls(*values)
+        assert [getattr(record, name) for name in names.split()] == list(values)
+        assert record == cls(**dict(zip(names.split(), values)))
+        for name in names.split():
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_defaults(self):
+        assert Relation("a", "b", "<=", False).witness is None
+        assert SpaceProperties(True, True, True).compact_note == "finite carrier"
+        assert ValidationReport(*[True] * 5).continuous_note == "finite-trivial"
+
+    def test_reprs(self):
+        assert repr(SpaceProperties(True, True, True)) == (
+            "SpaceProperties(t0=True, connected=True, compact=True, compact_note='finite carrier')"
+        )
+        assert repr(ValidationReport(*[True] * 5)) == (
+            "ValidationReport(zero_on_bottom=True, monotone=True, subadditive=True, "
+            "strictly_positive=True, continuous=True, continuous_note='finite-trivial')"
+        )
