@@ -100,7 +100,6 @@ class Topology:
         self.carrier = carrier
         self.full = (1 << carrier.size) - 1
         self._lanes = lanes
-        self._count: int | None = None
 
     @cached_property
     def min_neighborhoods(self) -> tuple[int, ...]:
@@ -138,18 +137,16 @@ class Topology:
         """Number of open sets, counted as down-sets of the preorder
         q <= p iff q in N(p): those avoiding a point p avoid its closure,
         those containing p contain N(p)."""
-        if self._count is None:
-            mins, closures = self.min_neighborhoods, self.point_closures
-            memo = {0: 1}
+        mins, closures = self.min_neighborhoods, self.point_closures
+        memo = {0: 1}
 
-            def count(rest: int) -> int:
-                if rest not in memo:
-                    p = (rest & -rest).bit_length() - 1
-                    memo[rest] = count(rest & ~closures[p]) + count(rest & ~mins[p])
-                return memo[rest]
+        def count(rest: int) -> int:
+            if rest not in memo:
+                p = (rest & -rest).bit_length() - 1
+                memo[rest] = count(rest & ~closures[p]) + count(rest & ~mins[p])
+            return memo[rest]
 
-            self._count = count(self.full)
-        return self._count
+        return count(self.full)
 
     def __repr__(self) -> str:
         return f"Topology(P({self.carrier.n}), {self.open_count()} opens)"

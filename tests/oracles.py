@@ -16,9 +16,10 @@ relations and topologies drawn one at a time against ``verify``'s stacks,
 the entries of eventually periodic sequences read one index at a time, one seeded
 ``FCSeq`` at a time with its own pool of candidate limits, against the
 packed ``cube.CubeSample``, the preorders on a few points counted over every
-reflexive relation, and the diagram's nodes on P(1) as literal tables with
-their products and powers, against ``report.figure_nodes`` and
-``topology.synthesize_O_lambda`` on P(n).
+reflexive relation, the down-sets of P(n) counted by backtracking point by
+point against ``verify.brute_downsets``'s doubling, and the diagram's
+nodes on P(1) as literal tables with their products and powers, against
+``report.figure_nodes`` and ``topology.synthesize_O_lambda`` on P(n).
 """
 
 from __future__ import annotations
@@ -314,6 +315,25 @@ def preorder_census(points: int) -> tuple[int, int]:
             preorders += 1
             orders += all(p == q or not rows[q] >> p & 1 for p, q in related)
     return preorders, orders
+
+
+def backtrack_downsets(n: int) -> int:
+    """Independent down-set counter: points of P(n) as frozensets of atoms,
+    order via plain subset tests.  Points are decided in ascending mask order,
+    a linear extension of inclusion, and a point may join only after every
+    point below it has."""
+    points = [frozenset(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
+    below = [sum(1 << q for q in range(p) if points[q] < points[p]) for p in range(len(points))]
+
+    def extend(p: int, chosen: int) -> int:
+        if p == len(points):
+            return 1
+        total = extend(p + 1, chosen)
+        if chosen & below[p] == below[p]:
+            total += extend(p + 1, chosen | 1 << p)
+        return total
+
+    return extend(0, 0)
 
 
 # -- the product law ---------------------------------------------------------

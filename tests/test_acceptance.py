@@ -25,14 +25,16 @@ from convlab.verify import (
     _crit_galois,
     _crit_join_collapse,
     _crit_limit_intersection,
+    _crit_open_counts,
     _crit_pointwise_meet,
     _crit_star_fixed,
     _crit_strictness,
     _crit_submeasures,
+    brute_downsets,
     run_all,
 )
 
-from oracles import points, table_of, transpose_rows, triangle_holds
+from oracles import backtrack_downsets, points, table_of, transpose_rows, triangle_holds
 from test_algebra import random_epseq
 
 
@@ -208,6 +210,36 @@ class TestRowCriteria:
         zero, top = InfClass(1, n), (1 << n) - 1
         assert InfClass(mask, n) == zero
         assert top in points(ctx.nodes(n)["lambda_ls"](zero)) and top not in points(ctx.nodes(n)["lambda_s"](zero))
+
+
+# M(n), the number of down-sets of P(n): OEIS A000372
+DEDEKIND = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
+
+
+class TestOpenCounts:
+    """Criterion 3 compares O_ls's open count with brute_downsets and the
+    Dedekind numbers, and O_s's with 2^(2^n)."""
+
+    def test_counter_agrees_with_backtracking_and_reads_no_order(self, monkeypatch):
+        counts = {n: brute_downsets(n) for n in DEDEKIND}
+        assert counts == {n: backtrack_downsets(n) for n in DEDEKIND} == DEDEKIND
+        # the counter stays independent of the order criterion 3 checks
+        for attribute in ("up_lanes", "down_lanes"):
+            monkeypatch.setattr(Carrier, attribute, property(lambda c: 0))
+        assert Carrier(3).up_lanes == Carrier(3).down_lanes == 0
+        assert {n: brute_downsets(n) for n in DEDEKIND} == DEDEKIND
+
+    def test_wrong_brute_count_fails(self, monkeypatch):
+        monkeypatch.setattr(verify, "brute_downsets", lambda n: DEDEKIND[n] + 1)
+        assert _crit_open_counts(VerifyContext(atoms=2)) == (False, "n=1: opens=3, brute=4, expected=3")
+
+    def test_wrong_open_count_fails(self, monkeypatch):
+        tamper_nodes(monkeypatch, 2, O_ls="O_s")
+        assert _crit_open_counts(VerifyContext(atoms=3)) == (False, "n=2: opens=16, brute=6, expected=6")
+
+    def test_o_s_not_discrete_fails(self, monkeypatch):
+        tamper_nodes(monkeypatch, 1, O_s="O_ls")
+        assert _crit_open_counts(VerifyContext(atoms=2)) == (False, "n=1: O_s is not discrete")
 
 
 class TestAdjunction:

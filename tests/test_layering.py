@@ -16,9 +16,15 @@ the limit laws.  No run, ``diagram`` and ``verify`` included, loads any of
 A point is an int mask everywhere: ``Element`` is named only where it is
 defined and where a limit query returns it, and no module defines or imports
 the deleted API of a second point type.
+
+Every function and method that ``perfbench/tracing.py`` wraps by name
+resolves under ``convlab``, and its criterion layers name exactly the
+criteria of ``verify.CRITERIA``; the tracer's source is read with ``ast``,
+not imported.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -326,3 +332,58 @@ def test_query_names_stay_on_cli(name, owner):
     # the benchmark's query-mix calls these through convlab.cli, and its
     # tracer rebinds them there
     assert getattr(cli, name) is getattr(owner, name)
+
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def traced_names(source: str) -> tuple[list[tuple[str, str]], list[tuple[str, str, str]], list[str]]:
+    """What a tracer's source wraps, read without importing it: the
+    ``(module, attribute)`` of each row of ``FUNCTIONS``, the ``(module,
+    class, attribute)`` of each row of ``METHODS`` and the keys of
+    ``CRITERION_SLUGS``."""
+    assigned = {
+        node.targets[0].id: node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    functions = [(row.elts[0].id, row.elts[1].value) for row in assigned["FUNCTIONS"].elts]
+    methods = [(row.elts[0].value.id, row.elts[0].attr, row.elts[1].value) for row in assigned["METHODS"].elts]
+    return functions, methods, [key.value for key in assigned["CRITERION_SLUGS"].keys]
+
+
+def convlab_module(name: str):
+    """The module ``convlab.<name>``, or None when there is none."""
+    try:
+        return importlib.import_module(f"convlab.{name}")
+    except ModuleNotFoundError:
+        return None
+
+
+def unresolved(source: str) -> list[str]:
+    """The names a tracer's source wraps that convlab does not define."""
+    functions, methods, _ = traced_names(source)
+    missing = [f"{m}.{a}" for m, a in functions if not callable(getattr(convlab_module(m), a, None))]
+    for m, cls, a in methods:
+        owner = getattr(convlab_module(m), cls, None)
+        if not isinstance(owner, type) or a not in vars(owner):
+            missing.append(f"{m}.{cls}.{a}")
+    return missing
+
+
+def test_unresolved_reads_every_row():
+    source = (
+        "FUNCTIONS = ((verify, 'brute_downsets', 'x'), (verify, 'extend', 'y'), (nowhere, 'f', 'z'))\n"
+        "METHODS = ((algebra.Carrier, '__init__', 'x'), (algebra.Carrier, 'extend', 'y'))\n"
+        "CRITERION_SLUGS = {'a': 'b'}\n"
+    )
+    assert traced_names(source)[2] == ["a"]
+    assert unresolved(source) == ["verify.extend", "nowhere.f", "algebra.Carrier.extend"]
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's per-layer run rebinds these by name; a renamed or
+    # deleted one would fail only when the tracer installs
+    source = TRACING.read_text(encoding="utf-8")
+    assert unresolved(source) == []
+    assert traced_names(source)[2] == [name for name, _ in convlab_module("verify").CRITERIA]
