@@ -15,8 +15,6 @@ from .convergence import (
     check_hbar,
     check_L1,
     check_L2,
-    check_L3,
-    is_hausdorff,
     lambda_li,
     lambda_ls,
     lambda_s,
@@ -58,11 +56,9 @@ __all__ = [
     "Topology",
     "check_L1",
     "check_L2",
-    "check_L3",
     "check_hbar",
     "generate",
     "inf_class",
-    "is_hausdorff",
     "is_sequential",
     "join_topologies",
     "lambda_li",

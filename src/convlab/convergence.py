@@ -253,18 +253,6 @@ def star(lam: Convergence) -> Convergence:
     return Convergence._from_lanes(lam.carrier, lam._lanes, name=f"star({lam.name})")
 
 
-def check_L3(lam: Convergence) -> bool:
-    """The Urysohn condition: if every subsequence has a further subsequence
-    converging to a, then a is already a limit of the original sequence."""
-    return leq_conv(Convergence._from_lanes(lam.carrier, lam._lanes), lam)
-
-
-def is_hausdorff(lam: Convergence) -> bool:
-    """At most one limit per class; under (L2) singleton classes have the
-    largest sets."""
-    return all(v & (v - 1) == 0 for v in lam.lim1)
-
-
 def hbar_witness(s: InfClass) -> InfClass:
     """Subclass all of whose subclasses share its limsup: the least singleton."""
     return InfClass(s.mask & -s.mask, s.width)

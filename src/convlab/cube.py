@@ -12,7 +12,7 @@ value, since the int holds all of them.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from functools import reduce
 from operator import and_, or_
 
@@ -20,19 +20,6 @@ from .algebra import Frozen, atom_set, canonical_period
 
 FC_EMPTY = 0
 FC_FULL = -1
-
-
-def fc_finite(items: Iterable[int]) -> int:
-    bits = 0
-    for i in items:
-        if i < 0:
-            raise ValueError("supports are sets of naturals")
-        bits |= 1 << i
-    return bits
-
-
-def fc_cofinite(excluded: Iterable[int]) -> int:
-    return ~fc_finite(excluded)
 
 
 def fc_support(a: int) -> int:
@@ -139,16 +126,6 @@ class CubeSample:
         e, first, *more = (rng.getrandbits(10 * count) & ones * m for m in (3, 511, 511, 511, 511))
         reach = ((r & ones) * 511 for r in (e | e >> 1, e >> 1, e & e >> 1))  # e >= 1, 2, 3
         return cls(9, count, (first, *(v & k | first & ~k for v, k in zip(more, reach))))
-
-    @classmethod
-    def of(cls, seqs: list[FCSeq], width: int) -> CubeSample:
-        """The periods of ``seqs``, each support below coordinate ``width - 1``."""
-        if any(fc_support(v) >> width - 1 for x in seqs for v in x.period):
-            raise ValueError("a support reaches the generic coordinate")
-        k, mask = max(len(x.period) for x in seqs), (1 << width) - 1
-        cols = [x.period + x.period[:1] * (k - len(x.period)) for x in seqs]
-        slots = (sum((c[j] & mask) << i * (width + 1) for i, c in enumerate(cols)) for j in range(k))
-        return cls(width, len(seqs), tuple(slots))
 
     def at(self, a: int, i: int) -> int:
         """The finite or cofinite set in field i of the stack a."""

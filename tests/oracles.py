@@ -20,6 +20,9 @@ reflexive relation, the down-sets of P(n) counted by backtracking point by
 point against ``verify.brute_downsets``'s doubling, and the diagram's
 nodes on P(1) as literal tables with their products and powers, against
 ``report.figure_nodes`` and ``topology.synthesize_O_lambda`` on P(n).
+The (L3) and Hausdorff predicates read a convergence's columns, and finite
+and cofinite sets and packed samples of given sequences are built for the
+cube tests.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from operator import and_, or_
 from typing import Iterable, Iterator
 
 from convlab.algebra import Carrier, EPSeq, iter_bits
-from convlab.convergence import Convergence, sos_union
-from convlab.cube import FC_EMPTY, FC_FULL, FCSeq, fc_liminf, fc_limsup, fc_support
+from convlab.convergence import Convergence, leq_conv, sos_union
+from convlab.cube import FC_EMPTY, FC_FULL, CubeSample, FCSeq, fc_liminf, fc_limsup, fc_support
 from convlab.report import KINDS, escape
 from convlab.seqclass import InfClass
 from convlab.submeasure import Submeasure
@@ -254,6 +257,20 @@ def random_l12_convergence(carrier: Carrier, rng: random.Random) -> Convergence:
     lim1 = [drawn[1 << a] | 1 << a for a in range(m)]
     exceptions = [(c, drawn[c]) for c in range(1, 1 << m) if c & (c - 1)]
     return Convergence(carrier, lim1=lim1, exceptions=exceptions, name="random")
+
+
+def satisfies_L3(lam: Convergence) -> bool:
+    """The Urysohn condition: if every subsequence has a further subsequence
+    converging to a, then a is already a limit of the original sequence.
+    Under (L2) that is: lam's singleton columns without its exceptions lie
+    below lam."""
+    return leq_conv(Convergence._from_lanes(lam.carrier, lam._lanes), lam)
+
+
+def is_hausdorff(lam: Convergence) -> bool:
+    """At most one limit per class; under (L2) singleton classes have the
+    largest sets, so every singleton column holds at most one bit."""
+    return all(v & (v - 1) == 0 for v in lam.lim1)
 
 
 def sequential_closure(lam: Convergence, subset_mask: int) -> int:
@@ -557,6 +574,32 @@ def pairwise_escapes(payloads: dict) -> dict[tuple[str, str], object]:
         for b in names
         if a != b
     }
+
+
+def fc_finite(items: Iterable[int]) -> int:
+    """The finite set of the naturals ``items``."""
+    bits = 0
+    for i in items:
+        if i < 0:
+            raise ValueError("supports are sets of naturals")
+        bits |= 1 << i
+    return bits
+
+
+def fc_cofinite(excluded: Iterable[int]) -> int:
+    """The cofinite set of the naturals that omits ``excluded``."""
+    return ~fc_finite(excluded)
+
+
+def cube_sample(seqs: list[FCSeq], width: int) -> CubeSample:
+    """The periods of ``seqs`` packed as ``CubeSample.draw`` packs its own,
+    each support below coordinate ``width - 1``."""
+    if any(fc_support(v) >> width - 1 for x in seqs for v in x.period):
+        raise ValueError("a support reaches the generic coordinate")
+    k, mask = max(len(x.period) for x in seqs), (1 << width) - 1
+    cols = [x.period + x.period[:1] * (k - len(x.period)) for x in seqs]
+    slots = (sum((c[j] & mask) << i * (width + 1) for i, c in enumerate(cols)) for j in range(k))
+    return CubeSample(width, len(seqs), tuple(slots))
 
 
 def random_fcseq(rng: random.Random) -> FCSeq:

@@ -12,9 +12,7 @@ from convlab.convergence import (
     check_hbar,
     check_L1,
     check_L2,
-    check_L3,
     hbar_witness,
-    is_hausdorff,
     lambda_li,
     lambda_ls,
     lambda_s,
@@ -28,7 +26,9 @@ from oracles import (
     SweepCapacityError,
     all_classes,
     from_table,
+    is_hausdorff,
     random_l12_convergence,
+    satisfies_L3,
     star_table,
     table_is_L2,
     class_points,
@@ -156,7 +156,7 @@ class TestAxioms:
 
     def test_builtins_satisfy_L3_at_finite_scale(self, p3):
         for lam in (lambda_ls(p3), lambda_li(p3), lambda_s(p3)):
-            assert check_L3(lam)
+            assert satisfies_L3(lam)
 
 
 class TestHausdorff:
@@ -227,7 +227,7 @@ class TestStar:
         rng = random.Random(37)
         for _ in range(20):
             lam = random_l12_convergence(p2, rng)
-            assert check_L3(star(lam))
+            assert satisfies_L3(star(lam))
 
     def test_warns_without_L1(self, p2):
         empty = Convergence(p2, lim1=[0] * p2.size)

@@ -13,8 +13,6 @@ from convlab.cube import (
     CubeSample,
     FCSeq,
     check_T1235a,
-    fc_cofinite,
-    fc_finite,
     fc_liminf,
     fc_limsup,
     fc_repr,
@@ -26,7 +24,7 @@ from convlab.cube import (
 from convlab.cli import main
 
 from cli_runner import CliRunner
-from oracles import candidate_limits, fcseq_support, random_fcseq, value_at
+from oracles import candidate_limits, cube_sample, fc_cofinite, fc_finite, fcseq_support, random_fcseq, value_at
 from test_algebra import rotation_oracle
 
 # Every support the tests build lies below this coordinate, so it stands for
@@ -245,7 +243,7 @@ class TestCubeLimits:
 
     def test_conjunction_characterizes_discrete_limit(self):
         rng = random.Random(107)
-        sample = CubeSample.of([random_fcseq(rng) for _ in range(500)], 9)
+        sample = cube_sample([random_fcseq(rng) for _ in range(500)], 9)
         assert check_T1235a(sample, sample.candidates(random.Random(109))) is None
 
 
@@ -269,7 +267,7 @@ WIDTH = 16
 
 def stack(sets, width: int = WIDTH) -> int:
     """One finite or cofinite set per field, packed as a candidate stack."""
-    return CubeSample.of([FCSeq((), (a,)) for a in sets], width).slots[0]
+    return cube_sample([FCSeq((), (a,)) for a in sets], width).slots[0]
 
 
 def guard(mask: int, i: int, width: int) -> bool:
@@ -285,7 +283,7 @@ class TestPackedSample:
         # fcseqs reach coordinate 8 and the candidates coordinate 14, past
         # the sequences' window
         seqs = [x for x, _ in pairs]
-        sample, a = CubeSample.of(seqs, WIDTH), stack([c for _, c in pairs])
+        sample, a = cube_sample(seqs, WIDTH), stack([c for _, c in pairs])
         alex, dual, cantor = sample.alexandrov(a), sample.dual(a), sample.cantor()
         for i, (x, c) in enumerate(pairs):
             assert guard(alex, i, WIDTH) == lim_alexandrov(x)(c)
@@ -316,21 +314,21 @@ class TestPackedSample:
     def test_of_keeps_every_period_value_set(self):
         rng = random.Random(29)
         seqs = [random_fcseq(rng) for _ in range(300)]
-        sample = CubeSample.of(seqs, 9)
+        sample = cube_sample(seqs, 9)
         assert len(sample.slots) == max(len(x.period) for x in seqs)
         for i, x in enumerate(seqs):
             assert set(sample.sequence(i).period) == set(x.period)
             assert {sample.at(v, i) for v in sample.slots} == set(x.period)
 
     def test_of_rejects_a_support_on_the_generic_coordinate(self):
-        CubeSample.of([FCSeq((), (fc_finite([7]),))], 9)
+        cube_sample([FCSeq((), (fc_finite([7]),))], 9)
         for a in (fc_finite([8]), fc_cofinite([8])):
             with pytest.raises(ValueError):
-                CubeSample.of([FCSeq((), (FC_EMPTY, a))], 9)
+                cube_sample([FCSeq((), (FC_EMPTY, a))], 9)
 
     def test_half_open_laws_do_not_read_limsup_or_liminf(self):
         # check_T1235a compares these laws with the limsup and liminf rules
-        sample = CubeSample.of([FCSeq((), (fc_finite([0]), fc_cofinite([1])))], 9)
+        sample = cube_sample([FCSeq((), (fc_finite([0]), fc_cofinite([1])))], 9)
         del sample.limsup, sample.liminf
         assert sample.alexandrov(stack([FC_FULL], 9)) and not sample.alexandrov(stack([fc_finite([0])], 9))
         assert sample.dual(stack([fc_finite([0])], 9)) and not sample.dual(stack([fc_finite([2])], 9))
