@@ -215,37 +215,13 @@ class Carrier:
         return f"Carrier(P({self.n}))"
 
 
-def canonical_period(period: tuple[int, ...]) -> tuple[int, ...]:
-    """The shortest repeating block of period, rotated to its least rotation
-    as a tuple; the least rotation of a block of d entries is found in fewer
-    than 3d steps."""
-    n = len(period)
-    d = next(d for d in range(1, n + 1) if n % d == 0 and period == period[:d] * (n // d))
-    keys = period[:d] * 2
-    # rotation i leads; every start below j but i is beaten, since a start
-    # that loses after k equal keys takes the k starts after it with it
-    i, j, k = 0, 1, 0
-    while j < d and k < d:
-        a, b = keys[i + k], keys[j + k]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            i, j = j, max(j + 1, i + k + 1)
-        else:
-            j += k + 1
-        k = 0
-    return period[i:d] + period[:i]
-
-
 class EPSeq(Frozen):
     """Eventually periodic sequence of points of P(width), each a mask: a
     finite preperiod, then a repeating period.
 
-    Every entry must lie in 0..2^width - 1.  The period is stored in canonical
-    form: shortest repeating block, rotated to its least rotation.
-    Canonicalization preserves the set of infinitely occurring values, which
-    is all any consumer depends on.
+    Every entry must lie in 0..2^width - 1.  Preperiod and period are held as
+    given, so equality follows the spelling; every consumer reads only the set
+    of period values.
     """
 
     __slots__ = ("preperiod", "period", "width")
@@ -260,7 +236,7 @@ class EPSeq(Frozen):
             if not 0 <= mask < 1 << width:
                 raise ValueError(f"mask {mask} out of range for width {width}")
         object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", canonical_period(per))
+        object.__setattr__(self, "period", per)
         object.__setattr__(self, "width", width)
 
     def __repr__(self) -> str:

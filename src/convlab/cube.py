@@ -16,7 +16,7 @@ from collections.abc import Callable
 from functools import reduce
 from operator import and_, or_
 
-from .algebra import Frozen, atom_set, canonical_period
+from .algebra import Frozen, atom_set
 
 FC_EMPTY = 0
 FC_FULL = -1
@@ -38,8 +38,8 @@ def _tuple_repr(sets: tuple[int, ...]) -> str:
 
 
 class FCSeq(Frozen):
-    """Eventually periodic sequence of finite/cofinite sets, the period at its
-    least rotation as ints."""
+    """Eventually periodic sequence of finite/cofinite sets as ints, preperiod
+    and period held as given."""
 
     __slots__ = ("preperiod", "period")
 
@@ -47,7 +47,7 @@ class FCSeq(Frozen):
         if not period:
             raise ValueError("period must be nonempty")
         object.__setattr__(self, "preperiod", tuple(preperiod))
-        object.__setattr__(self, "period", canonical_period(tuple(period)))
+        object.__setattr__(self, "period", tuple(period))
 
     def __repr__(self) -> str:
         return f"FCSeq(preperiod={_tuple_repr(self.preperiod)}, period={_tuple_repr(self.period)})"

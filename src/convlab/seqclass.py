@@ -30,7 +30,7 @@ class InfClass(Frozen):
 
 
 def inf_class(x: EPSeq) -> InfClass:
-    """Quotient map: the distinct period values of the canonical form."""
+    """Quotient map: the distinct values of the period."""
     mask = 0
     for p in x.period:
         mask |= 1 << p

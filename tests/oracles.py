@@ -13,7 +13,8 @@ checked one bit per step against the packed lanes of ``Carrier`` and
 ``Topology``, the triangle inequality over triples against ``verify``'s
 pairs of masks, random convergences with exceptions, criterion 9's random
 relations and topologies drawn one at a time against ``verify``'s stacks,
-the entries of eventually periodic sequences read one index at a time, one seeded
+the entries of eventually periodic sequences read one index at a time, the
+least-rotation spelling that pinned periods were recorded in, one seeded
 ``FCSeq`` at a time with its own pool of candidate limits, against the
 packed ``cube.CubeSample``, the preorders on a few points counted over every
 reflexive relation, the down-sets of P(n) counted by backtracking point by
@@ -80,6 +81,16 @@ def prefix(x: EPSeq, length: int) -> list[int]:
 def format_seq_literal(x: EPSeq) -> str:
     """Inverse of ``cli.parse_seq_literal``: ``[pre;per]`` with ``{i,j}`` points."""
     return "[{};{}]".format(*(",".join(map(atoms_text, part)) for part in (x.preperiod, x.period)))
+
+
+def rotation_oracle(period: tuple) -> tuple:
+    """The shortest repeating block of period at the least of its rotations:
+    the spelling the pinned random sequences were recorded in, when every
+    sequence stored its period in that form."""
+    n = len(period)
+    d = min(d for d in range(1, n + 1) if n % d == 0 and period == period[:d] * (n // d))
+    block = period[:d]
+    return min(block[i:] + block[:i] for i in range(d))
 
 
 def pointwise_complement(x: EPSeq) -> EPSeq:

@@ -16,13 +16,16 @@ from convlab.algebra import Carrier
 from convlab.convergence import Convergence, meet_conv
 from convlab.report import figure_nodes, first_violation, rows_named
 from convlab.seqclass import InfClass
-from convlab.submeasure import Submeasure, ValidationReport
-from convlab.topology import Topology, discrete, lim_topo
+from convlab.submeasure import Submeasure, ValidationReport, validate_submeasure
+from convlab.topology import Topology, check_closed_char, discrete, lim_topo, space_properties
 from convlab.verify import (
     CRITERIA,
     CriterionResult,
     VerifyContext,
+    _crit_closed_char,
     _crit_galois,
+    _crit_hbar,
+    _crit_homeo_and_props,
     _crit_join_collapse,
     _crit_limit_intersection,
     _crit_open_counts,
@@ -34,7 +37,7 @@ from convlab.verify import (
     run_all,
 )
 
-from oracles import backtrack_downsets, points, table_of, transpose_rows, triangle_holds
+from oracles import backtrack_downsets, points, rotation_oracle, table_of, transpose_rows, triangle_holds
 from test_algebra import random_epseq
 
 
@@ -60,7 +63,9 @@ class TestLimitIntersectionLaw:
     # the first 20 sequences random_epseq draws from random.Random(seed) on
     # P(n), as "preperiod/period" value masks in hex, one sequence per word,
     # captured from the sampler the criterion drew from before it compared
-    # columns: the sequence-level tests keep checking the same sequences
+    # columns: the sequence-level tests keep checking the same sequences.
+    # The periods were recorded at their least rotation, so each drawn period
+    # is put in that spelling before it is formatted.
     PINNED = {
         (0, 1): "101/1 0/001 1/0 10/011 110/0 011/01 0/01 /1 011/1 1/0011 00/01 000/0 100/1 /011 0/1 /01 10/0 0/0 /01 /0",
         (0, 2): "302/23 1/021 2/0 30/132 320/0 032/02 1/13 /2 022/2 2/0321 11/02 001/0 211/2233 /032 1/2 /12 30/1 0/0 /03 /0",
@@ -90,7 +95,8 @@ class TestLimitIntersectionLaw:
         words = []
         for _ in range(20):
             x = random_epseq(carrier, rng)
-            words.append("".join("%x" % p for p in x.preperiod) + "/" + "".join("%x" % p for p in x.period))
+            period = rotation_oracle(x.period)
+            words.append("".join("%x" % p for p in x.preperiod) + "/" + "".join("%x" % p for p in period))
         assert " ".join(words) == self.PINNED[seed, n]
 
     def test_failure_names_a_sequence(self, monkeypatch):
@@ -240,6 +246,41 @@ class TestOpenCounts:
     def test_o_s_not_discrete_fails(self, monkeypatch):
         tamper_nodes(monkeypatch, 1, O_s="O_ls")
         assert _crit_open_counts(VerifyContext(atoms=2)) == (False, "n=1: O_s is not discrete")
+
+
+class TestClosedChar:
+    """Criterion 4 checks O_ls's closed sets against the up-sets, then O_li's
+    against the down-sets, at each n; a failed check names its side and n."""
+
+    @pytest.mark.parametrize(
+        "side, detail",
+        [("up", "left closed sets != up-sets at n=2"), ("down", "right closed sets != down-sets at n=2")],
+    )
+    def test_failed_side_is_named(self, monkeypatch, side, detail):
+        def tampered(o, which):
+            return check_closed_char(o, which) and not (which == side and o.carrier.n == 2)
+
+        monkeypatch.setattr(verify, "check_closed_char", tampered)
+        assert _crit_closed_char(VerifyContext(atoms=3)) == (False, detail)
+
+
+class TestHomeoAndProps:
+    """Criterion 8 checks the complement homeomorphism, then O_ls's space
+    properties, at each n."""
+
+    def test_failed_homeomorphism(self, monkeypatch):
+        monkeypatch.setattr(verify, "complement_homeomorphism_check", lambda o_ls, o_li: False)
+        assert _crit_homeo_and_props(VerifyContext(atoms=2)) == (
+            False, "complement map is not a homeomorphism at n=1",
+        )
+
+    def test_disconnected_space(self, monkeypatch):
+        monkeypatch.setattr(verify, "space_properties", lambda o: space_properties(o)._replace(connected=False))
+        assert _crit_homeo_and_props(VerifyContext(atoms=2)) == (
+            False,
+            "space properties fail at n=1: "
+            "SpaceProperties(t0=True, connected=False, compact=True, compact_note='finite carrier')",
+        )
 
 
 class TestAdjunction:
@@ -439,3 +480,69 @@ class TestTriangleInequality:
         tables[4] = tables[4][:-1] + (Fraction(3, 2),)
         assert [triangle_holds(Submeasure(Carrier(n), v)) for n, v in tables.items()] == [True, True, True, False]
         assert triangle_criterion(tables) == (False, "triangle inequality fails at n=4")
+
+
+class TestSubmeasureAxioms:
+    """Criterion 11 validates the counting measure, then the truncated one,
+    at each n, then a loaded table; each failure is named."""
+
+    @pytest.mark.parametrize(
+        "call, change, detail",
+        [
+            (1, {"strictly_positive": False}, "counting measure fails an axiom at n=1"),
+            (2, {"subadditive": False}, "truncated submeasure fails an axiom at n=1"),
+            (3, {"continuous": False}, "counting measure fails an axiom at n=2"),
+            (4, {"monotone": False}, "truncated submeasure fails an axiom at n=2"),
+        ],
+        ids=["counting-n1", "truncated-n1", "counting-n2", "truncated-n2"],
+    )
+    def test_failed_axiom_names_the_measure_and_n(self, monkeypatch, call, change, detail):
+        calls = []
+
+        def tampered(mu):
+            calls.append(mu)
+            report = validate_submeasure(mu)
+            return report._replace(**change) if len(calls) == call else report
+
+        monkeypatch.setattr(verify, "validate_submeasure", tampered)
+        assert _crit_submeasures(VerifyContext(atoms=2)) == (False, detail)
+        assert [mu.carrier.n for mu in calls] == [1, 1, 2, 2][:call]
+
+    @staticmethod
+    def loaded(tmp_path, values) -> Submeasure:
+        path = tmp_path / "mu.txt"
+        path.write_text("".join(f"{m} {v}\n" for m, v in enumerate(values)))
+        return Submeasure.from_file(str(path), Carrier(2))
+
+    def test_non_monotone_table_fails(self, tmp_path):
+        # {0,1} weighs less than {0}
+        mu = self.loaded(tmp_path, ["0", "1", "1", "1/2"])
+        assert _crit_submeasures(VerifyContext(atoms=2, submeasure=mu)) == (
+            False,
+            "loaded table is not a submeasure: ValidationReport(zero_on_bottom=True, monotone=False, "
+            "subadditive=True, strictly_positive=True, continuous=True, continuous_note='finite-trivial')",
+        )
+
+    def test_strictly_positive_table_must_induce_o_s(self, tmp_path, monkeypatch):
+        mu = self.loaded(tmp_path, ["0", "1/2", "1/2", "1"])
+        assert _crit_submeasures(VerifyContext(atoms=1, submeasure=mu)) == (
+            True, "axioms and triangle inequality, n=1..1, loaded table n=2",
+        )
+        monkeypatch.setattr(verify, "metric_topology", lambda mu: figure_nodes(mu.carrier)["O_ls"])
+        assert _crit_submeasures(VerifyContext(atoms=1, submeasure=mu)) == (
+            False, "loaded strictly positive submeasure does not induce O_s",
+        )
+
+
+class TestHbarCriterion:
+    """Criterion 12 checks the subsequence-stability condition, then that the
+    full class's witness is a singleton, at each n."""
+
+    def test_failed_condition_names_n(self, monkeypatch):
+        monkeypatch.setattr(verify, "check_hbar", lambda carrier: carrier.n != 2)
+        assert _crit_hbar(VerifyContext(atoms=3)) == (False, "subsequence-stability condition fails at n=2")
+
+    def test_witness_must_be_a_singleton(self, monkeypatch):
+        # the full class of P(1) holds both points
+        monkeypatch.setattr(verify, "hbar_witness", lambda s: s)
+        assert _crit_hbar(VerifyContext(atoms=2)) == (False, "witness is not a singleton at n=1")

@@ -6,10 +6,10 @@ from operator import and_, or_
 
 import pytest
 
-from convlab.algebra import Carrier, Element, EPSeq, atom_set, canonical_period, iter_bits, liminf, limsup
-from convlab.seqclass import InfClass
+from convlab.algebra import Carrier, Element, EPSeq, atom_set, iter_bits, liminf, limsup
+from convlab.seqclass import InfClass, inf_class
 
-from oracles import atoms_text, downset, pointwise_complement, prefix, upset, value_at
+from oracles import atoms_text, downset, pointwise_complement, prefix, rotation_oracle, upset, value_at
 
 
 def tail_liminf(x: EPSeq) -> int:
@@ -185,37 +185,30 @@ class TestLimInfSup:
             assert liminf(x) == limsup(pointwise_complement(x)) ^ 0b111
 
 
-def rotation_oracle(period):
-    """Oracle for canonical_period: the shortest repeating block, then the
-    least of its rotations."""
-    n = len(period)
-    d = min(d for d in range(1, n + 1) if n % d == 0 and period == period[:d] * (n // d))
-    block = period[:d]
-    return min(block[i:] + block[:i] for i in range(d))
-
-
 class TestEPSeqCanonicalization:
-    @given(block=st.lists(st.integers(0, 3), min_size=1, max_size=5), repeat=st.integers(1, 3))
-    def test_matches_rotation_oracle(self, block, repeat):
-        period = tuple(block) * repeat
-        expected = rotation_oracle(period)
-        assert canonical_period(period) == expected
-        assert EPSeq((), period, 2).period == expected
+    """A sequence holds the preperiod and period it is given, in the order
+    given, after the range and non-empty checks.  What is canonical is its
+    class: the consumers read only the set of period values, so a period's
+    shortest block at its least rotation gives the same answers."""
 
-    # two keys in long blocks: rotations that agree on long prefixes, where
-    # the least-rotation search skips starts
-    @given(block=st.lists(st.integers(0, 1), min_size=1, max_size=40), repeat=st.integers(1, 3))
-    def test_long_blocks_match_rotation_oracle(self, block, repeat):
-        period = tuple(block) * repeat
-        assert canonical_period(period) == rotation_oracle(period)
+    @given(
+        pre=st.lists(st.integers(0, 3), max_size=4).map(tuple),
+        block=st.lists(st.integers(0, 3), min_size=1, max_size=5).map(tuple),
+        repeat=st.integers(1, 3),
+    )
+    def test_matches_rotation_oracle(self, pre, block, repeat):
+        period = block * repeat
+        x, y = EPSeq(pre, period, 2), EPSeq(pre, rotation_oracle(period), 2)
+        assert (x.preperiod, x.period) == (pre, period)
+        assert prefix(x, len(pre) + 2 * len(period)) == list(pre + period * 2)
+        assert (liminf(x), limsup(x), inf_class(x)) == (liminf(y), limsup(y), inf_class(y))
 
-    def test_repeated_period_collapses(self, p2):
-        a, b = 0b01, 0b10
-        assert EPSeq((), (a, b, a, b), p2.n).period == (a, b)
-
-    def test_rotation_normalized(self, p2):
-        a, b = 0b01, 0b10
-        assert EPSeq((), (b, a), p2.n) == EPSeq((), (a, b), p2.n)
+    def test_rotated_period_is_another_sequence(self, p2):
+        # 3, 2, 1, 2, 1, ... and 3, 1, 2, 1, 2, ... have the same infinitely
+        # occurring values but differ as sequences, and so as values
+        x, y = EPSeq((3,), (2, 1), p2.n), EPSeq((3,), (1, 2), p2.n)
+        assert x.period == (2, 1) and prefix(x, 4) == [3, 2, 1, 2]
+        assert x != y and inf_class(x) == inf_class(y)
 
     def test_empty_period_rejected(self, p2):
         with pytest.raises(ValueError):
@@ -223,8 +216,8 @@ class TestEPSeqCanonicalization:
 
     def test_value_at(self, p2):
         a, b, top = 0b01, 0b10, 0b11
-        x = EPSeq((top,), (a, b), p2.n)
-        assert prefix(x, 5) == [top, a, b, a, b]
+        x = EPSeq((top,), (b, a), p2.n)
+        assert prefix(x, 5) == [top, b, a, b, a]
 
     @pytest.mark.parametrize("width", [0, -1])
     def test_width_below_one_rejected(self, width):
@@ -248,8 +241,8 @@ class TestValueTypes:
         (Element(0b101, 3), (0b101, 3), "{0,2}"),
         (
             EPSeq(preperiod=[3], period=[2, 1, 2, 1], width=2),
-            ((3,), (1, 2), 2),
-            "EPSeq(preperiod=(3,), period=(1, 2), width=2)",
+            ((3,), (2, 1, 2, 1), 2),
+            "EPSeq(preperiod=(3,), period=(2, 1, 2, 1), width=2)",
         ),
         (InfClass(0b110, 2), (0b110, 2), "InfClass({0},{1})"),
     ]
@@ -288,12 +281,18 @@ class TestLatticeProperties:
         extra=st.integers(min_value=1, max_value=3),
     )
     def test_period_repetition_invisible(self, pre, per, extra):
-        assert EPSeq(pre, per, 3) == EPSeq(pre, per * extra, 3)
+        # the limits and the class read only the set of period values
+        x, y = EPSeq(pre, per, 3), EPSeq(pre, per * extra, 3)
+        assert y.period == per * extra
+        assert (liminf(y), limsup(y), inf_class(y)) == (liminf(x), limsup(x), inf_class(x))
 
     @given(
+        pre=st.lists(points, max_size=4).map(tuple),
         per=st.lists(points, min_size=1, max_size=4).map(tuple),
         shift=st.integers(min_value=0, max_value=3),
     )
-    def test_rotation_invisible(self, per, shift):
+    def test_rotation_invisible(self, pre, per, shift):
         shift %= len(per)
-        assert EPSeq((), per, 3) == EPSeq((), per[shift:] + per[:shift], 3)
+        x, y = EPSeq(pre, per, 3), EPSeq(pre, per[shift:] + per[:shift], 3)
+        assert y.period == per[shift:] + per[:shift]
+        assert (liminf(y), limsup(y), inf_class(y)) == (liminf(x), limsup(x), inf_class(x))

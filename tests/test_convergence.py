@@ -137,6 +137,17 @@ class TestConvergenceAlgebra:
         with pytest.raises(CarrierMismatchError):
             meet_conv(lambda_ls(p2), lambda_ls(p3))
 
+    def test_class_of_another_width_refused(self, p2):
+        from convlab.algebra import CarrierMismatchError
+
+        with pytest.raises(CarrierMismatchError, match=r"^class over P\(3\) fed to convergence on P\(2\)$"):
+            lambda_ls(p2)(InfClass(1, 3))
+
+    def test_equality_with_another_type_is_left_to_it(self, p2):
+        lam = lambda_ls(p2)
+        assert lam.__eq__(lam.lim1) is NotImplemented
+        assert lam != lam.lim1 and lam != "lambda_ls"
+
 
 class TestAxioms:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -170,7 +181,10 @@ class TestHausdorff:
         assert not is_hausdorff(lambda_li(carrier))
 
     def test_empty_is_vacuously_hausdorff(self, p2):
+        # no class has a limit, so no class has two
         empty = Convergence(p2, lim1=[0] * p2.size)
+        assert empty.limit_count() == 0
+        assert all(empty.limit_mask(mask) == 0 for mask in range(1 << p2.size))
         assert is_hausdorff(empty)
 
 

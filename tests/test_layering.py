@@ -8,7 +8,8 @@ a function counts as well as one at the top.
 
 Each CLI subcommand, run in a fresh interpreter, loads only its own layer:
 ``converge`` and every ``--help`` no more than the CLI and the kernel below
-the limit laws.  No run, ``diagram`` and ``verify`` included, loads any of
+the limit laws.  The package binds its topology names on first use, from
+``convlab.topology``.  No run, ``diagram`` and ``verify`` included, loads any of
 ``dataclasses``, ``inspect`` and ``typing``, and no module imports
 ``dataclasses``, ``typing`` or ``click``: the records are namedtuples and
 ``algebra.Frozen`` values, and the CLI runs on the standard library alone.
@@ -112,6 +113,20 @@ def test_every_private_import_is_read(source, names):
 def test_kernel_imports_no_private_name_of_topology(name):
     source = (Path(convlab.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
     assert private_names_from(source, "topology") == set()
+
+
+@pytest.mark.parametrize("name", sorted(convlab._TOPOLOGY_NAMES))
+def test_topology_names_resolve_on_first_use(name):
+    # not bound by the package's import, so the lookup runs __getattr__
+    from convlab import topology
+
+    assert name not in vars(convlab)
+    assert getattr(convlab, name) is getattr(topology, name)
+
+
+def test_unknown_package_name_raises():
+    with pytest.raises(AttributeError, match="^module 'convlab' has no attribute 'nope'$"):
+        convlab.nope
 
 
 def test_verify_builds_no_diagram_node():

@@ -130,6 +130,11 @@ class TestMetricTopology:
         assert topo == discrete(p2)
         assert len(open_masks(topo)) == 16
 
+    def test_non_submeasure_refused(self, p2):
+        # nonzero on the bottom
+        with pytest.raises(SubmeasureTableError, match="^value table violates the submeasure axioms$"):
+            metric_topology(Submeasure(p2, [1, 1, 1, 1]))
+
     def test_zero_submeasure_gives_antidiscrete(self, p2):
         with pytest.warns(UserWarning):
             topo = metric_topology(zero_submeasure(p2))
@@ -304,6 +309,12 @@ class TestFileLoading:
         path = tmp_path / "mu.txt"
         path.write_text("0 0\n1 1/2\n")
         with pytest.raises(SubmeasureTableError):
+            Submeasure.from_file(str(path), p2)
+
+    def test_repeated_mask_names_both_lines(self, tmp_path, p2):
+        path = tmp_path / "mu.txt"
+        path.write_text("0 0\n1 1/2\n# again\n1 1/2\n2 1/2\n3 1\n")
+        with pytest.raises(SubmeasureTableError, match=r":4: mask 1 already given on line 2$"):
             Submeasure.from_file(str(path), p2)
 
     def test_malformed_line_rejected(self, tmp_path, p2):

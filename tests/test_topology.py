@@ -378,6 +378,14 @@ class TestTopologyType:
         with pytest.raises(ValueError, match="not a subset of P\\(1\\)"):
             discrete(p1).is_open_mask(mask)
 
+    def test_comparison_with_another_type_is_left_to_it(self, p1):
+        topo = discrete(p1)
+        assert topo.__eq__(topo.min_neighborhoods) is NotImplemented
+        assert topo.__le__(topo.min_neighborhoods) is NotImplemented
+        assert topo != topo.min_neighborhoods
+        with pytest.raises(TypeError):
+            topo <= topo.min_neighborhoods
+
     def test_open_families_in_canonical_order(self, p1):
         topo = discrete(p1)
         masks = [sum(1 << p for p in f) for f in open_families(topo)]
