@@ -2,9 +2,10 @@
 
 All arithmetic is exact: ball membership at boundary radii and
 subadditivity with equality must not depend on floating-point rounding.
-A table holds its values as fractions, and the axioms, the triangle
-inequality and the zero distances are checked on the values times their
-least common denominator, integers in the same order with the same sums.
+A table is held as integers over one common denominator, mu(a) =
+scaled[a] / denominator, so the axioms, the triangle inequality, the zero
+distances and the balls compare integers.  ``Fraction`` appears only where a
+table is given as rationals or read from a file.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import re
 import warnings
 from collections import namedtuple
 from collections.abc import Iterable
-from fractions import Fraction
-from functools import cached_property
 
 from .algebra import Carrier, ConvlabError, check_same_carrier
 from .topology import Topology
@@ -53,37 +52,39 @@ class ValidationReport(namedtuple(
 
 
 class Submeasure:
-    """A total nonnegative-rational value table over the carrier."""
+    """A total nonnegative-rational value table over the carrier, held as the
+    integers ``scaled`` over the common ``denominator`` d >= 1:
+    mu(a) = scaled[a] / d.  Given rationals are put over the least common
+    multiple of their reduced denominators."""
 
     def __init__(self, carrier: Carrier, values: Iterable[Fraction]):
-        self.carrier = carrier
-        self.values = tuple(Fraction(v) for v in values)
-        if len(self.values) != carrier.size:
-            raise SubmeasureTableError(
-                f"expected {carrier.size} values, got {len(self.values)}"
-            )
-        if any(v < 0 for v in self.values):
-            raise SubmeasureTableError("submeasure values must be nonnegative")
+        from fractions import Fraction
 
-    @cached_property
-    def _scaled(self) -> tuple[int, ...]:
-        """The values times their least common denominator, made on first read:
-        a positive factor keeps every comparison and sum exact."""
-        d = math.lcm(*(v.denominator for v in self.values))
-        return tuple(v.numerator * (d // v.denominator) for v in self.values)
+        given = tuple(Fraction(v) for v in values)
+        if len(given) != carrier.size:
+            raise SubmeasureTableError(f"expected {carrier.size} values, got {len(given)}")
+        if any(v < 0 for v in given):
+            raise SubmeasureTableError("submeasure values must be nonnegative")
+        d = math.lcm(*(v.denominator for v in given))
+        self.carrier, self.denominator = carrier, d
+        self.scaled = tuple(v.numerator * (d // v.denominator) for v in given)
+
+    @classmethod
+    def _of_scaled(cls, carrier: Carrier, denominator: int, scaled: tuple[int, ...]) -> "Submeasure":
+        """The table scaled[a] / denominator, built without a Fraction."""
+        mu = cls.__new__(cls)
+        mu.carrier, mu.denominator, mu.scaled = carrier, denominator, scaled
+        return mu
 
     @classmethod
     def counting(cls, carrier: Carrier) -> "Submeasure":
         """Normalized counting measure: |atoms| / n."""
-        return cls(
-            carrier,
-            [Fraction(m.bit_count(), carrier.n) for m in range(carrier.size)],
-        )
+        return cls._of_scaled(carrier, carrier.n, tuple(m.bit_count() for m in range(carrier.size)))
 
     @classmethod
     def truncated_cardinality(cls, carrier: Carrier) -> "Submeasure":
         """min(1, |atoms|): subadditive and monotone but not additive."""
-        return cls(carrier, [Fraction(min(1, m.bit_count())) for m in range(carrier.size)])
+        return cls._of_scaled(carrier, 1, tuple(min(1, m.bit_count()) for m in range(carrier.size)))
 
     @classmethod
     def from_file(cls, path: str, carrier: Carrier) -> "Submeasure":
@@ -91,6 +92,8 @@ class Submeasure:
 
         Each mask must appear exactly once, with a nonnegative value.
         """
+        from fractions import Fraction
+
         values: dict[int, Fraction] = {}
         seen_at: dict[int, int] = {}
         try:
@@ -144,7 +147,7 @@ def validate_submeasure(mu: Submeasure) -> ValidationReport:
     the scaled integer table.  Monotone is tested on each point and one atom
     more, which chains to every pair a <= b; subadditive on pairs a < b, since
     the test is symmetric and holds for a = b when no value is negative."""
-    v, m = mu._scaled, mu.carrier.size
+    v, m = mu.scaled, mu.carrier.size
     zero_on_bottom = v[0] == 0
     monotone = all(v[a] <= v[a | 1 << i] for i in range(mu.carrier.n) for a in range(m))
     subadditive = all(v[a | b] <= va + v[b] for a, va in enumerate(v) for b in range(a + 1, m))
@@ -155,10 +158,13 @@ def validate_submeasure(mu: Submeasure) -> ValidationReport:
 
 
 def ball(mu: Submeasure, c: int, r: Fraction) -> int:
-    """The mask of the points x at distance mu(x ^ c) below r from the point c."""
+    """The mask of the points x at distance mu(x ^ c) below r from the point c.
+    For r = p / q, an int or a Fraction, scaled[x ^ c] / d < p / q is
+    compared as scaled[x ^ c] * q < p * d."""
     if not 0 <= c < mu.carrier.size:
         raise ValueError(f"point mask {c} is not a point of P({mu.carrier.n})")
-    return sum(1 << x for x in range(mu.carrier.size) if mu.values[x ^ c] < r)
+    v, q, bound = mu.scaled, r.denominator, r.numerator * mu.denominator
+    return sum(1 << x for x in range(mu.carrier.size) if v[x ^ c] * q < bound)
 
 
 def metric_topology(mu: Submeasure) -> Topology:
@@ -180,7 +186,7 @@ def metric_topology(mu: Submeasure) -> Topology:
             "pseudo-metric",
             stacklevel=2,
         )
-    m, v = mu.carrier.size, mu._scaled
+    m, v = mu.carrier.size, mu.scaled
     zero = [z for z in range(m) if v[z] == 0]
     return Topology(mu.carrier, [sum(1 << (a ^ z) for z in zero) for a in range(m)])
 
@@ -192,13 +198,14 @@ def halfball_opens(mu: Submeasure, c: int, r: Fraction, o_ls: Topology, o_li: To
     """The two half-balls around the point c of radius r/2 are open in the
     given left and right sequential topologies, O_ls and O_li, and squeeze
     between c and the full ball."""
-    car, v = mu.carrier, mu.values
+    car, v = mu.carrier, mu.scaled
     check_same_carrier(mu, o_ls)
     check_same_carrier(mu, o_li)
     disk = ball(mu, c, r)
-    half = Fraction(r) / 2
-    o1 = sum(1 << x for x in range(car.size) if v[x & ~c] < half)
-    o2 = sum(1 << x for x in range(car.size) if v[c & ~x] < half)
+    # scaled[y] / d < r / 2, as 2 q scaled[y] < p d
+    q, bound = 2 * r.denominator, r.numerator * mu.denominator
+    o1 = sum(1 << x for x in range(car.size) if v[x & ~c] * q < bound)
+    o2 = sum(1 << x for x in range(car.size) if v[c & ~x] * q < bound)
     inter = o1 & o2
     return HalfBallReport(
         o1_open_in_left=o_ls.is_open_mask(o1),

@@ -137,9 +137,11 @@ def _random_draws(carrier: Carrier, rng: random.Random, k: int) -> list[int]:
     """The lanes of k sparse (L1) relations.  Relation i is the AND of n
     ``getrandbits(4^n)``, its diagonal then set, so each other bit is set with
     probability 2^-n, about one per row: sparse enough that their closures,
-    and so their O_lam, differ."""
-    w = carrier.size**2
-    return [reduce(and_, (rng.getrandbits(w) for _ in range(carrier.n))) | carrier.lane_diagonal for _ in range(k)]
+    and so their O_lam, differ.  The n k words are drawn in one list, in the
+    order relation by relation, and ANDed in groups of n."""
+    w, n = carrier.size**2, carrier.n
+    words = [rng.getrandbits(w) for _ in range(n * k)]
+    return [reduce(and_, words[i : i + n]) | carrier.lane_diagonal for i in range(0, n * k, n)]
 
 
 def _crit_galois(ctx: VerifyContext):
@@ -187,7 +189,7 @@ def _crit_submeasures(ctx: VerifyContext):
             return False, f"truncated submeasure fails an axiom at n={n}"
         # d(a, c) <= d(a, b) + d(b, c) with x = a ^ b and y = b ^ c: every
         # triple gives a pair of masks, and every pair arises from a triple
-        v = mu._scaled
+        v = mu.scaled
         if any(v[x ^ y] > v[x] + v[y] for x in range(car.size) for y in range(car.size)):
             return False, f"triangle inequality fails at n={n}"
     loaded = ctx.submeasure

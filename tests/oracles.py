@@ -450,6 +450,13 @@ def sparse_columns(carrier: Carrier, rng: random.Random) -> Convergence:
     return Convergence._from_lanes(carrier, lanes | carrier.lane_diagonal)
 
 
+def random_draws_by_relation(carrier: Carrier, rng: random.Random, k: int) -> list[int]:
+    """``verify._random_draws`` one relation at a time: each relation draws
+    its n words and ANDs them before the next relation draws."""
+    w = carrier.size**2
+    return [functools.reduce(and_, (rng.getrandbits(w) for _ in range(carrier.n))) | carrier.lane_diagonal for _ in range(k)]
+
+
 def random_topology(carrier: Carrier, rng: random.Random) -> Topology:
     """The topology generated by 1..4 uniform subsets, one ``getrandbits`` each."""
     k = rng.randrange(1, 5)
@@ -499,13 +506,18 @@ def topology_from_opens(carrier: Carrier, opens: Iterable[int]) -> Topology:
     return topo
 
 
+def fraction_values(mu: Submeasure) -> tuple[Fraction, ...]:
+    """The table of mu as fractions, mu(a) = scaled[a] / denominator."""
+    return tuple(Fraction(v, mu.denominator) for v in mu.scaled)
+
+
 def zero_submeasure(carrier: Carrier) -> Submeasure:
     return Submeasure(carrier, [Fraction(0)] * carrier.size)
 
 
 def triangle_holds(mu: Submeasure) -> bool:
     """d(a, c) <= d(a, b) + d(b, c) for every triple of points, d(a, b) = mu(a ^ b)."""
-    v, pts = mu.values, range(mu.carrier.size)
+    v, pts = fraction_values(mu), range(mu.carrier.size)
     return all(v[a ^ c] <= v[a ^ b] + v[b ^ c] for a in pts for b in pts for c in pts)
 
 
@@ -522,7 +534,7 @@ def integer_submeasures(carrier: Carrier, top: int) -> list[Submeasure]:
 
 def radii(mu: Submeasure) -> list[Fraction]:
     """Every positive value of mu, each value doubled, and 1/3."""
-    positive = {v for v in mu.values if v > 0}
+    positive = {v for v in fraction_values(mu) if v > 0}
     return sorted(positive | {2 * v for v in positive} | {Fraction(1, 3)})
 
 
@@ -543,7 +555,7 @@ def submeasure_axioms(values: list[Fraction]) -> tuple[bool, bool, bool, bool, b
 def halfball_sets(mu: Submeasure, a: int, r: Fraction) -> tuple[set[int], set[int]]:
     """The half-balls around a, o1 = {x : mu(x - a) < r/2} and
     o2 = {x : mu(a - x) < r/2}, as sets of atom masks."""
-    v, points = mu.values, range(mu.carrier.size)
+    v, points = fraction_values(mu), range(mu.carrier.size)
     o1 = {x for x in points if v[x & ~a] < Fraction(r) / 2}
     o2 = {x for x in points if v[a & ~x] < Fraction(r) / 2}
     return o1, o2
@@ -555,7 +567,7 @@ def halfball_oracle(mu: Submeasure, a: int, r: Fraction) -> tuple[tuple[bool, bo
     {x : mu(x ^ a) < r}.  O_ls's opens are the down-sets of inclusion and
     O_li's the up-sets (the closed-set characterization), so o1 must be a
     down-set and o2 an up-set."""
-    v, points = mu.values, range(mu.carrier.size)
+    v, points = fraction_values(mu), range(mu.carrier.size)
     o1, o2 = halfball_sets(mu, a, r)
     ball = {x for x in points if v[x ^ a] < r}
     down = all(y in o1 for x in o1 for y in points if y & ~x == 0)
@@ -563,12 +575,18 @@ def halfball_oracle(mu: Submeasure, a: int, r: Fraction) -> tuple[tuple[bool, bo
     return (down, up, a in o1 & o2 and o1 & o2 <= ball), sum(1 << x for x in ball)
 
 
+def zero_classes(mu: Submeasure) -> list[int]:
+    """Each point's class of points at distance 0, {x : mu(a ^ x) = 0}, as a mask."""
+    v, points = fraction_values(mu), range(mu.carrier.size)
+    return [sum(1 << x for x in points if v[a ^ x] == 0) for a in points]
+
+
 def metric_neighbourhoods(mu: Submeasure) -> list[int]:
     """Each point's minimal neighbourhood in the topology generated by every
     ball {x : d(x, c) < r} with r > 0: the intersection of the balls that hold
     the point.  Those balls are the sets {x : d(x, c) <= t}, one per centre c
     and value t of mu."""
-    v, points = mu.values, range(mu.carrier.size)
+    v, points = fraction_values(mu), range(mu.carrier.size)
     balls = [sum(1 << x for x in points if v[x ^ c] <= t) for c in points for t in set(v)]
     full = (1 << len(v)) - 1
     return [functools.reduce(and_, (b for b in balls if b >> p & 1), full) for p in points]

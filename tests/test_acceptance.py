@@ -37,7 +37,15 @@ from convlab.verify import (
     run_all,
 )
 
-from oracles import backtrack_downsets, points, rotation_oracle, table_of, transpose_rows, triangle_holds
+from oracles import (
+    backtrack_downsets,
+    fraction_values,
+    points,
+    rotation_oracle,
+    table_of,
+    transpose_rows,
+    triangle_holds,
+)
 from test_algebra import random_epseq
 
 
@@ -476,7 +484,7 @@ class TestTriangleInequality:
     def test_names_the_only_failing_atom_count(self):
         # the counting measure's values, with the top of P(4) pushed above
         # d(top, {0,1}) + d({0,1}, bottom) = 1/2 + 1/2
-        tables = {n: Submeasure.counting(Carrier(n)).values for n in (1, 2, 3, 4)}
+        tables = {n: fraction_values(Submeasure.counting(Carrier(n))) for n in (1, 2, 3, 4)}
         tables[4] = tables[4][:-1] + (Fraction(3, 2),)
         assert [triangle_holds(Submeasure(Carrier(n), v)) for n, v in tables.items()] == [True, True, True, False]
         assert triangle_criterion(tables) == (False, "triangle inequality fails at n=4")

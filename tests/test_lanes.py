@@ -49,6 +49,7 @@ from oracles import (
     generated_rows,
     is_preorder,
     random_columns,
+    random_draws_by_relation,
     random_topology,
     sparse_columns,
     table_of,
@@ -522,3 +523,14 @@ class TestStacks:
             relations = verify._random_draws(carrier, stacked, 50)
             assert relations == [sparse_columns(carrier, alone)._lanes for _ in range(50)]
             assert stacked.getstate() == alone.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_criterion_9_draws_match_the_per_relation_form(self, seed):
+        # one list of n k words, ANDed in groups of n, is the same stream as
+        # drawing and ANDing relation by relation
+        listed, by_relation = random.Random(seed), random.Random(seed)
+        for n in range(1, 6):
+            carrier = CARRIERS[n]
+            for k in (1, 50):
+                assert verify._random_draws(carrier, listed, k) == random_draws_by_relation(carrier, by_relation, k)
+                assert listed.getstate() == by_relation.getstate()

@@ -10,9 +10,10 @@ Each CLI subcommand, run in a fresh interpreter, loads only its own layer:
 ``converge`` and every ``--help`` no more than the CLI and the kernel below
 the limit laws.  The package binds its topology names on first use, from
 ``convlab.topology``.  No run, ``diagram`` and ``verify`` included, loads any of
-``dataclasses``, ``inspect`` and ``typing``, and no module imports
-``dataclasses``, ``typing`` or ``click``: the records are namedtuples and
-``algebra.Frozen`` values, and the CLI runs on the standard library alone.
+``dataclasses``, ``inspect``, ``typing``, ``fractions`` and ``decimal``, and no
+module imports ``dataclasses``, ``typing`` or ``click``: the records are
+namedtuples and ``algebra.Frozen`` values, a submeasure is an integer table,
+and the CLI runs on the standard library alone.
 
 A point is an int mask everywhere: ``Element`` is named only where it is
 defined and where a limit query returns it, and no module defines or imports
@@ -286,8 +287,9 @@ print("loaded:", *sorted(m for m in sys.argv[1].split(",") if m in sys.modules))
 QUERY = {"convlab", "algebra", "convergence", "seqclass", "cli"}
 EVERY_MODULE = {"convlab"} | {path.stem for path in SOURCES.glob("*.py")} - {"__init__"}
 # what every run does without: click, and the standard library modules that
-# cost most to import
-HEAVY = ("click", "dataclasses", "inspect", "typing")
+# cost most to import; fractions, which imports decimal, only reads a given
+# or loaded submeasure table
+HEAVY = ("click", "dataclasses", "decimal", "fractions", "inspect", "typing")
 
 
 @cache
@@ -331,6 +333,21 @@ def test_subcommand_loads_its_layer(args, modules):
 @pytest.mark.parametrize("args", QUERY_RUNS + [["diagram", "--atoms", "2"], ["verify", "--atoms", "1"]], ids=" ".join)
 def test_query_path_loads_no_heavy_module(args):
     assert loaded_modules(*args)[1] == set()
+
+
+def test_run_all_builds_no_fraction():
+    # every criterion at n = 1..4, with the counting and truncated tables of
+    # criteria 5 and 11 built as integers
+    probe = (
+        "import sys\n"
+        "from convlab.verify import VerifyContext, run_all\n"
+        "assert all(r.passed for r in run_all(VerifyContext(atoms=4)))\n"
+        "print(*sorted(m for m in ('decimal', 'fractions') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SOURCES.parent), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
 
 
 @pytest.mark.parametrize(

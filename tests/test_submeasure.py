@@ -23,6 +23,7 @@ from convlab.topology import discrete, generate, synthesize_O_lambda
 
 from oracles import (
     antidiscrete,
+    fraction_values,
     halfball_oracle,
     halfball_sets,
     integer_submeasures,
@@ -30,6 +31,7 @@ from oracles import (
     open_masks,
     radii,
     submeasure_axioms,
+    zero_classes,
     zero_submeasure,
 )
 
@@ -42,7 +44,7 @@ STANDARD = {
 }
 CENSUS = integer_submeasures(Carrier(2), 3)
 MEASURES = [pytest.param(mu, id=name) for name, mu in STANDARD.items()] + [
-    pytest.param(mu, id=f"integer-{'-'.join(map(str, mu.values))}") for mu in CENSUS
+    pytest.param(mu, id=f"integer-{'-'.join(map(str, fraction_values(mu)))}") for mu in CENSUS
 ]
 
 
@@ -74,7 +76,8 @@ class TestValidation:
         assert report.is_submeasure()
         assert report.continuous
         # subadditive but not additive: two disjoint atoms both weigh 1
-        assert mu.values[0b011] < mu.values[0b001] + mu.values[0b010]
+        v = fraction_values(mu)
+        assert v[0b011] < v[0b001] + v[0b010]
 
     def test_zero_submeasure_not_strictly_positive(self, p2):
         report = validate_submeasure(zero_submeasure(p2))
@@ -96,13 +99,13 @@ class TestValidation:
 
 @st.composite
 def fraction_tables(draw):
-    """A table on P(1..3) of fractions with numerators 0..6 and denominators
-    1..6, so the values seldom share a denominator.  Half the draws are
+    """A table on P(1..3) of fractions with numerators 0..12 and denominators
+    1..12, so the values seldom share a denominator.  Half the draws are
     lifted to a monotone table, each value the largest at or below its mask,
     and half get 0 on the bottom, so submeasures, monotone tables that are
     not subadditive and tables that are not monotone all occur."""
     m = 1 << draw(st.integers(1, 3))
-    fractions = st.builds(Fraction, st.integers(0, 6), st.integers(1, 6))
+    fractions = st.builds(Fraction, st.integers(0, 12), st.integers(1, 12))
     v = draw(st.lists(fractions, min_size=m, max_size=m))
     if draw(st.booleans()):
         v[0] = Fraction(0)
@@ -120,8 +123,24 @@ def fraction_tables(draw):
 @settings(max_examples=300, deadline=None)
 @given(fraction_tables())
 def test_integer_axioms_match_the_definitions(values):
-    mu = Submeasure(Carrier(len(values).bit_length() - 1), values)
-    assert validate_submeasure(mu) == ValidationReport(*submeasure_axioms(values))
+    assert_table_matches_the_definitions(values)
+
+
+def assert_table_matches_the_definitions(values):
+    """The table a Submeasure holds for ``values``, its axioms, its metric
+    topology when it is a submeasure, and its balls and half-balls at every
+    point and radius of ``oracles.radii``, against the definitions on the
+    fractions."""
+    carrier = Carrier(len(values).bit_length() - 1)
+    mu = Submeasure(carrier, values)
+    assert fraction_values(mu) == tuple(map(Fraction, values))
+    report = validate_submeasure(mu)
+    assert report == ValidationReport(*submeasure_axioms(list(map(Fraction, values))))
+    if report.is_submeasure():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert metric_topology(mu) == generate(carrier, zero_classes(mu))
+    TestAgainstTheOracle.oracle_flags(mu)
 
 
 class TestMetricTopology:
@@ -154,14 +173,14 @@ class TestMetricTopology:
 
     def test_triangle_inequality(self, p3):
         # the distance of a and b is mu of their symmetric difference
-        v = Submeasure.counting(p3).values
+        v = fraction_values(Submeasure.counting(p3))
         for a in range(p3.size):
             for b in range(p3.size):
                 for c in range(p3.size):
                     assert v[a ^ c] <= v[a ^ b] + v[b ^ c]
 
     def test_triangle_inequality_truncated(self, p3):
-        v = Submeasure.truncated_cardinality(p3).values
+        v = fraction_values(Submeasure.truncated_cardinality(p3))
         for a in range(p3.size):
             for b in range(p3.size):
                 for c in range(p3.size):
@@ -170,7 +189,7 @@ class TestMetricTopology:
 
 class TestDecreasingChains:
     def test_limit_along_chain_is_value_at_meet(self, p3):
-        v = Submeasure.counting(p3).values
+        v = fraction_values(Submeasure.counting(p3))
         # decreasing chains on a finite carrier stabilize at their meet
         for a in range(p3.size):
             for b in range(p3.size):
@@ -263,7 +282,7 @@ class TestAgainstTheOracle:
         # o1 is a down-set by monotonicity, o2 an up-set, and the
         # intersection lies in the ball by subadditivity
         assert set(self.oracle_flags(mu)) == {(True, True, True)}
-        v = mu.values
+        v = fraction_values(mu)
         for a in range(mu.carrier.size):
             for r in radii(mu):
                 for x in range(mu.carrier.size):
@@ -285,14 +304,46 @@ class TestAgainstTheOracle:
         MEASURES + [pytest.param(zero_submeasure(Carrier(n)), id=f"zero-n{n}") for n in (1, 2, 3)],
     )
     def test_metric_topology(self, mu):
-        m = mu.carrier.size
-        classes = [sum(1 << x for x in range(m) if mu.values[a ^ x] == 0) for a in range(m)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             topo = metric_topology(mu)
         assert bool(caught) == (not validate_submeasure(mu).strictly_positive)
-        assert topo == generate(mu.carrier, classes)
+        assert topo == generate(mu.carrier, zero_classes(mu))
         assert list(topo.min_neighborhoods) == metric_neighbourhoods(mu)
+
+
+class TestIntegerTable:
+    """A table is held as integers over one denominator; Fraction is only the
+    view ``oracles.fraction_values``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_integer_census_over_denominators(self, n):
+        # every census table, and the same tables divided by 3 and by 12
+        for mu in integer_submeasures(Carrier(n), 3):
+            assert mu.denominator == 1
+            for k in (1, 3, 12):
+                assert_table_matches_the_definitions([Fraction(v, k) for v in mu.scaled])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_counting_and_truncated_tables(self, n):
+        car = Carrier(n)
+        counting, truncated = Submeasure.counting(car), Submeasure.truncated_cardinality(car)
+        assert fraction_values(counting) == tuple(Fraction(m.bit_count(), n) for m in range(car.size))
+        assert fraction_values(truncated) == tuple(Fraction(min(1, m.bit_count())) for m in range(car.size))
+        assert (counting.denominator, truncated.denominator) == (n, 1)
+
+    def test_table_is_over_the_least_common_denominator(self, p2):
+        mu = Submeasure(p2, [0, Fraction(2, 6), Fraction(1, 4), "7/12"])
+        assert (mu.denominator, mu.scaled) == (12, (0, 4, 3, 7))
+
+    def test_equal_fractions_spelled_apart_load_alike(self, tmp_path, p2):
+        tables = []
+        for third in ("1/3", "2/6"):
+            path = tmp_path / "mu.txt"
+            path.write_text(f"0 0\n1 {third}\n2 1/2\n3 5/6\n")
+            mu = Submeasure.from_file(str(path), p2)
+            tables.append((mu.denominator, mu.scaled))
+        assert tables == [(6, (0, 2, 3, 5))] * 2
 
 
 class TestFileLoading:
@@ -303,7 +354,8 @@ class TestFileLoading:
             lines.append(f"{m} {Fraction(bin(m).count('1'), 2)}")
         path.write_text("\n".join(lines) + "\n")
         mu = Submeasure.from_file(str(path), p2)
-        assert mu.values == Submeasure.counting(p2).values
+        assert fraction_values(mu) == fraction_values(Submeasure.counting(p2))
+        assert (mu.denominator, mu.scaled) == (2, (0, 1, 1, 2))
 
     def test_partial_table_rejected(self, tmp_path, p2):
         path = tmp_path / "mu.txt"
