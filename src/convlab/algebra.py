@@ -9,7 +9,7 @@ what a limit query returns.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import cached_property, reduce
 from operator import and_, attrgetter, or_
 
@@ -87,10 +87,12 @@ class Carrier:
     one int whose bit p·2^n + q holds "q in row p": ``pack``, ``unpack``, and
     ``transpose`` in n big-int steps, also on a stack of k relations, which
     holds relation i in field i, 4^n data bits under a guard bit that every
-    stack operation leaves 0 (``stacked``, ``stack``, ``unstack``).  The order
-    is held so, each table built on its own on first read: ``up_lanes``, row
-    p = {q >= p}, and ``down_lanes``, row p = {q <= p}.  Their rows
-    ``up_masks`` and ``down_masks`` are made on first read."""
+    stack operation leaves 0 (``stacked``, ``stack``); ``escape_diagonals``
+    tests every field of one k-field stack against every field of another,
+    one offset at a time.  The order is held so, each table built on its own
+    on first read: ``up_lanes``, row p = {q >= p}, and ``down_lanes``, row
+    p = {q <= p}.  Their rows ``up_masks`` and ``down_masks`` are made on
+    first read."""
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_ATOMS:
@@ -134,10 +136,6 @@ class Carrier:
         stride = self.stacked(1).guards.bit_length()  # one field's data and the guard on top
         return sum(lanes << i * stride for i, lanes in enumerate(relations))
 
-    def unstack(self, stack: int, k: int) -> list[int]:
-        stride, data = self.stacked(1).guards.bit_length(), self.stacked(1).data
-        return [stack >> i * stride & data for i in range(k)]
-
     def pack(self, rows: Sequence[int]) -> int:
         """Row p in lane p; each row must lie in 0..2^(2^n) - 1."""
         lanes = 0
@@ -156,20 +154,17 @@ class Carrier:
             lanes ^= moved | moved << shift
         return lanes
 
-    def escapes(self, stack: int, k: int) -> Callable[[int], int]:
-        """The test mapping a packed relation x to the guard bits of the fields r
-        of a k-field stack with x & ~r != 0: x copied into every field, less r,
-        carries into its guard iff nonzero.  Doubling shifts copy x, maybe past
-        the last field, which the guard mask drops; no carry runs down a field."""
-        masks, outside = self.stacked(k), ~stack
-        shifts = [self.stacked(1).guards.bit_length() << i for i in range((k - 1).bit_length())]
-
-        def escaped(x: int) -> int:
-            for s in shifts:
-                x |= x << s
-            return ((x & outside) + masks.data) & masks.guards
-
-        return escaped
+    def escape_diagonals(self, xs: int, rs: int, k: int) -> Iterator[int]:
+        """For each offset s = 0..k - 1, the guard word of two k-field stacks
+        with guard j set iff field j of xs escapes field (j + s) mod k of rs,
+        x & ~r != 0.  rs is complemented once in its data bits and laid twice
+        in a row; shifted down s fields and ANDed with xs, each field plus its
+        data bits carries into its own guard iff nonzero."""
+        masks, stride = self.stacked(k), self.stacked(1).guards.bit_length()
+        outside = masks.data ^ rs
+        outside |= outside << k * stride
+        for s in range(k):
+            yield ((xs & outside >> s * stride) + masks.data) & masks.guards
 
     @cached_property
     def up_lanes(self) -> int:

@@ -63,8 +63,8 @@ def _synthesized(carrier: Carrier, stack: int, k: int = 1, name: str = "") -> in
     preorder (see ``synthesize_O_lambda``).  Without (L1) the first field so
     (or ``name``) is refused, with its first column lacking its own point."""
     if missing := carrier.stacked(k).diagonal & ~stack:
-        field, lacking = next((i, f) for i, f in enumerate(carrier.unstack(missing, k)) if f)
-        p, who = ((lacking & -lacking).bit_length() - 1) // carrier.size, name or f"field {field} of a {k}-field stack"
+        field, bit = divmod((missing & -missing).bit_length() - 1, carrier.stacked(1).guards.bit_length())
+        p, who = bit // carrier.size, name or f"field {field} of a {k}-field stack"
         raise ClosureAxiomError(
             f"sequential topology requires a convergence satisfying (L1): column {p} of {who} on P({carrier.n}) "
             f"lacks the point {p}"

@@ -154,17 +154,19 @@ def _crit_galois(ctx: VerifyContext):
             return False, f"lim_O has exceptions at n={n}"
         # random (L1) columns: O_lam reads only lam's columns and lim_O has no
         # exceptions, so exceptions of lam would change neither side.  Their
-        # O_lam are the random topologies too, fields 4..53 after the diagram's;
-        # guard i is set when o_i is not inside O_lam (the opens' stack) and
-        # when lam is not below lim_o_i (the limits').
+        # O_lam are the random topologies too, fields 4..53 after the diagram's.
+        # At offset s guard j is set when o_(j+s) is not inside the j-th O_lam
+        # (the opens' words) and when the j-th lam is not below lim_o_(j+s)
+        # (the limits'); field 3 stands for O_lsi, which has no lam: it is empty.
         k = 50
-        relations = _random_draws(car, rng, k)
-        o_lams = _synthesized(car, car.stack(relations), k)
-        opens_escaped = car.escapes(car.stack([o._lanes for o in topos] + [o_lams]), k + 4)
-        limits_escaped = car.escapes(car.stack([lim_o._lanes for lim_o in lims] + [car.transpose(o_lams, k)]), k + 4)
-        pairs = [(o._lanes, nodes[f"lambda_{law}"]._lanes) for o, law in zip(topos, ("ls", "li", "s"))]
-        pairs += zip(car.unstack(o_lams, k), relations)
-        if any(opens_escaped(o_lam) != limits_escaped(lam) for o_lam, lam in pairs):
+        columns = car.stack(_random_draws(car, rng, k))
+        o_lams = _synthesized(car, columns, k)
+        opens = [o._lanes for o in topos] + [o_lams]
+        lams = [nodes[f"lambda_{law}"]._lanes for law in ("ls", "li", "s")] + [0, columns]
+        limits = [lim_o._lanes for lim_o in lims] + [car.transpose(o_lams, k)]
+        by_opens = car.escape_diagonals(car.stack(opens[:3] + [0, o_lams]), car.stack(opens), k + 4)
+        by_limits = car.escape_diagonals(car.stack(lams), car.stack(limits), k + 4)
+        if any(a != b for a, b in zip(by_opens, by_limits)):
             return False, f"adjunction fails at n={n}"
     return True, f"no counterexamples over built-in and random pairs, {ctx.covered()}"
 

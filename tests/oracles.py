@@ -13,6 +13,7 @@ checked one bit per step against the packed lanes of ``Carrier`` and
 ``Topology``, the triangle inequality over triples against ``verify``'s
 pairs of masks, random convergences with exceptions, criterion 9's random
 relations and topologies drawn one at a time against ``verify``'s stacks,
+stacks taken apart into their fields,
 the entries of eventually periodic sequences read one index at a time, the
 least-rotation spelling that pinned periods were recorded in, one seeded
 ``FCSeq`` at a time with its own pool of candidate limits, against the
@@ -448,6 +449,13 @@ def sparse_columns(carrier: Carrier, rng: random.Random) -> Convergence:
     for _ in range(carrier.n):
         lanes &= rng.getrandbits(carrier.size**2)
     return Convergence._from_lanes(carrier, lanes | carrier.lane_diagonal)
+
+
+def unstack(carrier: Carrier, stack: int, k: int) -> list[int]:
+    """The k relations of a stack, field i from bit (4^n + 1)·i, each cut out
+    by its own shift and mask."""
+    stride, data = carrier.size**2 + 1, (1 << carrier.size**2) - 1
+    return [stack >> i * stride & data for i in range(k)]
 
 
 def random_draws_by_relation(carrier: Carrier, rng: random.Random, k: int) -> list[int]:

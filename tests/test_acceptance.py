@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlab import topology, verify
-from convlab.algebra import Carrier
+from convlab.algebra import Carrier, iter_bits
 from convlab.convergence import Convergence, meet_conv
 from convlab.report import figure_nodes, first_violation, rows_named
 from convlab.seqclass import InfClass
@@ -45,6 +45,7 @@ from oracles import (
     table_of,
     transpose_rows,
     triangle_holds,
+    unstack,
 )
 from test_algebra import random_epseq
 
@@ -305,13 +306,14 @@ class TestAdjunction:
         monkeypatch.setattr(verify, "figure_nodes", tampered)
 
     @staticmethod
-    def record_syntheses(monkeypatch, change=lambda carrier, fields: fields):
+    def record_syntheses(monkeypatch, change=lambda carrier, fields, columns: fields):
         """Criterion 9's stacked synthesis, its fields passed through
-        ``change``; returns the fields it handed on, by n."""
+        ``change`` with the drawn columns; returns the fields it handed on, by n."""
         made = {}
 
         def recorded(carrier, stack, k=1, name=""):
-            made[carrier.n] = change(carrier, carrier.unstack(topology._synthesized(carrier, stack, k, name), k))
+            fields = unstack(carrier, topology._synthesized(carrier, stack, k, name), k)
+            made[carrier.n] = change(carrier, fields, unstack(carrier, stack, k))
             return carrier.stack(made[carrier.n])
 
         monkeypatch.setattr(verify, "_synthesized", recorded)
@@ -358,7 +360,7 @@ class TestAdjunction:
     def test_swapped_random_topologies_fail(self, monkeypatch):
         # fields 0 and 1 of the stacked synthesis swapped from n = 3 on: each
         # relation is tested against the other's O_lam
-        def swap(carrier, fields):
+        def swap(carrier, fields, columns):
             if carrier.n >= 3:
                 fields[0], fields[1] = fields[1], fields[0]
             return fields
@@ -366,12 +368,58 @@ class TestAdjunction:
         self.record_syntheses(monkeypatch, swap)
         assert _crit_galois(VerifyContext(atoms=4)) == (False, "adjunction fails at n=3")
 
+    @pytest.mark.parametrize("wrap", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_differing_pair_fails(self, monkeypatch, seed, wrap):
+        # at n = 4 the lanes of random field f gain the transposed columns of
+        # random field g: lam_g is then below the limits of the tampered
+        # field, whose lanes yet miss some of O_lam_g's, so the pair
+        # (g + 4, f + 4) differs, at offset f - g; f = g - 1 puts it at the
+        # last offset, 53.  Draws with a second differing pair are redrawn.
+        rng, chosen = random.Random(seed), {}
+
+        def coarsen(carrier, fields, columns):
+            if carrier.n < 4:
+                return fields
+            assert adjunction_mismatches(carrier, fields, columns) == []
+            for _ in range(20):
+                g = rng.randrange(1, len(fields))
+                f = g - 1 if wrap else rng.choice([i for i in range(len(fields)) if i != g])
+                tampered = list(fields)
+                tampered[f] |= carrier.transpose(columns[g])
+                if len(differing := adjunction_mismatches(carrier, tampered, columns)) == 1:
+                    chosen.update(differing=differing, expected=[(g + 4, f + 4)])
+                    return tampered
+            raise AssertionError("no draw made exactly one pair differ")
+
+        self.record_syntheses(monkeypatch, coarsen)
+        assert _crit_galois(VerifyContext(atoms=4, seed=seed)) == (False, "adjunction fails at n=4")
+        assert chosen["differing"] == chosen["expected"]
+
+
+def adjunction_mismatches(carrier, o_lams, columns):
+    """Criterion 9's pairs (j, i) decided one at a time, on which "O_i inside
+    the j-th O_lam" and "the j-th lam below lim O_i" disagree: j runs over
+    the three laws, an empty field for O_lsi and the random columns, i over
+    the four diagram topologies and the random O_lam."""
+    nodes, laws = figure_nodes(carrier), ("ls", "li", "s")
+    opens = [nodes[f"O_{law}"]._lanes for law in laws] + [0] + o_lams
+    topos = [nodes[f"O_{law}"]._lanes for law in laws + ("lsi",)] + o_lams
+    lams = [nodes[f"lambda_{law}"]._lanes for law in laws] + [0] + columns
+    limits = [nodes[f"lim_O_{law}"]._lanes for law in laws + ("lsi",)] + [carrier.transpose(o) for o in o_lams]
+    return [
+        (j, i)
+        for j in range(len(opens))
+        for i in range(len(topos))
+        if (opens[j] & ~topos[i] != 0) != (lams[j] & ~limits[i] != 0)
+    ]
+
 
 def synthesis_without_closure(carrier, stack, k=1, name=""):
     """``topology._synthesized`` with the transitive closure left out: in each
     field N(q) is {p : q in lim1[p]}, which is not a preorder for most
     columns at n >= 2."""
-    fields = carrier.unstack(stack, k)
+    fields = unstack(carrier, stack, k)
     return carrier.stack([Topology(carrier, transpose_rows(carrier.unpack(f), carrier.size))._lanes for f in fields])
 
 
