@@ -239,10 +239,12 @@ class EPSeq(Frozen):
 
 
 def liminf(x: EPSeq) -> int:
-    """Largest point below all but finitely many entries: meet of the period."""
+    """Largest point below all but finitely many entries: meet of the period.
+    Only ``x.period`` is read, so a ``cube.FCSeq`` serves as well."""
     return reduce(and_, x.period)
 
 
 def limsup(x: EPSeq) -> int:
-    """Smallest point above infinitely many entries: join of the period."""
+    """Smallest point above infinitely many entries: join of the period.
+    Only ``x.period`` is read, so a ``cube.FCSeq`` serves as well."""
     return reduce(or_, x.period)

@@ -16,10 +16,7 @@ from collections.abc import Callable
 from functools import reduce
 from operator import and_, or_
 
-from .algebra import Frozen, atom_set
-
-FC_EMPTY = 0
-FC_FULL = -1
+from .algebra import Frozen, atom_set, liminf, limsup
 
 
 def fc_support(a: int) -> int:
@@ -53,22 +50,6 @@ class FCSeq(Frozen):
         return f"FCSeq(preperiod={_tuple_repr(self.preperiod)}, period={_tuple_repr(self.period)})"
 
 
-def fc_liminf(x: FCSeq) -> int:
-    """Points belonging to all but finitely many entries."""
-    out = FC_FULL
-    for v in x.period:
-        out &= v
-    return out
-
-
-def fc_limsup(x: FCSeq) -> int:
-    """Points belonging to infinitely many entries."""
-    out = FC_EMPTY
-    for v in x.period:
-        out |= v
-    return out
-
-
 def lim_alexandrov(x: FCSeq) -> Callable[[int], bool]:
     """Limit predicate for the cube whose coordinates have only {0} as a
     proper neighborhood: a coordinate at 0 in the candidate forces the
@@ -100,8 +81,8 @@ def lim_alexandrov_dual(x: FCSeq) -> Callable[[int], bool]:
 def lim_cantor(x: FCSeq) -> int | None:
     """Limit in the cube with discrete coordinates: every coordinate must be
     eventually constant; the limit is that coordinatewise value."""
-    limsup = fc_limsup(x)
-    return limsup if fc_liminf(x) == limsup else None
+    ls = limsup(x)
+    return ls if liminf(x) == ls else None
 
 
 class CubeSample:

@@ -25,6 +25,8 @@ from .topology import Topology
 _LINE = re.compile(r"([+-]?[0-9]+)\s+([+-]?[0-9]+(?:/[0-9]+)?)", re.ASCII)
 # far above a P(5) table of 32 short lines; an endless file stops here, not at memory's end
 _MAX_TABLE_BYTES = 1 << 20
+# the characters of a refused line that its message echoes
+_ECHO = 40
 
 
 class SubmeasureTableError(ConvlabError):
@@ -104,7 +106,7 @@ class Submeasure:
         if len(data) > _MAX_TABLE_BYTES:
             raise SubmeasureTableError(f"{path}: longer than {_MAX_TABLE_BYTES} bytes")
         try:
-            text = data.decode("utf-8")
+            text = data.decode("utf-8-sig")  # drops one leading byte-order mark
         except UnicodeDecodeError:
             raise SubmeasureTableError(f"{path}: not a UTF-8 text file") from None
         for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
@@ -112,16 +114,15 @@ class Submeasure:
             if not line:
                 continue
             where = f"{path}:{lineno}"
-            malformed = SubmeasureTableError(f"{where}: expected 'mask value', got {line!r}")
             # int() and Fraction() also read non-ASCII digits, "_" digit
             # separators and, Fraction() alone, decimals and unbounded exponents
-            match = _LINE.fullmatch(line)
-            if match is None:
-                raise malformed
             try:
+                if (match := _LINE.fullmatch(line)) is None:
+                    raise ValueError
                 mask, value = int(match[1]), Fraction(match[2])
             except (ValueError, ZeroDivisionError):
-                raise malformed from None
+                shown = repr(line) if len(line) <= _ECHO else f"{line[:_ECHO]!r}... ({len(line)} characters)"
+                raise SubmeasureTableError(f"{where}: expected 'mask value', got {shown}") from None
             if not 0 <= mask < carrier.size:
                 raise SubmeasureTableError(
                     f"{where}: mask {mask} out of range for P({carrier.n})"

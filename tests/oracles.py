@@ -36,13 +36,17 @@ from itertools import combinations, product
 from operator import and_, or_
 from typing import Iterable, Iterator
 
-from convlab.algebra import Carrier, EPSeq, iter_bits
+from convlab.algebra import Carrier, EPSeq, iter_bits, liminf, limsup
 from convlab.convergence import Convergence, leq_conv, sos_union
-from convlab.cube import FC_EMPTY, FC_FULL, CubeSample, FCSeq, fc_liminf, fc_limsup, fc_support
+from convlab.cube import CubeSample, FCSeq, fc_support
 from convlab.report import KINDS, escape
 from convlab.seqclass import InfClass
 from convlab.submeasure import Submeasure
 from convlab.topology import Topology, generate
+
+
+# the empty and the full set of naturals as finite/cofinite ints
+FC_EMPTY, FC_FULL = 0, -1
 
 
 def upset(width: int, points: Iterable[int]) -> frozenset[int]:
@@ -662,7 +666,7 @@ def candidate_limits(x: FCSeq, rng) -> list[int]:
     from the sequence, then eight seeded random finite/cofinite sets, each one
     draw masked to the window (the support plus the generic coordinate just
     beyond it, which stands for all later ones) and one bit for its sign."""
-    li, ls = fc_liminf(x), fc_limsup(x)
+    li, ls = liminf(x), limsup(x)
     pool = [li, ls, ~li, ~ls, FC_EMPTY, FC_FULL]
     support = fcseq_support(x)
     window = support | 1 << support.bit_length()

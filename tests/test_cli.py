@@ -452,10 +452,19 @@ class TestVerify:
             ("0 0\n\u0661 1\n".encode(), "mu.txt:2: expected 'mask value', got '\u0661 1'"),
             (b"0 0\n1 1_0\n", "mu.txt:2: expected 'mask value', got '1 1_0'"),
             (b"0 0\n1 1e9\n2 1\n3 1\n", "mu.txt:2: expected 'mask value', got '1 1e9'"),
+            (b"0 0\n1 1\n2 1\n4 1\n", "mu.txt:4: mask 4 out of range for P(2)"),
+            (b"-1 1\n", "mu.txt:1: mask -1 out of range for P(2)"),
+            (b"0 0\n\xef\xbb\xbf1 1\n", "mu.txt:2: expected 'mask value', got '\\ufeff1 1'"),
+            (b"\xef\xbb\xbf0 0\n\xff 1\n", "mu.txt: not a UTF-8 text file"),
+            # a refused line of 40 characters is echoed whole, a longer one cut
+            (b"1 1/" + b"0" * 36, "mu.txt:1: expected 'mask value', got '1 1/" + "0" * 36 + "'\n"),
+            (b"1 1/" + b"0" * 37, "mu.txt:1: expected 'mask value', got '1 1/" + "0" * 36 + "'... (41 characters)\n"),
+            (b"0 " + b"1" * 10**6, "mu.txt:1: expected 'mask value', got '0 " + "1" * 38 + "'... (1000002 characters)\n"),
         ],
         ids=[
             "non-integer-mask", "zero-denominator", "negative-value", "duplicate-mask", "not-utf8",
-            "non-ascii-digit", "underscore", "exponent",
+            "non-ascii-digit", "underscore", "exponent", "mask-too-large", "negative-mask",
+            "bom-not-leading", "bom-then-not-utf8", "echo-40", "echo-cut-41", "echo-cut-1mb",
         ],
     )
     def test_bad_submeasure_table_is_usage_error(self, runner, tmp_path, table, message):
@@ -466,6 +475,15 @@ class TestVerify:
         )
         assert result.exit_code == 2
         assert message in result.output
+        assert len(result.output) < 1000
+
+    def test_submeasure_table_with_a_byte_order_mark_loads(self, runner, tmp_path):
+        path = tmp_path / "mu.txt"
+        path.write_bytes(b"\xef\xbb\xbf0 0\n1 1/2\n2 1\n3 1\n")
+        result = runner.invoke(main, ["verify", "--atoms", "2", "--submeasure", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "12/12 criteria passed" in result.output
+        assert "loaded table n=2" in result.output
 
     # a valid table padded by a comment to the cap and one byte past it
     @pytest.mark.parametrize("over, code", [(0, 0), (1, 2)], ids=["at-cap", "one-byte-over"])

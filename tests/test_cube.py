@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlab import cube
+from convlab.algebra import liminf, limsup
 from convlab.cube import (
-    FC_EMPTY,
-    FC_FULL,
     CubeSample,
     FCSeq,
     check_T1235a,
-    fc_liminf,
-    fc_limsup,
     fc_repr,
     fc_support,
     lim_alexandrov,
@@ -24,6 +21,8 @@ from convlab.cli import main
 
 from cli_runner import CliRunner
 from oracles import (
+    FC_EMPTY,
+    FC_FULL,
     candidate_limits,
     cube_sample,
     fc_cofinite,
@@ -85,7 +84,7 @@ def oracle_cantor(x: FCSeq):
     for i in oracle_window(x):
         if len({member(v, i) for v in vals}) > 1:
             return None
-    return fc_limsup(x)
+    return limsup(x)
 
 
 def fcsets(top: int):
@@ -165,13 +164,13 @@ class TestFCSetOps:
 class TestLimInfSup:
     def test_alternating_singletons(self):
         x = FCSeq((), (fc_finite([0]), fc_finite([1])))
-        assert fc_limsup(x) == fc_finite([0, 1])
-        assert fc_liminf(x) == FC_EMPTY
+        assert limsup(x) == fc_finite([0, 1])
+        assert liminf(x) == FC_EMPTY
 
     def test_constant_cofinite(self):
         a = fc_cofinite([3])
         x = FCSeq((), (a,))
-        assert fc_liminf(x) == a == fc_limsup(x)
+        assert liminf(x) == a == limsup(x)
 
     def test_tail_oracle(self):
         rng = random.Random(79)
@@ -187,8 +186,8 @@ class TestLimInfSup:
                     member(value_at(x, k), i)
                     for k in range(window, window + 2 * len(x.period))
                 )
-                assert member(fc_limsup(x), i) == inf_many
-                assert member(fc_liminf(x), i) == all_but_fin
+                assert member(limsup(x), i) == inf_many
+                assert member(liminf(x), i) == all_but_fin
 
 
 class TestCubeLimits:
@@ -215,7 +214,7 @@ class TestCubeLimits:
         for _ in range(300):
             x = random_fcseq(rng)
             alex = lim_alexandrov(x)
-            ls = fc_limsup(x)
+            ls = limsup(x)
             for a in candidate_limits(x, cand_rng):
                 assert alex(a) == (a | ls == a)
 
@@ -225,7 +224,7 @@ class TestCubeLimits:
         for _ in range(300):
             x = random_fcseq(rng)
             dual = lim_alexandrov_dual(x)
-            li = fc_liminf(x)
+            li = liminf(x)
             for a in candidate_limits(x, cand_rng):
                 assert dual(a) == (a & li == a)
 
@@ -235,8 +234,8 @@ class TestCubeLimits:
         def refuse(x):
             raise AssertionError("half-open predicate read a tail limit")
 
-        monkeypatch.setattr(cube, "fc_limsup", refuse)
-        monkeypatch.setattr(cube, "fc_liminf", refuse)
+        monkeypatch.setattr(cube, "limsup", refuse)
+        monkeypatch.setattr(cube, "liminf", refuse)
         x = FCSeq((), (fc_finite([0]), fc_cofinite([1])))
         assert lim_alexandrov(x)(FC_FULL) and not lim_alexandrov(x)(fc_finite([0]))
         assert lim_alexandrov_dual(x)(fc_finite([0])) and not lim_alexandrov_dual(x)(fc_finite([2]))
@@ -296,8 +295,8 @@ class TestPackedSample:
             assert guard(alex, i, WIDTH) == lim_alexandrov(x)(c)
             assert guard(dual, i, WIDTH) == lim_alexandrov_dual(x)(c)
             assert guard(cantor, i, WIDTH) == (lim_cantor(x) is not None)
-            assert sample.at(sample.limsup, i) == fc_limsup(x)
-            assert sample.at(sample.liminf, i) == fc_liminf(x)
+            assert sample.at(sample.limsup, i) == limsup(x)
+            assert sample.at(sample.liminf, i) == liminf(x)
             assert set(sample.sequence(i).period) == set(x.period)
         assert check_T1235a(sample, [a] + sample.candidates(random.Random(len(pairs)))) is None
 
@@ -522,8 +521,8 @@ class TestPinnedStreams:
                 ",".join(map(fc_repr, pool)),
                 "".join(f"{alex(a):d}{dual(a):d}" for a in pool),
                 "None" if cantor is None else fc_repr(cantor),
-                fc_repr(fc_limsup(x)),
-                fc_repr(fc_liminf(x)),
+                fc_repr(limsup(x)),
+                fc_repr(liminf(x)),
             ]
             digest.update(("|".join(fields) + "\n").encode())
         assert digest.hexdigest() == self.DIGEST
@@ -571,7 +570,7 @@ def limits_at(x: FCSeq, candidates: list[int]) -> tuple:
     """Everything the cube consumers return for x, the predicates on candidates."""
     alex, dual = lim_alexandrov(x), lim_alexandrov_dual(x)
     verdicts = [(alex(a), dual(a)) for a in candidates]
-    return fc_liminf(x), fc_limsup(x), lim_cantor(x), verdicts
+    return liminf(x), limsup(x), lim_cantor(x), verdicts
 
 
 class TestFCSeqCanonicalization:
@@ -588,7 +587,7 @@ class TestFCSeqCanonicalization:
         period = block * repeat
         x, y = FCSeq(pre, period), FCSeq(pre, rotation_oracle(period))
         assert (x.preperiod, x.period) == (pre, period)
-        candidates = [fc_liminf(x), fc_limsup(x), FC_EMPTY, FC_FULL, *extra]
+        candidates = [liminf(x), limsup(x), FC_EMPTY, FC_FULL, *extra]
         assert limits_at(x, candidates) == limits_at(y, candidates)
 
     def test_period_rotation_and_reduction(self):

@@ -138,9 +138,12 @@ def test_verify_builds_no_diagram_node():
     assert names_from(source, "topology") & built == set()
 
 
-# The API of points as objects, deleted when points became masks: module
+# The API of points as objects, deleted when points became masks, and the
+# cube's own lim inf and lim sup, deleted when it read the algebra's: module
 # functions, and methods by class.
-DELETED_FUNCTIONS = {"meet", "join", "complement", "leq", "_check_same", "_points", "check_halfball_opens"}
+DELETED_FUNCTIONS = {
+    "meet", "join", "complement", "leq", "_check_same", "_points", "check_halfball_opens", "fc_liminf", "fc_limsup"
+}
 DELETED_METHODS = {
     "Carrier": {"element", "_element", "elements", "bottom", "top", "subset_mask"},
     "InfClass": {"values"},
@@ -204,6 +207,7 @@ def element_namers(source: str) -> set[str]:
         ("class Submeasure:\n    def __call__(self, a):\n        pass", {"Submeasure.__call__"}),
         ("class Convergence:\n    def __call__(self, s):\n        pass", set()),
         ("class Carrier:\n    def subset_from_mask(self, m):\n        pass", set()),
+        ("from .cube import fc_liminf, lim_cantor\ndef fc_limsup(x):\n    pass", {"fc_liminf", "fc_limsup"}),
     ],
 )
 def test_every_deleted_definition_is_read(source, names):

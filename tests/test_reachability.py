@@ -71,8 +71,6 @@ ALLOWED = {
     "submeasure.ball": ("planned caller", "ROADMAP item 9"),
     "submeasure.halfball_opens": ("planned caller", "ROADMAP item 9"),
     "cube.FCSeq.__init__": ("planned caller", "ROADMAP item 9"),
-    "cube.fc_liminf": ("planned caller", "ROADMAP item 9"),
-    "cube.fc_limsup": ("planned caller", "ROADMAP item 9"),
     "cube.lim_alexandrov_dual": ("planned caller", "ROADMAP item 9"),
     "cube.lim_cantor": ("planned caller", "ROADMAP item 9"),
     "cube.fc_support": ("failure path", CRITERION_10_FAILURE),
