@@ -24,6 +24,12 @@ class ConvlabError(ValueError):
     prefix = ""
 
 
+def echo(text: str, show=repr) -> str:
+    """How a refusal repeats its input: ``show(text)``, or ``show`` of its
+    first 40 characters then ``... (N characters)`` when there are more."""
+    return show(text) if len(text) <= 40 else f"{show(text[:40])}... ({len(text)} characters)"
+
+
 class CarrierMismatchError(ValueError):
     """Operands belong to Boolean algebras with different atom counts."""
 

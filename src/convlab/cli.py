@@ -18,7 +18,7 @@ import re
 import sys
 from functools import cache
 
-from .algebra import MAX_ATOMS, Carrier, ConvlabError, EPSeq, atom_set, iter_bits
+from .algebra import MAX_ATOMS, Carrier, ConvlabError, EPSeq, atom_set, echo, iter_bits
 from .convergence import lambda_li, lambda_ls, lambda_s
 from .seqclass import inf_class
 
@@ -142,7 +142,7 @@ def _ascii_int(value: str) -> int:
     """An optional sign, then ASCII digits: ``int()`` alone also takes other
     scripts' digits and ``_`` separators."""
     if not _INTEGER.fullmatch(value):
-        raise argparse.ArgumentTypeError(f"{value!r} is not an integer in ASCII digits")
+        raise argparse.ArgumentTypeError(f"{echo(value)} is not an integer in ASCII digits")
     try:
         return int(value)
     except ValueError:  # past the interpreter's limit on int() conversions
@@ -151,7 +151,7 @@ def _ascii_int(value: str) -> int:
 
 def _carrier(atoms: int) -> Carrier:
     if not 1 <= atoms <= MAX_ATOMS:
-        raise ConvlabError(f"--atoms must be in 1..{MAX_ATOMS}, got {atoms}")
+        raise ConvlabError(f"--atoms must be in 1..{MAX_ATOMS}, got {echo(str(atoms), str)}")
     return Carrier(atoms)
 
 
@@ -189,10 +189,10 @@ def verify(atoms: int, seed: int, samples: int, submeasure: str | None) -> int:
 
     carrier = _carrier(atoms)
     if not 1 <= samples <= MAX_SAMPLES:
-        raise ConvlabError(f"--samples must be in 1..{MAX_SAMPLES}, got {samples}")
+        raise ConvlabError(f"--samples must be in 1..{MAX_SAMPLES}, got {echo(str(samples), str)}")
     # random.Random seeds with the absolute value, so -s would repeat s's draws
     if seed < 0:
-        raise ConvlabError(f"--seed must be >= 0, got {seed}")
+        raise ConvlabError(f"--seed must be >= 0, got {echo(str(seed), str)}")
     table = None if submeasure is None else Submeasure.from_file(submeasure, carrier)
     results = run_all(VerifyContext(atoms=atoms, seed=seed, samples=samples, submeasure=table))
     print(format_results(results))
@@ -201,11 +201,17 @@ def verify(atoms: int, seed: int, samples: int, submeasure: str | None) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """``argparse`` drops an ``OSError`` from writing help or a usage error,
-    so help into a closed stdout would exit 0: here the write raises."""
+    so help into a closed stdout would exit 0: here the write raises.  An
+    invalid choice is echoed as every refusal is, by ``echo``."""
 
     def _print_message(self, message: str, file=None) -> None:
         if message:
             (file or sys.stderr).write(message)
+
+    def _check_value(self, action: argparse.Action, value: str) -> None:
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {echo(value)} (choose from {choices})")
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -235,7 +241,7 @@ def main(argv: list[str] | None = None) -> None:
             args = vars(args)
             run, command = args.pop("run"), args.pop("command")
             if extra:  # reported under the subcommand's usage, not the top level's
-                command.error(f"unrecognized arguments: {' '.join(extra)}")
+                command.error(f"unrecognized arguments: {echo(' '.join(extra), str)}")
             code = run(**args)
         finally:
             sys.stdout.flush()

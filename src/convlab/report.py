@@ -5,11 +5,12 @@ or a text table.
 ``figure_nodes`` is the one builder of the nodes, by name: ``build_figure1``
 and ``verify.VerifyContext`` read them from it.
 
-The order is decided once per ordered pair of equality classes: each kind's
-nodes are grouped by payload, a witness that one class is not below another
-is computed on their first names, and a pair inside one class has none.
-Each class's size (its limit or open count) is counted once, too.
-Relations and the Hasse edges are read from that table.
+The order is one class x class table per kind: its nodes are grouped by
+payload into equality classes, and the table holds the witness, and its text,
+that one class is not below another (None on the diagonal).  Node sizes (one
+count per class), relations and the Hasse edges are read from it.  The JSON
+is written from one template per record, byte for byte
+``json.dumps(payload, indent=2, sort_keys=True)``.
 
 ``RELATIONS`` holds the relations the theory asserts, each row tagged
 ``general``, ``omega2``, ``maharam`` or ``finite``; ``first_violation``, their
@@ -20,9 +21,9 @@ each verify criterion names.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
-from itertools import permutations, product
+from itertools import permutations
+from json.encoder import encode_basestring_ascii as _string
 from operator import methodcaller
 
 from .algebra import Carrier, atom_set, iter_bits
@@ -209,27 +210,19 @@ def build_figure1(carrier: Carrier) -> DiagramReport:
     nodes, relations, equality_classes, collapse = [], [], {}, {}
     known: dict[tuple[str, str], int | None] = {}
     for kind, plural, names, rel, count in KINDS:
-        groups: dict[Payload, list[str]] = {}
-        for name in names:
-            groups.setdefault(payloads[name], []).append(name)
-        equality_classes[kind] = classes = list(groups.values())
+        classes: dict[Payload, int] = {}  # each distinct payload, by its equality class's index
+        index = {name: classes.setdefault(payloads[name], len(classes)) for name in names}
+        equality_classes[kind] = [[a for a in names if index[a] == i] for i in classes.values()]
         collapse[plural] = len(classes)
-        size: dict[str, int] = {}
-        for payload, g in groups.items():  # equal payloads have equal sizes
-            size.update(dict.fromkeys(g, count(payload)))
-        nodes += [DiagramNode(name, kind, payloads[name], size[name]) for name in names]
-        # one witness per ordered pair of classes, read by every pair of their names
-        shown: dict[tuple[str, str], str | None] = {}
-        for g, h in product(classes, repeat=2):
-            w = None if g is h else escape(payloads[g[0]], payloads[h[0]])
-            pairs = [(a, b) for a in g for b in h if a != b]
-            known.update(dict.fromkeys(pairs, w))
-            shown.update(dict.fromkeys(pairs, None if w is None else witness_text(payloads[g[0]], w)))
-        relations += [
-            Relation(a, b, rel, known[b, a] is not None, shown[b, a])
-            for a, b in permutations(names, 2)
-            if known[a, b] is None
-        ]
+        # one witness, and its text, per ordered pair of classes; None on the diagonal
+        witness = [[None if g is h else escape(g, h) for h in classes] for g in classes]
+        text = [[None if w is None else witness_text(g, w) for w in row] for g, row in zip(classes, witness)]
+        size = [count(g) for g in classes]  # equal payloads have equal sizes
+        nodes += [DiagramNode(name, kind, payloads[name], size[index[name]]) for name in names]
+        for (a, i), (b, j) in permutations(index.items(), 2):
+            known[a, b] = witness[i][j]
+            if witness[i][j] is None:
+                relations.append(Relation(a, b, rel, witness[j][i] is not None, text[j][i]))
 
     failed = violation(RELATIONS, payloads, known)
     if failed is not None:
@@ -278,41 +271,27 @@ def emit(report: DiagramReport, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-# The json output is json.dumps(payload, indent=2, sort_keys=True), which runs
-# Python's pure-Python encoder: the C encoder serves only indent=None.  So each
-# flat object or list of flat records is encoded by one C-encoder call whose
-# item separator already holds the newline and indent of its fields, and the
-# braces get lines of their own after.  ensure_ascii escapes every newline in
-# a string, so in the output a real newline is always a separator and "},\n"
-# always ends a record.
-_FIELDS = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
-_RECORDS = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
+# The json output is json.dumps(payload, indent=2, sort_keys=True), written
+# from one template per record with its keys in sorted order; strings are
+# escaped by the function json.dumps itself calls with ensure_ascii.
+_REPORT = (
+    '{\n  "carrier": {\n    "atoms": %d\n  },\n  "collapse": {\n    "convergences": %d,\n    "topologies": %d\n  },'
+    '\n  "nodes": %s,\n  "relations": %s\n}'
+)
+_NODE = '    {\n      "kind": %s,\n      "name": %s,\n      "size": %d\n    }'
+_RELATION = '    {\n      "lhs": %s,\n      "rel": %s,\n      "rhs": %s,\n      "strict": %s,\n      "witness": %s\n    }'
 
 
-def _json_object(fields: dict) -> str:
-    """An object of scalars one level deep, as indent=2 writes it."""
-    return "{\n    " + _FIELDS(fields)[1:-1] + "\n  }" if fields else "{}"
-
-
-def _json_records(records: list[dict]) -> str:
-    """A list, one level deep, of nonempty objects of scalars, as indent=2 writes it."""
-    if not records:
-        return "[]"
-    body = _RECORDS(records)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-    return "[\n    {\n      " + body + "\n    }\n  ]"
+def _json_list(records: list[str]) -> str:
+    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
 
 
 def _emit_json(report: DiagramReport) -> str:
-    nodes = [{"name": n.name, "kind": n.kind, "size": n.size} for n in report.nodes]
-    # a relation's fields are its json keys
-    relations = [r._asdict() for r in report.relations]
-    return (
-        '{\n  "carrier": ' + _json_object({"atoms": report.carrier.n})
-        + ',\n  "collapse": ' + _json_object(report.collapse)
-        + ',\n  "nodes": ' + _json_records(nodes)
-        + ',\n  "relations": ' + _json_records(relations)
-        + "\n}"
-    )
+    nodes = [_NODE % (_string(n.kind), _string(n.name), n.size) for n in report.nodes]
+    relations = [_RELATION % (_string(r.lhs), _string(r.rel), _string(r.rhs), "true" if r.strict else "false",
+                              "null" if r.witness is None else _string(r.witness)) for r in report.relations]
+    c = report.collapse
+    return _REPORT % (report.carrier.n, c["convergences"], c["topologies"], _json_list(nodes), _json_list(relations))
 
 
 def _emit_dot(report: DiagramReport) -> str:

@@ -17,7 +17,7 @@ import warnings
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .algebra import Carrier, ConvlabError, check_same_carrier
+from .algebra import Carrier, ConvlabError, check_same_carrier, echo
 from .topology import Topology
 
 
@@ -25,8 +25,6 @@ from .topology import Topology
 _LINE = re.compile(r"([+-]?[0-9]+)\s+([+-]?[0-9]+(?:/[0-9]+)?)", re.ASCII)
 # far above a P(5) table of 32 short lines; an endless file stops here, not at memory's end
 _MAX_TABLE_BYTES = 1 << 20
-# the characters of a refused line that its message echoes
-_ECHO = 40
 
 
 class SubmeasureTableError(ConvlabError):
@@ -102,7 +100,7 @@ class Submeasure:
             with open(path, "rb") as fh:
                 data = fh.read(_MAX_TABLE_BYTES + 1)
         except OSError as exc:
-            raise SubmeasureTableError(f"{path}: {exc.strerror or exc}") from None
+            raise SubmeasureTableError(f"{echo(path, str)}: {exc.strerror or exc}") from None
         if len(data) > _MAX_TABLE_BYTES:
             raise SubmeasureTableError(f"{path}: longer than {_MAX_TABLE_BYTES} bytes")
         try:
@@ -121,8 +119,7 @@ class Submeasure:
                     raise ValueError
                 mask, value = int(match[1]), Fraction(match[2])
             except (ValueError, ZeroDivisionError):
-                shown = repr(line) if len(line) <= _ECHO else f"{line[:_ECHO]!r}... ({len(line)} characters)"
-                raise SubmeasureTableError(f"{where}: expected 'mask value', got {shown}") from None
+                raise SubmeasureTableError(f"{where}: expected 'mask value', got {echo(line)}") from None
             if not 0 <= mask < carrier.size:
                 raise SubmeasureTableError(
                     f"{where}: mask {mask} out of range for P({carrier.n})"

@@ -6,7 +6,7 @@ from operator import and_, or_
 
 import pytest
 
-from convlab.algebra import Carrier, Element, EPSeq, atom_set, iter_bits, liminf, limsup
+from convlab.algebra import Carrier, Element, EPSeq, atom_set, echo, iter_bits, liminf, limsup
 from convlab.seqclass import InfClass, inf_class
 
 from oracles import atoms_text, downset, pointwise_complement, prefix, rotation_oracle, upset, value_at
@@ -268,6 +268,25 @@ class TestAtomSet:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_bit_tests(self, n):
         assert [atom_set(p) for p in range(1 << n)] == [atoms_text(p) for p in range(1 << n)]
+
+
+class TestEcho:
+    """The one formatter of refused input: whole up to 40 characters, then cut."""
+
+    @pytest.mark.parametrize(
+        "text, show, shown",
+        [
+            ("", repr, "''"),
+            ("a" * 40, repr, "'" + "a" * 40 + "'"),
+            ("a" * 41, repr, "'" + "a" * 40 + "'... (41 characters)"),
+            ("\n" * 50, repr, repr("\n" * 40) + "... (50 characters)"),
+            ("1" * 40, str, "1" * 40),
+            ("-" + "1" * 4000, str, "-" + "1" * 39 + "... (4001 characters)"),
+        ],
+        ids=["empty", "repr-40", "repr-41", "escapes-cut-before-repr", "str-40", "str-4001"],
+    )
+    def test_cut_after_40_characters(self, text, show, shown):
+        assert echo(text, show) == shown
 
 
 class TestLatticeProperties:

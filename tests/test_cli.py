@@ -678,3 +678,65 @@ class TestUsageContract:
         assert done.returncode == 1, done.stderr
         assert "Traceback" not in done.stderr
         assert "Exception ignored" not in done.stderr
+
+
+LONG = "x" * 100_000
+CUT = "'" + "x" * 40 + "'... (100000 characters)"
+DIGITS = "1" * 4000
+
+
+class TestBoundedEcho:
+    """A refusal repeats at most 40 characters of its input, then its length,
+    so a long value gives a short usage error."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["converge", "--atoms", LONG, "--seq", "[;{0}]"], f"argument --atoms: {CUT} is not an integer in ASCII digits"),
+            (["converge", "--atoms", "2", "--seq", "[;{0}]", "--law", LONG],
+             f"argument --law: invalid choice: {CUT} (choose from 'ls', 'li', 's')"),
+            (["diagram", "--format", LONG], f"argument --format: invalid choice: {CUT} (choose from 'dot', 'json', 'table')"),
+            ([LONG], f"argument COMMAND: invalid choice: {CUT} (choose from 'converge', 'diagram', 'verify')"),
+            (["diagram", "--atoms", "3", LONG], "unrecognized arguments: " + "x" * 40 + "... (100000 characters)"),
+            (["verify", "--atoms", DIGITS], "--atoms must be in 1..5, got " + "1" * 40 + "... (4000 characters)"),
+            (["verify", "--samples", DIGITS], "--samples must be in 1..100000, got " + "1" * 40 + "... (4000 characters)"),
+            (["verify", "--seed", "-" + DIGITS], "--seed must be >= 0, got -" + "1" * 39 + "... (4001 characters)"),
+            (["verify", "--atoms", "1", "--submeasure", LONG], "bad submeasure table: " + "x" * 40 + "... (100000 characters): "),
+            # a value of 40 characters is echoed whole, one of 41 cut
+            (["diagram", "--format", "y" * 40], "argument --format: invalid choice: '" + "y" * 40 + "' (choose from 'dot', 'json', 'table')"),
+            (["diagram", "--format", "y" * 41],
+             "argument --format: invalid choice: '" + "y" * 40 + "'... (41 characters) (choose from 'dot', 'json', 'table')"),
+        ],
+        ids=[
+            "atoms-type", "law-choice", "format-choice", "command-choice", "unrecognized", "atoms-range",
+            "samples-range", "seed-range", "submeasure-path", "echo-40", "echo-cut-41",
+        ],
+    )
+    def test_long_value_is_cut(self, runner, args, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f": error: {message}" in result.stderr
+        assert len(result.stderr.encode()) < 1000
+
+    # whole arguments, with values short, out of range, malformed or long;
+    # numbers stay small, so that a run that is accepted ends at once
+    argument = st.one_of(
+        st.sampled_from([
+            "converge", "diagram", "verify", "--atoms", "--seq", "--law", "--format", "--seed", "--samples",
+            "--submeasure", "--help", "-h", "ls", "li", "s", "dot", "json", "table", "[;{0}]", "[{0};{1},{}]",
+            "0", "6", "100001", "--atoms=2", "--law=q",
+        ]),
+        st.integers(-3, 5).map(str),
+        st.text(max_size=8),
+        st.builds(str.__mul__, st.sampled_from(["x", "1", "-", "٢", "{", "λ"]), st.integers(41, 5000)),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(args=st.lists(argument, max_size=8))
+    def test_every_argument_list_keeps_the_contract(self, args):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code in (0, 1, 2), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert len(result.stderr.encode()) < 1000, result.stderr[:300]

@@ -142,7 +142,8 @@ def test_verify_builds_no_diagram_node():
 # cube's own lim inf and lim sup, deleted when it read the algebra's: module
 # functions, and methods by class.
 DELETED_FUNCTIONS = {
-    "meet", "join", "complement", "leq", "_check_same", "_points", "check_halfball_opens", "fc_liminf", "fc_limsup"
+    "meet", "join", "complement", "leq", "_check_same", "_points", "check_halfball_opens", "fc_liminf", "fc_limsup",
+    "_json_object", "_json_records",
 }
 DELETED_METHODS = {
     "Carrier": {"element", "_element", "elements", "bottom", "top", "subset_mask"},
@@ -208,6 +209,8 @@ def element_namers(source: str) -> set[str]:
         ("class Convergence:\n    def __call__(self, s):\n        pass", set()),
         ("class Carrier:\n    def subset_from_mask(self, m):\n        pass", set()),
         ("from .cube import fc_liminf, lim_cantor\ndef fc_limsup(x):\n    pass", {"fc_liminf", "fc_limsup"}),
+        ("def _json_object(fields):\n    pass\ndef _json_list(records):\n    pass", {"_json_object"}),
+        ("from .report import _json_records, emit", {"_json_records"}),
     ],
 )
 def test_every_deleted_definition_is_read(source, names):
@@ -284,6 +287,7 @@ try:
     main(sys.argv[2:])
 except SystemExit as exc:
     code = exc.code
+print()  # the json output ends without a newline
 print(code, *sorted(m.removeprefix("convlab.") for m in sys.modules if m.split(".")[0] == "convlab"))
 print("loaded:", *sorted(m for m in sys.argv[1].split(",") if m in sys.modules))
 """
@@ -327,6 +331,7 @@ QUERY_RUNS = [
     [(args, QUERY) for args in QUERY_RUNS] + [
         (["diagram", "--atoms", "2"], QUERY | {"topology", "report"}),
         (["verify", "--atoms", "1"], EVERY_MODULE),
+        (["diagram", "--atoms", "2", "--format", "json"], QUERY | {"topology", "report"}),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )
@@ -334,7 +339,10 @@ def test_subcommand_loads_its_layer(args, modules):
     assert loaded_modules(*args)[0] == modules
 
 
-@pytest.mark.parametrize("args", QUERY_RUNS + [["diagram", "--atoms", "2"], ["verify", "--atoms", "1"]], ids=" ".join)
+DIAGRAM_RUNS = [["diagram", "--atoms", "2"], ["diagram", "--atoms", "2", "--format", "json"]]
+
+
+@pytest.mark.parametrize("args", QUERY_RUNS + DIAGRAM_RUNS + [["verify", "--atoms", "1"]], ids=" ".join)
 def test_query_path_loads_no_heavy_module(args):
     assert loaded_modules(*args)[1] == set()
 

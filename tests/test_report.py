@@ -155,6 +155,17 @@ class TestOrderOnClasses:
         # names would give 90 and 12
         assert calls == {"first_escape": 6, "first_open_not_in": 6}
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_one_witness_text_per_pair_of_classes_with_a_witness(self, monkeypatch, n):
+        calls = []
+        real = report_module.witness_text
+        monkeypatch.setattr(report_module, "witness_text", lambda payload, mask: calls.append(mask) or real(payload, mask))
+        build_figure1(Carrier(n))
+        # of the 6 ordered pairs of distinct classes of each kind, 4 have a
+        # witness: lambda_ls and lambda_li, and O_ls and O_li, are incomparable
+        # and both above the third class; pairs of names would give 42 and 6
+        assert len(calls) == 8
+
 
 class TestEmitters:
     def test_json_validates_against_schema(self, report_p2):
@@ -203,15 +214,19 @@ class TestEmitters:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_json_is_json_dumps_with_indent(self, c_encoder, data):
-        # records are split at "},\n" between them, so the strings hold
-        # quotes, escapes, newlines, braces and that very boundary
+        # the strings hold what a record template must leave to the escaper:
+        # quotes, escapes, newlines, braces, a record boundary, a lone
+        # surrogate, a character outside the BMP, DEL and a line separator
         text = st.one_of(
-            st.sampled_from(['"', "\\", "\n", "\t", "λ_ls ∩ λ_li", "{}", "},\n      {", "open {{}}"]),
+            st.sampled_from([
+                '"', "\\", "\n", "\t", "λ_ls ∩ λ_li", "{}", "},\n      {", "open {{}}", "\ud800", "\U0001d539", "\x7f",
+                "\u2028",
+            ]),
             st.text(max_size=12),
         )
         lengths = st.sampled_from([0, 1, 2, 9])
         kinds = st.sampled_from(["convergence", "topology"])
-        node = st.builds(DiagramNode, text, kinds, st.none(), st.integers(0, 10**30))
+        node = st.builds(DiagramNode, text, kinds, st.none(), st.integers(0, 10**30) | st.just(2**64))
         rels = st.sampled_from(["<=", "subset"])
         relation = st.builds(Relation, text, text, rels, st.booleans(), st.none() | text)
         n_nodes, n_relations = data.draw(lengths), data.draw(lengths)
@@ -230,10 +245,12 @@ class TestEmitters:
             "collapse": collapse,
         }
         with pytest.MonkeyPatch.context() as mp:
-            if not c_encoder:
+            if not c_encoder:  # json.dumps runs Python's own encoder, string escaper included
                 mp.setattr(json.encoder, "c_make_encoder", None)
-            out = emit(report, "json")
-        assert out == json.dumps(payload, indent=2, sort_keys=True)
+                mp.setattr(json.encoder, "encode_basestring_ascii", json.encoder.py_encode_basestring_ascii)
+            expected = json.dumps(payload, indent=2, sort_keys=True)
+        out = emit(report, "json")
+        assert out == expected
         for key, records in (("nodes", nodes), ("relations", relations)):
             assert records or f'"{key}": []' in out
         jsonschema.validate(json.loads(out), REPORT_SCHEMA)
