@@ -122,9 +122,10 @@ class Carrier:
     @cached_property
     def _swaps(self) -> list[tuple[int, int]]:
         """Per atom i, with j = 2^i: a mask of bit q in lane p for p without and q
-        with atom i, and the shift j(2^n - 1) from there to bit q - j of lane p + j."""
-        m = self.size
-        return [(j * (m - 1), self.pack([0 if p & j else col for p in range(m)]))
+        with atom i, and the shift j(2^n - 1) from there to bit q - j of lane p + j.
+        The mask is the low j of every 2j lanes AND atom i's column in every lane."""
+        m, cells = self.size, (1 << self.size**2) - 1
+        return [(j * (m - 1), cells // ((1 << 2 * j * m) - 1) * ((1 << j * m) - 1) & col * self.lane_ones)
                 for j, col in zip((1 << i for i in range(self.n)), self._columns())]
 
     def stacked(self, k: int) -> StackMasks:

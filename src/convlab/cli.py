@@ -199,14 +199,27 @@ def verify(atoms: int, seed: int, samples: int, submeasure: str | None) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+# argparse's refusal of a value given to a flag that takes none, -h<value> or
+# --help=<value>, made inside its own option parsing: the value's repr is last
+_IGNORED = re.compile(r"(argument [^:]*: ignored explicit argument )(.*)", re.DOTALL)
+
+
 class _Parser(argparse.ArgumentParser):
     """``argparse`` drops an ``OSError`` from writing help or a usage error,
     so help into a closed stdout would exit 0: here the write raises.  An
-    invalid choice is echoed as every refusal is, by ``echo``."""
+    invalid choice, and a value given to ``-h``, are echoed as every refusal
+    is, by ``echo``."""
 
     def _print_message(self, message: str, file=None) -> None:
         if message:
             (file or sys.stderr).write(message)
+
+    def error(self, message: str):
+        if ignored := _IGNORED.fullmatch(message):
+            from ast import literal_eval
+
+            message = ignored[1] + echo(literal_eval(ignored[2]))
+        super().error(message)
 
     def _check_value(self, action: argparse.Action, value: str) -> None:
         if action.choices is not None and value not in action.choices:

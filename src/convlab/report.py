@@ -8,9 +8,9 @@ and ``verify.VerifyContext`` read them from it.
 The order is one class x class table per kind: its nodes are grouped by
 payload into equality classes, and the table holds the witness, and its text,
 that one class is not below another (None on the diagonal).  Node sizes (one
-count per class), relations and the Hasse edges are read from it.  The JSON
-is written from one template per record, byte for byte
-``json.dumps(payload, indent=2, sort_keys=True)``.
+count per class, one for a topology and its opposite), relations and the Hasse
+edges are read from it.  The JSON is written from one template per record,
+byte for byte ``json.dumps(payload, indent=2, sort_keys=True)``.
 
 ``RELATIONS`` holds the relations the theory asserts, each row tagged
 ``general``, ``omega2``, ``maharam`` or ``finite``; ``first_violation``, their
@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import permutations
 from json.encoder import encode_basestring_ascii as _string
-from operator import methodcaller
 
 from .algebra import Carrier, atom_set, iter_bits
 from .convergence import Convergence, first_escape, lambda_li, lambda_ls, lambda_s, meet_conv, star
@@ -178,11 +177,20 @@ def violation(
     return RelationViolation(f"{lhs} {rel} {rhs} fails{where}", witness)
 
 
-# kind, its plural, node names, relation label, size
+def _open_counts(classes: dict[Topology, int]) -> list[int]:
+    """Each topology's ``open_count``, once for it and its opposite (see ``Topology.open_count``)."""
+    opposite = {}  # the transposed lanes of each counted topology -> its count
+    return [opposite.get(g._lanes) or opposite.setdefault(g.carrier.transpose(g._lanes), g.open_count()) for g in classes]
+
+
+# kind, its plural, node names, relation label, the sizes of its distinct payloads
 KINDS = (
-    ("convergence", "convergences", CONVERGENCE_NODES, "<=", methodcaller("limit_count")),
-    ("topology", "topologies", TOPOLOGY_NODES, "subset", methodcaller("open_count")),
+    ("convergence", "convergences", CONVERGENCE_NODES, "<=", lambda classes: [g.limit_count() for g in classes]),
+    ("topology", "topologies", TOPOLOGY_NODES, "subset", _open_counts),
 )
+
+# the name pairs, both ways, of the rows without a meet: first_violation reads their witnesses from known
+_ROW_PAIRS = {(a, b) for lhs, _, rhs, _ in RELATIONS if " & " not in lhs for a, b in ((lhs, rhs), (rhs, lhs))}
 
 
 def figure_nodes(carrier: Carrier) -> dict[str, Payload]:
@@ -209,7 +217,7 @@ def build_figure1(carrier: Carrier) -> DiagramReport:
     payloads = figure_nodes(carrier)
     nodes, relations, equality_classes, collapse = [], [], {}, {}
     known: dict[tuple[str, str], int | None] = {}
-    for kind, plural, names, rel, count in KINDS:
+    for kind, plural, names, rel, sizes in KINDS:
         classes: dict[Payload, int] = {}  # each distinct payload, by its equality class's index
         index = {name: classes.setdefault(payloads[name], len(classes)) for name in names}
         equality_classes[kind] = [[a for a in names if index[a] == i] for i in classes.values()]
@@ -217,10 +225,10 @@ def build_figure1(carrier: Carrier) -> DiagramReport:
         # one witness, and its text, per ordered pair of classes; None on the diagonal
         witness = [[None if g is h else escape(g, h) for h in classes] for g in classes]
         text = [[None if w is None else witness_text(g, w) for w in row] for g, row in zip(classes, witness)]
-        size = [count(g) for g in classes]  # equal payloads have equal sizes
+        size = sizes(classes)  # equal payloads have equal sizes
         nodes += [DiagramNode(name, kind, payloads[name], size[index[name]]) for name in names]
+        known.update({(a, b): witness[index[a]][index[b]] for a, b in _ROW_PAIRS if a in index})
         for (a, i), (b, j) in permutations(index.items(), 2):
-            known[a, b] = witness[i][j]
             if witness[i][j] is None:
                 relations.append(Relation(a, b, rel, witness[j][i] is not None, text[j][i]))
 

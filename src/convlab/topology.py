@@ -136,7 +136,8 @@ class Topology:
     def open_count(self) -> int:
         """Number of open sets, counted as down-sets of the preorder
         q <= p iff q in N(p): those avoiding a point p avoid its closure,
-        those containing p contain N(p)."""
+        those containing p contain N(p).  The opposite topology, with the
+        transposed lanes, has as many: complement maps its opens onto these."""
         mins, closures = self.min_neighborhoods, self.point_closures
         memo = {0: 1}
 

@@ -53,11 +53,20 @@ def brute_downsets(n: int) -> int:
     with sets as point masks and no convlab order.  The points of P(k+1)
     holding atom k are those of P(k) moved up by 2^k, so a down-set of P(k+1)
     is a down-set a of the lower copy and a down-set b of the upper one, with
-    b inside a: each point of b lies above its copy in a."""
+    b inside a: each point of b lies above its copy in a.  Doubling so gives
+    D, the down-sets of P(n-2).  Then P(n) = P(n-2) x 2 x 2, so a down-set of
+    P(n) is one of D at each corner of the square: any a and b at corners 01
+    and 10, one inside a & b at 11 and one holding a | b at 00.  The count is
+    the sum over a, b in D of #{d in D inside a & b} times #{c in D holding
+    a | b} (the interval formula).  n = 1 is one doubling step."""
     sets = [0, 1]  # the down-sets of P(0), which has one point
-    for k in range(n):
+    for k in range(n - 2 if n >= 2 else n):
         sets = [a | b << (1 << k) for a in sets for b in sets if b & ~a == 0]
-    return len(sets)
+    if n < 2:
+        return len(sets)
+    inside = {a: sum(d & ~a == 0 for d in sets) for a in sets}
+    holding = {a: sum(a & ~c == 0 for c in sets) for a in sets}
+    return sum(inside[a & b] * holding[a | b] for a in sets for b in sets)
 
 
 def _rows_hold(passed: str, *texts: str, also: Callable[[VerifyContext, int], str | None] = lambda ctx, n: None):

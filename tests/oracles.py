@@ -10,7 +10,8 @@ column and exceptions, listed opens against the minimal neighbourhoods a
 against ``report.build_figure1``'s pairs of equality classes, point-set
 views of topologies, relations transposed, closed and
 checked one bit per step against the packed lanes of ``Carrier`` and
-``Topology``, the triangle inequality over triples against ``verify``'s
+``Topology``, the transpose's swap masks packed row by row against
+``Carrier._swaps``, the triangle inequality over triples against ``verify``'s
 pairs of masks, random convergences with exceptions, criterion 9's random
 relations and topologies drawn one at a time against ``verify``'s stacks,
 stacks taken apart into their fields,
@@ -310,6 +311,18 @@ def transpose_rows(rows: Iterable[int], m: int) -> list[int]:
         for q in iter_bits(row):
             out[q] |= 1 << p
     return out
+
+
+def swaps_by_rows(carrier: Carrier) -> list[tuple[int, int]]:
+    """``Carrier._swaps`` packed one row per point: per atom i, with j = 2^i,
+    row p is the points holding atom i when p lacks it, else empty, and the
+    shift is j(2^n - 1)."""
+    m = carrier.size
+    masks = []
+    for j in (1 << i for i in range(carrier.n)):
+        column = sum(1 << q for q in range(m) if q & j)
+        masks.append((j * (m - 1), carrier.pack([0 if p & j else column for p in range(m)])))
+    return masks
 
 
 def warshall_rows(rows: Iterable[int]) -> list[int]:

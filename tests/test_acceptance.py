@@ -244,6 +244,10 @@ class TestOpenCounts:
         assert Carrier(3).up_lanes == Carrier(3).down_lanes == 0
         assert {n: brute_downsets(n) for n in DEDEKIND} == DEDEKIND
 
+    def test_counter_at_six_atoms(self):
+        # past MAX_ATOMS: the interval formula over the 168 down-sets of P(4)
+        assert brute_downsets(6) == 7_828_354  # OEIS A000372
+
     def test_wrong_brute_count_fails(self, monkeypatch):
         monkeypatch.setattr(verify, "brute_downsets", lambda n: DEDEKIND[n] + 1)
         assert _crit_open_counts(VerifyContext(atoms=2)) == (False, "n=1: opens=3, brute=4, expected=3")

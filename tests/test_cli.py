@@ -702,6 +702,9 @@ class TestBoundedEcho:
             (["verify", "--samples", DIGITS], "--samples must be in 1..100000, got " + "1" * 40 + "... (4000 characters)"),
             (["verify", "--seed", "-" + DIGITS], "--seed must be >= 0, got -" + "1" * 39 + "... (4001 characters)"),
             (["verify", "--atoms", "1", "--submeasure", LONG], "bad submeasure table: " + "x" * 40 + "... (100000 characters): "),
+            # argparse refuses a value given to -h inside its own option parsing
+            (["-h" + LONG], f"argument -h/--help: ignored explicit argument {CUT}"),
+            (["diagram", "--help=" + LONG], f"argument -h/--help: ignored explicit argument {CUT}"),
             # a value of 40 characters is echoed whole, one of 41 cut
             (["diagram", "--format", "y" * 40], "argument --format: invalid choice: '" + "y" * 40 + "' (choose from 'dot', 'json', 'table')"),
             (["diagram", "--format", "y" * 41],
@@ -709,7 +712,8 @@ class TestBoundedEcho:
         ],
         ids=[
             "atoms-type", "law-choice", "format-choice", "command-choice", "unrecognized", "atoms-range",
-            "samples-range", "seed-range", "submeasure-path", "echo-40", "echo-cut-41",
+            "samples-range", "seed-range", "submeasure-path", "help-value", "subcommand-help-value", "echo-40",
+            "echo-cut-41",
         ],
     )
     def test_long_value_is_cut(self, runner, args, message):
@@ -719,8 +723,10 @@ class TestBoundedEcho:
         assert f": error: {message}" in result.stderr
         assert len(result.stderr.encode()) < 1000
 
-    # whole arguments, with values short, out of range, malformed or long;
-    # numbers stay small, so that a run that is accepted ends at once
+    # whole arguments, with values short, out of range, malformed or long,
+    # also given to -h; numbers stay small, so that a run that is accepted
+    # ends at once
+    run = st.builds(str.__mul__, st.sampled_from(["x", "1", "-", "٢", "{", "λ"]), st.integers(41, 5000))
     argument = st.one_of(
         st.sampled_from([
             "converge", "diagram", "verify", "--atoms", "--seq", "--law", "--format", "--seed", "--samples",
@@ -729,7 +735,8 @@ class TestBoundedEcho:
         ]),
         st.integers(-3, 5).map(str),
         st.text(max_size=8),
-        st.builds(str.__mul__, st.sampled_from(["x", "1", "-", "٢", "{", "λ"]), st.integers(41, 5000)),
+        run,
+        st.builds(str.__add__, st.sampled_from(["-h", "--help="]), run),
     )
 
     @settings(max_examples=300, deadline=None)

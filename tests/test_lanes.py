@@ -1,6 +1,7 @@
 """Relations packed into lanes against the one-bit-per-step oracles.
 
-``Carrier.pack``, ``unpack`` and ``transpose``, the packed closure behind
+``Carrier.pack``, ``unpack`` and ``transpose`` with its swap masks, the
+open counts of a topology and its opposite, the packed closure behind
 ``synthesize_O_lambda``, the packed preorder check of ``Topology`` and the
 lane popcounts of ``Convergence.limit_count`` are each compared with a loop
 over single bits (``tests/oracles.py``) at n = 1..5, and every offset of
@@ -49,10 +50,12 @@ import oracles
 from oracles import (
     generated_rows,
     is_preorder,
+    open_masks,
     random_columns,
     random_draws_by_relation,
     random_topology,
     sparse_columns,
+    swaps_by_rows,
     table_of,
     transpose_rows,
     unstack,
@@ -93,6 +96,12 @@ def test_lane_constants(n):
     # the full relation and the empty one are their own transposes
     assert carrier.transpose(carrier.pack([(1 << m) - 1] * m)) == carrier.pack([(1 << m) - 1] * m)
     assert carrier.transpose(0) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_swap_masks_against_rows(n):
+    # a fresh carrier, so the masks are built here and not read from a cache
+    assert Carrier(n)._swaps == swaps_by_rows(Carrier(n))
 
 
 @settings(max_examples=200, deadline=None)
@@ -142,6 +151,18 @@ def test_topology_accepts_exactly_the_preorders(candidate):
     else:
         with pytest.raises(ValueError, match="reflexive and transitive"):
             Topology(carrier, mins)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations(max_atoms=3))
+def test_a_topology_and_its_opposite_have_as_many_opens(relation):
+    # the opposite's opens are the complements of the topology's
+    carrier, rows = relation
+    topo = Topology(carrier, warshall_rows(reflexive(rows)))
+    opposite = Topology._from_lanes(carrier, carrier.transpose(topo._lanes))
+    opens = open_masks(topo)
+    assert open_masks(opposite) == {topo.full ^ u for u in opens}
+    assert topo.open_count() == opposite.open_count() == len(opens)
 
 
 # P(2) has four points; N(0) = {0, 1} holds 1, whose N(1) = {1, 2} does not
@@ -384,7 +405,6 @@ class TestStoredForm:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_lane_operations_neither_pack_nor_unpack(self, n, monkeypatch):
         carrier = Carrier(n)
-        carrier.transpose(0)  # Carrier._swaps packs its masks once per carrier
         calls = []
         for name in ("pack", "unpack"):
             original = getattr(Carrier, name)

@@ -148,12 +148,13 @@ class TestOrderOnClasses:
             real = getattr(report_module, name)
             return lambda a, b: calls.update([name]) or real(a, b)
 
-        for name in ("first_escape", "first_open_not_in"):
+        for name in ("escape", "first_escape", "first_open_not_in"):
             monkeypatch.setattr(report_module, name, counting(name))
         build_figure1(Carrier(n))
         # three classes of each kind give 3 * 2 ordered pairs; the 10 and 4
-        # names would give 90 and 12
-        assert calls == {"first_escape": 6, "first_open_not_in": 6}
+        # names would give 90 and 12; the relation check computes none again,
+        # so the witnesses it is handed cover every row without a meet
+        assert calls == {"escape": 12, "first_escape": 6, "first_open_not_in": 6}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_one_witness_text_per_pair_of_classes_with_a_witness(self, monkeypatch, n):
@@ -255,18 +256,43 @@ class TestEmitters:
             assert records or f'"{key}": []' in out
         jsonschema.validate(json.loads(out), REPORT_SCHEMA)
 
-    def test_each_size_computed_once(self, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_each_size_computed_once(self, monkeypatch, n):
         # one count per equality class, not per node: equal payloads have
-        # equal sizes
-        calls = Counter()
-        for cls, method in ((Convergence, "limit_count"), (Topology, "open_count")):
-            real = getattr(cls, method)
-            monkeypatch.setattr(cls, method, lambda self, m=method, f=real: calls.update([m]) or f(self))
-        report = build_figure1(Carrier(3))
+        # equal sizes; and one for O_ls and O_li, whose lanes are each
+        # other's transpose
+        calls = count_sizes(monkeypatch)
+        report = build_figure1(Carrier(n))
         emit(report, "table")
         emit(report, "json")
-        assert calls == {"limit_count": 3, "open_count": 3}
+        assert calls == {"limit_count": 3, "open_count": 2}
         assert report.collapse == {"convergences": 3, "topologies": 3}
+
+    def test_topologies_that_are_not_opposites_are_each_counted(self, monkeypatch):
+        # O_li made finer by one open: still below O_s with O_ls joining it
+        # to O_s, so every row holds, but no longer O_ls's opposite
+        carrier = Carrier(2)
+        o_li = synthesize_O_lambda(lambda_li(carrier))
+        finer = join_topologies(o_li, generate(carrier, [0b0010]))
+        assert finer not in (o_li, discrete(carrier))
+        real = synthesize_O_lambda
+        monkeypatch.setattr(
+            report_module, "synthesize_O_lambda", lambda lam: finer if lam == lambda_li(lam.carrier) else real(lam)
+        )
+        honest_limits(monkeypatch, {finer: o_li})
+        calls = count_sizes(monkeypatch)
+        sizes = {node.name: node.size for node in build_figure1(carrier).nodes}
+        assert calls["open_count"] == 3
+        assert (sizes["O_ls"], sizes["O_li"], sizes["O_s"]) == (6, len(open_masks(finer)), 16)
+
+
+def count_sizes(monkeypatch) -> Counter:
+    """Counts each call of limit_count and open_count from here on."""
+    calls = Counter()
+    for cls, method in ((Convergence, "limit_count"), (Topology, "open_count")):
+        real = getattr(cls, method)
+        monkeypatch.setattr(cls, method, lambda self, m=method, f=real: calls.update([m]) or f(self))
+    return calls
 
 
 def tamper_star(monkeypatch, law, replacement):
